@@ -18,9 +18,11 @@ from fractions import Fraction
 import mpmath
 
 from . import exact, polylog
-from .chains import PairingUnavailableError
-from .compositions import Composition, ShapeBlocks, as_composition, domain_check
-from .kernel import (BigReal, DomainError, EvalResult, adaptive_quadrature,
+from .chains import PairingUnavailableError, RescaleRequiredError
+from .compositions import (Composition, ShapeBlocks, as_composition, as_fraction,
+                           domain_check)
+from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
+                     NonConvergenceError, _resolve_precision, adaptive_quadrature,
                      binom_ratio_sum)
 
 DEFAULT_NUMERIC_TOL = 1e-8
@@ -86,13 +88,10 @@ class IdentityReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
             "status": self.status,
+            "reason": self.skip_reason,
             "anchor": self.anchor,
             "cost": self.cost,
         }
-
-
-def _fr(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _all_compositions(max_weight):
@@ -135,8 +134,8 @@ def _shapes(family, d_max, m_max, u_max, ud_values=None):
 
 def _rational(rng, lo, hi, max_den=12):
     den = rng.randint(1, max_den)
-    lo_n = int(_fr(lo) * den)
-    hi_n = int(_fr(hi) * den)
+    lo_n = int(as_fraction(lo) * den)
+    hi_n = int(as_fraction(hi) * den)
     return Fraction(rng.randint(lo_n, hi_n), den)
 
 
@@ -323,7 +322,7 @@ _register(_Entry(
 
 def _aux_eval(variant):
     def evaluate(params, tol, precision):
-        n, a, x = params["n"], _fr(params["a"]), _fr(params["x"])
+        n, a, x = params["n"], as_fraction(params["a"]), as_fraction(params["x"])
         nf, af, xf = n, float(a), float(x)
 
         def integrand(t):
@@ -335,7 +334,8 @@ def _aux_eval(variant):
         q = adaptive_quadrature(integrand, lo, hi, tol / 4, precision=precision)
         rhs = exact.aux_rhs(variant, n, a, x)
         lhs = EvalResult(q, BigReal(tol / 4), 0, 0, True)
-        return lhs, polylog._wrap_value(BigReal(rhs).value, 160)
+        prec = _resolve_precision(precision)
+        return lhs, polylog._wrap_value(BigReal(rhs, prec).value, prec)
     return evaluate
 
 
@@ -394,7 +394,8 @@ _register(_Entry(
                                               pr["x"], pr["y"])),
     _pan_xu_grids,
     sample=lambda rng: _pan_xu_sample(rng),
-    domain=lambda pr: (_fr(pr["x"]) + _fr(pr["y"]) != 0, "x + y must be nonzero"),
+    domain=lambda pr: (as_fraction(pr["x"]) + as_fraction(pr["y"]) != 0,
+                       "x + y must be nonzero"),
 ))
 
 
@@ -480,7 +481,7 @@ def _series_domain_fn(identity):
         if p is None:
             return False, "missing parameter p"
         a = params.get("a", 1)
-        ok = polylog._series_domain(identity, _fr(a), _fr(p))
+        ok = polylog._series_domain(identity, as_fraction(a), as_fraction(p))
         return ok, "outside validity region"
     return check
 
@@ -743,9 +744,11 @@ def verify(identity_id, params=None, tol=None, precision=None,
     """Evaluate one identity instance and compare its sides.
 
     Domain violations yield a skipped report (not a failure) unless
-    ``outside=True``, in which case the evaluation is attempted anyway and
-    rejections or divergences count as failures.  Mathematical failure never
-    raises; it returns ``passed=False``.
+    ``outside=True``, in which case the evaluation is attempted anyway and a
+    rejection or divergence is reported as ``not_converged``.  An evaluation
+    that runs out of budget, or whose float DP needs a rescale, is reported
+    as ``not_converged`` too, with the exception named in ``skip_reason``.
+    Mathematical failure never raises; it returns ``passed=False``.
     """
     entry = get_entry(identity_id)
     desc = entry.descriptor
@@ -764,16 +767,22 @@ def verify(identity_id, params=None, tol=None, precision=None,
     if outside:
         params["_outside"] = True
     start = time.perf_counter()
+
+    def not_converged(reason):
+        report.passed = False
+        report.converged = False
+        report.skip_reason = reason
+        report.cost = {"wall_ms": round((time.perf_counter() - start) * 1e3, 3)}
+        return report
+
     try:
         lhs, rhs = entry.evaluate(params, tol, precision)
     except (PairingUnavailableError, DomainError) as exc:
         if outside:
-            report.passed = False
-            report.converged = False
-            report.skip_reason = f"evaluation rejected: {exc}"
-            report.cost = {"wall_ms": (time.perf_counter() - start) * 1e3}
-            return report
+            return not_converged(f"evaluation rejected: {exc}")
         raise
+    except (NonConvergenceError, BudgetExceededError, RescaleRequiredError) as exc:
+        return not_converged(f"{type(exc).__name__}: {exc}")
     wall_ms = (time.perf_counter() - start) * 1e3
     report.lhs = lhs.value if isinstance(lhs, EvalResult) else lhs
     report.rhs = rhs.value if isinstance(rhs, EvalResult) else rhs
@@ -793,7 +802,7 @@ def verify(identity_id, params=None, tol=None, precision=None,
     return report
 
 
-def fuzz(identity_id, seed, trials, tol=None, outside=False):
+def fuzz(identity_id, seed, trials, tol=None, outside=False, precision=None):
     """Deterministically sample ``trials`` parameter points and verify each.
 
     In-domain sampling rejects points outside the identity's validity region,
@@ -817,5 +826,5 @@ def fuzz(identity_id, seed, trials, tol=None, outside=False):
                 if guard > 10000 * trials:
                     raise NonStopSampling(identity_id)
                 continue
-        reports.append(verify(identity_id, params, tol, outside=outside))
+        reports.append(verify(identity_id, params, tol, precision, outside=outside))
     return reports

@@ -175,38 +175,53 @@ def naive_chain_sum(spec: FactorSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
     return total
 
 
-def _prefix_products(bases):
-    out = []
-    acc = 1
-    for b in bases:
-        acc = acc * b
-        out.append(acc)
-    return out
-
-
-def _dp_exact(spec: FactorSpec, N: int):
-    L = spec.length
-    acc = [Fraction(0)] * L
-    powvals = [Fraction(1)] * L
-    tail = spec.tail
-    bases = [Fraction(b) for b in spec.bases]
-    if tail is not None:
-        alpha, gamma = Fraction(tail[0]), Fraction(tail[1])
-        pa = Fraction(1)
-        pg = Fraction(1)
-    for j in range(1, N + 1):
-        jp = [Fraction(j) ** p if p else Fraction(1) for p in spec.powers]
-        powvals[L - 1] *= bases[L - 1]
-        last_term = powvals[L - 1] / jp[L - 1]
-        if tail is not None:
+def _exact_columns(spec: FactorSpec, N: int):
+    """Exact factor columns of the spec for the values j = 1..N: column i
+    holds bases[i]^j / j^powers[i], the last one times (alpha^j - gamma^j)
+    when the spec has a tail.  Indices sharing a (base, power) pair share
+    one column."""
+    built = {}
+    columns = []
+    for base, power in zip(spec.bases, spec.powers):
+        if (base, power) not in built:
+            b = Fraction(base)
+            col = []
+            acc = Fraction(1)
+            for j in range(1, N + 1):
+                acc *= b
+                col.append(acc / j ** power)
+            built[(base, power)] = col
+        columns.append(built[(base, power)])
+    if spec.tail is not None:
+        alpha, gamma = Fraction(spec.tail[0]), Fraction(spec.tail[1])
+        pa = pg = Fraction(1)
+        last = []
+        for f in columns[-1]:
             pa *= alpha
             pg *= gamma
-            last_term *= pa - pg
-        acc[L - 1] += last_term
+            last.append(f * (pa - pg))
+        columns[-1] = last
+    return columns
+
+
+def _chain_partials(columns):
+    """Exact chain sums at every truncation by the prefix-sum recurrence.
+
+    ``columns[i][j - 1]`` is the factor of chain index i at value j.  Entry
+    N of the result, for N = 0..len(columns[0]), is the sum over
+    N >= n_1 >= ... >= n_L >= 1 of prod_i columns[i][n_i - 1].  Cost
+    O(N * L) exact operations.
+    """
+    L = len(columns)
+    acc = [Fraction(0)] * L
+    out = [Fraction(0)]
+    for j in range(len(columns[0])):
+        # acc[i] sums over chains n_i >= ... >= n_L with n_i <= j + 1
+        acc[L - 1] += columns[L - 1][j]
         for i in range(L - 2, -1, -1):
-            powvals[i] *= bases[i]
-            acc[i] += powvals[i] * acc[i + 1] / jp[i]
-    return acc[0]
+            acc[i] += columns[i][j] * acc[i + 1]
+        out.append(acc[0])
+    return out
 
 
 def _dp_float_partials(spec: FactorSpec, N: int, precision_bits=53):
@@ -294,7 +309,7 @@ def dp_chain_sum(spec: FactorSpec, N: int):
     difference DP (see :func:`_dp_float_partials`).
     """
     if spec.is_exact():
-        return _dp_exact(spec, N)
+        return _chain_partials(_exact_columns(spec, N))[N]
     return float(_dp_float_partials(spec, N)[N])
 
 

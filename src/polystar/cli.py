@@ -149,9 +149,8 @@ def cmd_eval(args):
 
 
 def _verify_task(task):
-    identity, params, tol, outside = task
-    report = catalog.verify(identity, params, tol, outside=outside)
-    return report
+    identity, params, tol, precision, outside = task
+    return catalog.verify(identity, params, tol, precision, outside=outside)
 
 
 def _report_key(report):
@@ -160,8 +159,7 @@ def _report_key(report):
 
 
 def cmd_verify(args):
-    precision, tol_override, seed, jobs = _resolve_run_config(args)
-    del precision, seed
+    precision, tol_override, _, jobs = _resolve_run_config(args)
     ids = args.ids
     if args.all:
         ids = [d.id for d in catalog.list_identities()]
@@ -179,11 +177,11 @@ def cmd_verify(args):
         ident = entry.descriptor.id
         if args.param:
             params = _parse_params(entry, args.param)
-            tasks.append((ident, params, tol_override, args.outside))
+            tasks.append((ident, params, tol_override, precision, args.outside))
         else:
             for params, grid_tol in entry.grid():
                 tol = tol_override if tol_override is not None else grid_tol
-                tasks.append((ident, params, tol, args.outside))
+                tasks.append((ident, params, tol, precision, args.outside))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -212,9 +210,10 @@ def cmd_verify(args):
 
 
 def cmd_fuzz(args):
-    _, tol, seed, _ = _resolve_run_config(args)
+    precision, tol, seed, _ = _resolve_run_config(args)
     try:
-        reports = catalog.fuzz(args.id, seed, args.trials, tol, outside=args.outside)
+        reports = catalog.fuzz(args.id, seed, args.trials, tol, outside=args.outside,
+                               precision=precision)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -317,7 +316,8 @@ def build_parser():
     p_verify.add_argument("--param", action="append",
                           help="key=value; run a single instance instead of the grid")
     p_verify.add_argument("--outside", action="store_true",
-                          help="skip domain gating; rejections count as failures")
+                          help="skip domain gating; a rejected or divergent "
+                               "evaluation is reported as not_converged (exit 3)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--verbose", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)

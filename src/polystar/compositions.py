@@ -14,7 +14,7 @@ from fractions import Fraction
 from .kernel import DomainError
 
 
-def _as_fraction(x):
+def as_fraction(x):
     """Exact coercion: int/Fraction pass through, floats convert exactly."""
     if isinstance(x, Fraction):
         return x
@@ -217,46 +217,36 @@ def chain_q_signs(s) -> tuple:
     return tuple(signs)
 
 
+def transform_bases(s, p) -> tuple:
+    """Per-index bases of the chain-sum transform at p != 1: 1-p where an
+    index opens a block of size >= 2, 1/(1-p) where it closes one, and 1
+    elsewhere (the signs of :func:`chain_q_signs`), so that the bases raised
+    to a chain's indices multiply to (1-p)^{Q(s)}.
+
+    Computes in the scalar type of ``p``; an int ``p`` gives Fractions.
+    """
+    if p == 1:
+        raise DomainError("p = 1 is excluded (1/(1-p) undefined)")
+    if isinstance(p, int):
+        p = Fraction(p)
+    q = 1 - p
+    by_sign = {+1: q, 0: type(q)(1), -1: 1 / q}
+    return tuple(by_sign[sign] for sign in chain_q_signs(s))
+
+
 def shape_args(shape: ShapeBlocks, variant: str, a, p) -> tuple:
     """Argument string of length |s| for the depth-|s| side of the block
-    identities.
-
-    ``variant="main"`` builds the a-dependent string, ``variant="sub"`` the
-    a-free one.  Exact rational inputs yield exact rational arguments.
+    identities: the transform bases of ``shape_composition(shape)`` with the
+    last entry times 1-p+ap (``variant="main"``, the a-dependent string) or
+    times 1-p (``variant="sub"``, the a-free one).  Exact rational inputs
+    yield exact rational arguments.
     """
     if variant not in ("main", "sub"):
         raise DomainError(f"variant must be 'main' or 'sub', got {variant!r}")
-    p = _as_fraction(p)
-    a = _as_fraction(a)
-    if p == 1:
-        raise DomainError("p = 1 is excluded (1/(1-p) undefined)")
-    one = Fraction(1)
-    q = 1 - p           # block-start base
-    qinv = one / q      # block-end base
-    args = []
-    if shape.family == "A":
-        for i in range(shape.d - 1):
-            args.append(q)
-            args.extend([one] * shape.m[i])
-            args.append(qinv)
-            args.extend([one] * shape.u[i])
-        if variant == "main":
-            args.append(q)
-            args.extend([one] * shape.m[-1])
-            args.append(1 + a * p / q)
-        else:
-            args.append(q)
-            args.extend([one] * (shape.m[-1] + 1))
-    else:
-        for i in range(shape.d):
-            args.append(q)
-            args.extend([one] * shape.m[i])
-            args.append(qinv)
-            # the trailing group of ones loses one slot to the final argument
-            args.extend([one] * (shape.u[i] - (1 if i == shape.d - 1 else 0)))
-        args.append(1 - p + a * p if variant == "main" else q)
-    expected = shape_composition(shape).weight
-    assert len(args) == expected, (shape, variant, len(args), expected)
+    p = as_fraction(p)
+    a = as_fraction(a)
+    args = list(transform_bases(shape_composition(shape), p))
+    args[-1] *= (1 - p + a * p) if variant == "main" else 1 - p
     return tuple(args)
 
 
@@ -268,8 +258,8 @@ _CONSTRAINTS = ("MAIN_AP", "A1_P", "RED_BOX")
 
 def domain_check(constraint_id: str, a, p) -> bool:
     """True iff (a, p) lies in the named validity region."""
-    a = _as_fraction(a)
-    p = _as_fraction(p)
+    a = as_fraction(a)
+    p = as_fraction(p)
     if constraint_id == "MAIN_AP":
         if p == 1 or p <= 0:
             return False

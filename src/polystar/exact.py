@@ -11,25 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .compositions import Composition, as_composition
+from . import compositions
+from .chains import (NAIVE_CHAIN_BUDGET, FactorSpec, QKernelSpec,
+                     _chain_partials, _exact_columns, dp_chain_sum, dp_q_coupled)
+from .compositions import Composition, as_composition, as_fraction
 from .kernel import BudgetExceededError, DomainError, binomial
-
-_NAIVE_CHAIN_BUDGET = 10 ** 7
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise DomainError(f"exact evaluators need rational inputs, got {type(x)!r}")
 
 
 def gen_harmonic(k: int, s: int, a) -> Fraction:
     """Generalized harmonic number sum_{j=1}^{k} a^j / j^s (0 for k = 0)."""
-    a = _frac(a)
+    a = as_fraction(a)
     total = Fraction(0)
     power = Fraction(1)
     for j in range(1, k + 1):
@@ -41,27 +32,15 @@ def gen_harmonic(k: int, s: int, a) -> Fraction:
 def mhsv_all(n: int, s, a) -> list:
     """Harmonic-star values zeta*_k(s; a) for every k = 0..n, in one pass.
 
-    Uses the nested prefix-sum scheme: the innermost cumulative sum carries
-    a^j / j^{s_d}, each outer layer divides by j^{s_i} and accumulates.  Cost
-    O(n * depth) exact operations.
+    The chain sum with factors 1/j^{s_i}, the last one times a^j, read at
+    every truncation.  Cost O(n * depth) exact operations.
     """
     s = as_composition(s)
-    a = _frac(a)
+    a = as_fraction(a)
     if n < 0:
         raise DomainError("n must be >= 0")
-    # layer[i][j] built incrementally in j; only cumulative values are kept.
-    d = s.depth
-    acc = [Fraction(0)] * d
-    out = [Fraction(0)]
-    power = Fraction(1)
-    for j in range(1, n + 1):
-        power *= a
-        term = power / Fraction(j) ** s.parts[d - 1]
-        acc[d - 1] += term
-        for i in range(d - 2, -1, -1):
-            acc[i] += acc[i + 1] / Fraction(j) ** s.parts[i]
-        out.append(acc[0])
-    return out
+    spec = FactorSpec((1,) * (s.depth - 1) + (a,), s.parts)
+    return _chain_partials(_exact_columns(spec, n))
 
 
 def mhsv(k: int, s, a) -> Fraction:
@@ -73,9 +52,9 @@ def mhsv(k: int, s, a) -> Fraction:
 def mhsv_naive(k: int, s, a) -> Fraction:
     """Direct chain enumeration of zeta*_k(s; a); oracle for small k."""
     s = as_composition(s)
-    a = _frac(a)
+    a = as_fraction(a)
     d = s.depth
-    if binomial(k + d - 1, d) > _NAIVE_CHAIN_BUDGET:
+    if binomial(k + d - 1, d) > NAIVE_CHAIN_BUDGET:
         raise BudgetExceededError("chain enumeration too large")
     total = Fraction(0)
     for combo in combinations_with_replacement(range(1, k + 1), d):
@@ -89,8 +68,8 @@ def mhsv_naive(k: int, s, a) -> Fraction:
 
 def mneimneh_lhs(n: int, s, a, p) -> Fraction:
     """Binomially weighted average sum_{k=1}^{n} C(n,k) p^k (1-p)^{n-k} zeta*_k(s; a)."""
-    p = _frac(p)
-    a = _frac(a)
+    p = as_fraction(p)
+    a = as_fraction(a)
     stars = mhsv_all(n, s, a)
     q = 1 - p
     total = Fraction(0)
@@ -100,42 +79,9 @@ def mneimneh_lhs(n: int, s, a, p) -> Fraction:
 
 
 def transform_bases(s, p) -> tuple:
-    """Per-index bases of the chain-sum transform of the weighted average.
-
-    Index i carries base (1-p) when it opens a block of size >= 2, 1/(1-p)
-    when it closes one, and 1 otherwise; the product over a chain equals
-    (1-p)^{Q(s)}.  Requires p != 1.
-    """
-    s = as_composition(s)
-    p = _frac(p)
-    if p == 1:
-        raise DomainError("transform bases undefined at p = 1")
-    q = 1 - p
-    qinv = Fraction(1) / q
-    bases = []
-    for part in s.parts:
-        if part == 1:
-            bases.append(Fraction(1))
-        else:
-            bases.append(q)
-            bases.extend([Fraction(1)] * (part - 2))
-            bases.append(qinv)
-    return tuple(bases)
-
-
-def _chain_dp(bases, n: int) -> Fraction:
-    """Sum over n >= n_1 >= ... >= n_L >= 1 of prod bases[i]^{n_i} / n_i."""
-    L = len(bases)
-    acc = [Fraction(0)] * L
-    powers = [Fraction(1)] * L
-    for j in range(1, n + 1):
-        jf = Fraction(j)
-        powers[L - 1] *= bases[L - 1]
-        acc[L - 1] += powers[L - 1] / jf
-        for i in range(L - 2, -1, -1):
-            powers[i] *= bases[i]
-            acc[i] += powers[i] * acc[i + 1] / jf
-    return acc[0]
+    """Exact per-index bases of the chain-sum transform (see
+    :func:`polystar.compositions.transform_bases`).  Requires p != 1."""
+    return compositions.transform_bases(s, as_fraction(p))
 
 
 def main_rhs(n: int, s, a, p) -> Fraction:
@@ -148,18 +94,13 @@ def main_rhs(n: int, s, a, p) -> Fraction:
     zeta*_n(s; a); that degenerate value is returned directly.
     """
     s = as_composition(s)
-    a = _frac(a)
-    p = _frac(p)
+    a = as_fraction(a)
+    p = as_fraction(p)
     if p == 1:
         return mhsv(n, s, a)
-    bases = list(transform_bases(s, p))
-    alpha = 1 - p + a * p
-    gamma = 1 - p
-    hi = bases[:]
-    hi[-1] = bases[-1] * alpha
-    lo = bases[:]
-    lo[-1] = bases[-1] * gamma
-    return _chain_dp(hi, n) - _chain_dp(lo, n)
+    spec = FactorSpec(transform_bases(s, p), (1,) * s.weight,
+                      tail=(1 - p + a * p, 1 - p))
+    return dp_chain_sum(spec, n)
 
 
 def main_rhs_literal(n: int, s, a, p) -> Fraction:
@@ -168,10 +109,10 @@ def main_rhs_literal(n: int, s, a, p) -> Fraction:
     Valid at every p including the degenerate endpoints; oracle for small n.
     """
     s = as_composition(s)
-    a = _frac(a)
-    p = _frac(p)
+    a = as_fraction(a)
+    p = as_fraction(p)
     L = s.weight
-    if binomial(n + L - 1, L) > _NAIVE_CHAIN_BUDGET:
+    if binomial(n + L - 1, L) > NAIVE_CHAIN_BUDGET:
         raise BudgetExceededError("chain enumeration too large")
 
     def power(base: Fraction, e: int) -> Fraction:
@@ -199,7 +140,7 @@ def main_rhs_literal(n: int, s, a, p) -> Fraction:
 def classic_binomial_rhs(n: int, p) -> Fraction:
     """Partial sum sum_{k=1}^{n} (1 - (1-p)^k) / k, the depth-1, order-1
     transform of the weighted harmonic average."""
-    p = _frac(p)
+    p = as_fraction(p)
     q = 1 - p
     total = Fraction(0)
     power = Fraction(1)
@@ -212,34 +153,21 @@ def classic_binomial_rhs(n: int, p) -> Fraction:
 def depth1_rhs(n: int, s1: int, a, p) -> Fraction:
     """Depth-1 transform: sum over n >= n_1 >= ... >= n_s >= 1 of
     (1-p)^{n_1} / (n_1...n_s) * ((1 + ap/(1-p))^{n_s} - 1).  Needs p != 1."""
-    a = _frac(a)
-    p = _frac(p)
+    a = as_fraction(a)
+    p = as_fraction(p)
     if p == 1:
         raise DomainError("depth-1 transform needs p != 1")
     q = 1 - p
-    ratio = 1 + a * p / q
-    if s1 >= 2:
-        bases_hi = [q] + [Fraction(1)] * (s1 - 2) + [ratio]
-        bases_lo = [q] + [Fraction(1)] * (s1 - 1)
-    else:
-        bases_hi = [q * ratio]
-        bases_lo = [q]
-    return _chain_dp(bases_hi, n) - _chain_dp(bases_lo, n)
+    spec = FactorSpec((q,) + (1,) * (s1 - 1), (1,) * s1, tail=(1 + a * p / q, 1))
+    return dp_chain_sum(spec, n)
 
 
 def ones_rhs(n: int, d: int, a, p) -> Fraction:
     """All-ones collapse of the transform:
     sum over chains of [(1-p+ap)^{n_d} - (1-p)^{n_d}] / (n_1...n_d)."""
-    a = _frac(a)
-    p = _frac(p)
-    alpha = 1 - p + a * p
-    gamma = 1 - p
-    ones = [Fraction(1)] * d
-    hi = ones[:]
-    hi[-1] = alpha
-    lo = ones[:]
-    lo[-1] = gamma
-    return _chain_dp(hi, n) - _chain_dp(lo, n)
+    a = as_fraction(a)
+    p = as_fraction(p)
+    return dp_chain_sum(FactorSpec((1,) * d, (1,) * d, tail=(1 - p + a * p, 1 - p)), n)
 
 
 def power_weight_example_sides(n: int) -> tuple:
@@ -263,8 +191,8 @@ def power_weight_example_sides(n: int) -> tuple:
     for k in range(1, n + 1):
         lhs += binomial(n, k) * middles[k]
     # rhs: separable chain DP with bases (1/2, 1, 2, 1/2, 1) scaled by 2^n.
-    bases = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1)]
-    rhs = Fraction(2) ** n * _chain_dp(bases, n)
+    bases = (Fraction(1, 2), 1, 2, Fraction(1, 2), 1)
+    rhs = Fraction(2) ** n * dp_chain_sum(FactorSpec(bases, (1,) * 5), n)
     return lhs, rhs
 
 
@@ -276,7 +204,7 @@ def dilcher_plus(n: int, d: int, a) -> tuple:
     """
     if n < 1 or d < 1:
         raise DomainError("need n, d >= 1")
-    a = _frac(a)
+    a = as_fraction(a)
     stars = mhsv_all(n, Composition((1,) * d), a)
     lhs = Fraction(0)
     for k in range(1, n + 1):
@@ -333,11 +261,9 @@ def mean_rhs(n: int, s, a) -> Fraction:
     """Chain-sum form of the arithmetic mean: the (|s|+1)-fold chain sum with
     the binomial-ratio kernel C(n_{|s|}, n_{|s|+1}) / C(Q+n_{|s|}, n_{|s|+1}),
     the weight a^{n_{|s|+1}}, and the factor 1/(Q + n_{|s|} + 1)."""
-    from .chains import QKernelSpec, dp_q_coupled
-
     if n < 1:
         raise DomainError("need n >= 1")
-    return dp_q_coupled(QKernelSpec(as_composition(s), "MEAN_FULL", _frac(a)), n)
+    return dp_q_coupled(QKernelSpec(as_composition(s), "MEAN_FULL", as_fraction(a)), n)
 
 
 def mean_example1_rhs(n: int, d: int) -> Fraction:
@@ -345,12 +271,9 @@ def mean_example1_rhs(n: int, d: int) -> Fraction:
     1 / (n_1 ... n_{d-1} (n_d + 1)), the product being empty for d = 1."""
     if n < 1 or d < 1:
         raise DomainError("need n, d >= 1")
-    acc = [Fraction(0)] * d
-    for j in range(1, n + 1):
-        acc[d - 1] += Fraction(1, j + 1)
-        for i in range(d - 2, -1, -1):
-            acc[i] += acc[i + 1] / j
-    return acc[0]
+    harmonic = [Fraction(1, j) for j in range(1, n + 1)]
+    shifted = [Fraction(1, j + 1) for j in range(1, n + 1)]
+    return _chain_partials([harmonic] * (d - 1) + [shifted])[n]
 
 
 def mean_sum_hk_sides(n: int) -> tuple:
@@ -390,8 +313,8 @@ def pan_xu_check(n: int, r: int, u, m, x, y) -> tuple:
 
     with s = ({1}_{u_1}, m_1+2, ..., m_r+2, {1}_{u_{r+1}}).
     """
-    x = _frac(x)
-    y = _frac(y)
+    x = as_fraction(x)
+    y = as_fraction(y)
     if x + y == 0:
         raise DomainError("need x + y != 0")
     comp = pan_xu_composition(r, u, m)
@@ -412,8 +335,8 @@ def aux_rhs(variant: str, n: int, a, x) -> Fraction:
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    a = _frac(a)
-    x = _frac(x)
+    a = as_fraction(a)
+    x = as_fraction(x)
     total = Fraction(0)
     if variant == "aux1":
         base = 1 + a * x

@@ -20,8 +20,8 @@ from .chains import (FactorSpec, PairingUnavailableError, QKernelSpec,
                      Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
                      dp_chain_partials, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
-                           chain_q_signs, domain_check, shape_args,
-                           shape_composition)
+                           domain_check, shape_args, shape_composition,
+                           transform_bases)
 from .kernel import (BigReal, DomainError, EvalResult, adaptive_quadrature,
                      _resolve_precision)
 
@@ -341,21 +341,7 @@ def mean_kernel_infinite(s, tol, precision=None) -> EvalResult:
         return dp_q_coupled(kernel, N, float_mode=True)
 
     return adaptive_sum(evaluate, schedule, tail="polynomial",
-                        cost_per_level=lambda N: N * s.weight)
-
-
-def _transform_spec_float(s: Composition, a: float, p: float) -> FactorSpec:
-    """Float factor spec of the chain-sum transform at (a, p), p != 1."""
-    q = 1.0 - p
-    bases = []
-    for part in s.parts:
-        if part == 1:
-            bases.append(1.0)
-        else:
-            bases.append(q)
-            bases.extend([1.0] * (part - 2))
-            bases.append(1.0 / q)
-    return FactorSpec(tuple(bases), (1,) * s.weight, tail=(1.0 - p + a * p, q))
+                        cost_per_level=lambda N: N * N * s.weight)
 
 
 def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
@@ -380,7 +366,8 @@ def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
             if 1.0 - p < 1e-13:
                 # degenerate endpoint: only zero-gap chains survive
                 return float(dp_chain_partials(collapsed, N)[N])
-            spec = _transform_spec_float(s, a, p)
+            spec = FactorSpec(transform_bases(s, p), (1,) * L,
+                              tail=(1.0 - p + a * p, 1.0 - p))
             return float(dp_chain_partials(spec, N)[N])
 
         # the truncated integrand has boundary layers of width ~1/N at both

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from polystar import catalog
+from polystar.chains import RescaleRequiredError
 from polystar.compositions import Composition, ShapeBlocks
-from polystar.kernel import DomainError
+from polystar.kernel import BudgetExceededError, DomainError, NonConvergenceError
 
 F = Fraction
 
@@ -123,6 +124,47 @@ def test_outside_mode_reports_failure_without_abort():
     r = catalog.verify("INTRO_SERIES", dict(s=2, a=-1.0, p=1.5), 1e-8, outside=True)
     assert r.passed is False
     assert r.skip_reason and "rejected" in r.skip_reason
+
+
+@pytest.mark.parametrize("exc_type", [NonConvergenceError, BudgetExceededError,
+                                      RescaleRequiredError])
+def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
+    def evaluate(params, tol, precision):
+        raise exc_type("out of budget")
+
+    monkeypatch.setattr(catalog.get_entry("AUX1"), "evaluate", evaluate)
+    r = catalog.verify("AUX1", dict(n=2, a=F(1), x=F(1, 2)))
+    assert r.status == "not_converged"
+    assert r.passed is False
+    assert r.skip_reason == f"{exc_type.__name__}: out of budget"
+    assert "wall_ms" in r.cost
+    assert r.to_json_dict()["reason"] == r.skip_reason
+
+
+def test_zero_division_still_raises(monkeypatch):
+    def evaluate(params, tol, precision):
+        raise ZeroDivisionError("singular")
+
+    monkeypatch.setattr(catalog.get_entry("AUX1"), "evaluate", evaluate)
+    with pytest.raises(ZeroDivisionError):
+        catalog.verify("AUX1", dict(n=2, a=F(1), x=F(1, 2)))
+
+
+def test_skip_reason_in_json():
+    r = catalog.verify("MEAN_INF_A", dict(s=Composition((1, 1)), a=0.5))
+    payload = json.loads(json.dumps(r.to_json_dict()))
+    assert payload["status"] == "skip"
+    assert payload["reason"] == "left side diverges"
+    passed = catalog.verify("MEAN_SUM_HK", dict(n=3)).to_json_dict()
+    assert passed["reason"] is None
+
+
+def test_aux_precision_reaches_rhs():
+    params = dict(n=3, a=F(1, 2), x=F(1, 2))
+    assert catalog.verify("AUX1", params, precision=200).rhs.precision == 200
+    assert catalog.verify("AUX1", params).rhs.precision == 160
+    reports = catalog.fuzz("AUX2", 5, 2, precision=200)
+    assert all(r.rhs.precision == 200 for r in reports)
 
 
 def test_grid_tolerance_overrides():

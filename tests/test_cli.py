@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from polystar import catalog
 from polystar.cli import main
 
 CLI = [sys.executable, "-m", "polystar.cli"]
@@ -119,6 +120,22 @@ def test_precision_env_override(capsys, monkeypatch):
     assert main(["eval", "li", "--s", "2", "--x", "1/2", "--tol", "1e-12"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("0.5822405264")
+
+
+def test_precision_flag_reaches_verify_and_fuzz(monkeypatch, capsys):
+    seen = []
+    verify = catalog.verify
+
+    def recording_verify(identity, params=None, tol=None, precision=None, **kw):
+        seen.append(precision)
+        return verify(identity, params, tol, precision, **kw)
+
+    monkeypatch.setattr(catalog, "verify", recording_verify)
+    monkeypatch.delenv("POLYSTAR_PRECISION", raising=False)
+    assert main(["verify", "MEAN_SUM_HK", "--param", "n=3", "--precision", "200"]) == 0
+    assert main(["fuzz", "DILCHER_CLASSIC", "--trials", "2", "--precision", "200"]) == 0
+    assert main(["verify", "MEAN_SUM_HK", "--param", "n=3"]) == 0
+    assert seen == [200, 200, 200, 160]
 
 
 def test_config_file(tmp_path, capsys):

@@ -2,11 +2,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polystar.compositions import (Composition, IndexChain, ShapeBlocks,
                                    chain_q_signs, domain_check, q_of,
-                                   shape_args, shape_composition)
+                                   shape_args, shape_composition,
+                                   transform_bases)
 from polystar.kernel import DomainError
+
+SMALL_COMPOSITIONS = [parts for depth in range(1, 7)
+                      for parts in itertools.product(range(1, 7), repeat=depth)
+                      if sum(parts) <= 6]
 
 
 def test_composition_basics():
@@ -99,6 +105,27 @@ def test_chain_q_signs():
     assert chain_q_signs((3, 2)) == (1, 0, -1, 1, -1)
     assert chain_q_signs((1, 1, 1)) == (0, 0, 0)
     assert chain_q_signs((2,)) == (1, -1)
+
+
+@given(st.data())
+def test_transform_bases_multiply_to_q_power(data):
+    # the block->base map is defined by prod b_i^{n_i} = (1-p)^{Q(s)}
+    s = data.draw(st.sampled_from(SMALL_COMPOSITIONS))
+    p = data.draw(st.fractions(-3, 3, max_denominator=12).filter(lambda v: v != 1))
+    chain = sorted(data.draw(st.lists(st.integers(1, 9), min_size=sum(s),
+                                      max_size=sum(s))), reverse=True)
+    product = Fraction(1)
+    for base, n in zip(transform_bases(s, p), chain):
+        product *= base ** n
+    assert product == (1 - p) ** q_of(s, chain)
+
+
+def test_transform_bases_scalar_type():
+    assert transform_bases((2, 1), 0.5) == (0.5, 2.0, 1.0)
+    assert all(type(b) is float for b in transform_bases((3,), 0.25))
+    assert transform_bases((2,), 3) == (-2, Fraction(-1, 2))
+    with pytest.raises(DomainError):
+        transform_bases((2,), 1)
 
 
 def test_shape_args_examples():

@@ -151,6 +151,15 @@ def test_mean_inf_identity_sides():
     assert abs(float(lhs.value) + math.pi ** 2 / 12) < 1e-6
 
 
+def test_mean_kernel_terms_count_q_dp_cells(monkeypatch):
+    # each ladder level N fills an N x N table per chain position
+    monkeypatch.setattr(polylog, "Q_MAX_N", 256)
+    s = Composition((2, 1))
+    res = polylog.mean_kernel_infinite(s, 1e-6)
+    assert res.truncation_level == 256  # the ladder ran 64, 128, 256
+    assert res.terms_used == sum(N * N * s.weight for N in (64, 128, 256))
+
+
 def test_mean_lhs_converges_predicate():
     assert polylog.mean_lhs_converges((2,), 1)
     assert polylog.mean_lhs_converges((2, 1), -1)
