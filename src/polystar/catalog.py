@@ -49,6 +49,8 @@ class IdentityReport:
     mode: str
     lhs: object = None
     rhs: object = None
+    err_lhs: object = None
+    err_rhs: object = None
     abs_diff: object = None
     rel_diff: float = None
     tolerance: float = None
@@ -83,6 +85,8 @@ class IdentityReport:
             "mode": self.mode,
             "lhs": self._fmt(self.lhs),
             "rhs": self._fmt(self.rhs),
+            "err_lhs": self._fmt(self.err_lhs),
+            "err_rhs": self._fmt(self.err_rhs),
             "abs_diff": self._fmt(self.abs_diff),
             "rel_diff": self.rel_diff,
             "tolerance": self.tolerance,
@@ -786,6 +790,8 @@ def verify(identity_id, params=None, tol=None, precision=None,
     wall_ms = (time.perf_counter() - start) * 1e3
     report.lhs = lhs.value if isinstance(lhs, EvalResult) else lhs
     report.rhs = rhs.value if isinstance(rhs, EvalResult) else rhs
+    report.err_lhs = lhs.error_estimate if isinstance(lhs, EvalResult) else None
+    report.err_rhs = rhs.error_estimate if isinstance(rhs, EvalResult) else None
     report.abs_diff, report.rel_diff = _diffs(lhs, rhs, desc.mode)
     cost = {"wall_ms": round(wall_ms, 3)}
     if isinstance(lhs, EvalResult):

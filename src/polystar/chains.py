@@ -4,11 +4,13 @@ Three evaluators share the same summand model:
 
 * :func:`naive_chain_sum` — direct enumeration, the oracle;
 * :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L);
-* :func:`dp_q_coupled` — DP over (position, chain value, partial Q) for the
-  kernels that couple the chain statistic Q to the summand.
+* :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
+  to the summand: one dense (chain value, partial Q) table, Fractions for
+  exact kernels and float64 for float ones, folded with the kernel.
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
-geometric-tail stopping test or window extrapolation for polynomial tails.
+geometric-tail stopping test or window extrapolation for polynomial tails,
+and wraps the result at the caller's precision.
 """
 
 from __future__ import annotations
@@ -322,16 +324,6 @@ def dp_chain_partials(spec: FactorSpec, N: int):
 # Q-coupled kernels
 # ---------------------------------------------------------------------------
 
-def _mean_full_kernel_exact(m, q_stat, a):
-    """sum_{t=1}^{m} C(m,t)/C(q+m,t) * a^t, divided by (q+m+1)."""
-    total = Fraction(0)
-    apow = Fraction(1)
-    for t in range(1, m + 1):
-        apow *= a
-        total += Fraction(binomial(m, t), binomial(q_stat + m, t)) * apow
-    return total / (q_stat + m + 1)
-
-
 def dp_q_naive(kernel: QKernelSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
     """Direct enumeration of the Q-coupled sum; the oracle for dp_q_coupled."""
     s = kernel.s
@@ -364,39 +356,47 @@ def dp_q_naive(kernel: QKernelSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
     return total
 
 
-def _q_dp_exact(kernel: QKernelSpec, N: int):
-    """States {(chain value m, partial Q): sum of 1/(n_1...n_i)} after the
-    last position of the length-|s| chain."""
+def _q_table(kernel: QKernelSpec, N: int, exact: bool):
+    """Dense table W[m - 1, q] over the length-|s| chains truncated at
+    n_1 <= N: the sum of 1/(n_1 ... n_|s|) over the chains with last value
+    n_|s| = m and statistic Q = q, for m = 1..N and q = 0..N.
+
+    Holds Fractions in an object array when ``exact``, float64 otherwise;
+    every step works in place on the one table.
+    """
     signs = chain_q_signs(kernel.s)
-    states = {}
-    for m in range(1, N + 1):
-        q0 = m if signs[0] > 0 else 0
-        states[(m, q0)] = Fraction(1, m)
+    if exact:
+        W = np.zeros((N, N + 1), dtype=object)
+        inv = np.array([Fraction(1, m) for m in range(1, N + 1)], dtype=object)
+    else:
+        W = np.zeros((N, N + 1))
+        inv = 1.0 / np.arange(1, N + 1)
+    rows = np.arange(N)
+    W[rows, rows + 1 if signs[0] > 0 else 0] = inv
     for sg in signs[1:]:
-        by_q = {}
-        for (m, q), w in states.items():
-            row = by_q.setdefault(q, {})
-            row[m] = row.get(m, Fraction(0)) + w
-        new = {}
-        for q, row in by_q.items():
-            suffix = Fraction(0)
-            # next value m' admits any previous value >= m'
-            for m in range(N, 0, -1):
-                suffix += row.get(m, Fraction(0))
-                if suffix == 0:
-                    continue
-                key = (m, q + sg * m)
-                new[key] = new.get(key, Fraction(0)) + suffix / m
-        states = new
-    return states
+        # the next value m admits any previous value >= m
+        np.cumsum(W[::-1], axis=0, out=W[::-1])
+        if sg:
+            # shift row m by sg * m along the partial-Q axis
+            for m in range(1, N + 1):
+                row = W[m - 1]
+                if sg > 0:
+                    row[m:] = row[:N + 1 - m]
+                    row[:m] = 0
+                else:
+                    row[:N + 1 - m] = row[m:]
+                    row[N + 1 - m:] = 0
+        W *= inv[:, None]
+    return W
 
 
 def dp_q_coupled(kernel: QKernelSpec, N: int, float_mode=None):
     """Q-coupled chain sum truncated at n_1 <= N.
 
-    DP over (position, chain value, partial Q) with suffix-sum acceleration;
-    the partial-Q range never exceeds N, so the state count is O(N^2 * |s|)
-    and is refused beyond the state budget.
+    Builds the (chain value, partial Q) table of :func:`_q_table` and folds
+    it with the kernel; the partial-Q range never exceeds N, so the state
+    count is O(N^2 * |s|) and is refused beyond the state budget.  Exact
+    kernels give a Fraction, ``float_mode`` a float.
     """
     s = kernel.s
     n_states = N * N * max(1, s.weight)
@@ -405,73 +405,40 @@ def dp_q_coupled(kernel: QKernelSpec, N: int, float_mode=None):
             f"Q-coupled DP needs ~{n_states} states, over budget {Q_STATE_BUDGET}")
     if float_mode is None:
         float_mode = not isinstance(kernel.a, (int, Fraction))
-    if not float_mode:
-        states = _q_dp_exact(kernel, N)
-        a = Fraction(kernel.a)
-        total = Fraction(0)
-        for (m, q), w in states.items():
-            if kernel.kind == "MEAN_FULL":
-                total += w * _mean_full_kernel_exact(m, q, a)
-            else:
-                # MEAN_INF carries no 1/n_L factor: multiply it back out
-                total += w * m / Fraction((q + 1) * (q + m + 1))
-        return total
-    return _q_dp_float(kernel, N)
-
-
-def _q_dp_float(kernel: QKernelSpec, N: int):
-    signs = chain_q_signs(kernel.s)
-    m = np.arange(1, N + 1, dtype=np.float64)
-    A = np.zeros((N, N + 1))
-    if signs[0] > 0:
-        A[np.arange(N), np.arange(1, N + 1)] = 1.0 / m
-    else:
-        A[:, 0] = 1.0 / m
-    for sg in signs[1:]:
-        S = np.cumsum(A[::-1], axis=0)[::-1]
-        A = np.zeros_like(S)
-        if sg == 0:
-            A = S / m[:, None]
-        elif sg > 0:
-            for mv in range(1, N + 1):
-                A[mv - 1, mv:] = S[mv - 1, : N + 1 - mv] / mv
-        else:
-            for mv in range(1, N + 1):
-                A[mv - 1, : N + 1 - mv] = S[mv - 1, mv:] / mv
-    q = np.arange(0, N + 1, dtype=np.float64)
+    W = _q_table(kernel, N, exact=not float_mode)
+    one = 1.0 if float_mode else Fraction(1)
+    total = 0.0 if float_mode else Fraction(0)
     if kernel.kind == "MEAN_INF":
-        K = m[:, None] / ((q[None, :] + 1.0) * (q[None, :] + m[:, None] + 1.0))
-        return float(np.sum(A * K))
-    # MEAN_FULL: fold the last index t with the binomial-ratio kernel.
-    a = float(kernel.a)
-    total = 0.0
-    for mv in range(1, N + 1):
-        row = A[mv - 1]
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            continue
-        for qv in nz:
-            # K = sum_t C(m,t)/C(q+m,t) a^t, iteratively via term ratios
-            term = a * mv / (qv + mv)
-            acc = term
-            for t in range(2, mv + 1):
-                term *= a * (mv - t + 1) / (qv + mv - t + 1)
+        # the table carries a 1/n_L that MEAN_INF lacks: the row kernel
+        # m / ((q+1)(q+m+1)) multiplies it back out
+        q = np.arange(N + 1, dtype=np.float64 if float_mode else object)
+        for m in range(1, N + 1):
+            total += W[m - 1].dot(one * m / ((q + 1) * (q + m + 1)))
+    else:
+        # fold the last index t <= m: sum_t C(m,t)/C(q+m,t) a^t, built from
+        # the ratio of consecutive terms, over (q+m+1)
+        a = float(kernel.a) if float_mode else Fraction(kernel.a)
+        for i, q in zip(*np.nonzero(W)):
+            m, q = int(i) + 1, int(q)
+            term = acc = a * m / (q + m)
+            for t in range(2, m + 1):
+                term = term * a * (m - t + 1) / (q + m - t + 1)
                 acc += term
-                if abs(term) < 1e-18 * max(1.0, abs(acc)):
-                    break
-            total += row[qv] * acc / (qv + mv + 1)
-    return total
+            total += W[i, q] * acc / (q + m + 1)
+    return float(total) if float_mode else total
 
 
 def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
-                 cost_per_level=None, noise_floor=None, min_samples=7):
+                 cost_per_level=None, noise_floor=None, min_samples=7,
+                 precision=None):
     """Evaluate a truncated-sum family over the schedule's ladder.
 
     ``evaluator(N)`` returns the truncation at n_1 <= N.  With
     ``schedule.extrapolate`` (or ``tail="polynomial"``) window extrapolants
     drive convergence; otherwise the geometric test |v(gN) - v(N)| <= tol/4
-    with one extra safety level is used.  Returns an :class:`EvalResult`
-    whose ``converged`` flag is False when the ladder hits ``max_n``.
+    with one extra safety level is used.  Returns an :class:`EvalResult`,
+    wrapped at ``precision`` bits (default 160), whose ``converged`` flag is
+    False when the ladder hits ``max_n``.
     """
     tol = schedule.tolerance
     polynomial = schedule.extrapolate or tail == "polynomial"
@@ -479,6 +446,10 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
     values = []
     terms = 0
     geo_hits = 0
+
+    def result(value, err, level, converged):
+        return EvalResult(BigReal(value, precision), BigReal(err, precision),
+                          terms, level, converged)
 
     def floor():
         if noise_floor is not None:
@@ -503,13 +474,13 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
                 continue
             value, err = fit
             if err <= tol:
-                return EvalResult(BigReal(value), BigReal(err), terms, N, True)
+                return result(value, err, N, True)
         else:
             diff = abs(float(values[-1]) - float(values[-2]))
             if diff <= tol / 4:
                 geo_hits += 1
                 if geo_hits >= 2:  # one extra level past the first hit
-                    return EvalResult(BigReal(values[-1]), BigReal(diff), terms, N, True)
+                    return result(values[-1], diff, N, True)
             else:
                 geo_hits = 0
     # budget exhausted
@@ -517,6 +488,6 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
         fit = best_extrapolant(levels, values, noise_floor=floor())
         if fit is not None:
             value, err = fit
-            return EvalResult(BigReal(value), BigReal(err), terms, levels[-1], False)
+            return result(value, err, levels[-1], False)
     err = abs(float(values[-1]) - float(values[-2])) if len(values) > 1 else float("inf")
-    return EvalResult(BigReal(values[-1]), BigReal(err), terms, levels[-1], False)
+    return result(values[-1], err, levels[-1], False)

@@ -92,6 +92,10 @@ def _parse_params(entry, pairs):
             params[key] = tuple(int(v) for v in text.split(",") if v != "")
         else:
             params[key] = text
+    missing = [key for key in types if key not in params]
+    if missing:
+        raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
+                          f"for {entry.descriptor.id}")
     return params
 
 

@@ -236,16 +236,10 @@ def _star_ladder(spec: FactorSpec, tol, precision) -> EvalResult:
 
     # every marginal prefix direction can raise the log degree of the tail;
     # demand enough ladder samples for the model to cover it
-    result = adaptive_sum(evaluate, schedule,
-                          tail="polynomial" if polynomial else "geometric",
-                          cost_per_level=lambda N: N * L,
-                          min_samples=max(7, marginal + 4))
-    if result.value.precision != prec:
-        result = EvalResult(BigReal(result.value, prec),
-                            BigReal(result.error_estimate, prec),
-                            result.terms_used, result.truncation_level,
-                            result.converged)
-    return result
+    return adaptive_sum(evaluate, schedule,
+                        tail="polynomial" if polynomial else "geometric",
+                        cost_per_level=lambda N: N * L,
+                        min_samples=max(7, marginal + 4), precision=prec)
 
 
 def li_star(query, xs=None, tol=None, precision=None) -> EvalResult:
@@ -341,7 +335,8 @@ def mean_kernel_infinite(s, tol, precision=None) -> EvalResult:
         return dp_q_coupled(kernel, N, float_mode=True)
 
     return adaptive_sum(evaluate, schedule, tail="polynomial",
-                        cost_per_level=lambda N: N * N * s.weight)
+                        cost_per_level=lambda N: N * N * s.weight,
+                        precision=precision)
 
 
 def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
@@ -384,7 +379,8 @@ def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
         c, cost[0] = cost[0], 0
         return c
 
-    return adaptive_sum(evaluate, schedule, tail="polynomial", cost_per_level=cost_delta)
+    return adaptive_sum(evaluate, schedule, tail="polynomial", cost_per_level=cost_delta,
+                        precision=precision)
 
 
 def mean_lhs_converges(s, a) -> bool:

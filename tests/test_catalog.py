@@ -167,6 +167,25 @@ def test_aux_precision_reaches_rhs():
     assert all(r.rhs.precision == 200 for r in reports)
 
 
+def test_mean_kernel_precision_reaches_both_sides():
+    for ident, params in (("MEAN_INF_1", dict(s=(2,))), ("MEAN_EX2", dict(d=1))):
+        for precision, bits in ((200, 200), (None, 160)):
+            r = catalog.verify(ident, params, 1e-4, precision=precision)
+            assert (r.lhs.precision, r.rhs.precision) == (bits, bits)
+
+
+def test_side_error_estimates_in_json():
+    tol = 1e-8
+    params = dict(s=2, a=0.5, p=0.5)
+    payload = catalog.verify("INTRO_SERIES", params, tol).to_json_dict()
+    assert payload["status"] == "pass"
+    for side in ("err_lhs", "err_rhs"):
+        assert 0 <= float(payload[side]) <= tol
+    exact = catalog.verify("MEAN_SUM_HK", dict(n=3)).to_json_dict()
+    assert exact["lhs"] == exact["rhs"]
+    assert exact["err_lhs"] is None and exact["err_rhs"] is None
+
+
 def test_grid_tolerance_overrides():
     grids = list(catalog.default_grid("MEAN_INF_1"))
     tols = {str(params["s"]): tol for params, tol in grids}

@@ -98,8 +98,12 @@ def test_q_coupled_examples():
     assert dp_q_coupled(QKernelSpec(Composition((2,)), "MEAN_INF"), 2) == F(3, 4)
 
 
+# (1, 2, 1) has a leading and an interior 0 sign, (4,) a block of size >= 3
+Q_COMPOSITIONS = ((2,), (2, 2), (3, 2), (1, 1), (1, 2, 1), (4,))
+
+
 def test_q_coupled_matches_enumeration():
-    for parts in ((2,), (2, 2), (3, 2), (1, 1)):
+    for parts in Q_COMPOSITIONS:
         s = Composition(parts)
         for kind in ("MEAN_FULL", "MEAN_INF"):
             for a in (F(1), F(-1), F(1, 2)):
@@ -107,15 +111,24 @@ def test_q_coupled_matches_enumeration():
                     continue
                 k = QKernelSpec(s, kind, a)
                 for N in (1, 4, 9):
-                    assert dp_q_coupled(k, N) == dp_q_naive(k, N)
+                    value = dp_q_coupled(k, N)
+                    assert type(value) is F
+                    assert value == dp_q_naive(k, N)
 
 
 def test_q_coupled_float_matches_exact():
-    for parts in ((2,), (2, 2)):
-        k = QKernelSpec(Composition(parts), "MEAN_INF")
-        for N in (5, 17):
-            assert abs(dp_q_coupled(k, N, float_mode=True)
-                       - float(dp_q_coupled(k, N))) < 1e-12
+    for parts in Q_COMPOSITIONS:
+        for kind, a, sizes in (("MEAN_INF", F(1), (5, 17)),
+                               ("MEAN_FULL", F(1, 2), (4, 9)),
+                               ("MEAN_FULL", F(-1), (9,))):
+            k = QKernelSpec(Composition(parts), kind, a)
+            for N in sizes:
+                value = dp_q_coupled(k, N, float_mode=True)
+                assert type(value) is float
+                assert abs(value - float(dp_q_coupled(k, N))) < 1e-12
+    # a float weight selects the float table by default
+    k = QKernelSpec(Composition((2, 1)), "MEAN_FULL", 0.5)
+    assert type(dp_q_coupled(k, 4)) is float
 
 
 def test_q_coupled_mean_rhs_consistency():

@@ -94,6 +94,11 @@ def test_verify_usage_error(capsys):
     assert main(["verify"]) == 2
 
 
+def test_verify_missing_param_is_usage_error(capsys):
+    assert main(["verify", "INTRO_SERIES", "--param", "s=2", "--param", "p=1/2"]) == 2
+    assert "missing parameter 'a'" in capsys.readouterr().err
+
+
 def test_fuzz_exit_code(capsys):
     assert main(["fuzz", "DILCHER_CLASSIC", "--trials", "5", "--seed", "11"]) == 0
     assert "5/5 pass" in capsys.readouterr().out
