@@ -3,8 +3,8 @@ multiple polylogarithms, and mechanical verification of their transformation
 identities."""
 
 from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
-                     ExactRational, NonConvergenceError, adaptive_quadrature,
-                     binom_ratio_sum, binomial, richardson)
+                     ExactRational, NonConvergenceError, SingularFitError,
+                     adaptive_quadrature, binom_ratio_sum, binomial, richardson)
 from .compositions import (Composition, IndexChain, ShapeBlocks, domain_check,
                            q_of, shape_args, shape_composition)
 from .exact import (aux_rhs, dilcher_classic, dilcher_plus, gen_harmonic,
@@ -24,9 +24,9 @@ __all__ = [
     "EvalResult", "ExactRational", "FactorSpec", "IdentityReport",
     "IndexChain", "NonConvergenceError", "PairingUnavailableError",
     "PolylogQuery", "QKernelSpec", "RescaleRequiredError", "ShapeBlocks",
-    "TruncationSchedule", "adaptive_quadrature", "adaptive_sum", "aux_rhs",
-    "binom_ratio_sum", "binomial", "dilcher_classic", "dilcher_plus",
-    "domain_check", "dp_chain_sum", "dp_q_coupled", "fuzz", "gen_harmonic",
+    "SingularFitError", "TruncationSchedule", "adaptive_quadrature",
+    "adaptive_sum", "aux_rhs", "binom_ratio_sum", "binomial",
+    "dilcher_classic", "dilcher_plus", "domain_check", "dp_chain_sum", "dp_q_coupled", "fuzz", "gen_harmonic",
     "li", "li_identity_sides", "li_star", "list_identities", "main_rhs",
     "mean_example1_rhs", "mean_lhs", "mean_rhs", "mhsv", "mneimneh_lhs",
     "naive_chain_sum", "odd_binom_sum", "pan_xu_check", "q_of", "richardson",

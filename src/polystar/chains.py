@@ -438,7 +438,8 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
     drive convergence; otherwise the geometric test |v(gN) - v(N)| <= tol/4
     with one extra safety level is used.  Returns an :class:`EvalResult`,
     wrapped at ``precision`` bits (default 160), whose ``converged`` flag is
-    False when the ladder hits ``max_n``.
+    False when the ladder hits ``max_n``.  Its error estimate is never below
+    ``noise_floor`` (default: the float64 rounding level 1e-12 (1 + |v|)).
     """
     tol = schedule.tolerance
     polynomial = schedule.extrapolate or tail == "polynomial"
@@ -480,7 +481,7 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
             if diff <= tol / 4:
                 geo_hits += 1
                 if geo_hits >= 2:  # one extra level past the first hit
-                    return result(values[-1], diff, N, True)
+                    return result(values[-1], max(diff, floor()), N, True)
             else:
                 geo_hits = 0
     # budget exhausted
@@ -489,5 +490,6 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
         if fit is not None:
             value, err = fit
             return result(value, err, levels[-1], False)
-    err = abs(float(values[-1]) - float(values[-2])) if len(values) > 1 else float("inf")
+    err = (max(abs(float(values[-1]) - float(values[-2])), floor())
+           if len(values) > 1 else float("inf"))
     return result(values[-1], err, levels[-1], False)

@@ -7,6 +7,10 @@ Two scalar kernels coexist throughout the package:
   rationals), so finite-sum identities can be compared with ``==``;
 * numeric mode uses :class:`BigReal`, a thin wrapper over an mpmath
   binary float with an explicit precision in bits.
+
+Ladder values are float64 truncations, so the window fit behind sequence
+extrapolation is a float64 solve too: centred on the window's last value
+and with every design-matrix column scaled to unit max |entry|.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 # Canonical exact scalar.  Fraction already maintains gcd-reduced form with a
@@ -40,6 +45,11 @@ class BudgetExceededError(RuntimeError):
 
 class NonConvergenceError(RuntimeError):
     """An adaptive scheme exhausted its budget before reaching tolerance."""
+
+
+class SingularFitError(ZeroDivisionError):
+    """A window fit whose design matrix is singular or whose limit is not
+    finite."""
 
 
 def _resolve_precision(precision):
@@ -314,7 +324,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
 def _basis_term(log_power, inv_power):
     if log_power == 0:
         return lambda N: 1 / N ** inv_power
-    return lambda N: mpmath.log(N) ** log_power / N ** inv_power
+    return lambda N: math.log(N) ** log_power / N ** inv_power
 
 
 # Tail-model bases, in the order terms are added as more samples arrive.
@@ -327,7 +337,6 @@ BASIS_POWER_FIRST = tuple(_basis_term(l, i) for l, i in
 BASIS_LOG_FIRST = tuple(_basis_term(l, i) for l, i in
                         ((0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2)))
 _BASIS = BASIS_POWER_FIRST
-_SOLVE_PREC = 220
 
 
 def _to_mpf(v):
@@ -339,20 +348,28 @@ def _to_mpf(v):
 
 
 def _window_limit(levels, values, n_terms, basis=None):
-    """Fit value ~ c0 + sum c_t * basis_t(N) on the trailing window."""
+    """Fit value ~ c0 + sum c_t * basis_t(N) on the trailing window.
+
+    A float64 solve for float64 data.  It fits ``values - values[-1]`` and
+    adds ``values[-1]`` back, so a constant window fits exactly and a large
+    limit never passes through the solve, and it scales each column to unit
+    max |entry| (the N^-3 columns fall to ~2^-51 at N = 2^17).  Raises
+    :class:`SingularFitError` when the matrix is singular or the limit is
+    not finite.
+    """
     basis = _BASIS if basis is None else basis
     k = n_terms + 1
     levels = levels[-k:]
-    values = values[-k:]
-    with mp.workprec(_SOLVE_PREC):
-        rows = []
-        for N in levels:
-            Nm = mpmath.mpf(N)
-            rows.append([mpmath.mpf(1)] + [fn(Nm) for fn in basis[:n_terms]])
-        A = mpmath.matrix(rows)
-        b = mpmath.matrix([_to_mpf(v) for v in values])
-        sol = mpmath.lu_solve(A, b)
-        return sol[0]
+    values = [float(v) for v in values[-k:]]
+    A = np.array([[1.0] + [fn(N) for fn in basis[:n_terms]] for N in levels])
+    A /= np.abs(A).max(axis=0)
+    try:
+        c0 = float(np.linalg.solve(A, np.array(values) - values[-1])[0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularFitError(f"singular window fit at levels {levels}") from exc
+    if not math.isfinite(c0):
+        raise SingularFitError(f"non-finite window fit at levels {levels}")
+    return c0 + values[-1]
 
 
 def extrapolant_ladder(levels: Sequence[int], values: Sequence, max_terms=None,
@@ -360,8 +377,9 @@ def extrapolant_ladder(levels: Sequence[int], values: Sequence, max_terms=None,
     """Window extrapolants e_2..e_J, one per prefix of the sample list.
 
     Entry j uses the trailing window of the first j samples with
-    ``min(j - 1, max_terms)`` tail-model terms.  Raises ZeroDivisionError
-    through from a singular fit; callers degrade to raw values.
+    ``min(j - 1, max_terms)`` tail-model terms.  Raises
+    :class:`SingularFitError` through from a singular fit; callers degrade to
+    raw values.
     """
     basis = _BASIS if basis is None else basis
     if max_terms is None:
@@ -382,8 +400,8 @@ def best_extrapolant(levels, values, bases=(BASIS_POWER_FIRST, BASIS_LOG_FIRST),
     floor.  The cross-model guard prevents a structurally wrong model from
     reporting a coincidentally tiny estimate.
 
-    Returns ``(value, error_estimate)`` as mpf, or None when every fit is
-    singular or fewer than three samples are available.
+    Returns ``(value, error_estimate)`` as floats, or None when every fit
+    is singular or fewer than four samples are available.
     """
     if len(values) < 4:
         return None

@@ -6,7 +6,8 @@ import pytest
 from polystar import catalog
 from polystar.chains import RescaleRequiredError
 from polystar.compositions import Composition, ShapeBlocks
-from polystar.kernel import BudgetExceededError, DomainError, NonConvergenceError
+from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
+                             SingularFitError)
 
 F = Fraction
 
@@ -127,7 +128,7 @@ def test_outside_mode_reports_failure_without_abort():
 
 
 @pytest.mark.parametrize("exc_type", [NonConvergenceError, BudgetExceededError,
-                                      RescaleRequiredError])
+                                      RescaleRequiredError, SingularFitError])
 def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
     def evaluate(params, tol, precision):
         raise exc_type("out of budget")
@@ -148,6 +149,14 @@ def test_zero_division_still_raises(monkeypatch):
     monkeypatch.setattr(catalog.get_entry("AUX1"), "evaluate", evaluate)
     with pytest.raises(ZeroDivisionError):
         catalog.verify("AUX1", dict(n=2, a=F(1), x=F(1, 2)))
+
+
+def test_geometric_error_estimate_floored():
+    # both ladder levels agree in double precision; the estimate must still
+    # not claim less than the float64 rounding floor
+    r = catalog.verify("INTRO_SERIES", dict(s=2, a=0.5, p=0.5))
+    assert r.status == "pass"
+    assert float(r.err_rhs) >= 1e-12 * (1 + abs(float(r.rhs)))
 
 
 def test_skip_reason_in_json():

@@ -161,3 +161,10 @@ def test_exit_code_failure_subprocess():
     proc = run_cli(["verify", "INTRO_SERIES", "--param", "s=2", "--param",
                     "a=-1", "--param", "p=1.5", "--outside"])
     assert proc.returncode == 3
+
+
+def test_module_entry_point():
+    proc = subprocess.run([sys.executable, "-m", "polystar", "list"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "33 identities" in proc.stdout

@@ -5,7 +5,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polystar.kernel import (BigReal, DomainError, adaptive_quadrature,
+from polystar.kernel import (BASIS_LOG_FIRST, BASIS_POWER_FIRST, BigReal,
+                             DomainError, SingularFitError, _window_limit,
+                             adaptive_quadrature, best_extrapolant,
                              binom_ratio_sum, binomial, richardson)
 
 
@@ -187,3 +189,49 @@ def test_richardson_log_tail():
     samples = [(64 * 2 ** j, v(64 * 2 ** j)) for j in range(6)]
     value, err = richardson(samples)
     assert abs(float(value) - 5.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# window fit
+# ---------------------------------------------------------------------------
+
+def _exact_intercept(levels, values, basis):
+    """Intercept of the square fit, by Gauss-Jordan elimination over the
+    exact rationals of the float64 design matrix and data."""
+    rows = [[Fraction(1)] + [Fraction(fn(N)) for fn in basis] + [Fraction(v)]
+            for N, v in zip(levels, values)]
+    n = len(rows)
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return rows[0][-1] / rows[0][0]
+
+
+@pytest.mark.parametrize("limit", [1.2020569031595942, 1e6])
+@pytest.mark.parametrize("basis", [BASIS_LOG_FIRST, BASIS_POWER_FIRST],
+                         ids=["log_first_9", "power_first_8"])
+def test_window_fit_matches_exact_solve(basis, limit):
+    # at 1e6 the bound is below one ulp: the constant must not pass through
+    # the solve, or the intercept picks up its rounding
+    coeffs = (-2.0, 3.0, 0.5, -1.5, 4.0, -0.75, 2.5, 1.25)[:len(basis)]
+    levels = [64 * 2 ** j for j in range(len(basis) + 1)]
+    values = [limit + sum(c * fn(N) for c, fn in zip(coeffs, basis))
+              for N in levels]
+    exact = _exact_intercept(levels, values, basis)
+    got = _window_limit(levels, values, len(basis), basis)
+    assert isinstance(got, float)
+    assert abs(got - float(exact)) <= 1e-13
+    assert abs(float(exact) - limit) <= 1e-9 * limit
+
+
+def test_singular_window_fit():
+    levels = [64, 128, 128, 256, 512]
+    values = [1 + 1 / N for N in levels]
+    with pytest.raises(SingularFitError):
+        _window_limit(levels, values, 4)
+    assert issubclass(SingularFitError, ZeroDivisionError)
+    assert best_extrapolant(levels, values) is None
