@@ -3,10 +3,15 @@
 Three evaluators share the same summand model:
 
 * :func:`naive_chain_sum` — direct enumeration, the oracle;
-* :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L);
+* :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L); float
+  specs run the gap-form DP, which is row-batched (:func:`dp_chain_values`
+  runs many specs with shared powers at once, one row each, bit-identical
+  to one spec per call);
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one dense (chain value, partial Q) table, Fractions for
-  exact kernels and float64 for float ones, folded with the kernel.
+  exact kernels and float64 for float ones, built by one descending row
+  pass per chain index over each row's live q-range, folded with the
+  kernel.
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails,
@@ -15,6 +20,7 @@ and wraps the result at the caller's precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -226,6 +232,67 @@ def _chain_partials(columns):
     return out
 
 
+# float64 cells per row-batched gap DP pass (16 MiB per R x N array)
+_BATCH_CELLS = 2 ** 21
+# |b|^j < 2^-1100 rounds to exactly 0 in float64, far below the smallest
+# subnormal 2^-1074
+_UNDERFLOW_LOG2 = 1100
+
+
+def _underflow_index(b, N):
+    """How many of b^1..b^N can be nonzero in float64 (all N unless
+    0 < |b| < 1)."""
+    mag = abs(float(b))
+    if not 0.0 < mag < 1.0:
+        return N
+    return min(N, math.ceil(_UNDERFLOW_LOG2 / -math.log2(mag)))
+
+
+def _gap_terms(B, powers, N, rows):
+    """Outer-layer terms of the gap-form DP, one row per chain sum.
+
+    ``B`` is an R x L array of prefix products and ``powers`` the L shared
+    index powers; only the ``rows`` (indices whose |B[r, i]| <= 1 up to the
+    pairing slack) are computed, the others stay 0.  Row r of the result
+    holds, for n_1 = 1..N, the sum over the chains with that first index of
+    prod_i B[r, i]^{n_i - n_{i+1}} / n_i^{powers[i]} (with n_{L+1} = 0), so
+    its cumulative sum is the chain sum at every truncation.  B[r, L-1]^j is
+    computed only up to the index past which it is exactly 0 in float64;
+    each inner layer is one first-order recurrence per row, and j^s is
+    computed once per call for all rows.
+    """
+    L = B.shape[1]
+    j = np.arange(1, N + 1, dtype=np.float64)
+    D = np.zeros((len(B), N))
+    with np.errstate(under="ignore"):
+        for r in rows:
+            k = _underflow_index(B[r, -1], N)
+            np.power(B[r, -1], j[:k], out=D[r, :k])
+        # divide by j^s, never multiply by its reciprocal (one ulp apart)
+        D /= j ** np.float64(powers[-1])
+        for i in range(L - 2, -1, -1):
+            for r in rows:
+                D[r] = lfilter([1.0], [1.0, -B[r, i]], D[r])
+            D /= j ** np.float64(powers[i])
+    return D
+
+
+def _run_partials(bases, powers, N, precision_bits=53):
+    """Cumulative values at n_1 = 1..N (an R x N array) of R tail-free float
+    chain sums: row r of the R x L array ``bases`` holds the bases of sum r,
+    and ``powers`` are shared.  Rows whose prefix products stay in the unit
+    disc run the gap-form DP of :func:`_gap_terms`; the others fall back to
+    :func:`_dp_float_scaled` one at a time."""
+    B = np.cumprod(bases, axis=1)
+    paired = np.abs(B).max(axis=1) <= 1.0 + PAIRING_SLACK
+    out = _gap_terms(B, powers, N, np.flatnonzero(paired))
+    np.cumsum(out, axis=1, out=out)
+    for r in np.flatnonzero(~paired):
+        out[r] = _dp_float_scaled(FactorSpec(tuple(bases[r]), powers), N,
+                                  precision_bits)
+    return out
+
+
 def _dp_float_partials(spec: FactorSpec, N: int, precision_bits=53):
     """Float DP returning the cumulative value at every n_1 <= N.
 
@@ -233,25 +300,13 @@ def _dp_float_partials(spec: FactorSpec, N: int, precision_bits=53):
     B_L^{n_L} with B_i the prefix products, so every carried quantity stays
     bounded whenever all |B_i| <= 1 (bases > 1 paired against earlier bases
     < 1).  Unpaired specs fall back to the plain prefix DP with a shared
-    exponent rescale once magnitudes pass 2^(precision/2).
+    exponent rescale once magnitudes pass 2^(precision/2).  This is the
+    one-row case of :func:`dp_chain_values`' batched DP.
     """
-    runs = spec.expanded()
     totals = np.zeros(N + 1)
-    for sign, run in zip((1.0, -1.0), runs):
-        bases = np.array([float(b) for b in run.bases])
-        powers = np.array(run.powers, dtype=np.float64)
-        B = np.cumprod(bases)
-        j = np.arange(1, N + 1, dtype=np.float64)
-        L = len(bases)
-        if np.max(np.abs(B)) <= 1.0 + PAIRING_SLACK:
-            with np.errstate(under="ignore"):
-                D = np.power(B[-1], j) / j ** powers[-1]
-                for i in range(L - 2, -1, -1):
-                    C = lfilter([1.0], [1.0, -B[i]], D)
-                    D = C / j ** powers[i]
-                totals[1:] += sign * np.cumsum(D)
-        else:
-            totals[1:] += sign * _dp_float_scaled(run, N, precision_bits)
+    for sign, run in zip((1.0, -1.0), spec.expanded()):
+        bases = np.array([[float(b) for b in run.bases]])
+        totals[1:] += sign * _run_partials(bases, run.powers, N, precision_bits)[0]
     return totals
 
 
@@ -265,8 +320,6 @@ def _dp_float_scaled(run: FactorSpec, N: int, precision_bits):
     back at the end; a final result beyond double range raises
     :class:`RescaleRequiredError`.
     """
-    import math
-
     guard = math.ldexp(1.0, int(precision_bits) // 2)
     bases = [float(b) for b in run.bases]
     powers = run.powers
@@ -320,6 +373,31 @@ def dp_chain_partials(spec: FactorSpec, N: int):
     return _dp_float_partials(spec, N)
 
 
+def dp_chain_values(bases, powers, N: int, tail=None):
+    """Float values at truncation N of R chain sums with shared powers.
+
+    Row r of the R x L array ``bases`` holds the bases of sum r; ``tail``
+    is None or a pair (alpha, gamma) of length-R arrays giving row r the
+    last-index tail factor (alpha[r]^{n_L} - gamma[r]^{n_L}).  Entry r
+    equals ``dp_chain_partials(FactorSpec(bases[r], powers, tail=(alpha[r],
+    gamma[r])), N)[N]`` bit for bit.  Rows are processed in chunks of at
+    most 2^21 / N.
+    """
+    bases = np.asarray(bases, dtype=np.float64)
+    values = np.zeros(len(bases))
+    step = max(1, _BATCH_CELLS // N)
+    for lo in range(0, len(bases), step):
+        rows = slice(lo, lo + step)
+        runs = [bases[rows]]
+        if tail is not None:
+            runs = [bases[rows].copy(), bases[rows].copy()]
+            for run, factor in zip(runs, tail):
+                run[:, -1] *= factor[rows]
+        for sign, run in zip((1.0, -1.0), runs):
+            values[rows] += sign * _run_partials(run, powers, N)[:, -1]
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Q-coupled kernels
 # ---------------------------------------------------------------------------
@@ -361,33 +439,60 @@ def _q_table(kernel: QKernelSpec, N: int, exact: bool):
     n_1 <= N: the sum of 1/(n_1 ... n_|s|) over the chains with last value
     n_|s| = m and statistic Q = q, for m = 1..N and q = 0..N.
 
-    Holds Fractions in an object array when ``exact``, float64 otherwise;
-    every step works in place on the one table.
+    Holds Fractions in an object array when ``exact``, float64 otherwise.
+    Each later chain index is one descending pass over the rows: it carries
+    the suffix sum over the previous values >= m, then shifts and scales
+    row m in place.  Every step touches only the live q-range of a row,
+    outside of which the row is known to be zero, so no arithmetic runs on
+    a structural zero.
     """
     signs = chain_q_signs(kernel.s)
     if exact:
         W = np.zeros((N, N + 1), dtype=object)
-        inv = np.array([Fraction(1, m) for m in range(1, N + 1)], dtype=object)
+        inv = [Fraction(1, m) for m in range(1, N + 1)]
     else:
         W = np.zeros((N, N + 1))
         inv = 1.0 / np.arange(1, N + 1)
-    rows = np.arange(N)
-    W[rows, rows + 1 if signs[0] > 0 else 0] = inv
+    # live[m - 1] = (lo, hi): row m is zero outside lo <= q <= hi
+    live = []
+    for m in range(1, N + 1):
+        q = m if signs[0] > 0 else 0
+        W[m - 1, q] = inv[m - 1]
+        live.append((q, q))
     for sg in signs[1:]:
-        # the next value m admits any previous value >= m
-        np.cumsum(W[::-1], axis=0, out=W[::-1])
-        if sg:
-            # shift row m by sg * m along the partial-Q axis
-            for m in range(1, N + 1):
-                row = W[m - 1]
-                if sg > 0:
-                    row[m:] = row[:N + 1 - m]
-                    row[:m] = 0
-                else:
-                    row[:N + 1 - m] = row[m:]
-                    row[N + 1 - m:] = 0
-        W *= inv[:, None]
+        # acc: the sum of the rows >= m (the next value m admits any previous
+        # value >= m), live on a_lo <= q <= a_hi
+        acc = np.zeros(N + 1, dtype=W.dtype)
+        a_lo, a_hi = N + 1, -1
+        for m in range(N, 0, -1):
+            row = W[m - 1]
+            lo, hi = live[m - 1]
+            if lo <= hi:
+                a_lo, a_hi = _add_live(acc, a_lo, a_hi, row, lo, hi)
+                row[lo:hi + 1] = 0
+            # shift by sg * m along the partial-Q axis, then scale by 1/m
+            shift = sg * m
+            lo, hi = max(a_lo + shift, 0), min(a_hi + shift, N)
+            if lo <= hi:
+                row[lo:hi + 1] = acc[lo - shift:hi - shift + 1] * inv[m - 1]
+            live[m - 1] = (lo, hi)
     return W
+
+
+def _add_live(acc, a_lo, a_hi, row, lo, hi):
+    """acc += row on lo..hi, where acc is zero outside a_lo..a_hi: adds on
+    the overlap and copies elsewhere.  Returns acc's new live range."""
+    if a_lo > a_hi:
+        acc[lo:hi + 1] = row[lo:hi + 1]
+        return lo, hi
+    o_lo, o_hi = max(lo, a_lo), min(hi, a_hi)
+    if o_lo <= o_hi:
+        acc[o_lo:o_hi + 1] += row[o_lo:o_hi + 1]
+    left = min(hi, a_lo - 1)
+    acc[lo:left + 1] = row[lo:left + 1]
+    right = max(lo, a_hi + 1)
+    acc[right:hi + 1] = row[right:hi + 1]
+    return min(lo, a_lo), max(hi, a_hi)
 
 
 def dp_q_coupled(kernel: QKernelSpec, N: int, float_mode=None):
@@ -410,10 +515,10 @@ def dp_q_coupled(kernel: QKernelSpec, N: int, float_mode=None):
     total = 0.0 if float_mode else Fraction(0)
     if kernel.kind == "MEAN_INF":
         # the table carries a 1/n_L that MEAN_INF lacks: the row kernel
-        # m / ((q+1)(q+m+1)) multiplies it back out
-        q = np.arange(N + 1, dtype=np.float64 if float_mode else object)
+        # m / ((q+1)(q+m+1)) multiplies it back out; q1 = q + 1
+        q1 = np.arange(1, N + 2, dtype=np.float64 if float_mode else object)
         for m in range(1, N + 1):
-            total += W[m - 1].dot(one * m / ((q + 1) * (q + m + 1)))
+            total += W[m - 1].dot(one * m / (q1 * (q1 + m)))
     else:
         # fold the last index t <= m: sum_t C(m,t)/C(q+m,t) a^t, built from
         # the ratio of consecutive terms, over (q+m+1)

@@ -240,10 +240,7 @@ _GL_F64 = None
 def _gl_f64():
     global _GL_F64
     if _GL_F64 is None:
-        import numpy as np
-
-        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-        _GL_F64 = (list(x), list(w))
+        _GL_F64 = np.polynomial.legendre.leggauss(_GL_ORDER)
     return _GL_F64
 
 
@@ -267,10 +264,18 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
     and panels touching an endpoint subdivide down to ``edge_depth``, so
     integrands with thin boundary layers cannot slip past the error test
     unsampled.  Raises :class:`NonConvergenceError` when the panel budget is
-    exhausted.
+    exhausted; the budget is checked before each round.
+
+    The bisection runs breadth first: after the whole-interval panel, each
+    round evaluates the two halves of every pending panel.  Accepted panels
+    are summed by descending left endpoint, the order of a depth-first walk
+    that refines the right half first.
 
     ``float_mode=True`` runs the whole scheme in double precision, for
-    integrands that are themselves float-valued truncations.
+    integrands that are themselves float-valued truncations.  There ``f``
+    takes a 1-D float64 array of nodes and returns their values as an array
+    of the same length; it is called once for the whole interval and then
+    once per round.  Otherwise ``f`` takes one mpmath node at a time.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -278,37 +283,61 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
     if float_mode:
         nodes, weights = _gl_f64()
         lo_, hi_ = float(lo), float(hi)
-        to_scalar = float
+        zero = 0.0
+
+        def panel_sums(ends):
+            a, b = np.array(ends).T
+            h = (b - a) / 2
+            c = (a + b) / 2
+            values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel()))
+            values = values.reshape(len(ends), len(nodes))
+            # the node-by-node accumulation of the scalar rule, per panel
+            total = np.zeros(len(ends))
+            for k, w in enumerate(weights):
+                total = total + w * values[:, k]
+            return total * h
     else:
         nodes, weights = _gauss_legendre_nodes(_GL_ORDER, prec)
         with mp.workprec(prec):
             lo_, hi_ = _to_mpf(lo), _to_mpf(hi)
-        to_scalar = mpmath.mpf
+        zero = mpmath.mpf(0)
+
+        def panel_sums(ends):
+            return [_panel(f, a, b, nodes, weights) for a, b in ends]
 
     if lo_ == hi_:
         return BigReal(0, prec)
 
     def run():
         panels = 0
-        total = to_scalar(0)
-        stack = [(lo_, hi_, _panel(f, lo_, hi_, nodes, weights), float(tol), 0)]
-        while stack:
-            a, b, coarse, budget_here, depth = stack.pop()
-            panels += 1
+        accepted = []
+        pending = [(lo_, hi_, panel_sums([(lo_, hi_)])[0], float(tol), 0)]
+        while pending:
+            panels += len(pending)
             if panels > budget:
                 raise NonConvergenceError(
                     f"quadrature panel budget {budget} exhausted on [{lo}, {hi}]")
-            c = (a + b) / 2
-            left = _panel(f, a, c, nodes, weights)
-            right = _panel(f, c, b, nodes, weights)
-            err = abs(coarse - (left + right))
-            force = depth < min_depth or (
-                depth < edge_depth and (a == lo_ or b == hi_))
-            if err <= budget_here and not force:
-                total += left + right
-            else:
-                stack.append((a, c, left, budget_here / 2, depth + 1))
-                stack.append((c, b, right, budget_here / 2, depth + 1))
+            halves = []
+            for a, b, _, _, _ in pending:
+                c = (a + b) / 2
+                halves += [(a, c), (c, b)]
+            sums = panel_sums(halves)
+            refined = []
+            for i, (a, b, coarse, budget_here, depth) in enumerate(pending):
+                c = halves[2 * i][1]
+                left, right = sums[2 * i], sums[2 * i + 1]
+                err = abs(coarse - (left + right))
+                force = depth < min_depth or (
+                    depth < edge_depth and (a == lo_ or b == hi_))
+                if err <= budget_here and not force:
+                    accepted.append((a, left + right))
+                else:
+                    refined.append((a, c, left, budget_here / 2, depth + 1))
+                    refined.append((c, b, right, budget_here / 2, depth + 1))
+            pending = refined
+        total = zero
+        for _, value in sorted(accepted, key=lambda panel: panel[0], reverse=True):
+            total += value
         return total
 
     if float_mode:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 from .chains import (FactorSpec, PairingUnavailableError, QKernelSpec,
                      Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
-                     dp_chain_partials, dp_q_coupled)
+                     dp_chain_partials, dp_chain_values, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
@@ -339,6 +340,23 @@ def mean_kernel_infinite(s, tol, precision=None) -> EvalResult:
                         precision=precision)
 
 
+def _transform_values(s: Composition, a: float, N: int, p):
+    """Truncated chain-sum transform of shape s at (a, p) for every entry of
+    the float64 node array ``p``, in one row-batched DP: the integrand of
+    :func:`mean_average_infinite`."""
+    values = np.empty(len(p))
+    # degenerate endpoint: only zero-gap chains survive
+    edge = 1.0 - p < 1e-13
+    if edge.any():
+        collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
+        values[edge] = dp_chain_partials(collapsed, N)[N]
+    p = p[~edge]
+    bases = np.array([transform_bases(s, x) for x in p]).reshape(len(p), s.weight)
+    values[~edge] = dp_chain_values(bases, (1,) * s.weight, N,
+                                    tail=(1.0 - p + a * p, 1.0 - p))
+    return values
+
+
 def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
     """Infinite limit of the binomial-ratio mean kernel over chains of shape
     s with weight a^{n_{|s|+1}}.
@@ -346,24 +364,19 @@ def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
     Evaluated through the beta-integral representation: the truncated kernel
     sum equals the integral over p in [0,1] of the truncated chain-sum
     transform at (a, p), which the separable DP evaluates in O(N |s|) per
-    quadrature node.  The truncation ladder is then extrapolated as usual.
+    quadrature node; all the nodes of a bisection round go through one
+    row-batched DP (:func:`_transform_values`).  The truncation ladder is
+    then extrapolated as usual.
     """
     s = as_composition(s)
     a = float(a)
     cost = [0]
     L = s.weight
 
-    collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
-
     def evaluate(N):
         def integrand(p):
-            cost[0] += N * L
-            if 1.0 - p < 1e-13:
-                # degenerate endpoint: only zero-gap chains survive
-                return float(dp_chain_partials(collapsed, N)[N])
-            spec = FactorSpec(transform_bases(s, p), (1,) * L,
-                              tail=(1.0 - p + a * p, 1.0 - p))
-            return float(dp_chain_partials(spec, N)[N])
+            cost[0] += N * L * len(p)
+            return _transform_values(s, a, N, p)
 
         # the truncated integrand has boundary layers of width ~1/N at both
         # endpoints; force the bisection to resolve that scale

@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from polystar import exact
-from polystar.chains import (FactorSpec, PairingUnavailableError, QKernelSpec,
-                             TruncationSchedule, adaptive_sum, dp_chain_partials,
-                             dp_chain_sum, dp_q_coupled, dp_q_naive,
-                             naive_chain_sum)
-from polystar.compositions import Composition
+from polystar.chains import (PAIRING_SLACK, FactorSpec, PairingUnavailableError,
+                             QKernelSpec, TruncationSchedule, _dp_float_scaled,
+                             _gap_terms, _q_table, adaptive_sum, dp_chain_partials,
+                             dp_chain_sum, dp_chain_values, dp_q_coupled,
+                             dp_q_naive, naive_chain_sum)
+from polystar.compositions import Composition, chain_q_signs, transform_bases
 from polystar.kernel import BudgetExceededError, DomainError
 
 F = Fraction
@@ -82,6 +85,96 @@ def test_dp_partials_are_prefixes():
     assert abs(part[64] - dp_chain_sum(spec, 64)) < 1e-15
 
 
+def _one_spec_gap_terms(B, powers, N):
+    """Outer-layer gap-form terms of one spec with a full-length B_L^j and
+    j^s recomputed: the reference the row-batched DP must match."""
+    j = np.arange(1, N + 1, dtype=np.float64)
+    powers = np.array(powers, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        D = np.power(B[-1], j) / j ** powers[-1]
+        for i in range(len(B) - 2, -1, -1):
+            C = lfilter([1.0], [1.0, -B[i]], D)
+            D = C / j ** powers[i]
+    return D
+
+
+def _one_spec_float_partials(spec, N, precision_bits=53):
+    """The float DP one spec per call (see ``_one_spec_gap_terms``)."""
+    totals = np.zeros(N + 1)
+    for sign, run in zip((1.0, -1.0), spec.expanded()):
+        B = np.cumprod([float(b) for b in run.bases])
+        if np.max(np.abs(B)) <= 1.0 + PAIRING_SLACK:
+            totals[1:] += sign * np.cumsum(_one_spec_gap_terms(B, run.powers, N))
+        else:
+            totals[1:] += sign * _dp_float_scaled(run, N, precision_bits)
+    return totals
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# nodes across [0, 1): the ends, a deep edge node, and p within 1e-13 of 1
+BATCH_NODES = (0.0, 1e-9, 0.03, 0.25, 0.5, 0.7, 0.93, 1 - 1e-6, 1 - 9e-14,
+               1 - 5e-14)
+
+
+@pytest.mark.parametrize("N", (1, 63, 64, 4096))
+@pytest.mark.parametrize("a", (-1.0, 0.5, 1.0))
+def test_batched_gap_dp_matches_per_row(N, a):
+    s = Composition((2, 1, 2))
+    L = s.weight
+    p = np.array(BATCH_NODES)
+    bases = [transform_bases(s, x) for x in p]
+    # an unpaired row: the leading base 1.001 leaves the unit disc
+    bases.append((1.001, 0.9, 0.5, 0.8, 1.0))
+    p = np.append(p, 0.5)
+    bases = np.array(bases)
+    alpha, gamma = 1.0 - p + a * p, 1.0 - p
+    got = dp_chain_values(bases, (1,) * L, N, tail=(alpha, gamma))
+    for r in range(len(bases)):
+        spec = FactorSpec(tuple(bases[r]), (1,) * L, tail=(alpha[r], gamma[r]))
+        assert _bits(got[r]) == _bits(dp_chain_partials(spec, N)[N])
+        assert _bits(got[r]) == _bits(_one_spec_float_partials(spec, N)[N])
+    # the low run alone (B_L = 1 - p), with every row's partials
+    plain = bases.copy()
+    plain[:, -1] *= gamma
+    powers = (2, 1, 1, 3, 2)
+    got = dp_chain_values(plain, powers, N)
+    for r in range(len(plain)):
+        spec = FactorSpec(tuple(plain[r]), powers)
+        want = _one_spec_float_partials(spec, N)
+        assert np.array_equal(_bits(dp_chain_partials(spec, N)), _bits(want))
+        assert _bits(got[r]) == _bits(want[N])
+
+
+def test_gap_terms_match_one_spec_terms():
+    # the terms themselves, down to b^j in the subnormal range; an
+    # underflowed term may differ only in the sign of its zero
+    N = 4096
+    B = np.array([[0.9, 0.5], [1.0, -0.7], [0.2, 0.03], [-1.0, 0.999],
+                  [0.5, 1e-5], [0.7, 1.0], [1.0, 0.0], [1.0, -0.5]])
+    for powers in ((1, 1), (2, 3)):
+        got = _gap_terms(B, powers, N, np.arange(len(B)))
+        for r in range(len(B)):
+            assert np.array_equal(got[r], _one_spec_gap_terms(B[r], powers, N))
+        got = _gap_terms(B[:, 1:], powers[1:], N, np.arange(len(B)))
+        for r in range(len(B)):
+            assert np.array_equal(got[r], _one_spec_gap_terms(B[r, 1:], powers[1:], N))
+
+
+def test_batched_gap_dp_chunks_rows():
+    # 600 rows at N = 4096 run in two chunks of at most 2^21 / N rows
+    N = 4096
+    p = np.linspace(0.0, 0.999, 600)
+    bases = np.array([transform_bases((2,), x) for x in p])
+    got = dp_chain_values(bases, (1, 1), N, tail=(1.0 - p + 0.5 * p, 1.0 - p))
+    for r in (0, 299, 511, 512, 599):
+        spec = FactorSpec(tuple(bases[r]), (1, 1),
+                          tail=(1.0 - p[r] + 0.5 * p[r], 1.0 - p[r]))
+        assert _bits(got[r]) == _bits(_one_spec_float_partials(spec, N)[N])
+
+
 def test_monotone_convergence_nonnegative():
     spec = FactorSpec((F(1, 2), F(1)), (1, 2))
     values = [dp_chain_sum(spec, N) for N in (2, 4, 8, 16)]
@@ -129,6 +222,54 @@ def test_q_coupled_float_matches_exact():
     # a float weight selects the float table by default
     k = QKernelSpec(Composition((2, 1)), "MEAN_FULL", 0.5)
     assert type(dp_q_coupled(k, 4)) is float
+
+
+def _cumsum_q_table(kernel, N, exact):
+    """The Q table by whole-table axis-0 suffix sums: the reference the
+    row pass must match (bit for bit in float)."""
+    signs = chain_q_signs(kernel.s)
+    if exact:
+        W = np.zeros((N, N + 1), dtype=object)
+        inv = np.array([F(1, m) for m in range(1, N + 1)], dtype=object)
+    else:
+        W = np.zeros((N, N + 1))
+        inv = 1.0 / np.arange(1, N + 1)
+    rows = np.arange(N)
+    W[rows, rows + 1 if signs[0] > 0 else 0] = inv
+    for sg in signs[1:]:
+        np.cumsum(W[::-1], axis=0, out=W[::-1])
+        if sg:
+            for m in range(1, N + 1):
+                row = W[m - 1]
+                if sg > 0:
+                    row[m:] = row[:N + 1 - m]
+                    row[:m] = 0
+                else:
+                    row[:N + 1 - m] = row[m:]
+                    row[N + 1 - m:] = 0
+        W *= inv[:, None]
+    return W
+
+
+@pytest.mark.parametrize("parts", ((2,), (3,), (2, 2), (1, 2, 1), (4,), (2, 1)))
+def test_q_table_row_pass_matches_cumsum(parts):
+    k = QKernelSpec(Composition(parts), "MEAN_FULL", F(1, 2))
+    for N in (1, 2, 7, 12):
+        got = _q_table(k, N, exact=True)
+        want = _cumsum_q_table(k, N, exact=True)
+        assert (got == want).all()
+        assert all(type(x) is F for x in got[got != 0])
+    for N in (1, 7, 64, 300):
+        got = _q_table(k, N, exact=False)
+        assert np.array_equal(_bits(got), _bits(_cumsum_q_table(k, N, exact=False)))
+    # the MEAN_INF fold of the row-pass table, against the cumsum table's
+    k = QKernelSpec(Composition(parts), "MEAN_INF")
+    W = _cumsum_q_table(k, 300, exact=False)
+    q = np.arange(301, dtype=np.float64)
+    want = 0.0
+    for m in range(1, 301):
+        want += W[m - 1].dot(1.0 * m / ((q + 1) * (q + m + 1)))
+    assert _bits(dp_q_coupled(k, 300, float_mode=True)) == _bits(want)
 
 
 def test_q_coupled_mean_rhs_consistency():

@@ -2,11 +2,12 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from polystar import polylog
-from polystar.chains import PairingUnavailableError
-from polystar.compositions import Composition, ShapeBlocks
+from polystar.chains import FactorSpec, PairingUnavailableError, dp_chain_partials
+from polystar.compositions import Composition, ShapeBlocks, transform_bases
 from polystar.kernel import DomainError
 
 F = Fraction
@@ -158,6 +159,29 @@ def test_mean_kernel_terms_count_q_dp_cells(monkeypatch):
     res = polylog.mean_kernel_infinite(s, 1e-6)
     assert res.truncation_level == 256  # the ladder ran 64, 128, 256
     assert res.terms_used == sum(N * N * s.weight for N in (64, 128, 256))
+
+
+def _scalar_transform_value(s, a, N, p):
+    """One node of the MEAN_INF_A integrand, one spec per call."""
+    if 1.0 - p < 1e-13:
+        collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
+        return float(dp_chain_partials(collapsed, N)[N])
+    spec = FactorSpec(transform_bases(s, p), (1,) * s.weight,
+                      tail=(1.0 - p + a * p, 1.0 - p))
+    return float(dp_chain_partials(spec, N)[N])
+
+
+@pytest.mark.parametrize("N", (1, 64, 4096))
+@pytest.mark.parametrize("a", (-1.0, 0.5, 1.0))
+def test_transform_values_match_scalar_integrand(N, a):
+    # p = 1 - 5e-14 takes the collapsed branch, p = 1 - 2e-13 does not
+    p = np.array([0.0, 0.2, 0.5, 0.9, 1 - 1e-7, 1 - 2e-13, 1 - 5e-14, 0.6])
+    for parts in ((2,), (2, 1), (1, 3)):
+        s = Composition(parts)
+        got = polylog._transform_values(s, a, N, p)
+        want = [_scalar_transform_value(s, a, N, x) for x in p]
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    assert polylog._transform_values(Composition((2,)), a, N, np.array([])).shape == (0,)
 
 
 def test_mean_lhs_converges_predicate():
