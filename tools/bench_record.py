@@ -113,13 +113,13 @@ def bench_workloads(trees, pairs, seed0):
     return out
 
 
-def verify_all(tree, scratch, side):
+def verify_all(tree, workdir, side):
     """Wall time of ``verify --all --json`` serial and with ``--jobs 2``;
     the serial reports without their wall times, sorted."""
     out = {}
     reports = {}
     for label, extra in (("serial_s", []), ("jobs2_s", ["--jobs", "2"])):
-        path = os.path.join(scratch, f"verify-{side}-{label}.jsonl")
+        path = os.path.join(workdir, f"verify-{side}-{label}.jsonl")
         with open(path, "w") as fh:
             wall, proc = timed([sys.executable, "-m", "polystar", "verify", "--all",
                                 "--json"] + extra, tree, stdout=fh)
@@ -169,8 +169,8 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
-        trees = {side: os.path.join(scratch, side) for side in ("parent", "change")}
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as workdir:
+        trees = {side: os.path.join(workdir, side) for side in ("parent", "change")}
         shas = {side: export(rev, trees[side])
                 for side, rev in (("parent", args.parent), ("change", args.change))}
         record = {"commits": shas, "machine": versions(), "pairs": args.pairs}
@@ -178,7 +178,7 @@ def main(argv=None):
         record["verify_all"] = {}
         reports = {}
         for side in trees:
-            record["verify_all"][side], reports[side] = verify_all(trees[side], scratch, side)
+            record["verify_all"][side], reports[side] = verify_all(trees[side], workdir, side)
             print(f"verify --all {side}: {record['verify_all'][side]}", flush=True)
         record["verify_all"]["identical_without_wall_ms"] = (
             reports["parent"] == reports["change"])
