@@ -3,7 +3,9 @@
 Three evaluators share the same summand model:
 
 * :func:`naive_chain_sum` — direct enumeration, the oracle;
-* :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L); float
+* :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L); exact
+  specs run the ring-generic recurrence on integer numerators over one
+  common denominator and build one Fraction for the truncation read; float
   specs run the gap-form DP, which is row-batched (:func:`dp_chain_values`
   runs many specs with shared powers at once, one row each, bit-identical
   to one spec per call);
@@ -11,7 +13,7 @@ Three evaluators share the same summand model:
   to the summand: one dense (chain value, partial Q) table, Fractions for
   exact kernels and float64 for float ones, built by one descending row
   pass per chain index over each row's live q-range, folded with the
-  kernel.
+  kernel (the MEAN_FULL kernel table comes from an O(N^2) recurrence).
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails,
@@ -184,45 +186,54 @@ def naive_chain_sum(spec: FactorSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
 
 
 def _exact_columns(spec: FactorSpec, N: int):
-    """Exact factor columns of the spec for the values j = 1..N: column i
-    holds bases[i]^j / j^powers[i], the last one times (alpha^j - gamma^j)
-    when the spec has a tail.  Indices sharing a (base, power) pair share
-    one column."""
+    """Integer factor columns of an exact spec for the values j = 1..N.
+
+    Each column is a list of numerators over one denominator: a base u/v
+    with power s gives u^j v^(N-j) (l/j)^s over v^N l^s, l = lcm(1..N).  A
+    tail (alpha^j - gamma^j) is folded into the last column over w^N, w the
+    lcm of the denominators of alpha and gamma.  Indices sharing a (base,
+    power) pair share one column.  Returns the columns and the product of
+    their denominators, which is the denominator of every chain sum they
+    give.
+    """
+    lcm = math.lcm(*range(1, N + 1))
     built = {}
     columns = []
+    den = 1
     for base, power in zip(spec.bases, spec.powers):
-        if (base, power) not in built:
-            b = Fraction(base)
-            col = []
-            acc = Fraction(1)
-            for j in range(1, N + 1):
-                acc *= b
-                col.append(acc / j ** power)
-            built[(base, power)] = col
-        columns.append(built[(base, power)])
+        # ints and Fractions both carry numerator and denominator
+        key = (base.numerator, base.denominator, power)
+        if key not in built:
+            u, v, _ = key
+            built[key] = ([u ** j * v ** (N - j) * (lcm // j) ** power
+                           for j in range(1, N + 1)], v ** N * lcm ** power)
+        col, d = built[key]
+        columns.append(col)
+        den *= d
     if spec.tail is not None:
-        alpha, gamma = Fraction(spec.tail[0]), Fraction(spec.tail[1])
-        pa = pg = Fraction(1)
-        last = []
-        for f in columns[-1]:
-            pa *= alpha
-            pg *= gamma
-            last.append(f * (pa - pg))
-        columns[-1] = last
-    return columns
+        alpha, gamma = spec.tail
+        w = math.lcm(alpha.denominator, gamma.denominator)
+        A = alpha.numerator * (w // alpha.denominator)
+        G = gamma.numerator * (w // gamma.denominator)
+        columns[-1] = [f * (A ** j - G ** j) * w ** (N - j)
+                       for j, f in enumerate(columns[-1], 1)]
+        den *= w ** N
+    return columns, den
 
 
 def _chain_partials(columns):
-    """Exact chain sums at every truncation by the prefix-sum recurrence.
+    """Chain sums at every truncation by the prefix-sum recurrence.
 
     ``columns[i][j - 1]`` is the factor of chain index i at value j.  Entry
     N of the result, for N = 0..len(columns[0]), is the sum over
-    N >= n_1 >= ... >= n_L >= 1 of prod_i columns[i][n_i - 1].  Cost
-    O(N * L) exact operations.
+    N >= n_1 >= ... >= n_L >= 1 of prod_i columns[i][n_i - 1].  Only ``+``
+    and ``*`` are used, starting from the int 0, so the entries may come
+    from any ring: the exact DP runs it on the integer numerators of
+    :func:`_exact_columns`, O(N * L) integer operations.
     """
     L = len(columns)
-    acc = [Fraction(0)] * L
-    out = [Fraction(0)]
+    acc = [0] * L
+    out = [0]
     for j in range(len(columns[0])):
         # acc[i] sums over chains n_i >= ... >= n_L with n_i <= j + 1
         acc[L - 1] += columns[L - 1][j]
@@ -364,7 +375,9 @@ def dp_chain_sum(spec: FactorSpec, N: int):
     difference DP (see :func:`_dp_float_partials`).
     """
     if spec.is_exact():
-        return _chain_partials(_exact_columns(spec, N))[N]
+        # a truncation below 1 is the empty sum
+        columns, den = _exact_columns(spec, max(N, 0))
+        return Fraction(_chain_partials(columns)[-1], den)
     return float(_dp_float_partials(spec, N)[N])
 
 
@@ -520,17 +533,37 @@ def dp_q_coupled(kernel: QKernelSpec, N: int, float_mode=None):
         for m in range(1, N + 1):
             total += W[m - 1].dot(one * m / (q1 * (q1 + m)))
     else:
-        # fold the last index t <= m: sum_t C(m,t)/C(q+m,t) a^t, built from
-        # the ratio of consecutive terms, over (q+m+1)
-        a = float(kernel.a) if float_mode else Fraction(kernel.a)
-        for i, q in zip(*np.nonzero(W)):
-            m, q = int(i) + 1, int(q)
-            term = acc = a * m / (q + m)
-            for t in range(2, m + 1):
-                term = term * a * (m - t + 1) / (q + m - t + 1)
-                acc += term
-            total += W[i, q] * acc / (q + m + 1)
+        K = _mean_full_kernel(kernel.a, N)
+        if float_mode:
+            K = K.astype(np.float64)
+        cells = np.nonzero(W)
+        total = sum(W[cells] * K[cells], total)
     return float(total) if float_mode else total
+
+
+def _mean_full_kernel(a, N: int):
+    """Exact MEAN_FULL fold of the last index t <= m, as a table K[m - 1, q]
+    = sum_{t=1}^{m} C(m,t)/C(q+m,t) a^t / (q+m+1) for m = 1..N, q = 0..N.
+
+    C(m,t)/C(q+m,t) = (q+m+1) int_0^1 x^t (1-x)^(q+m-t) dx, so the sum from
+    t = 0 is I(m, q) = int_0^1 y^q (a - (a-1) y)^m dy, which satisfies
+    I(0, q) = 1/(q+1) and I(m, q) = a I(m-1, q) - (a-1) I(m-1, q+1); the
+    t = 0 term 1/(q+m+1) is then subtracted.  The recurrence runs on the
+    integers J(m, q) = a_d^m l I(m, q), l = lcm(1..2N+1): O(N^2) integer
+    operations and one Fraction per cell.
+    """
+    a = Fraction(a)
+    an, ad = a.numerator, a.denominator
+    lcm = math.lcm(*range(1, 2 * N + 2))
+    J = [lcm // (q + 1) for q in range(2 * N + 1)]
+    K = np.empty((N, N + 1), dtype=object)
+    adm = 1
+    for m in range(1, N + 1):
+        J = [an * J[q] - (an - ad) * J[q + 1] for q in range(len(J) - 1)]
+        adm *= ad
+        K[m - 1] = [Fraction(J[q] - adm * (lcm // (q + m + 1)), adm * lcm)
+                    for q in range(N + 1)]
+    return K
 
 
 def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",

@@ -4,10 +4,13 @@ of them, their chain-sum transforms, and the arithmetic-mean identities.
 
 Every function here takes rational parameters and returns exact
 :class:`fractions.Fraction` values, so identity checks compare with ``==``.
+The chain sums run on integer numerators over one common denominator; a
+``Fraction`` is built only for a value that is read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -20,27 +23,34 @@ from .kernel import BudgetExceededError, DomainError, binomial
 
 def gen_harmonic(k: int, s: int, a) -> Fraction:
     """Generalized harmonic number sum_{j=1}^{k} a^j / j^s (0 for k = 0)."""
-    a = as_fraction(a)
-    total = Fraction(0)
-    power = Fraction(1)
-    for j in range(1, k + 1):
-        power *= a
-        total += power / Fraction(j) ** s
-    return total
+    return dp_chain_sum(FactorSpec((as_fraction(a),), (s,)), k)
+
+
+def _star_partials(n: int, s, a):
+    """Integer numerators of zeta*_k(s; a) for k = 0..n and their common
+    denominator: the chain sum with factors 1/j^{s_i}, the last one times
+    a^j, read at every truncation in O(n * depth) integer operations."""
+    s = as_composition(s)
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    spec = FactorSpec((1,) * (s.depth - 1) + (as_fraction(a),), s.parts)
+    columns, den = _exact_columns(spec, n)
+    return _chain_partials(columns), den
+
+
+def _binomial_average(n: int, x, y, nums, den) -> Fraction:
+    """sum_{k=1}^{n} C(n,k) x^k y^{n-k} nums[k] / den, summed over the
+    common denominator (x_d y_d)^n den and divided once."""
+    x, y = as_fraction(x), as_fraction(y)
+    X, Y = x.numerator * y.denominator, y.numerator * x.denominator
+    total = sum(binomial(n, k) * X ** k * Y ** (n - k) * nums[k] for k in range(1, n + 1))
+    return Fraction(total, den * (x.denominator * y.denominator) ** n)
 
 
 def mhsv_all(n: int, s, a) -> list:
-    """Harmonic-star values zeta*_k(s; a) for every k = 0..n, in one pass.
-
-    The chain sum with factors 1/j^{s_i}, the last one times a^j, read at
-    every truncation.  Cost O(n * depth) exact operations.
-    """
-    s = as_composition(s)
-    a = as_fraction(a)
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    spec = FactorSpec((1,) * (s.depth - 1) + (a,), s.parts)
-    return _chain_partials(_exact_columns(spec, n))
+    """Harmonic-star values zeta*_k(s; a) for every k = 0..n, in one pass."""
+    nums, den = _star_partials(n, s, a)
+    return [Fraction(v, den) for v in nums]
 
 
 def mhsv(k: int, s, a) -> Fraction:
@@ -69,13 +79,7 @@ def mhsv_naive(k: int, s, a) -> Fraction:
 def mneimneh_lhs(n: int, s, a, p) -> Fraction:
     """Binomially weighted average sum_{k=1}^{n} C(n,k) p^k (1-p)^{n-k} zeta*_k(s; a)."""
     p = as_fraction(p)
-    a = as_fraction(a)
-    stars = mhsv_all(n, s, a)
-    q = 1 - p
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += binomial(n, k) * p ** k * q ** (n - k) * stars[k]
-    return total
+    return _binomial_average(n, p, 1 - p, *_star_partials(n, s, a))
 
 
 def transform_bases(s, p) -> tuple:
@@ -140,14 +144,7 @@ def main_rhs_literal(n: int, s, a, p) -> Fraction:
 def classic_binomial_rhs(n: int, p) -> Fraction:
     """Partial sum sum_{k=1}^{n} (1 - (1-p)^k) / k, the depth-1, order-1
     transform of the weighted harmonic average."""
-    p = as_fraction(p)
-    q = 1 - p
-    total = Fraction(0)
-    power = Fraction(1)
-    for k in range(1, n + 1):
-        power *= q
-        total += (1 - power) / Fraction(k)
-    return total
+    return dp_chain_sum(FactorSpec((1,), (1,), tail=(1, 1 - as_fraction(p))), n)
 
 
 def depth1_rhs(n: int, s1: int, a, p) -> Fraction:
@@ -205,10 +202,7 @@ def dilcher_plus(n: int, d: int, a) -> tuple:
     if n < 1 or d < 1:
         raise DomainError("need n, d >= 1")
     a = as_fraction(a)
-    stars = mhsv_all(n, Composition((1,) * d), a)
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        lhs += binomial(n, k) * (-1) ** k * stars[k]
+    lhs = _binomial_average(n, -1, 1, *_star_partials(n, Composition((1,) * d), a))
     rhs = ((1 - a) ** n - 1) / Fraction(n) ** d
     return lhs, rhs
 
@@ -253,8 +247,8 @@ def mean_lhs(n: int, s, a) -> Fraction:
     """Arithmetic mean (1/(n+1)) sum_{k=1}^{n} zeta*_k(s; a)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    stars = mhsv_all(n, s, a)
-    return sum(stars[1:], Fraction(0)) / (n + 1)
+    nums, den = _star_partials(n, s, a)
+    return Fraction(sum(nums[1:]), den * (n + 1))
 
 
 def mean_rhs(n: int, s, a) -> Fraction:
@@ -271,9 +265,11 @@ def mean_example1_rhs(n: int, d: int) -> Fraction:
     1 / (n_1 ... n_{d-1} (n_d + 1)), the product being empty for d = 1."""
     if n < 1 or d < 1:
         raise DomainError("need n, d >= 1")
-    harmonic = [Fraction(1, j) for j in range(1, n + 1)]
-    shifted = [Fraction(1, j + 1) for j in range(1, n + 1)]
-    return _chain_partials([harmonic] * (d - 1) + [shifted])[n]
+    lcm = math.lcm(*range(1, n + 2))
+    # 1/j and 1/(j+1) over lcm(1..n+1)
+    harmonic = [lcm // j for j in range(1, n + 1)]
+    shifted = [lcm // (j + 1) for j in range(1, n + 1)]
+    return Fraction(_chain_partials([harmonic] * (d - 1) + [shifted])[n], lcm ** d)
 
 
 def mean_sum_hk_sides(n: int) -> tuple:
@@ -318,10 +314,7 @@ def pan_xu_check(n: int, r: int, u, m, x, y) -> tuple:
     if x + y == 0:
         raise DomainError("need x + y != 0")
     comp = pan_xu_composition(r, u, m)
-    stars = mhsv_all(n, comp, 1)
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        lhs += binomial(n, k) * x ** k * y ** (n - k) * stars[k]
+    lhs = _binomial_average(n, x, y, *_star_partials(n, comp, 1))
     p = x / (x + y)
     rhs = (x + y) ** n * main_rhs(n, comp, 1, p)
     return lhs, rhs
@@ -337,22 +330,7 @@ def aux_rhs(variant: str, n: int, a, x) -> Fraction:
         raise DomainError("need n >= 1")
     a = as_fraction(a)
     x = as_fraction(x)
-    total = Fraction(0)
-    if variant == "aux1":
-        base = 1 + a * x
-        power = Fraction(1)
-        for j in range(1, n + 1):
-            power *= base
-            total += (power - 1) / Fraction(j)
-        return total
-    if variant == "aux2":
-        b1 = 1 + x
-        b2 = 1 + x - a * x
-        p1 = Fraction(1)
-        p2 = Fraction(1)
-        for j in range(1, n + 1):
-            p1 *= b1
-            p2 *= b2
-            total += (p1 - p2) / Fraction(j)
-        return total
+    tails = {"aux1": (1 + a * x, 1), "aux2": (1 + x, 1 + x - a * x)}
+    if variant in tails:
+        return dp_chain_sum(FactorSpec((1,), (1,), tail=tails[variant]), n)
     raise DomainError(f"unknown variant {variant!r}")

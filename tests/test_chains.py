@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from polystar import exact
@@ -50,6 +51,80 @@ def test_dp_equals_naive_seeded():
             tail = (F(rng.randint(-12, 12), 12), F(rng.randint(-12, 12), 12))
         spec = FactorSpec(bases, powers, tail)
         assert dp_chain_sum(spec, N) == naive_chain_sum(spec, N)
+
+
+def _fraction_columns(spec, N):
+    """The exact factor columns in Fractions, one Fraction per entry: the
+    reference the integer-numerator columns must match."""
+    columns = []
+    for base, power in zip(spec.bases, spec.powers):
+        acc, col = F(1), []
+        for j in range(1, N + 1):
+            acc *= F(base)
+            col.append(acc / j ** power)
+        columns.append(col)
+    if spec.tail is not None:
+        alpha, gamma = F(spec.tail[0]), F(spec.tail[1])
+        columns[-1] = [f * (alpha ** j - gamma ** j)
+                       for j, f in enumerate(columns[-1], 1)]
+    return columns
+
+
+def _fraction_partials(columns):
+    """The prefix-sum recurrence run in Fractions at every truncation."""
+    L = len(columns)
+    acc = [F(0)] * L
+    out = [F(0)]
+    for j in range(len(columns[0])):
+        acc[L - 1] += columns[L - 1][j]
+        for i in range(L - 2, -1, -1):
+            acc[i] += columns[i][j] * acc[i + 1]
+        out.append(acc[0])
+    return out
+
+
+# rationals with zero, negative and |b| > 1 values, some with equal
+# denominators (shared tail denominators) and some without
+exact_scalars = st.one_of(st.sampled_from((0, 1, -1, 2, F(1, 2), F(-3, 2))),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def exact_specs(draw):
+    L = draw(st.integers(1, 4))
+    bases = tuple(draw(st.lists(exact_scalars, min_size=L, max_size=L)))
+    powers = tuple(draw(st.lists(st.integers(0, 3), min_size=L, max_size=L)))
+    kind = draw(st.sampled_from(("none", "free", "equal", "alpha0", "gamma0")))
+    alpha, gamma = draw(exact_scalars), draw(exact_scalars)
+    tail = {"none": None, "free": (alpha, gamma), "equal": (alpha, alpha),
+            "alpha0": (0, gamma), "gamma0": (alpha, 0)}[kind]
+    return FactorSpec(bases, powers, tail)
+
+
+def _lowest_terms(x):
+    return type(x) is F and math.gcd(x.numerator, x.denominator) == 1
+
+
+@given(exact_specs(), st.integers(0, 14))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_integer_dp_matches_fraction_dp(spec, N):
+    want = _fraction_partials(_fraction_columns(spec, N))
+    for n in range(N + 1):
+        got = dp_chain_sum(spec, n)
+        assert _lowest_terms(got)
+        assert got == want[n]
+    assert want[N] == naive_chain_sum(spec, N)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), exact_scalars,
+       st.integers(0, 14))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mhsv_all_matches_fraction_dp(parts, a, N):
+    spec = FactorSpec((1,) * (len(parts) - 1) + (a,), parts)
+    got = exact.mhsv_all(N, Composition(tuple(parts)), a)
+    assert got == _fraction_partials(_fraction_columns(spec, N))
+    assert all(_lowest_terms(x) for x in got)
+    assert got[N] == naive_chain_sum(spec, N)
 
 
 def test_dp_float_pairing_matches_exact():
@@ -270,6 +345,33 @@ def test_q_table_row_pass_matches_cumsum(parts):
     for m in range(1, 301):
         want += W[m - 1].dot(1.0 * m / ((q + 1) * (q + m + 1)))
     assert _bits(dp_q_coupled(k, 300, float_mode=True)) == _bits(want)
+
+
+def _term_ratio_fold(kernel, N):
+    """The MEAN_FULL fold cell by cell, each kernel sum rebuilt from the
+    ratio of consecutive terms: the reference of the recurrence table."""
+    W = _q_table(kernel, N, exact=True)
+    a = F(kernel.a)
+    total = F(0)
+    for i, q in zip(*np.nonzero(W)):
+        m, q = int(i) + 1, int(q)
+        term = acc = a * m / (q + m)
+        for t in range(2, m + 1):
+            term = term * a * (m - t + 1) / (q + m - t + 1)
+            acc += term
+        total += W[i, q] * acc / (q + m + 1)
+    return total
+
+
+@pytest.mark.parametrize("a", (F(-1), F(1, 2), F(3), F(-2, 3)))
+def test_mean_full_fold_matches_term_ratio(a):
+    for parts in ((1,), (2,), (2, 1), (1, 2, 1)):
+        k = QKernelSpec(Composition(parts), "MEAN_FULL", a)
+        for N in range(1, 13):
+            got = dp_q_coupled(k, N)
+            assert type(got) is F
+            assert got == _term_ratio_fold(k, N)
+        assert abs(dp_q_coupled(k, 12, float_mode=True) - float(got)) <= 1e-12 * (1 + abs(got))
 
 
 def test_q_coupled_mean_rhs_consistency():

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from polystar import exact
 from polystar.compositions import Composition
-from polystar.kernel import DomainError
+from polystar.kernel import DomainError, binomial
 
 F = Fraction
 
@@ -209,3 +210,53 @@ def test_aux_rhs_examples():
             assert exact.aux_rhs("aux2", n, 1, x) == exact.aux_rhs("aux1", n, 1, x)
     with pytest.raises(DomainError):
         exact.aux_rhs("aux3", 1, 1, 1)
+
+
+def _rational(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_depth1_loops_match_chain_dp():
+    # the closed forms as hand-written depth-1 loops, against the chain DP
+    rng = random.Random(7)
+    for _ in range(40):
+        n, s = rng.randint(-2, 12), rng.randint(0, 3)
+        a, p, x = _rational(rng), _rational(rng), _rational(rng)
+        assert exact.gen_harmonic(n, s, a) == sum(
+            (a ** j / F(j) ** s for j in range(1, n + 1)), F(0))
+        assert exact.classic_binomial_rhs(n, p) == sum(
+            ((1 - (1 - p) ** k) / k for k in range(1, n + 1)), F(0))
+        if n < 1:
+            continue
+        assert exact.aux_rhs("aux1", n, a, x) == sum(
+            (((1 + a * x) ** j - 1) / F(j) for j in range(1, n + 1)), F(0))
+        assert exact.aux_rhs("aux2", n, a, x) == sum(
+            (((1 + x) ** j - (1 + x - a * x) ** j) / F(j) for j in range(1, n + 1)), F(0))
+    with pytest.raises(DomainError):
+        exact.aux_rhs("aux1", 0, 1, 1)
+
+
+def test_binomial_averages_match_fraction_sums():
+    # the averages summed over one denominator, against Fraction sums of the
+    # harmonic-star values
+    rng = random.Random(11)
+    for _ in range(30):
+        n, d = rng.randint(0, 10), rng.randint(1, 3)
+        s = Composition(tuple(rng.randint(1, 3) for _ in range(d)))
+        a, x, y = _rational(rng), _rational(rng), _rational(rng)
+
+        def average(x, y, s, a):
+            stars = exact.mhsv_all(n, s, a)
+            return sum((binomial(n, k) * x ** k * y ** (n - k) * stars[k]
+                        for k in range(1, n + 1)), F(0))
+
+        assert exact.mneimneh_lhs(n, s, a, x) == average(x, 1 - x, s, a)
+        if x + y != 0:
+            # r = 0: the composition {1}_d
+            assert exact.pan_xu_check(n, 0, (d,), (), x, y)[0] == \
+                average(x, y, Composition((1,) * d), 1)
+        if n >= 1:
+            assert exact.dilcher_plus(n, d, a)[0] == \
+                average(F(-1), F(1), Composition((1,) * d), a)
+            assert exact.mean_lhs(n, s, a) == \
+                sum(exact.mhsv_all(n, s, a)[1:], F(0)) / (n + 1)
