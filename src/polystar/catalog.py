@@ -19,8 +19,7 @@ import mpmath
 
 from . import exact, polylog
 from .chains import PairingUnavailableError, RescaleRequiredError
-from .compositions import (Composition, ShapeBlocks, as_composition, as_fraction,
-                           domain_check)
+from .compositions import Composition, ShapeBlocks, as_composition, as_fraction
 from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
                      NonConvergenceError, SingularFitError, _resolve_precision,
                      adaptive_quadrature, binom_ratio_sum)
@@ -733,6 +732,8 @@ def default_grid(identity_id):
 
 def _diffs(lhs, rhs, mode):
     if mode == "EXACT":
+        if lhs == rhs:
+            return Fraction(0), 0.0
         diff = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs), Fraction(1))
         return diff, float(diff / scale)

@@ -2,7 +2,10 @@
 
 Three evaluators share the same summand model:
 
-* :func:`naive_chain_sum` — direct enumeration, the oracle;
+* :func:`naive_chain_sum` — direct enumeration, the oracle; it,
+  :func:`dp_q_naive` and ``exact.mhsv_naive`` / ``main_rhs_literal`` each
+  give their own summand to one depth-first walker, :func:`_walk_chains`,
+  which carries a state down each prefix and holds the enumeration budget;
 * :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L); exact
   specs run the ring-generic recurrence on integer numerators over one
   common denominator and build one Fraction for the truncation read; float
@@ -23,14 +26,13 @@ and wraps the result at the caller's precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .compositions import Composition, as_composition, chain_q_signs, q_of
+from .compositions import Composition, as_composition, chain_q_signs
 from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
                      best_extrapolant, binomial)
 
@@ -80,13 +82,8 @@ class FactorSpec:
         """Split the tail difference into two plain specs (hi, lo)."""
         if self.tail is None:
             return (self,)
-        alpha, gamma = self.tail
-        hi = list(self.bases)
-        lo = list(self.bases)
-        hi[-1] = hi[-1] * alpha
-        lo[-1] = lo[-1] * gamma
-        return (FactorSpec(tuple(hi), self.powers),
-                FactorSpec(tuple(lo), self.powers))
+        head, last = self.bases[:-1], self.bases[-1]
+        return tuple(FactorSpec(head + (last * t,), self.powers) for t in self.tail)
 
 
 @dataclass(frozen=True)
@@ -131,58 +128,40 @@ class TruncationSchedule:
             n *= self.growth
 
 
-def _factor_tables(spec: FactorSpec, N: int):
-    """factors[i][j] = bases[i]^j / j^{powers[i]} for j = 1..N (index j-1),
-    with the tail difference folded into the last index."""
-    exact = spec.is_exact()
-    one = Fraction(1) if exact else 1.0
-    tables = []
-    for i, (base, power) in enumerate(zip(spec.bases, spec.powers)):
-        b = Fraction(base) if exact else float(base)
-        col = []
-        acc = one
-        for j in range(1, N + 1):
-            acc = acc * b
-            denom = (Fraction(j) ** power if exact else float(j) ** power) if power else one
-            col.append(acc / denom)
-        tables.append(col)
-    if spec.tail is not None:
-        alpha, gamma = spec.tail
-        if exact:
-            alpha, gamma = Fraction(alpha), Fraction(gamma)
-        else:
-            alpha, gamma = float(alpha), float(gamma)
-        pa, pg = one, one
-        last = tables[-1]
-        for j in range(N):
-            pa = pa * alpha
-            pg = pg * gamma
-            last[j] = last[j] * (pa - pg)
-    return tables
+def _walk_chains(N: int, L: int, root, step, budget=NAIVE_CHAIN_BUDGET):
+    """Sum over the chains N >= n_1 >= ... >= n_L >= 1, depth first in
+    lexicographic order: the one enumeration behind every oracle.
 
-
-def naive_chain_sum(spec: FactorSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
-    """Direct enumeration of the chain sum truncated at n_1 <= N.
-
-    Chains are visited in colexicographic order of the reversed
-    (nondecreasing) tuple, so partial sums are reproducible.  Refuses to
-    enumerate more than ``budget`` chains.
+    ``step(state, i, n)`` extends a prefix's state by n_{i+1} = n (from
+    ``root``, the empty prefix), so a prefix product costs one step per
+    chain; the state after n_L is the chain's summand.  Refuses to start
+    beyond ``budget`` chains.
     """
-    L = spec.length
     count = binomial(N + L - 1, L)
     if count > budget:
         raise BudgetExceededError(f"{count} chains exceed budget {budget}")
-    tables = _factor_tables(spec, N)
-    total = Fraction(0) if spec.is_exact() else 0.0
-    # combo is nondecreasing; the chain read in reverse pairs combo[k] with
-    # the factor of chain position L-1-k.
-    rev_tables = tables[::-1]
-    for combo in combinations_with_replacement(range(1, N + 1), L):
-        term = rev_tables[0][combo[0] - 1]
-        for k in range(1, L):
-            term = term * rev_tables[k][combo[k] - 1]
-        total += term
-    return total
+
+    def walk(state, i, hi):
+        if i == L - 1:
+            return sum(step(state, i, n) for n in range(1, hi + 1))
+        return sum(walk(step(state, i, n), i + 1, n) for n in range(1, hi + 1))
+
+    return walk(root, 0, N)
+
+
+def naive_chain_sum(spec: FactorSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
+    """Direct enumeration of the chain sum truncated at n_1 <= N: over
+    N >= n_1 >= ... >= n_L >= 1, prod_i bases[i]^{n_i} / n_i^{powers[i]},
+    times alpha^{n_L} - gamma^{n_L} for a tail."""
+    num = Fraction if spec.is_exact() else float
+    # factors[i][n - 1] = bases[i]^n / n^{powers[i]}
+    factors = [[num(b) ** n / num(n) ** p for n in range(1, N + 1)]
+               for b, p in zip(spec.bases, spec.powers)]
+    if spec.tail is not None:
+        alpha, gamma = map(num, spec.tail)
+        factors[-1] = [f * (alpha ** n - gamma ** n) for n, f in enumerate(factors[-1], 1)]
+    return num(_walk_chains(N, spec.length, 1,
+                            lambda prod, i, n: prod * factors[i][n - 1], budget))
 
 
 def _exact_columns(spec: FactorSpec, N: int):
@@ -416,35 +395,32 @@ def dp_chain_values(bases, powers, N: int, tail=None):
 # ---------------------------------------------------------------------------
 
 def dp_q_naive(kernel: QKernelSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
-    """Direct enumeration of the Q-coupled sum; the oracle for dp_q_coupled."""
-    s = kernel.s
-    L = kernel.chain_length
-    count = binomial(N + L - 1, L)
-    if count > budget:
-        raise BudgetExceededError(f"{count} chains exceed budget {budget}")
+    """Direct enumeration of the Q-coupled sum; the oracle for dp_q_coupled.
+
+    With w = |s|, m = n_w and Q = Q(s) of n_1..n_w: ``MEAN_INF`` sums
+    1/((Q+1)(Q+m+1) n_1...n_{w-1}) over chains of length w, ``MEAN_FULL``
+    C(m,t)/C(Q+m,t) a^t / ((Q+m+1) n_1...n_w) over chains of length w+1 with
+    t = n_{w+1}.  A prefix carries its partial Q (a block adds its first
+    index and subtracts its last), index product and last index.
+    """
+    w = kernel.s.weight
     a = Fraction(kernel.a)
-    total = Fraction(0)
-    for combo in combinations_with_replacement(range(1, N + 1), L):
-        chain = combo[::-1]
-        base_chain = chain[: s.weight]
-        q_stat = q_of(s, base_chain)
-        denom = Fraction(1)
-        if kernel.kind == "MEAN_FULL":
-            for idx in base_chain:
-                denom *= idx
-            t = chain[-1]
-            m = base_chain[-1]
-            if t > m:
-                continue
-            term = (Fraction(binomial(m, t), binomial(q_stat + m, t)) * a ** t
-                    / ((q_stat + m + 1) * denom))
-        else:
-            for idx in base_chain[:-1]:
-                denom *= idx
-            m = base_chain[-1]
-            term = Fraction(1, (q_stat + 1) * (q_stat + m + 1)) / denom
-        total += term
-    return total
+    sign = [0] * w
+    for start, end in kernel.s.block_bounds():
+        sign[start - 1] += 1
+        sign[end - 1] -= 1
+
+    def step(state, i, n):
+        q, prod, m = state
+        if i == w:  # MEAN_FULL's t
+            return Fraction(math.comb(m, n) * a.numerator ** n, math.comb(q + m, n)
+                            * a.denominator ** n * (q + m + 1) * prod)
+        q += sign[i] * n
+        if i == w - 1 and kernel.kind == "MEAN_INF":
+            return Fraction(1, (q + 1) * (q + n + 1) * prod)
+        return q, prod * n, n
+
+    return Fraction(_walk_chains(N, kernel.chain_length, (0, 1, 0), step, budget))
 
 
 def _q_table(kernel: QKernelSpec, N: int, exact: bool):

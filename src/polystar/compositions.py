@@ -253,8 +253,6 @@ def shape_args(shape: ShapeBlocks, variant: str, a, p) -> tuple:
 # Validity regions for the numeric identities.  Inputs are coerced to exact
 # rationals (floats convert exactly), so boundary points compare exactly and
 # count as inside.
-_CONSTRAINTS = ("MAIN_AP", "A1_P", "RED_BOX")
-
 
 def domain_check(constraint_id: str, a, p) -> bool:
     """True iff (a, p) lies in the named validity region."""

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from . import compositions
-from .chains import (NAIVE_CHAIN_BUDGET, FactorSpec, QKernelSpec,
-                     _chain_partials, _exact_columns, dp_chain_sum, dp_q_coupled)
+from .chains import (FactorSpec, QKernelSpec, _chain_partials, _exact_columns,
+                     _walk_chains, dp_chain_sum, dp_q_coupled)
 from .compositions import Composition, as_composition, as_fraction
-from .kernel import BudgetExceededError, DomainError, binomial
+from .kernel import DomainError, binomial
 
 
 def gen_harmonic(k: int, s: int, a) -> Fraction:
@@ -60,20 +59,18 @@ def mhsv(k: int, s, a) -> Fraction:
 
 
 def mhsv_naive(k: int, s, a) -> Fraction:
-    """Direct chain enumeration of zeta*_k(s; a); oracle for small k."""
+    """Direct chain enumeration of zeta*_k(s; a), the sum over
+    k >= n_1 >= ... >= n_d >= 1 of a^{n_d} / prod n_i^{s_i}; oracle for
+    small k.  A prefix carries its product of n_i^{s_i}."""
     s = as_composition(s)
     a = as_fraction(a)
     d = s.depth
-    if binomial(k + d - 1, d) > NAIVE_CHAIN_BUDGET:
-        raise BudgetExceededError("chain enumeration too large")
-    total = Fraction(0)
-    for combo in combinations_with_replacement(range(1, k + 1), d):
-        chain = combo[::-1]  # nonincreasing
-        term = a ** chain[-1]
-        for idx, part in zip(chain, s.parts):
-            term /= Fraction(idx) ** part
-        total += term
-    return total
+
+    def step(prod, i, n):
+        prod *= n ** s.parts[i]
+        return a ** n / prod if i == d - 1 else prod
+
+    return Fraction(_walk_chains(k, d, 1, step))
 
 
 def mneimneh_lhs(n: int, s, a, p) -> Fraction:
@@ -108,37 +105,29 @@ def main_rhs(n: int, s, a, p) -> Fraction:
 
 
 def main_rhs_literal(n: int, s, a, p) -> Fraction:
-    """Direct enumeration of the transform sum with the 0^0 = 1 convention.
-
-    Valid at every p including the degenerate endpoints; oracle for small n.
-    """
+    """Direct enumeration of the transform sum, valid at every p (Python's
+    0 ** 0 is 1); oracle for small n.  Over n >= n_1 >= ... >= n_{|s|} >= 1
+    it sums the product over the blocks of (1-p)^{first - last index}, times
+    (1-p+ap)^{n_|s|} - (1-p)^{n_|s|}, over n_1 ... n_{|s|}.  A prefix carries
+    its block-gap powers over its index product and its open block's first
+    index."""
     s = as_composition(s)
-    a = as_fraction(a)
-    p = as_fraction(p)
+    q = 1 - as_fraction(p)
+    alpha = q + as_fraction(a) * as_fraction(p)
+    starts = {start - 1 for start, _ in s.block_bounds()}
+    ends = {end - 1 for _, end in s.block_bounds()}
     L = s.weight
-    if binomial(n + L - 1, L) > NAIVE_CHAIN_BUDGET:
-        raise BudgetExceededError("chain enumeration too large")
 
-    def power(base: Fraction, e: int) -> Fraction:
-        if e == 0:
-            return Fraction(1)  # 0^0 = 1 by convention
-        return base ** e
+    def step(state, i, m):
+        w, first = state
+        if i in starts:
+            first = m
+        w /= m
+        if i in ends:
+            w *= q ** (first - m)
+        return w * (alpha ** m - q ** m) if i == L - 1 else (w, first)
 
-    q = 1 - p
-    alpha = 1 - p + a * p
-    total = Fraction(0)
-    bounds = s.block_bounds()
-    for combo in combinations_with_replacement(range(1, n + 1), L):
-        chain = combo[::-1]
-        w = Fraction(1)
-        for start, end in bounds:
-            w *= power(q, chain[start - 1] - chain[end - 1])
-        last = chain[-1]
-        w *= power(alpha, last) - power(q, last)
-        for idx in chain:
-            w /= idx
-        total += w
-    return total
+    return Fraction(_walk_chains(n, L, (Fraction(1), 0), step))
 
 
 def classic_binomial_rhs(n: int, p) -> Fraction:
@@ -174,19 +163,13 @@ def power_weight_example_sides(n: int) -> tuple:
         lhs = sum_k C(n,k) * sum_{j<=k} [sum_{i<=j} (-1)^{i-1}/i^2] / j^3
         rhs = sum over chains of length 5 of 2^{n - n_1 + n_3 - n_4} / (n_1...n_5)
     """
-    # lhs: nested alternating sums, assembled incrementally.
-    inner = Fraction(0)   # sum_{i<=j} (-1)^{i-1}/i^2
-    middle = Fraction(0)  # sum_{j<=k} inner_j / j^3
-    lhs = Fraction(0)
-    middles = [Fraction(0)]
-    sign = 1
+    # lhs: nested alternating sums, assembled incrementally: at step j,
+    # inner = sum_{i<=j} (-1)^{i-1}/i^2 and middle = sum_{i<=j} inner_i / i^3
+    inner = middle = lhs = Fraction(0)
     for j in range(1, n + 1):
-        inner += Fraction(sign, j * j)
-        sign = -sign
-        middle += inner / Fraction(j) ** 3
-        middles.append(middle)
-    for k in range(1, n + 1):
-        lhs += binomial(n, k) * middles[k]
+        inner += Fraction((-1) ** (j - 1), j * j)
+        middle += inner / j ** 3
+        lhs += binomial(n, j) * middle
     # rhs: separable chain DP with bases (1/2, 1, 2, 1/2, 1) scaled by 2^n.
     bases = (Fraction(1, 2), 1, 2, Fraction(1, 2), 1)
     rhs = Fraction(2) ** n * dp_chain_sum(FactorSpec(bases, (1,) * 5), n)
@@ -222,9 +205,7 @@ def odd_binom_sum(n: int, d: int) -> tuple:
     """
     if n < 1 or d < 1:
         raise DomainError("need n, d >= 1")
-    lhs = Fraction(0)
-    for k in range(1, (n + 1) // 2 + 1):
-        lhs += Fraction(binomial(n, 2 * k - 1)) / Fraction(2 * k - 1) ** d
+    lhs = sum(Fraction(binomial(n, j), j ** d) for j in range(1, n + 1, 2))
     rhs = mhsv(n, Composition((1,) * d), 2) / 2
     return lhs, rhs
 
@@ -236,9 +217,7 @@ def dilcher_classic(n: int, d: int) -> tuple:
     """
     if n < 1 or d < 1:
         raise DomainError("need n, d >= 1")
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        lhs += Fraction(binomial(n, k) * (-1) ** (k - 1)) / Fraction(k) ** d
+    lhs = sum(Fraction(binomial(n, k) * (-1) ** (k - 1), k ** d) for k in range(1, n + 1))
     rhs = mhsv(n, Composition((1,) * d), 1)
     return lhs, rhs
 
@@ -276,13 +255,11 @@ def mean_sum_hk_sides(n: int) -> tuple:
     """Partial harmonic sums: lhs = sum_{k=1}^{n} H_k, rhs = (n+1)(H_{n+1} - 1)."""
     if n < 1:
         raise DomainError("need n >= 1")
-    h = Fraction(0)
-    lhs = Fraction(0)
+    h = lhs = Fraction(0)
     for k in range(1, n + 1):
         h += Fraction(1, k)
         lhs += h
-    h_next = h + Fraction(1, n + 1)
-    return lhs, (n + 1) * (h_next - 1)
+    return lhs, (n + 1) * (h + Fraction(1, n + 1) - 1)
 
 
 def pan_xu_composition(r: int, u, m) -> Composition:

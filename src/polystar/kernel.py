@@ -381,17 +381,14 @@ def _window_limit(levels, values, n_terms, basis=None):
 
     A float64 solve for float64 data.  It fits ``values - values[-1]`` and
     adds ``values[-1]`` back, so a constant window fits exactly and a large
-    limit never passes through the solve, and it scales each column to unit
-    max |entry| (the N^-3 columns fall to ~2^-51 at N = 2^17).  Raises
-    :class:`SingularFitError` when the matrix is singular or the limit is
-    not finite.
+    limit never passes through the solve.  Raises :class:`SingularFitError`
+    when the matrix is singular or the limit is not finite.
     """
     basis = _BASIS if basis is None else basis
     k = n_terms + 1
     levels = levels[-k:]
     values = [float(v) for v in values[-k:]]
     A = np.array([[1.0] + [fn(N) for fn in basis[:n_terms]] for N in levels])
-    A /= np.abs(A).max(axis=0)
     try:
         c0 = float(np.linalg.solve(A, np.array(values) - values[-1])[0])
     except np.linalg.LinAlgError as exc:

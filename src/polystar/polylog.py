@@ -17,8 +17,8 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .chains import (FactorSpec, PairingUnavailableError, QKernelSpec,
-                     Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
+from .chains import (PAIRING_SLACK, FactorSpec, PairingUnavailableError,
+                     QKernelSpec, Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
                      dp_chain_partials, dp_chain_values, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
@@ -26,7 +26,6 @@ from .compositions import (Composition, ShapeBlocks, as_composition,
 from .kernel import (BigReal, DomainError, EvalResult, adaptive_quadrature,
                      _resolve_precision)
 
-_PAIRING_EPS = 1e-9
 _MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
 GEO_MAX_N = 2 ** 20
@@ -170,7 +169,7 @@ def _decay_converges(bases, powers) -> bool:
     """
     L = len(bases)
     B = _prefix_products(bases)
-    if any(abs(b) > 1 + _PAIRING_EPS for b in B):
+    if any(abs(b) > 1 + PAIRING_SLACK for b in B):
         return False
     # state: ("geo", rho) or ("poly", alpha, alternating)
     bL = B[-1]
@@ -216,7 +215,7 @@ def _star_ladder(spec: FactorSpec, tol, precision) -> EvalResult:
     marginal = 0
     for run in spec.expanded():
         B = _prefix_products([float(b) for b in run.bases])
-        if any(abs(b) > 1 + _PAIRING_EPS for b in B):
+        if any(abs(b) > 1 + PAIRING_SLACK for b in B):
             raise PairingUnavailableError(
                 f"prefix products {B} leave the unit disc; chain sum would diverge")
         if not _decay_converges([float(b) for b in run.bases], run.powers):
@@ -224,7 +223,7 @@ def _star_ladder(spec: FactorSpec, tol, precision) -> EvalResult:
         worst = max(worst, max(abs(b) for b in B))
         # only prefix products near +1 stack logarithms into the tail;
         # alternating (near -1) directions give bounded inner sums
-        marginal = max(marginal, sum(1 for b in B if b >= 1 - _PAIRING_EPS))
+        marginal = max(marginal, sum(1 for b in B if b >= 1 - PAIRING_SLACK))
     polynomial = worst >= 0.95
     schedule = TruncationSchedule(
         start=64, growth=2,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from scipy.signal import lfilter
 from polystar import exact
 from polystar.chains import (PAIRING_SLACK, FactorSpec, PairingUnavailableError,
                              QKernelSpec, TruncationSchedule, _dp_float_scaled,
-                             _gap_terms, _q_table, adaptive_sum, dp_chain_partials,
+                             _gap_terms, _q_table, _walk_chains, adaptive_sum, dp_chain_partials,
                              dp_chain_sum, dp_chain_values, dp_q_coupled,
                              dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
@@ -28,6 +29,42 @@ def test_naive_examples():
 def test_naive_budget():
     with pytest.raises(BudgetExceededError):
         naive_chain_sum(FactorSpec((F(1),) * 5, (1,) * 5), 500, budget=1000)
+
+
+def test_walker_visits_each_chain_once_in_order():
+    for L in range(1, 5):
+        for N in range(0, 9):
+            seen = []
+
+            def step(prefix, i, n):
+                chain = prefix + (n,)
+                if i < L - 1:
+                    return chain
+                seen.append(chain)
+                return 1
+
+            count = _walk_chains(N, L, (), step)
+            want = sorted(c[::-1] for c in
+                          itertools.combinations_with_replacement(range(1, N + 1), L))
+            assert seen == want, (L, N)
+            assert count == len(want)
+
+
+def test_every_oracle_refuses_past_the_budget():
+    # each oracle stops at the walker's single check, before enumerating
+    with pytest.raises(BudgetExceededError, match="exceed budget 1000"):
+        dp_q_naive(QKernelSpec(Composition((2, 1)), "MEAN_FULL", F(1)), 30, budget=1000)
+    with pytest.raises(BudgetExceededError, match="exceed budget 1000"):
+        dp_q_naive(QKernelSpec(Composition((2,)), "MEAN_INF"), 50, budget=1000)
+    with pytest.raises(BudgetExceededError, match="exceed budget"):
+        exact.mhsv_naive(10 ** 4, (1, 2, 1), F(1, 2))
+    with pytest.raises(BudgetExceededError, match="exceed budget"):
+        exact.main_rhs_literal(10 ** 4, (2, 1), F(1, 2), F(1, 3))
+    # at the budget itself the enumeration runs: C(3 + 2 - 1, 2) = 6 chains
+    k = QKernelSpec(Composition((2,)), "MEAN_INF")
+    assert dp_q_naive(k, 3, budget=6) == dp_q_coupled(k, 3)
+    with pytest.raises(BudgetExceededError):
+        dp_q_naive(k, 3, budget=5)
 
 
 def test_factor_spec_validation():
