@@ -15,14 +15,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from . import exact, polylog
 from .chains import PairingUnavailableError, RescaleRequiredError
 from .compositions import Composition, ShapeBlocks, as_composition, as_fraction
-from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
-                     NonConvergenceError, SingularFitError, _resolve_precision,
-                     adaptive_quadrature, binom_ratio_sum)
+from .kernel import (BudgetExceededError, DomainError, EvalResult,
+                     NonConvergenceError, SingularFitError, adaptive_quadrature,
+                     binom_ratio_sum, fmt)
 
 DEFAULT_NUMERIC_TOL = 1e-8
 
@@ -73,8 +71,8 @@ class IdentityReport:
             return None
         if isinstance(v, Fraction):
             return str(v)
-        if isinstance(v, BigReal):
-            return mpmath.nstr(v.value, 17)
+        if isinstance(v, float):
+            return fmt(v, 17)
         return repr(v)
 
     def to_json_dict(self):
@@ -336,9 +334,7 @@ def _aux_eval(variant):
         lo, hi = (0, a) if variant == "aux1" else (1 - a, 1)
         q = adaptive_quadrature(integrand, lo, hi, tol / 4, precision=precision)
         rhs = exact.aux_rhs(variant, n, a, x)
-        lhs = EvalResult(q, BigReal(tol / 4), 0, 0, True)
-        prec = _resolve_precision(precision)
-        return lhs, polylog._wrap_value(BigReal(rhs, prec).value, prec)
+        return EvalResult.rounded(q, tol / 4, 0, 0), EvalResult.rounded(rhs)
     return evaluate
 
 
@@ -691,10 +687,9 @@ _register(_Entry(
 def _mean_ex2_eval(params, tol, precision):
     d = params["d"]
     s = Composition((2,) * d)
-    lhs = polylog.mean_kernel_infinite(s, tol / 4, precision)
+    lhs = polylog.mean_kernel_infinite(s, tol / 4)
     closed = polylog.zeta_star_closed("TWO_D", d, precision)
-    rhs = polylog._wrap_value(closed.value, closed.precision)
-    return lhs, rhs
+    return lhs, EvalResult.rounded(closed)
 
 
 _register(_Entry(
@@ -737,11 +732,8 @@ def _diffs(lhs, rhs, mode):
         diff = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs), Fraction(1))
         return diff, float(diff / scale)
-    lv = lhs.value.value if isinstance(lhs, EvalResult) else mpmath.mpf(lhs)
-    rv = rhs.value.value if isinstance(rhs, EvalResult) else mpmath.mpf(rhs)
-    diff = abs(lv - rv)
-    scale = max(abs(lv), abs(rv), mpmath.mpf(1))
-    return BigReal(diff), float(diff / scale)
+    diff = abs(lhs.value - rhs.value)
+    return diff, diff / max(abs(lhs.value), abs(rhs.value), 1.0)
 
 
 def verify(identity_id, params=None, tol=None, precision=None,
@@ -807,7 +799,7 @@ def verify(identity_id, params=None, tol=None, precision=None,
     else:
         converged = all(r.converged for r in (lhs, rhs) if isinstance(r, EvalResult))
         report.converged = converged
-        report.passed = bool(converged and float(report.abs_diff) <= tol)
+        report.passed = bool(converged and report.abs_diff <= tol)
     return report
 
 

@@ -20,7 +20,7 @@ Three evaluators share the same summand model:
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails,
-and wraps the result at the caller's precision.
+and returns the result as float64.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .compositions import Composition, as_composition, chain_q_signs
-from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
+from .kernel import (BudgetExceededError, DomainError, EvalResult,
                      best_extrapolant, binomial)
 
 NAIVE_CHAIN_BUDGET = 10 ** 7
@@ -543,16 +543,15 @@ def _mean_full_kernel(a, N: int):
 
 
 def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
-                 cost_per_level=None, noise_floor=None, min_samples=7,
-                 precision=None):
+                 cost_per_level=None, noise_floor=None, min_samples=7):
     """Evaluate a truncated-sum family over the schedule's ladder.
 
     ``evaluator(N)`` returns the truncation at n_1 <= N.  With
     ``schedule.extrapolate`` (or ``tail="polynomial"``) window extrapolants
     drive convergence; otherwise the geometric test |v(gN) - v(N)| <= tol/4
-    with one extra safety level is used.  Returns an :class:`EvalResult`,
-    wrapped at ``precision`` bits (default 160), whose ``converged`` flag is
-    False when the ladder hits ``max_n``.  Its error estimate is never below
+    with one extra safety level is used.  Returns a float64
+    :class:`EvalResult` whose ``converged`` flag is False when the ladder
+    hits ``max_n``.  Its error estimate is never below
     ``noise_floor`` (default: the float64 rounding level 1e-12 (1 + |v|)).
     """
     tol = schedule.tolerance
@@ -563,8 +562,7 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
     geo_hits = 0
 
     def result(value, err, level, converged):
-        return EvalResult(BigReal(value, precision), BigReal(err, precision),
-                          terms, level, converged)
+        return EvalResult(float(value), float(err), terms, level, converged)
 
     def floor():
         if noise_floor is not None:

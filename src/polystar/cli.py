@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import catalog, exact, polylog
 from .chains import FactorSpec, dp_chain_sum, naive_chain_sum
 from .compositions import Composition, ShapeBlocks, shape_composition
-from .kernel import DEFAULT_PRECISION, DomainError, EvalResult, binomial
+from .kernel import (DEFAULT_PRECISION, DomainError, EvalResult, _resolve_precision,
+                     binomial, fmt)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,6 +52,8 @@ def _resolve_run_config(args):
         precision = int(env)
     if getattr(args, "precision", None):
         precision = args.precision
+    # only the mpmath steps read it, so check it here for every command
+    precision = _resolve_precision(precision)
     tol = float(cfg["tolerance"]) if "tolerance" in cfg else None
     if getattr(args, "tol", None) is not None:
         tol = args.tol
@@ -64,8 +67,7 @@ def _resolve_run_config(args):
 
 
 def _fmt_numeric(result: EvalResult, digits=12):
-    err = result.error_estimate.to_str(3)
-    return f"{result.value.to_str(digits)} (err <= {err})"
+    return f"{fmt(result.value, digits)} (err <= {fmt(result.error_estimate, 3)})"
 
 
 def _parse_params(entry, pairs):
@@ -253,7 +255,9 @@ def cmd_bench(args):
         t_dp = time.perf_counter() - t0
         rows.append({
             "scenario": "dp-vs-naive", "L": L, "N": N,
-            "naive_terms": binomial(N + L - 1, L), "dp_terms": N * L,
+            # the oracle's walker takes one step per chain prefix
+            "naive_terms": sum(binomial(N + i - 1, i) for i in range(1, L + 1)),
+            "dp_terms": N * L,
             "naive_ms": round(t_naive * 1e3, 3), "dp_ms": round(t_dp * 1e3, 3),
             "values_equal": naive_value == dp_value,
         })
@@ -269,7 +273,7 @@ def cmd_bench(args):
             "scenario": "depth-reduction", "shape": str(shape), "p": args.p,
             "full_depth": comp.weight, "reduced_depth": comp.depth,
             "terms_full_side": lhs.terms_used, "terms_reduced_side": rhs.terms_used,
-            "abs_diff": float(abs(lhs.value.value - rhs.value.value)),
+            "abs_diff": abs(lhs.value - rhs.value),
             "wall_ms": round(wall * 1e3, 3),
         })
     else:

@@ -5,12 +5,17 @@ Two scalar kernels coexist throughout the package:
 
 * exact mode uses :class:`fractions.Fraction` (arbitrary-size canonical
   rationals), so finite-sum identities can be compared with ``==``;
-* numeric mode uses :class:`BigReal`, a thin wrapper over an mpmath
-  binary float with an explicit precision in bits.
+* numeric mode reports float64: an :class:`EvalResult` carries a float value
+  and a float error estimate.  The truncation ladders compute in float64;
+  the few quantities computed in mpmath (the zeta oracle, the ``li`` series
+  and closed forms, Gauss-Legendre nodes, mpmath-mode quadrature) run at an
+  explicit working precision and are rounded to float64 when they become a
+  result.  :class:`BigReal`, a thin wrapper over an mpmath binary float with
+  an explicit precision in bits, is the return type of those mpmath
+  computations.
 
 Ladder values are float64 truncations, so the window fit behind sequence
-extrapolation is a float64 solve too: centred on the window's last value
-and with every design-matrix column scaled to unit max |entry|.
+extrapolation is a float64 solve too, centred on the window's last value.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from mpmath import mp
 # positive denominator, which is exactly the invariant we need.
 ExactRational = Fraction
 
-DEFAULT_PRECISION = 160  # bits; >= 40 decimal digits of headroom over 1e-8 checks
+DEFAULT_PRECISION = 160  # bits; working precision of the mpmath computations
 MIN_PRECISION = 100
 
 QUADRATURE_PANEL_BUDGET = 2 ** 20
@@ -154,23 +159,36 @@ class BigReal:
         return mpmath.nstr(self.value, digits)
 
 
+def fmt(v, digits=17):
+    """A float printed to ``digits`` significant digits."""
+    return mpmath.nstr(mpmath.mpf(v), digits)
+
+
 @dataclass(frozen=True)
 class EvalResult:
-    """Outcome of an adaptive numeric evaluation.
+    """Outcome of an adaptive numeric evaluation, in float64.
 
     ``converged`` is only set when ``error_estimate`` passed the requested
     tolerance; a result with ``converged=False`` still carries the best value
     obtained within budget.
     """
 
-    value: BigReal
-    error_estimate: BigReal
+    value: float
+    error_estimate: float
     terms_used: int
     truncation_level: int
     converged: bool
 
     def __float__(self):
         return float(self.value)
+
+    @classmethod
+    def rounded(cls, value, err=0.0, terms=1, level=1):
+        """A converged result for a value computed in mpmath or exactly:
+        rounded to float64, with an error estimate no smaller than that
+        rounding."""
+        v = float(value)
+        return cls(v, max(float(err), math.ulp(v) / 2), terms, level, True)
 
 
 def binomial(n: int, k: int) -> int:
@@ -272,10 +290,11 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
     that refines the right half first.
 
     ``float_mode=True`` runs the whole scheme in double precision, for
-    integrands that are themselves float-valued truncations.  There ``f``
-    takes a 1-D float64 array of nodes and returns their values as an array
-    of the same length; it is called once for the whole interval and then
-    once per round.  Otherwise ``f`` takes one mpmath node at a time.
+    integrands that are themselves float-valued truncations, and returns a
+    float.  There ``f`` takes a 1-D float64 array of nodes and returns their
+    values as an array of the same length; it is called once for the whole
+    interval and then once per round.  Otherwise ``f`` takes one mpmath node
+    at a time and the result is a :class:`BigReal` at ``precision`` bits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -306,7 +325,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
             return [_panel(f, a, b, nodes, weights) for a, b in ends]
 
     if lo_ == hi_:
-        return BigReal(0, prec)
+        return 0.0 if float_mode else BigReal(0, prec)
 
     def run():
         panels = 0
@@ -341,7 +360,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
         return total
 
     if float_mode:
-        return BigReal(run(), prec)
+        return float(run())
     with mp.workprec(prec):
         return BigReal(run(), prec)
 
@@ -456,8 +475,8 @@ def richardson(samples: Sequence[tuple]):
 
     Assumes a smooth tail in inverse powers of N with logarithmic
     corrections; the model grows with the number of samples.  Returns
-    ``(value, error_estimate)`` where the estimate is the difference between
-    the last two window extrapolants.  A singular fit degrades to the last
+    ``(value, error_estimate)`` as floats, where the estimate is the
+    difference between the last two window extrapolants.  A singular fit degrades to the last
     raw value with the last raw difference as the error.
     """
     if len(samples) < 2:
@@ -469,12 +488,7 @@ def richardson(samples: Sequence[tuple]):
     try:
         exts = extrapolant_ladder(levels, values)
     except ZeroDivisionError:
-        value = BigReal(_to_mpf(values[-1]))
-        err = BigReal(abs(_to_mpf(values[-1]) - _to_mpf(values[-2])))
-        return value, err
-    value = BigReal(exts[-1])
+        return float(values[-1]), abs(float(values[-1]) - float(values[-2]))
     if len(exts) >= 2:
-        err = BigReal(abs(exts[-1] - exts[-2]))
-    else:
-        err = BigReal(abs(exts[-1] - _to_mpf(values[-1])))
-    return value, err
+        return exts[-1], abs(exts[-1] - exts[-2])
+    return exts[-1], abs(exts[-1] - float(values[-1]))

@@ -10,7 +10,7 @@ extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -104,7 +104,8 @@ def li(s: int, x, tol=None, precision=None) -> EvalResult:
     """One-dimensional polylogarithm sum_{n>=1} x^n / n^s for |x| <= 1.
 
     Order 1 uses the closed form -log(1-x); the endpoint values at x = +-1
-    go through the zeta oracle.
+    go through the zeta oracle.  Everything is computed in mpmath at
+    ``precision`` bits and rounded to float64 in the result.
     """
     if s < 1:
         raise DomainError("order must be >= 1")
@@ -114,21 +115,17 @@ def li(s: int, x, tol=None, precision=None) -> EvalResult:
     xf = float(x)
     if abs(xf) > 1 + 1e-15:
         raise DomainError(f"|x| <= 1 required, got x={xf}")
-    tiny = BigReal(mpmath.mpf(2) ** (-prec + 8), prec)
     if s == 1:
         if xf == 1:
             raise DomainError("order-1 polylogarithm diverges at x = 1")
         with mp.workprec(prec):
-            val = -mpmath.log(1 - mpmath.mpf(xf))
-        return EvalResult(BigReal(val, prec), tiny, 1, 1, True)
+            return EvalResult.rounded(-mpmath.log(1 - mpmath.mpf(xf)))
     if xf == 1:
-        z = zeta(s, tol, prec)
-        return EvalResult(z, tiny, 1, 1, True)
+        return EvalResult.rounded(zeta(s, tol, prec))
     if xf == -1:
         with mp.workprec(prec):
             z = zeta(s, tol, prec)
-            val = -(1 - mpmath.mpf(2) ** (1 - s)) * z.value
-        return EvalResult(BigReal(val, prec), tiny, 1, 1, True)
+            return EvalResult.rounded(-(1 - mpmath.mpf(2) ** (1 - s)) * z.value)
     with mp.workprec(prec):
         xm = mpmath.mpf(xf)
         total = mpmath.mpf(0)
@@ -143,7 +140,7 @@ def li(s: int, x, tol=None, precision=None) -> EvalResult:
                 break
             if n > 10 ** 7:
                 raise DomainError("order-1 series did not reach tolerance")
-        return EvalResult(BigReal(total, prec), BigReal(tail, prec), n, n, True)
+        return EvalResult.rounded(total, tail, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +204,9 @@ def _star_factor_spec(s: Composition, xs) -> FactorSpec:
     return FactorSpec(tuple(float(x) for x in xs), s.parts)
 
 
-def _star_ladder(spec: FactorSpec, tol, precision) -> EvalResult:
+def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     """Truncation ladder for a validated chain-sum spec (possibly with a
     last-index tail difference)."""
-    prec = _resolve_precision(precision)
     worst = 0.0
     marginal = 0
     for run in spec.expanded():
@@ -239,7 +235,7 @@ def _star_ladder(spec: FactorSpec, tol, precision) -> EvalResult:
     return adaptive_sum(evaluate, schedule,
                         tail="polynomial" if polynomial else "geometric",
                         cost_per_level=lambda N: N * L,
-                        min_samples=max(7, marginal + 4), precision=prec)
+                        min_samples=max(7, marginal + 4))
 
 
 def li_star(query, xs=None, tol=None, precision=None) -> EvalResult:
@@ -255,15 +251,13 @@ def li_star(query, xs=None, tol=None, precision=None) -> EvalResult:
         q = query
     else:
         q = PolylogQuery(as_composition(query), tuple(xs), tol if tol is not None else 1e-9)
-    prec = _resolve_precision(precision)
     s = q.s
     if any(x == 0 for x in q.xs):
         # a zero argument annihilates every chain
-        zero = BigReal(0, prec)
-        return EvalResult(zero, zero, 0, 0, True)
+        return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
-        return li(s.parts[0], q.xs[0], q.tol, prec)
-    return _star_ladder(_star_factor_spec(s, q.xs), q.tol, prec)
+        return li(s.parts[0], q.xs[0], q.tol, precision)
+    return _star_ladder(_star_factor_spec(s, q.xs), q.tol)
 
 
 def li_star_diff(s, xs, x_hi, x_lo, tol, precision=None) -> EvalResult:
@@ -279,17 +273,24 @@ def li_star_diff(s, xs, x_hi, x_lo, tol, precision=None) -> EvalResult:
     xs = tuple(float(x) for x in xs)
     if len(xs) != s.depth - 1:
         raise DomainError(f"need {s.depth - 1} leading arguments, got {len(xs)}")
-    prec = _resolve_precision(precision)
     x_hi, x_lo = float(x_hi), float(x_lo)
     if x_hi == x_lo or any(x == 0 for x in xs):
-        zero = BigReal(0, prec)
-        return EvalResult(zero, zero, 0, 0, True)
+        return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
-        return _combine(lambda u, v: u - v,
-                        li(s.parts[0], x_hi, tol / 2, prec),
-                        li(s.parts[0], x_lo, tol / 2, prec), precision=prec)
+        return _li_diff(s.parts[0], x_hi, x_lo, tol, precision)
     spec = FactorSpec(xs + (1.0,), s.parts, tail=(x_hi, x_lo))
-    return _star_ladder(spec, tol, prec)
+    return _star_ladder(spec, tol)
+
+
+def _li_diff(s: int, x_hi, x_lo, tol, precision) -> EvalResult:
+    """Li_s(x_hi) - Li_s(x_lo) from two :func:`li` calls at ``tol / 2``."""
+    hi, lo = (li(s, x, tol / 2, precision) for x in (x_hi, x_lo))
+    value = hi.value - lo.value
+    # the float subtraction rounds once more
+    err = hi.error_estimate + lo.error_estimate + math.ulp(value) / 2
+    return EvalResult(value, err, hi.terms_used + lo.terms_used,
+                      max(hi.truncation_level, lo.truncation_level),
+                      hi.converged and lo.converged)
 
 
 def zeta_star(s, tol=None, precision=None) -> EvalResult:
@@ -321,7 +322,7 @@ def zeta_star_closed(form: str, d: int, precision=None) -> BigReal:
 # Q-coupled infinite sums
 # ---------------------------------------------------------------------------
 
-def mean_kernel_infinite(s, tol, precision=None) -> EvalResult:
+def mean_kernel_infinite(s, tol) -> EvalResult:
     """Infinite limit of the 1/((Q+1)(Q+n_L+1)) kernel sum over chains of
     shape s: a truncation ladder over the Q-coupled DP with window
     extrapolation (the tail decays like log N / N)."""
@@ -335,8 +336,7 @@ def mean_kernel_infinite(s, tol, precision=None) -> EvalResult:
         return dp_q_coupled(kernel, N, float_mode=True)
 
     return adaptive_sum(evaluate, schedule, tail="polynomial",
-                        cost_per_level=lambda N: N * N * s.weight,
-                        precision=precision)
+                        cost_per_level=lambda N: N * N * s.weight)
 
 
 def _transform_values(s: Composition, a: float, N: int, p):
@@ -356,7 +356,7 @@ def _transform_values(s: Composition, a: float, N: int, p):
     return values
 
 
-def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
+def mean_average_infinite(s, a, tol) -> EvalResult:
     """Infinite limit of the binomial-ratio mean kernel over chains of shape
     s with weight a^{n_{|s|+1}}.
 
@@ -380,9 +380,8 @@ def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
         # the truncated integrand has boundary layers of width ~1/N at both
         # endpoints; force the bisection to resolve that scale
         depth = int(math.log2(N)) + 6
-        val = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, float_mode=True,
-                                  edge_depth=depth)
-        return float(val)
+        return adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, float_mode=True,
+                                   edge_depth=depth)
 
     schedule = TruncationSchedule(start=64, growth=2, max_n=MEAN_INTEGRAL_MAX_N,
                                   tolerance=tol, extrapolate=True)
@@ -391,8 +390,7 @@ def mean_average_infinite(s, a, tol, precision=None) -> EvalResult:
         c, cost[0] = cost[0], 0
         return c
 
-    return adaptive_sum(evaluate, schedule, tail="polynomial", cost_per_level=cost_delta,
-                        precision=precision)
+    return adaptive_sum(evaluate, schedule, tail="polynomial", cost_per_level=cost_delta)
 
 
 def mean_lhs_converges(s, a) -> bool:
@@ -418,24 +416,6 @@ _SERIES_IDS = ("LI1_MAIN", "LI1_A1", "LI1_RED1", "LI1_RED2",
                "MEAN_INF_A", "MEAN_INF_1")
 
 
-def _wrap_value(val, prec, err=None):
-    tiny = BigReal(mpmath.mpf(2) ** (-prec + 8), prec)
-    return EvalResult(BigReal(val, prec), err if err is not None else tiny, 1, 1, True)
-
-
-def _combine(op, *results, precision=None):
-    prec = _resolve_precision(precision)
-    with mp.workprec(prec):
-        vals = [r.value.value for r in results]
-        errs = [r.error_estimate.value for r in results]
-        value = op(*vals)
-        err = sum(errs, mpmath.mpf(0))
-    return EvalResult(BigReal(value, prec), BigReal(err, prec),
-                      sum(r.terms_used for r in results),
-                      max(r.truncation_level for r in results),
-                      all(r.converged for r in results))
-
-
 def _series_domain(identity, a, p):
     if identity in ("LI1_MAIN", "LI2_MAIN", "INTRO_SERIES"):
         return domain_check("MAIN_AP", a, p)
@@ -459,7 +439,6 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
     """
     if identity not in _SERIES_IDS:
         raise DomainError(f"unknown series identity {identity!r}")
-    prec = _resolve_precision(precision)
     # error budget: a quarter of the tolerance to the single-evaluation side,
     # half to the side composed of two evaluations (a quarter each); the
     # combined bound 3*tol/4 stays below the comparison tolerance
@@ -468,14 +447,14 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
     if identity in ("MEAN_INF_1", "MEAN_INF_A"):
         s = as_composition(shape_or_comp)
         if identity == "MEAN_INF_1":
-            lhs = zeta_star(s, side_tol, prec)
-            rhs = mean_kernel_infinite(s, side_tol, prec)
+            lhs = zeta_star(s, side_tol, precision)
+            rhs = mean_kernel_infinite(s, side_tol)
             return lhs, rhs
         if check_domain and not mean_lhs_converges(s, a):
             raise DomainError(f"left side diverges for s={s}, a={a}")
         lhs = li_star(PolylogQuery(s, (1.0,) * (s.depth - 1) + (float(a),), side_tol),
-                      precision=prec)
-        rhs = mean_average_infinite(s, a, side_tol, prec)
+                      precision=precision)
+        rhs = mean_average_infinite(s, a, side_tol)
         return lhs, rhs
 
     if identity.startswith("INTRO"):
@@ -502,11 +481,11 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
 
     def star(args, tol_):
         return li_star(PolylogQuery(ones, tuple(float(x) for x in args), tol_),
-                       precision=prec)
+                       precision=precision)
 
     def depth_side(x_last, tol_):
         xs = (1.0,) * (comp.depth - 1) + (float(x_last),)
-        return li_star(PolylogQuery(comp, xs, tol_), precision=prec)
+        return li_star(PolylogQuery(comp, xs, tol_), precision=precision)
 
     main_args = shape_args(shape, "main", a, p)
     sub_args = shape_args(shape, "sub", a, p)
@@ -516,38 +495,35 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
 
     def string_diff(tol_):
         return li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1],
-                            tol_, prec)
+                            tol_, precision)
 
     if identity == "INTRO_SERIES" or identity in ("LI1_MAIN", "LI2_MAIN"):
         if identity == "INTRO_SERIES":
-            lhs = li(comp.parts[0], a, side_tol, prec)
+            lhs = li(comp.parts[0], a, side_tol, precision)
         else:
             lhs = depth_side(a, side_tol)
         return lhs, string_diff(2 * side_tol)
 
     if identity in ("LI1_A1", "LI2_A1"):
-        lhs = zeta_star(comp, side_tol, prec)
+        lhs = zeta_star(comp, side_tol, precision)
         return lhs, string_diff(2 * side_tol)
 
     a_red = 1 - 1 / float(p)
     if identity in ("INTRO_RED_L", "LI1_RED1", "LI2_RED1"):
         lhs = star(sub_args, side_tol)
         if identity == "INTRO_RED_L":
-            inner = li(comp.parts[0], a_red, side_tol, prec)
+            inner = li(comp.parts[0], a_red, side_tol, precision)
         else:
             inner = depth_side(a_red, 2 * side_tol)
-        rhs = _combine(lambda x: -x, inner, precision=prec)
-        return lhs, rhs
+        return lhs, replace(inner, value=-inner.value)
 
     # INTRO_RED_R / LI1_RED2 / LI2_RED2
     lhs = star(main_args, side_tol)
     if identity == "INTRO_RED_R":
-        at_a = li(comp.parts[0], a, side_tol, prec)
-        at_red = li(comp.parts[0], a_red, side_tol, prec)
-        rhs = _combine(lambda x, y: x - y, at_a, at_red, precision=prec)
+        rhs = _li_diff(comp.parts[0], a, a_red, 2 * side_tol, precision)
     else:
         rhs = li_star_diff(comp, (1.0,) * (comp.depth - 1), a, a_red,
-                           2 * side_tol, prec)
+                           2 * side_tol, precision)
     return lhs, rhs
 
 
@@ -557,17 +533,15 @@ def li_example_sides(family: str, d: int, p, tol, precision=None):
     family A: the main/sub difference equals (2 - 4^(1-d)) zeta(2d);
     family B: it equals 2 zeta(2d+1).
     """
-    prec = _resolve_precision(precision)
     if family == "A":
         shape = ShapeBlocks("A", (0,) * d, (0,) * (d - 1))
-        closed = zeta_star_closed("TWO_D", d, prec)
+        closed = zeta_star_closed("TWO_D", d, precision)
         ident = "LI1_A1"
     elif family == "B":
         shape = ShapeBlocks("B", (0,) * d, (0,) * (d - 1) + (1,))
-        closed = zeta_star_closed("TWO_D_ONE", d, prec)
+        closed = zeta_star_closed("TWO_D_ONE", d, precision)
         ident = "LI2_A1"
     else:
         raise DomainError(f"family must be 'A' or 'B', got {family!r}")
-    lhs = _wrap_value(closed.value, prec)
-    _, rhs = li_identity_sides(ident, shape, 1, p, tol, prec)
-    return lhs, rhs
+    _, rhs = li_identity_sides(ident, shape, 1, p, tol, precision)
+    return EvalResult.rounded(closed), rhs

@@ -1,0 +1,63 @@
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _row(ident, params, mode="NUMERIC", status="pass", lhs="1.0", rhs="1.0",
+         err_lhs="1e-12", err_rhs="1e-12", **terms):
+    return {"id": ident, "params": params, "mode": mode, "status": status,
+            "lhs": lhs, "rhs": rhs, "err_lhs": err_lhs, "err_rhs": err_rhs,
+            "cost": dict(terms)}
+
+
+def test_diff_reports_counts_each_kind_of_change():
+    parent = [
+        _row("EX", {"n": "1"}, "EXACT", lhs="1/2", rhs="1/2", err_lhs=None, err_rhs=None),
+        _row("EX", {"n": "2"}, "EXACT", lhs="1/3", rhs="1/3", err_lhs=None, err_rhs=None),
+        _row("NUM", {"a": "1"}, lhs="2.0", rhs="2.0000000001", terms_lhs=10, terms_rhs=5),
+        _row("NUM", {"a": "2"}, lhs="0.5", err_rhs="1e-9", terms_rhs=7),
+        _row("NUM", {"a": "3"}, status="skip", lhs=None, rhs=None,
+             err_lhs=None, err_rhs=None),
+        _row("GONE", {}),
+    ]
+    change = [
+        # the order of the rows does not matter; the pairing is by (id, params)
+        _row("NUM", {"a": "3"}, status="not_converged", lhs=None, rhs=None,
+             err_lhs=None, err_rhs=None),
+        _row("EX", {"n": "2"}, "EXACT", lhs="1/3", rhs="2/3", err_lhs=None, err_rhs=None),
+        _row("EX", {"n": "1"}, "EXACT", lhs="1/2", rhs="1/2", err_lhs=None, err_rhs=None),
+        _row("NUM", {"a": "1"}, lhs="2.0000000000000004", rhs="2.0000000001",
+             terms_lhs=10, terms_rhs=6),
+        _row("NUM", {"a": "2"}, lhs="0.5000001", err_lhs="1e-13",
+             err_rhs="1e-10", terms_rhs=7),
+        _row("NEW", {}),
+    ]
+    diff = bench_record.diff_reports(parent, change)
+    assert diff["paired"] == 5
+    assert diff["unpaired"] == 2
+    assert diff["status_changed"] == 1
+    assert diff["terms_changed"] == 1
+    assert diff["exact_sides_changed"] == 1
+    assert diff["numeric_sides_moved"] == 2
+    assert diff["moved_by_identity"] == {"NUM": 2}
+    assert diff["max_abs_move"] == {"id": "NUM", "params": {"a": "2"}, "side": "lhs",
+                                    "value": 0.5000001 - 0.5}
+    assert diff["max_rel_move"]["params"] == {"a": "2"}
+    assert diff["max_rel_move"]["value"] == (0.5000001 - 0.5) / 0.5
+    assert diff["err_shrank"] == 2
+
+
+def test_diff_reports_identical_runs():
+    rows = [_row("NUM", {"a": "1"}, terms_lhs=3),
+            _row("EX", {}, "EXACT", lhs="1", rhs="1", err_lhs=None, err_rhs=None)]
+    diff = bench_record.diff_reports(rows, [dict(r) for r in rows])
+    assert diff["paired"] == 2
+    assert diff["max_abs_move"] is None and diff["max_rel_move"] is None
+    assert all(diff[k] == 0 for k in ("unpaired", "status_changed", "terms_changed",
+                                      "exact_sides_changed", "numeric_sides_moved",
+                                      "err_shrank"))

@@ -1,9 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from mpmath import mp
 
-from polystar import catalog
+from polystar import catalog, polylog
 from polystar.chains import RescaleRequiredError
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
@@ -168,19 +171,66 @@ def test_skip_reason_in_json():
     assert passed["reason"] is None
 
 
-def test_aux_precision_reaches_rhs():
+def test_aux_precision_reaches_quadrature(monkeypatch):
+    # the working precision the AUX quadrature's integrand runs at
+    seen = []
+    quadrature = catalog.adaptive_quadrature
+
+    def recording_quadrature(f, *args, **kw):
+        def integrand(t):
+            seen.append(mp.prec)
+            return f(t)
+        return quadrature(integrand, *args, **kw)
+
+    monkeypatch.setattr(catalog, "adaptive_quadrature", recording_quadrature)
     params = dict(n=3, a=F(1, 2), x=F(1, 2))
-    assert catalog.verify("AUX1", params, precision=200).rhs.precision == 200
-    assert catalog.verify("AUX1", params).rhs.precision == 160
-    reports = catalog.fuzz("AUX2", 5, 2, precision=200)
-    assert all(r.rhs.precision == 200 for r in reports)
+    for run, bits in ((lambda: [catalog.verify("AUX1", params, precision=200)], 200),
+                      (lambda: [catalog.verify("AUX1", params)], 160),
+                      (lambda: catalog.fuzz("AUX2", 5, 2, precision=200), 200)):
+        seen.clear()
+        assert all(r.status == "pass" for r in run())
+        assert seen and set(seen) == {bits}
 
 
-def test_mean_kernel_precision_reaches_both_sides():
+def test_mean_kernel_precision_reaches_zeta(monkeypatch):
+    # MEAN_INF_1's left side and MEAN_EX2's closed form go through the zeta
+    # oracle, the one step of either identity computed in mpmath
+    seen = []
+    zeta = polylog.zeta
+
+    def recording_zeta(s, tol=None, precision=None):
+        seen.append(precision)
+        return zeta(s, tol, precision)
+
+    monkeypatch.setattr(polylog, "zeta", recording_zeta)
     for ident, params in (("MEAN_INF_1", dict(s=(2,))), ("MEAN_EX2", dict(d=1))):
         for precision, bits in ((200, 200), (None, 160)):
+            seen.clear()
             r = catalog.verify(ident, params, 1e-4, precision=precision)
-            assert (r.lhs.precision, r.rhs.precision) == (bits, bits)
+            assert r.status == "pass"
+            assert seen == [bits], (ident, precision)
+
+
+@pytest.mark.parametrize("ident, params", [
+    ("INTRO_SERIES", dict(s=2, a=0.5, p=0.5)),
+    ("LI1_EX", dict(d=1, p=0.5)),
+    ("MEAN_INF_1", dict(s=(2,))),
+    ("MEAN_EX2", dict(d=1)),
+    ("AUX1", dict(n=3, a=F(1, 2), x=F(1, 2))),
+    ("MEAN_INF_A", dict(s=(2,), a=0.5)),
+])
+def test_numeric_sides_are_honest_floats(ident, params):
+    # float64 values whose error estimates cover at least their own rounding,
+    # printed to 17 significant digits
+    r = catalog.verify(ident, params)
+    assert r.status == "pass"
+    payload = r.to_json_dict()
+    for side, err in (("lhs", "err_lhs"), ("rhs", "err_rhs")):
+        value, estimate = getattr(r, side), getattr(r, err)
+        assert type(value) is float and type(estimate) is float
+        assert estimate >= math.ulp(value) / 2
+        assert payload[side] == mpmath.nstr(mpmath.mpf(value), 17)
+        assert payload[err] == mpmath.nstr(mpmath.mpf(estimate), 17)
 
 
 def test_side_error_estimates_in_json():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from polystar import catalog
+from polystar import catalog, chains
 from polystar.cli import main
 
 CLI = [sys.executable, "-m", "polystar.cli"]
@@ -104,11 +104,23 @@ def test_fuzz_exit_code(capsys):
     assert "5/5 pass" in capsys.readouterr().out
 
 
-def test_bench_dp_vs_naive(capsys):
+def test_bench_dp_vs_naive(capsys, monkeypatch):
+    steps = []
+    walk = chains._walk_chains
+
+    def counting_walk(N, L, root, step, budget=chains.NAIVE_CHAIN_BUDGET):
+        def counted(state, i, n):
+            steps.append(i)
+            return step(state, i, n)
+        return walk(N, L, root, counted, budget)
+
+    monkeypatch.setattr(chains, "_walk_chains", counting_walk)
     assert main(["bench", "dp-vs-naive", "--L", "4", "--N", "20", "--json"]) == 0
     row = json.loads(capsys.readouterr().out)[0]
     assert row["values_equal"] is True
     assert row["dp_terms"] < row["naive_terms"]
+    # one walker step per chain prefix: sum over i = 1..4 of C(19 + i, i)
+    assert row["naive_terms"] == 10625 == len(steps)
 
 
 def test_bench_depth_reduction(capsys):

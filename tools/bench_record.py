@@ -11,8 +11,9 @@ each side runs the committed files only.  The file records:
   ``--seed + i``; the side that runs first alternates), as per-run values,
   medians and quartiles per side, and the change's wins per metric;
 * the wall time of ``polystar verify --all --json``, serial and with
-  ``--jobs 2``, and whether the reports of the two sides are identical once
-  ``cost.wall_ms`` is dropped;
+  ``--jobs 2``, whether the reports of the two sides are identical once
+  ``cost.wall_ms`` is dropped, and a per-report summary of how they differ
+  (:func:`diff_reports`);
 * the wall time and the summary line of the Tier-1 suite;
 * the cold start of ``python -m polystar list`` (median of 5);
 * ``nproc`` and the Python, numpy and SciPy versions.
@@ -115,7 +116,7 @@ def bench_workloads(trees, pairs, seed0):
 
 def verify_all(tree, workdir, side):
     """Wall time of ``verify --all --json`` serial and with ``--jobs 2``;
-    the serial reports without their wall times, sorted."""
+    the serial reports without their wall times."""
     out = {}
     reports = {}
     for label, extra in (("serial_s", []), ("jobs2_s", ["--jobs", "2"])):
@@ -129,10 +130,61 @@ def verify_all(tree, workdir, side):
             rows = [json.loads(line) for line in fh if line.strip()]
         for row in rows:
             row.get("cost", {}).pop("wall_ms", None)
-        reports[label] = sorted(json.dumps(row, sort_keys=True) for row in rows)
+        reports[label] = rows
     out["reports"] = len(reports["serial_s"])
-    out["jobs_match_serial"] = reports["serial_s"] == reports["jobs2_s"]
+    out["jobs_match_serial"] = _canonical(reports["serial_s"]) == _canonical(reports["jobs2_s"])
     return out, reports["serial_s"]
+
+
+def _canonical(rows):
+    return sorted(json.dumps(row, sort_keys=True) for row in rows)
+
+
+def _report_key(row):
+    return row["id"], json.dumps(row["params"], sort_keys=True)
+
+
+def diff_reports(parent, change):
+    """How the ``verify --all --json`` reports of a change differ from the
+    parent's, paired by ``(id, params)``.
+
+    Counts the reports whose ``status`` changed, whose ``cost.terms_*``
+    changed and, for EXACT reports, whose ``lhs``/``rhs`` strings changed.
+    For the other modes it counts the sides whose ``lhs``/``rhs`` string
+    moved, by identity, with the largest absolute and relative move and the
+    instance where each happens, and the ``err_*`` values that shrank.
+    """
+    old = {_report_key(row): row for row in parent}
+    new = {_report_key(row): row for row in change}
+    out = {"paired": 0, "unpaired": len(old.keys() ^ new.keys()),
+           "status_changed": 0, "terms_changed": 0, "exact_sides_changed": 0,
+           "numeric_sides_moved": 0, "moved_by_identity": {},
+           "max_abs_move": None, "max_rel_move": None, "err_shrank": 0}
+    for key in sorted(old.keys() & new.keys()):
+        p, c = old[key], new[key]
+        out["paired"] += 1
+        out["status_changed"] += p["status"] != c["status"]
+        terms = {k for k in list(p["cost"]) + list(c["cost"]) if k.startswith("terms_")}
+        out["terms_changed"] += any(p["cost"].get(k) != c["cost"].get(k) for k in terms)
+        if p["mode"] == "EXACT":
+            out["exact_sides_changed"] += (p["lhs"], p["rhs"]) != (c["lhs"], c["rhs"])
+            continue
+        for side in ("lhs", "rhs"):
+            if p[side] == c[side] or p[side] is None or c[side] is None:
+                continue
+            out["numeric_sides_moved"] += 1
+            out["moved_by_identity"][p["id"]] = out["moved_by_identity"].get(p["id"], 0) + 1
+            before, after = float(p[side]), float(c[side])
+            move = abs(after - before)
+            rel = move / abs(before) if before else float("inf")
+            where = {"id": p["id"], "params": p["params"], "side": side}
+            for name, amount in (("max_abs_move", move), ("max_rel_move", rel)):
+                if out[name] is None or amount > out[name]["value"]:
+                    out[name] = dict(where, value=amount)
+        for side in ("err_lhs", "err_rhs"):
+            if p[side] is not None and c[side] is not None:
+                out["err_shrank"] += float(c[side]) < float(p[side])
+    return out
 
 
 def tier1(tree):
@@ -181,7 +233,8 @@ def main(argv=None):
             record["verify_all"][side], reports[side] = verify_all(trees[side], workdir, side)
             print(f"verify --all {side}: {record['verify_all'][side]}", flush=True)
         record["verify_all"]["identical_without_wall_ms"] = (
-            reports["parent"] == reports["change"])
+            _canonical(reports["parent"]) == _canonical(reports["change"]))
+        record["verify_all"]["diff"] = diff_reports(reports["parent"], reports["change"])
         record["tier1"] = {side: tier1(trees[side]) for side in trees}
         print(f"tier-1: {record['tier1']}", flush=True)
         record["cold_start"] = {side: cold_start(trees[side]) for side in trees}
