@@ -476,8 +476,9 @@ def richardson(samples: Sequence[tuple]):
     Assumes a smooth tail in inverse powers of N with logarithmic
     corrections; the model grows with the number of samples.  Returns
     ``(value, error_estimate)`` as floats, where the estimate is the
-    difference between the last two window extrapolants.  A singular fit degrades to the last
-    raw value with the last raw difference as the error.
+    difference between the last two window extrapolants.  A singular fit
+    degrades to the last raw value with the last raw difference as the
+    error.
     """
     if len(samples) < 2:
         raise DomainError("richardson needs at least two samples")
