@@ -9,9 +9,13 @@ Three evaluators share the same summand model:
 * :func:`dp_chain_sum` — prefix-sum dynamic programming, O(N * L); exact
   specs run the ring-generic recurrence on integer numerators over one
   common denominator and build one Fraction for the truncation read; float
-  specs run the gap-form DP, which is row-batched (:func:`dp_chain_values`
-  runs many specs with shared powers at once, one row each, bit-identical
-  to one spec per call);
+  specs run the gap-form DP, one code path for every caller: a
+  :class:`GapState` holds R rows of one or two runs (a tail's alpha and
+  gamma runs share one recurrence call per layer) and is resumable, so a
+  truncation ladder extends one state level by level and computes each
+  column once, bit-identical to a fresh DP per level
+  (:func:`dp_chain_values` runs many specs with shared powers at once, one
+  row each, bit-identical to one spec per call);
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one dense (chain value, partial Q) table, Fractions for
   exact kernels and float64 for float ones, built by one descending row
@@ -222,7 +226,8 @@ def _chain_partials(columns):
     return out
 
 
-# float64 cells per row-batched gap DP pass (16 MiB per R x N array)
+# float64 cells per row-batched gap DP pass, both runs of a tail counted
+# (16 MiB)
 _BATCH_CELLS = 2 ** 21
 # |b|^j < 2^-1100 rounds to exactly 0 in float64, far below the smallest
 # subnormal 2^-1074
@@ -238,69 +243,127 @@ def _underflow_index(b, N):
     return min(N, math.ceil(_UNDERFLOW_LOG2 / -math.log2(mag)))
 
 
-def _gap_terms(B, powers, N, rows):
-    """Outer-layer terms of the gap-form DP, one row per chain sum.
+def _gap_columns(B, powers, lo, hi, live, carry):
+    """Outer-layer terms of the gap-form DP at n_1 = lo+1..hi.
 
-    ``B`` is an R x L array of prefix products and ``powers`` the L shared
-    index powers; only the ``rows`` (indices whose |B[r, i]| <= 1 up to the
-    pairing slack) are computed, the others stay 0.  Row r of the result
-    holds, for n_1 = 1..N, the sum over the chains with that first index of
-    prod_i B[r, i]^{n_i - n_{i+1}} / n_i^{powers[i]} (with n_{L+1} = 0), so
-    its cumulative sum is the chain sum at every truncation.  B[r, L-1]^j is
-    computed only up to the index past which it is exactly 0 in float64;
-    each inner layer is one first-order recurrence per row, and j^s is
-    computed once per call for all rows.
+    ``B`` is an R x K x L array of prefix products: row r holds K runs
+    (two for a tail) that share all but the last prefix product, and
+    ``powers`` are the L shared index powers.  Only the ``live`` runs (an
+    R x K mask) are computed, the others stay 0.  Entry [r, k, n_1 - lo - 1]
+    of the result is the sum over the chains with that first index of
+    prod_i B[r, k, i]^{n_i - n_{i+1}} / n_i^{powers[i]} (with n_{L+1} = 0).
+
+    ``carry[r, k, i]`` is inner layer i's recurrence output at n = lo,
+    before its division by j^s; it is folded into the first new column
+    (the same rounding as the recurrence's own x + B y) and updated, so the
+    columns continue a DP that stopped at lo bit for bit.  B_L^j is computed
+    only up to the index past which it is exactly 0 in float64, j^s once
+    per call for all rows, and each inner layer is one first-order
+    recurrence per row: one call over a row's K x n block when all its runs
+    are live, one call per run otherwise.
     """
-    L = B.shape[1]
-    j = np.arange(1, N + 1, dtype=np.float64)
-    D = np.zeros((len(B), N))
+    R, K, L = B.shape
+    j = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    D = np.zeros((R, K, hi - lo))
+    calls = []
+    for r in range(R):
+        if K > 1 and live[r].all():
+            calls.append((r, slice(None)))
+        else:
+            calls += [(r, k) for k in np.flatnonzero(live[r])]
     with np.errstate(under="ignore"):
-        for r in rows:
-            k = _underflow_index(B[r, -1], N)
-            np.power(B[r, -1], j[:k], out=D[r, :k])
+        for r, k in zip(*np.nonzero(live)):
+            m = _underflow_index(B[r, k, -1], hi) - lo
+            if m > 0:
+                np.power(B[r, k, -1], j[:m], out=D[r, k, :m])
         # divide by j^s, never multiply by its reciprocal (one ulp apart)
         D /= j ** np.float64(powers[-1])
         for i in range(L - 2, -1, -1):
-            for r in rows:
-                D[r] = lfilter([1.0], [1.0, -B[r, i]], D[r])
+            for r, k in calls:
+                x = D[r, k]
+                if lo:
+                    x[..., 0] += B[r, 0, i] * carry[r, k, i]
+                D[r, k] = lfilter([1.0], [1.0, -B[r, 0, i]], x, axis=-1)
+                carry[r, k, i] = D[r, k, ..., -1]
             D /= j ** np.float64(powers[i])
     return D
 
 
-def _run_partials(bases, powers, N, precision_bits=53):
-    """Cumulative values at n_1 = 1..N (an R x N array) of R tail-free float
-    chain sums: row r of the R x L array ``bases`` holds the bases of sum r,
-    and ``powers`` are shared.  Rows whose prefix products stay in the unit
-    disc run the gap-form DP of :func:`_gap_terms`; the others fall back to
-    :func:`_dp_float_scaled` one at a time."""
-    B = np.cumprod(bases, axis=1)
-    paired = np.abs(B).max(axis=1) <= 1.0 + PAIRING_SLACK
-    out = _gap_terms(B, powers, N, np.flatnonzero(paired))
-    np.cumsum(out, axis=1, out=out)
-    for r in np.flatnonzero(~paired):
-        out[r] = _dp_float_scaled(FactorSpec(tuple(bases[r]), powers), N,
-                                  precision_bits)
+def _gap_terms(B, powers, N, rows):
+    """Outer-layer terms at n_1 = 1..N of the R chain sums whose R x L
+    prefix products are ``B``, for the ``rows`` given (the others stay 0);
+    their cumulative sums are the chain sums at every truncation."""
+    live = np.zeros((len(B), 1), dtype=bool)
+    live[rows] = True
+    carry = np.zeros((len(B), 1, B.shape[1]))
+    return _gap_columns(B[:, None, :], powers, 0, N, live, carry)[:, 0]
+
+
+class GapState:
+    """Resumable float DP of R chain sums with shared powers.
+
+    ``runs`` is an R x K x L array of bases: row r is one run (K = 1) or
+    the two runs of a last-index tail (K = 2, the last base times alpha and
+    times gamma), and its value is the first run minus the second.  Runs
+    whose prefix products stay in the unit disc (up to the pairing slack)
+    run the gap-form DP of :func:`_gap_columns`; the others fall back to
+    :func:`_dp_float_scaled`, which is recomputed from n = 1 at every
+    :meth:`extend`.
+
+    The state holds the prefix products, each inner layer's carry, the
+    running cumulative totals and ``n_done``, the truncation reached, so
+    :meth:`extend` computes only the new columns.  The gap DP is causal:
+    extending level by level is bit-identical to one extension from a fresh
+    state.
+    """
+
+    def __init__(self, runs, powers):
+        self.runs = np.asarray(runs, dtype=np.float64)
+        self.powers = tuple(powers)
+        self.B = np.cumprod(self.runs, axis=2)
+        self.paired = np.abs(self.B).max(axis=2) <= 1.0 + PAIRING_SLACK
+        self.carry = np.zeros(self.B.shape)
+        self.totals = np.zeros(self.B.shape[:2])
+        self.n_done = 0
+
+    @classmethod
+    def of_spec(cls, spec: FactorSpec):
+        """The one-row state of a float spec."""
+        return cls([[[float(b) for b in run.bases] for run in spec.expanded()]],
+                   spec.powers)
+
+    def extend(self, N):
+        """Advance to truncation N (a no-op unless N > ``n_done``).  Returns
+        the R x K x n cumulative values of every run at the new n_1 =
+        n_done+1..N."""
+        lo = self.n_done
+        if N <= lo:
+            return np.zeros(self.totals.shape + (0,))
+        D = _gap_columns(self.B, self.powers, lo, N, self.paired, self.carry)
+        if lo:
+            D[:, :, 0] += self.totals
+        np.cumsum(D, axis=2, out=D)
+        for r, k in zip(*np.nonzero(~self.paired)):
+            run = FactorSpec(tuple(self.runs[r, k]), self.powers)
+            D[r, k] = _dp_float_scaled(run, N)[lo:]
+        self.totals = D[:, :, -1].copy()
+        self.n_done = N
+        return D
+
+    def values(self):
+        """The R chain sums at truncation ``n_done``."""
+        return _signed_sum(self.totals.T)
+
+
+def _signed_sum(runs):
+    """The first run minus the second (if any), along axis 0."""
+    out = np.zeros(runs.shape[1:])
+    for sign, run in zip((1.0, -1.0), runs):
+        out += sign * run
     return out
 
 
-def _dp_float_partials(spec: FactorSpec, N: int, precision_bits=53):
-    """Float DP returning the cumulative value at every n_1 <= N.
-
-    Uses the gap rewriting prod base_i^{n_i} = prod B_i^{n_i - n_{i+1}} *
-    B_L^{n_L} with B_i the prefix products, so every carried quantity stays
-    bounded whenever all |B_i| <= 1 (bases > 1 paired against earlier bases
-    < 1).  Unpaired specs fall back to the plain prefix DP with a shared
-    exponent rescale once magnitudes pass 2^(precision/2).  This is the
-    one-row case of :func:`dp_chain_values`' batched DP.
-    """
-    totals = np.zeros(N + 1)
-    for sign, run in zip((1.0, -1.0), spec.expanded()):
-        bases = np.array([[float(b) for b in run.bases]])
-        totals[1:] += sign * _run_partials(bases, run.powers, N, precision_bits)[0]
-    return totals
-
-
-def _dp_float_scaled(run: FactorSpec, N: int, precision_bits):
+def _dp_float_scaled(run: FactorSpec, N: int, precision_bits=53):
     """Plain prefix DP with a shared power-of-two exponent per layer.
 
     Fallback for specs whose prefix products cannot be bounded (an unpaired
@@ -348,21 +411,31 @@ def _dp_float_scaled(run: FactorSpec, N: int, precision_bits):
 
 
 def dp_chain_sum(spec: FactorSpec, N: int):
-    """Prefix-sum DP value of the chain sum truncated at n_1 <= N.
+    """Prefix-sum DP value of the chain sum truncated at n_1 <= N (a
+    truncation below 1 is the empty sum).
 
     Exact rational specs run in exact arithmetic; float specs run the paired
-    difference DP (see :func:`_dp_float_partials`).
+    difference DP of :class:`GapState`.
     """
     if spec.is_exact():
-        # a truncation below 1 is the empty sum
         columns, den = _exact_columns(spec, max(N, 0))
         return Fraction(_chain_partials(columns)[-1], den)
-    return float(_dp_float_partials(spec, N)[N])
+    state = GapState.of_spec(spec)
+    state.extend(N)
+    return float(state.values()[0])
 
 
 def dp_chain_partials(spec: FactorSpec, N: int):
-    """Cumulative float values at every truncation 1..N (index 0 unused)."""
-    return _dp_float_partials(spec, N)
+    """Cumulative float values at every truncation 1..N (index 0 unused).
+
+    Uses the gap rewriting prod base_i^{n_i} = prod B_i^{n_i - n_{i+1}} *
+    B_L^{n_L} with B_i the prefix products, so every carried quantity stays
+    bounded whenever all |B_i| <= 1 (bases > 1 paired against earlier bases
+    < 1); see :class:`GapState`, whose one-row case this is.
+    """
+    totals = np.zeros(max(N, 0) + 1)
+    totals[1:] = _signed_sum(GapState.of_spec(spec).extend(N)[0])
+    return totals
 
 
 def dp_chain_values(bases, powers, N: int, tail=None):
@@ -372,12 +445,15 @@ def dp_chain_values(bases, powers, N: int, tail=None):
     is None or a pair (alpha, gamma) of length-R arrays giving row r the
     last-index tail factor (alpha[r]^{n_L} - gamma[r]^{n_L}).  Entry r
     equals ``dp_chain_partials(FactorSpec(bases[r], powers, tail=(alpha[r],
-    gamma[r])), N)[N]`` bit for bit.  Rows are processed in chunks of at
-    most 2^21 / N.
+    gamma[r])), N)[N]`` bit for bit.  Rows run through one fresh
+    :class:`GapState` per chunk of at most 2^21 / N runs, so a tail's two
+    runs count twice; a row whose two runs are both paired makes one
+    recurrence call per layer for the pair.  N <= 0 gives zeros.
     """
     bases = np.asarray(bases, dtype=np.float64)
     values = np.zeros(len(bases))
-    step = max(1, _BATCH_CELLS // N)
+    K = 1 if tail is None else 2
+    step = max(1, _BATCH_CELLS // (max(N, 1) * K))
     for lo in range(0, len(bases), step):
         rows = slice(lo, lo + step)
         runs = [bases[rows]]
@@ -385,8 +461,9 @@ def dp_chain_values(bases, powers, N: int, tail=None):
             runs = [bases[rows].copy(), bases[rows].copy()]
             for run, factor in zip(runs, tail):
                 run[:, -1] *= factor[rows]
-        for sign, run in zip((1.0, -1.0), runs):
-            values[rows] += sign * _run_partials(run, powers, N)[:, -1]
+        state = GapState(np.stack(runs, axis=1), powers)
+        state.extend(N)
+        values[rows] = state.values()
     return values
 
 

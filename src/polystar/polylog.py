@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .chains import (PAIRING_SLACK, FactorSpec, PairingUnavailableError,
+from .chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableError,
                      QKernelSpec, Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
                      dp_chain_partials, dp_chain_values, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
@@ -226,15 +226,20 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
         max_n=POLY_MAX_N if polynomial else GEO_MAX_N,
         tolerance=tol, extrapolate=polynomial)
     L = spec.length
+    # one DP resumed across the levels: each level computes only its new
+    # columns, and that is the work it counts
+    state = GapState.of_spec(spec)
+    new_columns = []
 
     def evaluate(N):
-        return float(dp_chain_partials(spec, N)[N])
+        new_columns.append(state.extend(N).shape[-1])
+        return float(state.values()[0])
 
     # every marginal prefix direction can raise the log degree of the tail;
     # demand enough ladder samples for the model to cover it
     return adaptive_sum(evaluate, schedule,
                         tail="polynomial" if polynomial else "geometric",
-                        cost_per_level=lambda N: N * L,
+                        cost_per_level=lambda N: new_columns[-1] * L,
                         min_samples=max(7, marginal + 4))
 
 

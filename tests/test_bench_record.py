@@ -42,6 +42,8 @@ def test_diff_reports_counts_each_kind_of_change():
     assert diff["unpaired"] == 2
     assert diff["status_changed"] == 1
     assert diff["terms_changed"] == 1
+    assert (diff["terms_fell"], diff["terms_rose"]) == (0, 1)
+    assert diff["terms_by_identity"] == {"NUM": {"fell": 0, "rose": 1}}
     assert diff["exact_sides_changed"] == 1
     assert diff["numeric_sides_moved"] == 2
     assert diff["moved_by_identity"] == {"NUM": 2}
@@ -59,5 +61,27 @@ def test_diff_reports_identical_runs():
     assert diff["paired"] == 2
     assert diff["max_abs_move"] is None and diff["max_rel_move"] is None
     assert all(diff[k] == 0 for k in ("unpaired", "status_changed", "terms_changed",
-                                      "exact_sides_changed", "numeric_sides_moved",
-                                      "err_shrank"))
+                                      "terms_fell", "terms_rose", "exact_sides_changed",
+                                      "numeric_sides_moved", "err_shrank"))
+    assert diff["terms_by_identity"] == {}
+
+
+def test_diff_reports_counts_terms_by_counter():
+    # a report whose counters move both ways counts once in terms_changed and
+    # once per counter in terms_fell / terms_rose; a missing counter is 0
+    parent = [_row("A", {"n": "1"}, terms_lhs=896, terms_rhs=10),
+              _row("A", {"n": "2"}, terms_lhs=1344, terms_rhs=10),
+              _row("B", {}, terms_lhs=5, terms_rhs=7),
+              _row("C", {}, terms_lhs=4),
+              _row("D", {}, terms_lhs=3)]
+    change = [_row("A", {"n": "1"}, terms_lhs=512, terms_rhs=10),
+              _row("A", {"n": "2"}, terms_lhs=768, terms_rhs=10),
+              _row("B", {}, terms_lhs=4, terms_rhs=9),
+              _row("C", {}, terms_lhs=4, terms_rhs=2),
+              _row("D", {}, terms_lhs=3)]
+    diff = bench_record.diff_reports(parent, change)
+    assert diff["terms_changed"] == 4
+    assert (diff["terms_fell"], diff["terms_rose"]) == (3, 2)
+    assert diff["terms_by_identity"] == {"A": {"fell": 2, "rose": 0},
+                                         "B": {"fell": 1, "rose": 1},
+                                         "C": {"fell": 0, "rose": 1}}

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
-from polystar import exact
-from polystar.chains import (PAIRING_SLACK, FactorSpec, PairingUnavailableError,
+from polystar import chains, exact
+from polystar.chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableError,
                              QKernelSpec, TruncationSchedule, _dp_float_scaled,
                              _gap_terms, _q_table, _walk_chains, adaptive_sum, dp_chain_partials,
                              dp_chain_sum, dp_chain_values, dp_q_coupled,
-                             dp_q_naive, naive_chain_sum)
+                             _signed_sum, dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
 from polystar.kernel import BudgetExceededError, DomainError
 
@@ -276,15 +276,102 @@ def test_gap_terms_match_one_spec_terms():
 
 
 def test_batched_gap_dp_chunks_rows():
-    # 600 rows at N = 4096 run in two chunks of at most 2^21 / N rows
+    # 600 two-run rows at N = 4096 run in three chunks of at most
+    # 2^21 / (2 N) = 256 rows
     N = 4096
     p = np.linspace(0.0, 0.999, 600)
     bases = np.array([transform_bases((2,), x) for x in p])
     got = dp_chain_values(bases, (1, 1), N, tail=(1.0 - p + 0.5 * p, 1.0 - p))
-    for r in (0, 299, 511, 512, 599):
+    for r in (0, 255, 256, 299, 511, 512, 599):
         spec = FactorSpec(tuple(bases[r]), (1, 1),
                           tail=(1.0 - p[r] + 0.5 * p[r], 1.0 - p[r]))
         assert _bits(got[r]) == _bits(_one_spec_float_partials(spec, N)[N])
+
+
+def test_float_dp_below_one_is_the_empty_sum():
+    spec = FactorSpec((0.5, 0.5), (1, 1))
+    for N in (-3, 0):
+        assert dp_chain_sum(FactorSpec((F(1, 2), F(1, 2)), (1, 1)), N) == 0
+        got = dp_chain_sum(spec, N)
+        assert isinstance(got, float) and got == 0.0
+        assert np.array_equal(dp_chain_partials(spec, N), [0.0])
+        assert np.array_equal(dp_chain_values(np.array([[0.5, 0.5]]), (1, 1), N), [0.0])
+        tail = (np.array([0.9]), np.array([0.3]))
+        assert np.array_equal(dp_chain_values(np.array([[0.5, 0.5]]), (1, 1), N, tail), [0.0])
+    # extending a state to N <= n_done changes nothing
+    state = GapState.of_spec(FactorSpec((0.5, 0.9), (1, 2), tail=(0.9, -0.4)))
+    state.extend(100)
+    before = (state.carry.copy(), state.totals.copy())
+    for N in (100, 64, 0, -5):
+        assert state.extend(N).shape == (1, 2, 0)
+        assert state.n_done == 100
+        assert np.array_equal(state.carry, before[0])
+        assert np.array_equal(state.totals, before[1])
+
+
+LADDER = [64 * 2 ** k for k in range(9)]  # 64 .. 2^14
+
+
+def _random_paired_spec(rng):
+    """A float spec whose prefix products stay in the unit disc: bases of
+    either sign, some above 1 paired against earlier small ones, and often
+    a tail."""
+    L = rng.randint(1, 4)
+    bases, prod = [], 1.0
+    for _ in range(L):
+        b = rng.choice((rng.uniform(-1, 1), rng.uniform(1, 1.5), 1.0, -1.0))
+        b = max(-1 / abs(prod), min(1 / abs(prod), b))
+        bases.append(b)
+        prod *= b
+    powers = tuple(rng.randint(0, 3) for _ in range(L))
+    tail = (rng.uniform(-1, 1), rng.uniform(-1, 1)) if rng.random() < 0.6 else None
+    return FactorSpec(tuple(bases), powers, tail=tail)
+
+
+def _check_resumed(state, fresh):
+    """Extend ``state`` over the ladder; every level's new columns and
+    values must match ``fresh(N)`` (the R x (N + 1) partials) bit for bit."""
+    for N in LADDER:
+        lo = state.n_done
+        block = state.extend(N)
+        want = fresh(N)
+        got = np.array([_signed_sum(run) for run in block])
+        assert np.array_equal(_bits(got), _bits(want[:, lo + 1:])), N
+        assert np.array_equal(_bits(state.values()), _bits(want[:, N])), N
+
+
+def test_resumed_gap_dp_is_bit_identical_to_fresh():
+    rng = random.Random(20261018)
+    specs = [_random_paired_spec(rng) for _ in range(30)]
+    specs += [FactorSpec((0.7,), (2,)), FactorSpec((-0.9,), (0,), tail=(0.5, -1.0)),
+              # B_L^j underflows at j = 111, between the levels 64 and 128
+              FactorSpec((1.0, 1e-3), (1, 2)), FactorSpec((0.9, 1e-3), (2, 1), tail=(1.0, 0.5))]
+    assert any(s.length == 1 for s in specs) and any(s.tail for s in specs)
+    assert chains._underflow_index(1e-3, 2 ** 14) == 111
+    for spec in specs:
+        assert GapState.of_spec(spec).paired.all()
+        _check_resumed(GapState.of_spec(spec), lambda N: dp_chain_partials(spec, N)[None])
+
+
+def test_resumed_rows_with_an_unpaired_run():
+    # row 0: the alpha run's last prefix product 0.9 * 1.1 * 1.0102 leaves
+    # the unit disc and falls back to the rescaled DP, the gamma run stays
+    # paired; row 1: both runs paired, one recurrence call per layer
+    bases = np.array([[0.9, 1.1], [0.5, 1.6]])
+    tail = (np.array([1.0102, 1.0]), np.array([0.5, -0.9]))
+    runs = np.stack([bases * np.stack([np.ones(2), t], axis=1) for t in tail], axis=1)
+    state = GapState(runs, (1, 2))
+    assert state.paired.tolist() == [[False, True], [True, True]]
+
+    def fresh(N):
+        want = np.array([dp_chain_partials(FactorSpec(tuple(bases[r]), (1, 2),
+                                                      tail=(tail[0][r], tail[1][r])), N)
+                         for r in range(2)])
+        got = dp_chain_values(bases, (1, 2), N, tail=tail)
+        assert np.array_equal(_bits(got), _bits(want[:, N]))
+        return want
+
+    _check_resumed(state, fresh)
 
 
 def test_monotone_convergence_nonnegative():

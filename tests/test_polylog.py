@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystar import polylog
+from polystar import chains, polylog
 from polystar.chains import FactorSpec, PairingUnavailableError, dp_chain_partials
 from polystar.compositions import Composition, ShapeBlocks, transform_bases
 from polystar.kernel import DomainError
@@ -79,6 +79,46 @@ def test_li_star_diff_matches_separate():
 def test_li_star_diff_degenerate():
     d = polylog.li_star_diff(Composition((2, 1)), (1.0,), 0.5, 0.5, 1e-9)
     assert float(d.value) == 0 and d.terms_used == 0
+
+
+LADDER_CASES = [
+    lambda: polylog.li_star((2, 1), (0.5, 0.9), 1e-10),       # geometric
+    lambda: polylog.li_star((1, 2), (-1.0, 0.7), 1e-10),      # alternating
+    lambda: polylog.li_star((2, 1), (1.0, 1.0), 1e-8),        # zeta*(2,1)
+    lambda: polylog.li_star_diff((2, 1), (0.6,), 0.9, -0.5, 1e-10),
+    lambda: polylog.li_star_diff((2, 1, 1), (1.0, 1.0), 1.0, 0.5, 1e-8),
+]
+
+
+@pytest.mark.parametrize("case", range(len(LADDER_CASES)))
+def test_star_ladder_matches_fresh_per_level_dp(monkeypatch, case):
+    # the resumed ladder gives exactly the result of a fresh DP at every
+    # level, and counts only the columns it computes: N x L in all
+    calls = []
+
+    def recording(evaluator, schedule, **kwargs):
+        calls.append((schedule, kwargs))
+        return chains.adaptive_sum(evaluator, schedule, **kwargs)
+
+    specs = []
+    real = polylog.GapState.of_spec
+
+    def of_spec(spec):
+        specs.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(polylog, "adaptive_sum", recording)
+    monkeypatch.setattr(polylog.GapState, "of_spec", staticmethod(of_spec))
+    got = LADDER_CASES[case]()
+    (schedule, kwargs), = calls
+    spec, = specs
+    kwargs.pop("cost_per_level")
+    want = chains.adaptive_sum(lambda N: float(dp_chain_partials(spec, N)[N]), schedule,
+                               cost_per_level=lambda N: N * spec.length, **kwargs)
+    assert (got.value, got.error_estimate, got.truncation_level, got.converged) == \
+        (want.value, want.error_estimate, want.truncation_level, want.converged)
+    assert got.truncation_level >= 4 * schedule.start
+    assert got.terms_used == got.truncation_level * spec.length
 
 
 def test_zeta_star_values():

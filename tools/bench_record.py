@@ -150,6 +150,9 @@ def diff_reports(parent, change):
 
     Counts the reports whose ``status`` changed, whose ``cost.terms_*``
     changed and, for EXACT reports, whose ``lhs``/``rhs`` strings changed.
+    The ``terms_*`` counters that changed are also counted one by one, as
+    ``terms_fell`` and ``terms_rose`` and by identity (a missing counter
+    counts as 0).
     For the other modes it counts the sides whose ``lhs``/``rhs`` string
     moved, by identity, with the largest absolute and relative move and the
     instance where each happens, and the ``err_*`` values that shrank.
@@ -157,7 +160,8 @@ def diff_reports(parent, change):
     old = {_report_key(row): row for row in parent}
     new = {_report_key(row): row for row in change}
     out = {"paired": 0, "unpaired": len(old.keys() ^ new.keys()),
-           "status_changed": 0, "terms_changed": 0, "exact_sides_changed": 0,
+           "status_changed": 0, "terms_changed": 0, "terms_fell": 0, "terms_rose": 0,
+           "terms_by_identity": {}, "exact_sides_changed": 0,
            "numeric_sides_moved": 0, "moved_by_identity": {},
            "max_abs_move": None, "max_rel_move": None, "err_shrank": 0}
     for key in sorted(old.keys() & new.keys()):
@@ -166,6 +170,12 @@ def diff_reports(parent, change):
         out["status_changed"] += p["status"] != c["status"]
         terms = {k for k in list(p["cost"]) + list(c["cost"]) if k.startswith("terms_")}
         out["terms_changed"] += any(p["cost"].get(k) != c["cost"].get(k) for k in terms)
+        for k in sorted(terms):
+            before, after = p["cost"].get(k, 0), c["cost"].get(k, 0)
+            if before != after:
+                way = "fell" if after < before else "rose"
+                out["terms_" + way] += 1
+                out["terms_by_identity"].setdefault(p["id"], {"fell": 0, "rose": 0})[way] += 1
         if p["mode"] == "EXACT":
             out["exact_sides_changed"] += (p["lhs"], p["rhs"]) != (c["lhs"], c["rhs"])
             continue
