@@ -11,9 +11,9 @@ from scipy.signal import lfilter
 from polystar import chains, exact
 from polystar.chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableError,
                              QKernelSpec, TruncationSchedule, _dp_float_scaled,
-                             _gap_terms, _q_table, _walk_chains, adaptive_sum, dp_chain_partials,
-                             dp_chain_sum, dp_chain_values, dp_q_coupled,
-                             _signed_sum, dp_q_naive, naive_chain_sum)
+                             _gap_terms, _q_table, _signed_sum, _walk_chains, adaptive_sum,
+                             dp_chain_partials, dp_chain_sum, dp_chain_values, dp_q_coupled,
+                             dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
 from polystar.kernel import BudgetExceededError, DomainError
 
