@@ -2,17 +2,17 @@
 multiple polylogarithms, and mechanical verification of their transformation
 identities."""
 
-from .kernel import (BigReal, BudgetExceededError, DomainError, EvalResult,
-                     ExactRational, NonConvergenceError, SingularFitError,
-                     adaptive_quadrature, binom_ratio_sum, binomial, richardson)
+from .kernel import (BudgetExceededError, DomainError, EvalResult,
+                     NonConvergenceError, SingularFitError, adaptive_quadrature,
+                     binom_ratio_sum, binomial)
 from .compositions import (Composition, IndexChain, ShapeBlocks, domain_check,
                            q_of, shape_args, shape_composition)
 from .exact import (aux_rhs, dilcher_classic, dilcher_plus, gen_harmonic,
                     main_rhs, mean_example1_rhs, mean_lhs, mean_rhs, mhsv,
                     mneimneh_lhs, odd_binom_sum, pan_xu_check)
 from .chains import (FactorSpec, PairingUnavailableError, QKernelSpec,
-                     RescaleRequiredError, TruncationSchedule, adaptive_sum,
-                     dp_chain_sum, dp_q_coupled, naive_chain_sum)
+                     TruncationSchedule, adaptive_sum, dp_chain_sum,
+                     dp_q_coupled, naive_chain_sum)
 from .polylog import (PolylogQuery, li, li_identity_sides, li_star, zeta,
                       zeta_star, zeta_star_closed)
 from .catalog import IdentityReport, fuzz, list_identities, verify
@@ -20,16 +20,15 @@ from .catalog import IdentityReport, fuzz, list_identities, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigReal", "BudgetExceededError", "Composition", "DomainError",
-    "EvalResult", "ExactRational", "FactorSpec", "IdentityReport",
-    "IndexChain", "NonConvergenceError", "PairingUnavailableError",
-    "PolylogQuery", "QKernelSpec", "RescaleRequiredError", "ShapeBlocks",
+    "BudgetExceededError", "Composition", "DomainError", "EvalResult",
+    "FactorSpec", "IdentityReport", "IndexChain", "NonConvergenceError",
+    "PairingUnavailableError", "PolylogQuery", "QKernelSpec", "ShapeBlocks",
     "SingularFitError", "TruncationSchedule", "adaptive_quadrature",
     "adaptive_sum", "aux_rhs", "binom_ratio_sum", "binomial",
     "dilcher_classic", "dilcher_plus", "domain_check", "dp_chain_sum", "dp_q_coupled", "fuzz", "gen_harmonic",
     "li", "li_identity_sides", "li_star", "list_identities", "main_rhs",
     "mean_example1_rhs", "mean_lhs", "mean_rhs", "mhsv", "mneimneh_lhs",
-    "naive_chain_sum", "odd_binom_sum", "pan_xu_check", "q_of", "richardson",
+    "naive_chain_sum", "odd_binom_sum", "pan_xu_check", "q_of",
     "shape_args", "shape_composition", "verify", "zeta", "zeta_star",
     "zeta_star_closed",
 ]

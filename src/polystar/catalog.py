@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exact, polylog
-from .chains import PairingUnavailableError, RescaleRequiredError
+from .chains import PairingUnavailableError
 from .compositions import Composition, ShapeBlocks, as_composition, as_fraction
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
                      NonConvergenceError, SingularFitError, adaptive_quadrature,
@@ -743,9 +743,8 @@ def verify(identity_id, params=None, tol=None, precision=None,
     Domain violations yield a skipped report (not a failure) unless
     ``outside=True``, in which case the evaluation is attempted anyway and a
     rejection or divergence is reported as ``not_converged``.  An evaluation
-    that runs out of budget, whose float DP needs a rescale, or whose window
-    fit is singular is reported as ``not_converged`` too, with the exception
-    named in ``skip_reason``.
+    that runs out of budget or whose window fit is singular is reported as
+    ``not_converged`` too, with the exception named in ``skip_reason``.
     Mathematical failure never raises; it returns ``passed=False``.
     """
     entry = get_entry(identity_id)
@@ -779,8 +778,7 @@ def verify(identity_id, params=None, tol=None, precision=None,
         if outside:
             return not_converged(f"evaluation rejected: {exc}")
         raise
-    except (NonConvergenceError, BudgetExceededError, RescaleRequiredError,
-            SingularFitError) as exc:
+    except (NonConvergenceError, BudgetExceededError, SingularFitError) as exc:
         return not_converged(f"{type(exc).__name__}: {exc}")
     wall_ms = (time.perf_counter() - start) * 1e3
     report.lhs = lhs.value if isinstance(lhs, EvalResult) else lhs

@@ -15,7 +15,9 @@ Three evaluators share the same summand model:
   truncation ladder extends one state level by level and computes each
   column once, bit-identical to a fresh DP per level
   (:func:`dp_chain_values` runs many specs with shared powers at once, one
-  row each, bit-identical to one spec per call);
+  row each, bit-identical to one spec per call); a float spec whose prefix
+  products leave the unit disc is refused with
+  :class:`PairingUnavailableError`;
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one dense (chain value, partial Q) table, Fractions for
   exact kernels and float64 for float ones, built by one descending row
@@ -43,10 +45,6 @@ from .kernel import (BudgetExceededError, DomainError, EvalResult,
 NAIVE_CHAIN_BUDGET = 10 ** 7
 Q_STATE_BUDGET = 10 ** 8
 PAIRING_SLACK = 1e-9
-
-
-class RescaleRequiredError(RuntimeError):
-    """Floating DP magnitude grew past the overflow guard without rescaling."""
 
 
 class PairingUnavailableError(RuntimeError):
@@ -243,13 +241,12 @@ def _underflow_index(b, N):
     return min(N, math.ceil(_UNDERFLOW_LOG2 / -math.log2(mag)))
 
 
-def _gap_columns(B, powers, lo, hi, live, carry):
+def _gap_columns(B, powers, lo, hi, carry):
     """Outer-layer terms of the gap-form DP at n_1 = lo+1..hi.
 
     ``B`` is an R x K x L array of prefix products: row r holds K runs
     (two for a tail) that share all but the last prefix product, and
-    ``powers`` are the L shared index powers.  Only the ``live`` runs (an
-    R x K mask) are computed, the others stay 0.  Entry [r, k, n_1 - lo - 1]
+    ``powers`` are the L shared index powers.  Entry [r, k, n_1 - lo - 1]
     of the result is the sum over the chains with that first index of
     prod_i B[r, k, i]^{n_i - n_{i+1}} / n_i^{powers[i]} (with n_{L+1} = 0).
 
@@ -259,27 +256,22 @@ def _gap_columns(B, powers, lo, hi, live, carry):
     columns continue a DP that stopped at lo bit for bit.  B_L^j is computed
     only up to the index past which it is exactly 0 in float64, j^s once
     per call for all rows, and each inner layer is one first-order
-    recurrence per row: one call over a row's K x n block when all its runs
-    are live, one call per run otherwise.
+    recurrence per row, over the row's K x n block.
     """
     R, K, L = B.shape
     j = np.arange(lo + 1, hi + 1, dtype=np.float64)
     D = np.zeros((R, K, hi - lo))
-    calls = []
-    for r in range(R):
-        if K > 1 and live[r].all():
-            calls.append((r, slice(None)))
-        else:
-            calls += [(r, k) for k in np.flatnonzero(live[r])]
+    # a 1-D call when K = 1: bit-identical to a (1, n) call, and faster
+    k = slice(None) if K > 1 else 0
     with np.errstate(under="ignore"):
-        for r, k in zip(*np.nonzero(live)):
-            m = _underflow_index(B[r, k, -1], hi) - lo
+        for (r, run), b in np.ndenumerate(B[:, :, -1]):
+            m = _underflow_index(b, hi) - lo
             if m > 0:
-                np.power(B[r, k, -1], j[:m], out=D[r, k, :m])
+                np.power(b, j[:m], out=D[r, run, :m])
         # divide by j^s, never multiply by its reciprocal (one ulp apart)
         D /= j ** np.float64(powers[-1])
         for i in range(L - 2, -1, -1):
-            for r, k in calls:
+            for r in range(R):
                 x = D[r, k]
                 if lo:
                     x[..., 0] += B[r, 0, i] * carry[r, k, i]
@@ -289,26 +281,15 @@ def _gap_columns(B, powers, lo, hi, live, carry):
     return D
 
 
-def _gap_terms(B, powers, N, rows):
-    """Outer-layer terms at n_1 = 1..N of the R chain sums whose R x L
-    prefix products are ``B``, for the ``rows`` given (the others stay 0);
-    their cumulative sums are the chain sums at every truncation."""
-    live = np.zeros((len(B), 1), dtype=bool)
-    live[rows] = True
-    carry = np.zeros((len(B), 1, B.shape[1]))
-    return _gap_columns(B[:, None, :], powers, 0, N, live, carry)[:, 0]
-
-
 class GapState:
     """Resumable float DP of R chain sums with shared powers.
 
     ``runs`` is an R x K x L array of bases: row r is one run (K = 1) or
     the two runs of a last-index tail (K = 2, the last base times alpha and
-    times gamma), and its value is the first run minus the second.  Runs
-    whose prefix products stay in the unit disc (up to the pairing slack)
-    run the gap-form DP of :func:`_gap_columns`; the others fall back to
-    :func:`_dp_float_scaled`, which is recomputed from n = 1 at every
-    :meth:`extend`.
+    times gamma), and its value is the first run minus the second.  Every
+    run's prefix products must stay in the unit disc (up to the pairing
+    slack), where the gap form of :func:`_gap_columns` keeps every carried
+    quantity bounded; otherwise :class:`PairingUnavailableError` is raised.
 
     The state holds the prefix products, each inner layer's carry, the
     running cumulative totals and ``n_done``, the truncation reached, so
@@ -318,10 +299,11 @@ class GapState:
     """
 
     def __init__(self, runs, powers):
-        self.runs = np.asarray(runs, dtype=np.float64)
         self.powers = tuple(powers)
-        self.B = np.cumprod(self.runs, axis=2)
-        self.paired = np.abs(self.B).max(axis=2) <= 1.0 + PAIRING_SLACK
+        self.B = np.cumprod(np.asarray(runs, dtype=np.float64), axis=2)
+        if not (np.abs(self.B) <= 1.0 + PAIRING_SLACK).all():
+            raise PairingUnavailableError(
+                "prefix products leave the unit disc; the gap-form DP would diverge")
         self.carry = np.zeros(self.B.shape)
         self.totals = np.zeros(self.B.shape[:2])
         self.n_done = 0
@@ -339,13 +321,10 @@ class GapState:
         lo = self.n_done
         if N <= lo:
             return np.zeros(self.totals.shape + (0,))
-        D = _gap_columns(self.B, self.powers, lo, N, self.paired, self.carry)
+        D = _gap_columns(self.B, self.powers, lo, N, self.carry)
         if lo:
             D[:, :, 0] += self.totals
         np.cumsum(D, axis=2, out=D)
-        for r, k in zip(*np.nonzero(~self.paired)):
-            run = FactorSpec(tuple(self.runs[r, k]), self.powers)
-            D[r, k] = _dp_float_scaled(run, N)[lo:]
         self.totals = D[:, :, -1].copy()
         self.n_done = N
         return D
@@ -360,53 +339,6 @@ def _signed_sum(runs):
     out = np.zeros(runs.shape[1:])
     for sign, run in zip((1.0, -1.0), runs):
         out += sign * run
-    return out
-
-
-def _dp_float_scaled(run: FactorSpec, N: int, precision_bits=53):
-    """Plain prefix DP with a shared power-of-two exponent per layer.
-
-    Fallback for specs whose prefix products cannot be bounded (an unpaired
-    base above 1): the truncated value is finite but intermediate layers can
-    overflow doubles.  Once a layer's running magnitude passes
-    2^(precision/2) the whole layer is shifted down and the shift is applied
-    back at the end; a final result beyond double range raises
-    :class:`RescaleRequiredError`.
-    """
-    guard = math.ldexp(1.0, int(precision_bits) // 2)
-    bases = [float(b) for b in run.bases]
-    powers = run.powers
-    L = len(bases)
-    shift = 0
-
-    def layer(base, power, inner):
-        """Cumulative m -> sum_{j<=m} base^j / j^power * inner[j-1]."""
-        nonlocal shift
-        out = np.empty(N)
-        bp = 1.0
-        acc = 0.0
-        local = 0
-        for idx in range(N):
-            bp *= base
-            term = bp / float(idx + 1) ** power
-            if inner is not None:
-                term *= inner[idx]
-            acc += term
-            if abs(acc) > guard or abs(bp) > guard:
-                out[: idx + 1] = np.ldexp(out[: idx + 1], -256)
-                acc = math.ldexp(acc, -256)
-                bp = math.ldexp(bp, -256)
-                local += 256
-            out[idx] = acc
-        shift += local
-        return out
-
-    G = layer(bases[-1], powers[-1], None)
-    for i in range(L - 2, -1, -1):
-        G = layer(bases[i], powers[i], G)
-    out = np.ldexp(G, shift) if shift else G
-    if not np.all(np.isfinite(out)):
-        raise RescaleRequiredError("scaled prefix DP overflowed double range")
     return out
 
 
@@ -431,7 +363,8 @@ def dp_chain_partials(spec: FactorSpec, N: int):
     Uses the gap rewriting prod base_i^{n_i} = prod B_i^{n_i - n_{i+1}} *
     B_L^{n_L} with B_i the prefix products, so every carried quantity stays
     bounded whenever all |B_i| <= 1 (bases > 1 paired against earlier bases
-    < 1); see :class:`GapState`, whose one-row case this is.
+    < 1); see :class:`GapState`, whose one-row case this is, and which
+    raises :class:`PairingUnavailableError` otherwise.
     """
     totals = np.zeros(max(N, 0) + 1)
     totals[1:] = _signed_sum(GapState.of_spec(spec).extend(N)[0])
@@ -447,8 +380,8 @@ def dp_chain_values(bases, powers, N: int, tail=None):
     equals ``dp_chain_partials(FactorSpec(bases[r], powers, tail=(alpha[r],
     gamma[r])), N)[N]`` bit for bit.  Rows run through one fresh
     :class:`GapState` per chunk of at most 2^21 / N runs, so a tail's two
-    runs count twice; a row whose two runs are both paired makes one
-    recurrence call per layer for the pair.  N <= 0 gives zeros.
+    runs count twice; a tail row makes one recurrence call per layer for
+    its pair of runs.  N <= 0 gives zeros.
     """
     bases = np.asarray(bases, dtype=np.float64)
     values = np.zeros(len(bases))

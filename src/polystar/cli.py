@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import catalog, exact, polylog
-from .chains import FactorSpec, dp_chain_sum, naive_chain_sum
+from .chains import FactorSpec, PairingUnavailableError, dp_chain_sum, naive_chain_sum
 from .compositions import Composition, ShapeBlocks, shape_composition
 from .kernel import (DEFAULT_PRECISION, DomainError, EvalResult, _resolve_precision,
                      binomial, fmt)
@@ -148,7 +148,7 @@ def cmd_eval(args):
             print(lhs)
         else:
             raise DomainError(f"unknown eval kind {kind!r}")
-    except DomainError as exc:
+    except (DomainError, PairingUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

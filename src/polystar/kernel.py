@@ -1,5 +1,5 @@
-"""Numeric kernel: exact rationals, extended-precision reals, binomials,
-adaptive quadrature, and sequence extrapolation.
+"""Numeric kernel: exact rationals, binomials, adaptive quadrature, and
+sequence extrapolation.
 
 Two scalar kernels coexist throughout the package:
 
@@ -9,10 +9,8 @@ Two scalar kernels coexist throughout the package:
   and a float error estimate.  The truncation ladders compute in float64;
   the few quantities computed in mpmath (the zeta oracle, the ``li`` series
   and closed forms, Gauss-Legendre nodes, mpmath-mode quadrature) run at an
-  explicit working precision and are rounded to float64 when they become a
-  result.  :class:`BigReal`, a thin wrapper over an mpmath binary float with
-  an explicit precision in bits, is the return type of those mpmath
-  computations.
+  explicit working precision in bits, return an ``mpmath.mpf`` rounded to
+  it, and are rounded to float64 when they become a result.
 
 Ladder values are float64 truncations, so the window fit behind sequence
 extrapolation is a float64 solve too, centred on the window's last value.
@@ -23,15 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import mpmath
 import numpy as np
 from mpmath import mp
-
-# Canonical exact scalar.  Fraction already maintains gcd-reduced form with a
-# positive denominator, which is exactly the invariant we need.
-ExactRational = Fraction
 
 DEFAULT_PRECISION = 160  # bits; working precision of the mpmath computations
 MIN_PRECISION = 100
@@ -63,100 +57,6 @@ def _resolve_precision(precision):
     if precision < MIN_PRECISION:
         raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
     return int(precision)
-
-
-class BigReal:
-    """Extended-precision real with an explicit precision in bits.
-
-    Arithmetic rounds to the smaller precision of the two operands, so a
-    result never claims more precision than its inputs carried.
-    """
-
-    __slots__ = ("value", "precision")
-
-    def __init__(self, value, precision=None):
-        self.precision = _resolve_precision(precision)
-        with mp.workprec(self.precision):
-            if isinstance(value, BigReal):
-                self.value = +value.value
-            elif isinstance(value, Fraction):
-                self.value = mpmath.mpf(value.numerator) / value.denominator
-            else:
-                self.value = mpmath.mpf(value)
-
-    @staticmethod
-    def _coerce(other, precision):
-        if isinstance(other, BigReal):
-            return other
-        return BigReal(other, precision)
-
-    def _binop(self, other, fn):
-        other = self._coerce(other, self.precision)
-        prec = min(self.precision, other.precision)
-        with mp.workprec(prec):
-            return BigReal(fn(self.value, other.value), prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._coerce(other, self.precision)._binop(self, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other, self.precision)._binop(self, lambda a, b: a / b)
-
-    def __pow__(self, exponent):
-        with mp.workprec(self.precision):
-            return BigReal(self.value ** exponent, self.precision)
-
-    def __neg__(self):
-        return BigReal(-self.value, self.precision)
-
-    def __abs__(self):
-        return BigReal(abs(self.value), self.precision)
-
-    def _cmp_value(self, other):
-        return other.value if isinstance(other, BigReal) else mpmath.mpf(other)
-
-    def __eq__(self, other):
-        return self.value == self._cmp_value(other)
-
-    def __lt__(self, other):
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self.value >= self._cmp_value(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return float(self.value)
-
-    def __repr__(self):
-        return f"BigReal({mpmath.nstr(self.value, 20)}, precision={self.precision})"
-
-    def to_str(self, digits=12):
-        return mpmath.nstr(self.value, digits)
 
 
 def fmt(v, digits=17):
@@ -294,7 +194,8 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
     float.  There ``f`` takes a 1-D float64 array of nodes and returns their
     values as an array of the same length; it is called once for the whole
     interval and then once per round.  Otherwise ``f`` takes one mpmath node
-    at a time and the result is a :class:`BigReal` at ``precision`` bits.
+    at a time and the result is an ``mpmath.mpf`` rounded to ``precision``
+    bits.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -325,7 +226,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
             return [_panel(f, a, b, nodes, weights) for a, b in ends]
 
     if lo_ == hi_:
-        return 0.0 if float_mode else BigReal(0, prec)
+        return zero
 
     def run():
         panels = 0
@@ -362,7 +263,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
     if float_mode:
         return float(run())
     with mp.workprec(prec):
-        return BigReal(run(), prec)
+        return +run()
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +289,6 @@ _BASIS = BASIS_POWER_FIRST
 
 
 def _to_mpf(v):
-    if isinstance(v, BigReal):
-        return v.value
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / v.denominator
     return mpmath.mpf(v)
@@ -415,25 +314,6 @@ def _window_limit(levels, values, n_terms, basis=None):
     if not math.isfinite(c0):
         raise SingularFitError(f"non-finite window fit at levels {levels}")
     return c0 + values[-1]
-
-
-def extrapolant_ladder(levels: Sequence[int], values: Sequence, max_terms=None,
-                       basis=None):
-    """Window extrapolants e_2..e_J, one per prefix of the sample list.
-
-    Entry j uses the trailing window of the first j samples with
-    ``min(j - 1, max_terms)`` tail-model terms.  Raises
-    :class:`SingularFitError` through from a singular fit; callers degrade to
-    raw values.
-    """
-    basis = _BASIS if basis is None else basis
-    if max_terms is None:
-        max_terms = len(basis)
-    exts = []
-    for j in range(2, len(levels) + 1):
-        n_terms = min(j - 1, max_terms)
-        exts.append(_window_limit(levels[:j], values[:j], n_terms, basis))
-    return exts
 
 
 def best_extrapolant(levels, values, bases=(BASIS_POWER_FIRST, BASIS_LOG_FIRST),
@@ -468,28 +348,3 @@ def best_extrapolant(levels, values, bases=(BASIS_POWER_FIRST, BASIS_LOG_FIRST),
         return None
     value, est = min(fits, key=lambda f: f[1])
     return value, max(est, noise_floor)
-
-
-def richardson(samples: Sequence[tuple]):
-    """Extrapolate a sequence of (level N, value) pairs to its limit.
-
-    Assumes a smooth tail in inverse powers of N with logarithmic
-    corrections; the model grows with the number of samples.  Returns
-    ``(value, error_estimate)`` as floats, where the estimate is the
-    difference between the last two window extrapolants.  A singular fit
-    degrades to the last raw value with the last raw difference as the
-    error.
-    """
-    if len(samples) < 2:
-        raise DomainError("richardson needs at least two samples")
-    levels = [s[0] for s in samples]
-    values = [s[1] for s in samples]
-    if any(levels[i + 1] <= levels[i] for i in range(len(levels) - 1)):
-        raise DomainError("sample levels must be strictly increasing")
-    try:
-        exts = extrapolant_ladder(levels, values)
-    except ZeroDivisionError:
-        return float(values[-1]), abs(float(values[-1]) - float(values[-2]))
-    if len(exts) >= 2:
-        return exts[-1], abs(exts[-1] - exts[-2])
-    return exts[-1], abs(exts[-1] - float(values[-1]))

@@ -23,8 +23,7 @@ from .chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableErro
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
-from .kernel import (BigReal, DomainError, EvalResult, adaptive_quadrature,
-                     _resolve_precision)
+from .kernel import DomainError, EvalResult, adaptive_quadrature, _resolve_precision
 
 _MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
@@ -59,8 +58,9 @@ class PolylogQuery:
 _EM_K = 12
 
 
-def zeta(s: int, tol=None, precision=None) -> BigReal:
-    """Riemann zeta at an integer s >= 2 by Euler-Maclaurin summation.
+def zeta(s: int, tol=None, precision=None) -> mpmath.mpf:
+    """Riemann zeta at an integer s >= 2 by Euler-Maclaurin summation,
+    rounded to ``precision`` bits.
 
     The cutoff grows until the rigorous remainder bound (first omitted
     correction term, doubled for safety) drops below ``tol``.
@@ -97,7 +97,8 @@ def zeta(s: int, tol=None, precision=None) -> BigReal:
                       * rising * mpow)
             rising *= (s + 2 * k - 1) * (s + 2 * k)
             mpow /= M * M
-        return BigReal(total, prec)
+    with mp.workprec(prec):
+        return +total
 
 
 def li(s: int, x, tol=None, precision=None) -> EvalResult:
@@ -125,7 +126,7 @@ def li(s: int, x, tol=None, precision=None) -> EvalResult:
     if xf == -1:
         with mp.workprec(prec):
             z = zeta(s, tol, prec)
-            return EvalResult.rounded(-(1 - mpmath.mpf(2) ** (1 - s)) * z.value)
+            return EvalResult.rounded(-(1 - mpmath.mpf(2) ** (1 - s)) * z)
     with mp.workprec(prec):
         xm = mpmath.mpf(xf)
         total = mpmath.mpf(0)
@@ -308,19 +309,21 @@ def zeta_star(s, tol=None, precision=None) -> EvalResult:
                    precision=precision)
 
 
-def zeta_star_closed(form: str, d: int, precision=None) -> BigReal:
-    """Closed forms: TWO_D -> (2 - 4^(1-d)) zeta(2d); TWO_D_ONE -> 2 zeta(2d+1)."""
+def zeta_star_closed(form: str, d: int, precision=None) -> mpmath.mpf:
+    """Closed forms: TWO_D -> (2 - 4^(1-d)) zeta(2d); TWO_D_ONE -> 2 zeta(2d+1),
+    rounded to ``precision`` bits."""
     if d < 1:
         raise DomainError("need d >= 1")
     prec = _resolve_precision(precision)
     with mp.workprec(prec + 16):
         if form == "TWO_D":
-            val = (2 - mpmath.mpf(4) ** (1 - d)) * zeta(2 * d, precision=prec).value
+            val = (2 - mpmath.mpf(4) ** (1 - d)) * zeta(2 * d, precision=prec)
         elif form == "TWO_D_ONE":
-            val = 2 * zeta(2 * d + 1, precision=prec).value
+            val = 2 * zeta(2 * d + 1, precision=prec)
         else:
             raise DomainError(f"unknown closed form {form!r}")
-    return BigReal(val, prec)
+    with mp.workprec(prec):
+        return +val
 
 
 # ---------------------------------------------------------------------------

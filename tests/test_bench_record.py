@@ -15,6 +15,18 @@ def _row(ident, params, mode="NUMERIC", status="pass", lhs="1.0", rhs="1.0",
             "cost": dict(terms)}
 
 
+def test_src_lines_counts_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "polystar"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    # neither a non-Python file nor a subpackage module counts
+    (pkg / "notes.txt").write_text("one\ntwo\n")
+    (pkg / "sub").mkdir()
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    assert bench_record.src_lines(str(tmp_path)) == 4
+
+
 def test_diff_reports_counts_each_kind_of_change():
     parent = [
         _row("EX", {"n": "1"}, "EXACT", lhs="1/2", rhs="1/2", err_lhs=None, err_rhs=None),

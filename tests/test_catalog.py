@@ -7,7 +7,6 @@ import pytest
 from mpmath import mp
 
 from polystar import catalog, polylog
-from polystar.chains import RescaleRequiredError
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
                              SingularFitError)
@@ -131,7 +130,7 @@ def test_outside_mode_reports_failure_without_abort():
 
 
 @pytest.mark.parametrize("exc_type", [NonConvergenceError, BudgetExceededError,
-                                      RescaleRequiredError, SingularFitError])
+                                      SingularFitError])
 def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
     def evaluate(params, tol, precision):
         raise exc_type("out of budget")

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from polystar import chains, exact
-from polystar.chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableError,
-                             QKernelSpec, TruncationSchedule, _dp_float_scaled,
-                             _gap_terms, _q_table, _signed_sum, _walk_chains, adaptive_sum,
-                             dp_chain_partials, dp_chain_sum, dp_chain_values, dp_q_coupled,
-                             dp_q_naive, naive_chain_sum)
+from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
+                             TruncationSchedule, _gap_columns, _q_table, _signed_sum,
+                             _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
+                             dp_chain_values, dp_q_coupled, dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
 from polystar.kernel import BudgetExceededError, DomainError
 
@@ -180,14 +179,20 @@ def test_dp_float_harmonic_square_tail():
     assert abs(v - math.pi ** 2 / 6) < 1.1e-4
 
 
-def test_dp_float_unpaired_scaled_fallback():
-    # unpaired growing base: finite truncation still evaluable, matches exact
+def test_dp_float_unpaired_is_rejected():
+    # unpaired growing base: the float DP refuses it, the exact DP does not
     spec_f = FactorSpec((3.0, 0.5), (1, 1))
     spec_e = FactorSpec((F(3), F(1, 2)), (1, 1))
     for N in (5, 15, 25):
-        got = dp_chain_sum(spec_f, N)
-        want = float(dp_chain_sum(spec_e, N))
-        assert abs(got - want) <= 1e-10 * abs(want)
+        with pytest.raises(PairingUnavailableError):
+            dp_chain_sum(spec_f, N)
+        with pytest.raises(PairingUnavailableError):
+            dp_chain_partials(spec_f, N)
+        with pytest.raises(PairingUnavailableError):
+            dp_chain_values(np.array([spec_f.bases]), spec_f.powers, N)
+        assert dp_chain_sum(spec_e, N) == naive_chain_sum(spec_e, N)
+    with pytest.raises(PairingUnavailableError):
+        GapState.of_spec(spec_f)
 
 
 def test_dp_partials_are_prefixes():
@@ -210,15 +215,12 @@ def _one_spec_gap_terms(B, powers, N):
     return D
 
 
-def _one_spec_float_partials(spec, N, precision_bits=53):
+def _one_spec_float_partials(spec, N):
     """The float DP one spec per call (see ``_one_spec_gap_terms``)."""
     totals = np.zeros(N + 1)
     for sign, run in zip((1.0, -1.0), spec.expanded()):
         B = np.cumprod([float(b) for b in run.bases])
-        if np.max(np.abs(B)) <= 1.0 + PAIRING_SLACK:
-            totals[1:] += sign * np.cumsum(_one_spec_gap_terms(B, run.powers, N))
-        else:
-            totals[1:] += sign * _dp_float_scaled(run, N, precision_bits)
+        totals[1:] += sign * np.cumsum(_one_spec_gap_terms(B, run.powers, N))
     return totals
 
 
@@ -237,11 +239,7 @@ def test_batched_gap_dp_matches_per_row(N, a):
     s = Composition((2, 1, 2))
     L = s.weight
     p = np.array(BATCH_NODES)
-    bases = [transform_bases(s, x) for x in p]
-    # an unpaired row: the leading base 1.001 leaves the unit disc
-    bases.append((1.001, 0.9, 0.5, 0.8, 1.0))
-    p = np.append(p, 0.5)
-    bases = np.array(bases)
+    bases = np.array([transform_bases(s, x) for x in p])
     alpha, gamma = 1.0 - p + a * p, 1.0 - p
     got = dp_chain_values(bases, (1,) * L, N, tail=(alpha, gamma))
     for r in range(len(bases)):
@@ -258,6 +256,17 @@ def test_batched_gap_dp_matches_per_row(N, a):
         want = _one_spec_float_partials(spec, N)
         assert np.array_equal(_bits(dp_chain_partials(spec, N)), _bits(want))
         assert _bits(got[r]) == _bits(want[N])
+    # an unpaired row: the leading base 1.001 leaves the unit disc
+    unpaired = np.array([[1.001, 0.9, 0.5, 0.8, 1.0]])
+    tail = (np.array([0.5 + a * 0.5]), np.array([0.5]))
+    with pytest.raises(PairingUnavailableError):
+        dp_chain_values(unpaired, (1,) * L, N, tail=tail)
+    with pytest.raises(PairingUnavailableError):
+        dp_chain_partials(FactorSpec(tuple(unpaired[0]), (1,) * L,
+                                     tail=(tail[0][0], tail[1][0])), N)
+    unpaired[:, -1] *= tail[1]
+    with pytest.raises(PairingUnavailableError):
+        dp_chain_values(unpaired, powers, N)
 
 
 def test_gap_terms_match_one_spec_terms():
@@ -267,10 +276,10 @@ def test_gap_terms_match_one_spec_terms():
     B = np.array([[0.9, 0.5], [1.0, -0.7], [0.2, 0.03], [-1.0, 0.999],
                   [0.5, 1e-5], [0.7, 1.0], [1.0, 0.0], [1.0, -0.5]])
     for powers in ((1, 1), (2, 3)):
-        got = _gap_terms(B, powers, N, np.arange(len(B)))
+        got = _gap_columns(B[:, None], powers, 0, N, np.zeros((len(B), 1, 2)))[:, 0]
         for r in range(len(B)):
             assert np.array_equal(got[r], _one_spec_gap_terms(B[r], powers, N))
-        got = _gap_terms(B[:, 1:], powers[1:], N, np.arange(len(B)))
+        got = _gap_columns(B[:, None, 1:], powers[1:], 0, N, np.zeros((len(B), 1, 1)))[:, 0]
         for r in range(len(B)):
             assert np.array_equal(got[r], _one_spec_gap_terms(B[r, 1:], powers[1:], N))
 
@@ -349,25 +358,28 @@ def test_resumed_gap_dp_is_bit_identical_to_fresh():
     assert any(s.length == 1 for s in specs) and any(s.tail for s in specs)
     assert chains._underflow_index(1e-3, 2 ** 14) == 111
     for spec in specs:
-        assert GapState.of_spec(spec).paired.all()
+        # every spec is paired, so its state constructs without raising
         _check_resumed(GapState.of_spec(spec), lambda N: dp_chain_partials(spec, N)[None])
 
 
 def test_resumed_rows_with_an_unpaired_run():
     # row 0: the alpha run's last prefix product 0.9 * 1.1 * 1.0102 leaves
-    # the unit disc and falls back to the rescaled DP, the gamma run stays
+    # the unit disc, so the float DP refuses it although the gamma run stays
     # paired; row 1: both runs paired, one recurrence call per layer
     bases = np.array([[0.9, 1.1], [0.5, 1.6]])
     tail = (np.array([1.0102, 1.0]), np.array([0.5, -0.9]))
     runs = np.stack([bases * np.stack([np.ones(2), t], axis=1) for t in tail], axis=1)
-    state = GapState(runs, (1, 2))
-    assert state.paired.tolist() == [[False, True], [True, True]]
+    for rows in (slice(None), slice(0, 1)):
+        with pytest.raises(PairingUnavailableError):
+            GapState(runs[rows], (1, 2))
+        with pytest.raises(PairingUnavailableError):
+            dp_chain_values(bases[rows], (1, 2), 64, tail=(tail[0][rows], tail[1][rows]))
+    state = GapState(runs[1:], (1, 2))
 
     def fresh(N):
-        want = np.array([dp_chain_partials(FactorSpec(tuple(bases[r]), (1, 2),
-                                                      tail=(tail[0][r], tail[1][r])), N)
-                         for r in range(2)])
-        got = dp_chain_values(bases, (1, 2), N, tail=tail)
+        want = dp_chain_partials(FactorSpec(tuple(bases[1]), (1, 2),
+                                            tail=(tail[0][1], tail[1][1])), N)[None]
+        got = dp_chain_values(bases[1:], (1, 2), N, tail=(tail[0][1:], tail[1][1:]))
         assert np.array_equal(_bits(got), _bits(want[:, N]))
         return want
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import polystar
 from polystar import catalog, chains
 from polystar.cli import main
 
@@ -64,6 +65,16 @@ def test_eval_listar_not_converged_exit(capsys):
     # tolerance below the double-precision ladder floor: honest exit 3
     assert main(["eval", "listar", "--s", "2,2", "--x", "1,1",
                  "--tol", "1e-14"]) == 3
+
+
+def test_eval_listar_unpaired_is_usage_error(capsys):
+    # prefix products 2 and 1.8 leave the unit disc: refused with one error
+    # line and the usage exit, not the identity-failure exit or a traceback
+    assert main(["eval", "listar", "--s", "1,1", "--x", "2,0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_verify_single_identity(capsys):
@@ -180,3 +191,9 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "33 identities" in proc.stdout
+
+
+def test_package_exports_resolve():
+    names = polystar.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(polystar, name)] == []

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from polystar.kernel import (_GL_ORDER, BASIS_LOG_FIRST, BASIS_POWER_FIRST,
-                             BigReal, DomainError, NonConvergenceError,
-                             SingularFitError, _gauss_legendre_nodes,
-                             _resolve_precision, _to_mpf, _window_limit,
-                             adaptive_quadrature, best_extrapolant,
-                             binom_ratio_sum, binomial, richardson)
+                             DomainError, NonConvergenceError, SingularFitError,
+                             _gauss_legendre_nodes, _resolve_precision, _to_mpf,
+                             _window_limit, adaptive_quadrature, best_extrapolant,
+                             binom_ratio_sum, binomial)
 
 
 def test_binomial_examples():
@@ -82,41 +81,16 @@ def test_rational_canonical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# BigReal
+# working precision of the mpmath steps
 # ---------------------------------------------------------------------------
 
-def test_bigreal_basic():
-    x = BigReal(Fraction(1, 3), 120)
-    assert x.precision == 120
-    y = BigReal(2.0)
-    assert y.precision == 160
-    z = x * y
-    assert z.precision == 120
-    assert abs(float(z) - 2 / 3) < 1e-30
-
-
-def test_bigreal_precision_floor():
+def test_precision_floor():
+    assert _resolve_precision(None) == 160
+    assert _resolve_precision(100) == 100
     with pytest.raises(DomainError):
-        BigReal(1.0, 50)
-
-
-@given(st.floats(-10, 10, allow_nan=False), st.floats(-10, 10, allow_nan=False),
-       st.integers(100, 200))
-@settings(max_examples=150, derandomize=True)
-def test_bigreal_precision_agreement(a, b, bits):
-    """Operations at precision b agree with precision 2b to 2^(8-b)."""
-    lo_a, lo_b = BigReal(a, bits), BigReal(b, bits)
-    hi_a, hi_b = BigReal(a, 2 * bits), BigReal(b, 2 * bits)
-    for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x - y):
-        lo = op(lo_a, lo_b)
-        hi = op(hi_a, hi_b)
-        assert abs(float(lo - BigReal(hi.value, bits))) <= 2.0 ** (-bits + 8)
-
-
-def test_bigreal_comparisons():
-    assert BigReal(1) < BigReal(2)
-    assert BigReal(2) == 2
-    assert abs(BigReal(-3)) == 3
+        _resolve_precision(50)
+    with pytest.raises(DomainError):
+        adaptive_quadrature(lambda t: t, 0, 1, 1e-12, precision=50)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +196,7 @@ def test_quadrature_breadth_first_matches_depth_first_mpmath():
                                    (lambda t: 1 / (t + mpmath.mpf("1e-4")), 0, 1, 1e-12)):
         got = adaptive_quadrature(integrand, lo, hi, tol, precision=160)
         want, _ = _depth_first_quadrature(integrand, lo, hi, tol, precision=160)
-        assert got.value == want
+        assert got == want
 
 
 def test_quadrature_budget_exhausted_both_modes():
@@ -275,45 +249,6 @@ def test_quadrature_rejects_bad_tol():
 
 
 # ---------------------------------------------------------------------------
-# richardson extrapolation
-# ---------------------------------------------------------------------------
-
-def test_richardson_zeta2_partial_sums():
-    def partial(n):
-        return sum(Fraction(1, k * k) for k in range(1, n + 1))
-
-    value, _ = richardson([(100, partial(100)), (200, partial(200)),
-                           (400, partial(400))])
-    assert abs(float(value) - math.pi ** 2 / 6) < 1e-6
-
-
-def test_richardson_constant_sequence():
-    value, err = richardson([(10, 3.25), (20, 3.25), (40, 3.25), (80, 3.25)])
-    assert float(value) == 3.25
-    assert float(err) < 1e-20
-
-
-def test_richardson_pure_inverse_tail():
-    value, _ = richardson([(100, 1 + 1 / 100), (200, 1 + 1 / 200)])
-    assert abs(float(value) - 1) < 1e-9
-
-
-def test_richardson_needs_two_samples():
-    with pytest.raises(DomainError):
-        richardson([(10, 1.0)])
-
-
-def test_richardson_log_tail():
-    # tail c1/N + c2 log(N)/N is recovered once enough samples arrive
-    def v(n):
-        return 5.0 - 2.0 / n + 3.0 * math.log(n) / n
-
-    samples = [(64 * 2 ** j, v(64 * 2 ** j)) for j in range(6)]
-    value, err = richardson(samples)
-    assert abs(float(value) - 5.0) < 1e-9
-
-
-# ---------------------------------------------------------------------------
 # window fit
 # ---------------------------------------------------------------------------
 
@@ -348,6 +283,28 @@ def test_window_fit_matches_exact_solve(basis, limit):
     assert isinstance(got, float)
     assert abs(got - float(exact)) <= 1e-13
     assert abs(float(exact) - limit) <= 1e-9 * limit
+
+
+def test_best_extrapolant_recovers_limits():
+    # a constant window fits exactly
+    assert best_extrapolant([10, 20, 40, 80], [3.25] * 4) == (3.25, 0.0)
+
+    # partial sums of zeta(2)
+    def partial(n):
+        return float(sum(Fraction(1, k * k) for k in range(1, n + 1)))
+
+    levels = [100, 200, 400, 800]
+    value, _ = best_extrapolant(levels, [partial(n) for n in levels])
+    assert abs(value - math.pi ** 2 / 6) < 1e-6
+
+    # tail c1/N + c2 log(N)/N is recovered once enough samples arrive
+    def v(n):
+        return 5.0 - 2.0 / n + 3.0 * math.log(n) / n
+
+    levels = [64 * 2 ** j for j in range(6)]
+    value, _ = best_extrapolant(levels, [v(n) for n in levels])
+    assert abs(value - 5.0) < 1e-9
+    assert best_extrapolant(levels[:3], [v(n) for n in levels[:3]]) is None
 
 
 def test_singular_window_fit():

@@ -20,13 +20,20 @@ def test_zeta_closed_forms():
     with mpmath.workprec(200):
         # independent library value as oracle
         for s in (2, 3, 5, 8, 13):
-            assert abs(polylog.zeta(s, precision=200).value - mpmath.zeta(s)) \
+            assert abs(polylog.zeta(s, precision=200) - mpmath.zeta(s)) \
                 < mpmath.mpf(2) ** -190
+    # each mpmath value is rounded to its working precision
+    for value in (polylog.zeta(3, precision=120),
+                  polylog.zeta_star_closed("TWO_D_ONE", 1, precision=120)):
+        with mpmath.workprec(120):
+            assert +value == value
 
 
 def test_zeta_domain():
     with pytest.raises(DomainError):
         polylog.zeta(1)
+    with pytest.raises(DomainError):
+        polylog.zeta(2, precision=50)
 
 
 def test_li_examples():

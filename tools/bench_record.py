@@ -16,6 +16,7 @@ each side runs the committed files only.  The file records:
   (:func:`diff_reports`);
 * the wall time and the summary line of the Tier-1 suite;
 * the cold start of ``python -m polystar list`` (median of 5);
+* ``src_lines``, the line count of ``src/polystar/*.py`` in each tree;
 * ``nproc`` and the Python, numpy and SciPy versions.
 
 Everything runs one process at a time, so the pool of ``--jobs 2`` is the
@@ -26,6 +27,7 @@ the default 3 pairs.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -210,6 +212,15 @@ def cold_start(tree):
     return {"median_s": statistics.median(runs), "runs": runs}
 
 
+def src_lines(tree):
+    """Newlines in ``src/polystar/*.py`` under ``tree``, as ``wc -l`` counts."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "polystar", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def versions():
     out = {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()}
     for mod in ("numpy", "scipy"):
@@ -235,7 +246,8 @@ def main(argv=None):
         trees = {side: os.path.join(workdir, side) for side in ("parent", "change")}
         shas = {side: export(rev, trees[side])
                 for side, rev in (("parent", args.parent), ("change", args.change))}
-        record = {"commits": shas, "machine": versions(), "pairs": args.pairs}
+        record = {"commits": shas, "machine": versions(), "pairs": args.pairs,
+                  "src_lines": {side: src_lines(trees[side]) for side in trees}}
         record["workloads"] = bench_workloads(trees, args.pairs, args.seed)
         record["verify_all"] = {}
         reports = {}
