@@ -285,11 +285,10 @@ def test_window_fit_matches_exact_solve(basis, limit):
     assert abs(float(exact) - limit) <= 1e-9 * limit
 
 
-def test_best_extrapolant_recovers_limits():
-    # a constant window fits exactly
-    assert best_extrapolant([10, 20, 40, 80], [3.25] * 4) == (3.25, 0.0)
+# Richardson-style extrapolation: the window fit eliminates the tail terms
+# of the model, and best_extrapolant picks among the model orderings.
 
-    # partial sums of zeta(2)
+def test_richardson_zeta2_partial_sums():
     def partial(n):
         return float(sum(Fraction(1, k * k) for k in range(1, n + 1)))
 
@@ -297,6 +296,27 @@ def test_best_extrapolant_recovers_limits():
     value, _ = best_extrapolant(levels, [partial(n) for n in levels])
     assert abs(value - math.pi ** 2 / 6) < 1e-6
 
+
+def test_richardson_constant_sequence():
+    value, err = best_extrapolant([10, 20, 40, 80], [3.25] * 4)
+    assert value == 3.25
+    assert err < 1e-20
+
+
+def test_richardson_pure_inverse_tail():
+    # one 1/N tail term is eliminated from two samples
+    value = _window_limit([100, 200], [1 + 1 / 100, 1 + 1 / 200], 1)
+    assert abs(value - 1) < 1e-9
+
+
+def test_richardson_needs_two_samples():
+    with pytest.raises(SingularFitError):
+        _window_limit([10], [1.0], 1)
+    # best_extrapolant compares two window fits, so it needs four samples
+    assert best_extrapolant([10, 20, 40], [1.0, 1.0, 1.0]) is None
+
+
+def test_richardson_log_tail():
     # tail c1/N + c2 log(N)/N is recovered once enough samples arrive
     def v(n):
         return 5.0 - 2.0 / n + 3.0 * math.log(n) / n
