@@ -293,9 +293,11 @@ class GapState:
 
     The state holds the prefix products, each inner layer's carry, the
     running cumulative totals and ``n_done``, the truncation reached, so
-    :meth:`extend` computes only the new columns.  The gap DP is causal:
-    extending level by level is bit-identical to one extension from a fresh
-    state.
+    :meth:`extend` and :meth:`advance` compute only the new columns.  The
+    gap DP is causal and its rows are independent: extending level by
+    level is bit-identical to one extension from a fresh state, and so is a
+    row that was taken out (:meth:`take`), extended on its own and stacked
+    with other rows of the same truncation (:meth:`stack`).
     """
 
     def __init__(self, runs, powers):
@@ -314,19 +316,76 @@ class GapState:
         return cls([[[float(b) for b in run.bases] for run in spec.expanded()]],
                    spec.powers)
 
+    @classmethod
+    def of_rows(cls, bases, powers, tail=None):
+        """The state of the rows of :func:`dp_chain_values`: row r has the
+        bases ``bases[r]`` and, with a ``tail`` (alpha, gamma) of length-R
+        arrays, the runs with last base times alpha[r] and times gamma[r]."""
+        runs = np.asarray(bases, dtype=np.float64)[:, None]
+        if tail is not None:
+            runs = np.repeat(runs, 2, axis=1)
+            runs[:, :, -1] *= np.stack(tail, axis=1)
+        return cls(runs, powers)
+
+    @classmethod
+    def _of_fields(cls, powers, B, carry, totals, n_done):
+        state = cls.__new__(cls)
+        state.powers, state.B, state.carry, state.totals = powers, B, carry, totals
+        state.n_done = n_done
+        return state
+
+    def take(self, rows):
+        """A new state holding copies of the given rows (an index array or
+        slice) at the same truncation."""
+        return GapState._of_fields(self.powers, self.B[rows].copy(),
+                                   self.carry[rows].copy(), self.totals[rows].copy(),
+                                   self.n_done)
+
+    @staticmethod
+    def stack(states):
+        """One state holding the rows of ``states`` in order; they must
+        share ``powers`` and ``n_done`` (else ValueError)."""
+        first = states[0]
+        if any((st.powers, st.n_done) != (first.powers, first.n_done) for st in states):
+            raise ValueError("stacked gap states must share powers and n_done")
+        return GapState._of_fields(first.powers,
+                                   *(np.concatenate([getattr(st, f) for st in states])
+                                     for f in ("B", "carry", "totals")),
+                                   first.n_done)
+
     def extend(self, N):
         """Advance to truncation N (a no-op unless N > ``n_done``).  Returns
         the R x K x n cumulative values of every run at the new n_1 =
         n_done+1..N."""
-        lo = self.n_done
-        if N <= lo:
-            return np.zeros(self.totals.shape + (0,))
-        D = _gap_columns(self.B, self.powers, lo, N, self.carry)
-        if lo:
-            D[:, :, 0] += self.totals
-        np.cumsum(D, axis=2, out=D)
-        self.totals = D[:, :, -1].copy()
+        D = self._extend_rows(slice(None), N)
+        self.n_done = max(N, self.n_done)
+        return D
+
+    def advance(self, N):
+        """Advance to truncation N like :meth:`extend`, without keeping the
+        new columns: the rows go through in chunks of at most 2^21 new
+        cells, a tail's two runs counted twice, so a batch of any size
+        holds at most 16 MiB of columns at a time."""
+        if N <= self.n_done:
+            return
+        R, K = self.totals.shape
+        step = max(1, _BATCH_CELLS // ((N - self.n_done) * K))
+        for lo in range(0, R, step):
+            self._extend_rows(slice(lo, lo + step), N)
         self.n_done = N
+
+    def _extend_rows(self, rows, N):
+        """The columns n_done+1..N of a slice of rows, updating their carry
+        and totals in place (``n_done`` is left to the caller)."""
+        lo = self.n_done
+        totals = self.totals[rows]
+        if N <= lo:
+            return np.zeros(totals.shape + (0,))
+        D = _gap_columns(self.B[rows], self.powers, lo, N, self.carry[rows])
+        if lo:
+            D[:, :, 0] += totals
+        np.cumsum(D, axis=2, out=D)
+        totals[...] = D[:, :, -1]
         return D
 
     def values(self):
@@ -378,26 +437,15 @@ def dp_chain_values(bases, powers, N: int, tail=None):
     is None or a pair (alpha, gamma) of length-R arrays giving row r the
     last-index tail factor (alpha[r]^{n_L} - gamma[r]^{n_L}).  Entry r
     equals ``dp_chain_partials(FactorSpec(bases[r], powers, tail=(alpha[r],
-    gamma[r])), N)[N]`` bit for bit.  Rows run through one fresh
-    :class:`GapState` per chunk of at most 2^21 / N runs, so a tail's two
-    runs count twice; a tail row makes one recurrence call per layer for
-    its pair of runs.  N <= 0 gives zeros.
+    gamma[r])), N)[N]`` bit for bit.  The rows are one fresh
+    :class:`GapState` (:meth:`GapState.of_rows`), advanced in chunks of at
+    most 2^21 / N runs, so a tail's two runs count twice; a tail row makes
+    one recurrence call per layer for its pair of runs.  N <= 0 gives
+    zeros.
     """
-    bases = np.asarray(bases, dtype=np.float64)
-    values = np.zeros(len(bases))
-    K = 1 if tail is None else 2
-    step = max(1, _BATCH_CELLS // (max(N, 1) * K))
-    for lo in range(0, len(bases), step):
-        rows = slice(lo, lo + step)
-        runs = [bases[rows]]
-        if tail is not None:
-            runs = [bases[rows].copy(), bases[rows].copy()]
-            for run, factor in zip(runs, tail):
-                run[:, -1] *= factor[rows]
-        state = GapState(np.stack(runs, axis=1), powers)
-        state.extend(N)
-        values[rows] = state.values()
-    return values
+    state = GapState.of_rows(bases, powers, tail)
+    state.advance(N)
+    return state.values()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from mpmath import mp
 
 from .chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableError,
                      QKernelSpec, Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
-                     dp_chain_partials, dp_chain_values, dp_q_coupled)
+                     dp_chain_partials, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
@@ -347,20 +347,74 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
                         cost_per_level=lambda N: N * N * s.weight)
 
 
-def _transform_values(s: Composition, a: float, N: int, p):
+class _NodeStates:
+    """Gap DP rows of the :func:`mean_average_infinite` integrand, kept by
+    quadrature node p across the levels of one ladder.
+
+    ``rows`` maps a node p to its (GapState, row) at the truncation the
+    node last reached, and holds only the nodes of the last level (see
+    :meth:`keep`); ``terms`` counts the columns computed, times the layers,
+    summed over rows.
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.terms = 0
+
+    def keep(self, N):
+        """Drop every node that the level at truncation N did not visit."""
+        self.rows = {p: kept for p, kept in self.rows.items() if kept[0].n_done == N}
+
+
+def _transform_values(s: Composition, a: float, N: int, p, nodes=None):
     """Truncated chain-sum transform of shape s at (a, p) for every entry of
-    the float64 node array ``p``, in one row-batched DP: the integrand of
-    :func:`mean_average_infinite`."""
+    the float64 node array ``p``: the integrand of
+    :func:`mean_average_infinite`.
+
+    A node found in ``nodes`` (a :class:`_NodeStates`, whose rows must not
+    be past N) resumes its row from the truncation it reached, and every
+    other node starts a fresh row; the nodes are grouped by that
+    truncation, each group is one row-batched :class:`GapState` advanced to
+    N, and every node's row is kept in ``nodes``.  The values are
+    bit-identical to a fresh DP per node.  Nodes within 1e-13 of p = 1
+    take the collapsed spec, where only zero-gap chains survive, fresh each
+    time.
+    """
+    if nodes is None:
+        nodes = _NodeStates()
     values = np.empty(len(p))
-    # degenerate endpoint: only zero-gap chains survive
     edge = 1.0 - p < 1e-13
     if edge.any():
         collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
         values[edge] = dp_chain_partials(collapsed, N)[N]
-    p = p[~edge]
-    bases = np.array([transform_bases(s, x) for x in p]).reshape(len(p), s.weight)
-    values[~edge] = dp_chain_values(bases, (1,) * s.weight, N,
-                                    tail=(1.0 - p + a * p, 1.0 - p))
+        nodes.terms += N * collapsed.length
+    keys = p.tolist()
+    # n_done -> id of the source state -> (state, its rows, indices into p)
+    groups = {}
+    fresh = []
+    for i in np.flatnonzero(~edge).tolist():
+        kept = nodes.rows.get(keys[i])
+        if kept is None:
+            fresh.append(i)
+            continue
+        state, row = kept
+        source = groups.setdefault(state.n_done, {}).setdefault(id(state), (state, [], []))
+        source[1].append(row)
+        source[2].append(i)
+    batches = [(GapState.stack([st.take(rows) for st, rows, _ in sources.values()]),
+                [i for _, _, index in sources.values() for i in index])
+               for sources in groups.values()]
+    if fresh:
+        x = p[fresh]
+        bases = np.array([transform_bases(s, y) for y in x]).reshape(len(x), s.weight)
+        batches.append((GapState.of_rows(bases, (1,) * s.weight,
+                                         tail=(1.0 - x + a * x, 1.0 - x)), fresh))
+    for state, index in batches:
+        nodes.terms += len(index) * (N - state.n_done) * s.weight
+        state.advance(N)
+        values[index] = state.values()
+        for row, i in enumerate(index):
+            nodes.rows[keys[i]] = (state, row)
     return values
 
 
@@ -372,31 +426,35 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     sum equals the integral over p in [0,1] of the truncated chain-sum
     transform at (a, p), which the separable DP evaluates in O(N |s|) per
     quadrature node; all the nodes of a bisection round go through one
-    row-batched DP (:func:`_transform_values`).  The truncation ladder is
-    then extrapolated as usual.
+    row-batched DP (:func:`_transform_values`).  The bisection is nested,
+    so most nodes of a level come back at the next: each node's DP row is
+    kept for one level and resumed from there, computing only the columns
+    past the previous truncation, bit-identical to a fresh row.  The
+    side's ``terms_used`` counts those columns times |s|.  The truncation
+    ladder is then extrapolated as usual.
     """
     s = as_composition(s)
     a = float(a)
-    cost = [0]
-    L = s.weight
+    nodes = _NodeStates()
 
     def evaluate(N):
         def integrand(p):
-            cost[0] += N * L * len(p)
-            return _transform_values(s, a, N, p)
+            return _transform_values(s, a, N, p, nodes)
 
         # the truncated integrand has boundary layers of width ~1/N at both
         # endpoints; force the bisection to resolve that scale
         depth = int(math.log2(N)) + 6
-        return adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, float_mode=True,
-                                   edge_depth=depth)
+        value = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, float_mode=True,
+                                    edge_depth=depth)
+        nodes.keep(N)
+        return value
 
     schedule = TruncationSchedule(start=64, growth=2, max_n=MEAN_INTEGRAL_MAX_N,
                                   tolerance=tol, extrapolate=True)
 
     def cost_delta(N):
-        c, cost[0] = cost[0], 0
-        return c
+        terms, nodes.terms = nodes.terms, 0
+        return terms
 
     return adaptive_sum(evaluate, schedule, tail="polynomial", cost_per_level=cost_delta)
 

@@ -97,3 +97,26 @@ def test_diff_reports_counts_terms_by_counter():
     assert diff["terms_by_identity"] == {"A": {"fell": 2, "rose": 0},
                                          "B": {"fell": 1, "rose": 1},
                                          "C": {"fell": 0, "rose": 1}}
+
+
+def test_cold_start_samples_the_two_sides_in_turn(monkeypatch):
+    order = []
+
+    def timed(cmd, tree, stdout=None):
+        order.append(tree)
+        return (1.0 if tree == "p" else 2.0), None
+
+    monkeypatch.setattr(bench_record, "timed", timed)
+    got = bench_record.cold_start({"parent": "p", "change": "c"})
+    n = bench_record.COLD_START_SAMPLES
+    assert order == ["p", "c"] * n
+    assert got == {"parent": {"median_s": 1.0, "runs": [1.0] * n},
+                   "change": {"median_s": 2.0, "runs": [2.0] * n}}
+
+
+def test_wall_ms_by_identity_sums_the_serial_reports():
+    rows = [{"id": "MEAN_INF_A", "cost": {"wall_ms": 1701.5, "terms_rhs": 3}},
+            {"id": "MEAN_INF_A", "cost": {}}]
+    assert bench_record.wall_ms_by_identity(rows) == {"MEAN_INF_A": 1701.5}
+    rows.append({"id": "MN1", "cost": {"wall_ms": 0.25}})
+    assert bench_record.wall_ms_by_identity(rows) == {"MEAN_INF_A": 1701.5, "MN1": 0.25}

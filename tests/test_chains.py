@@ -386,6 +386,52 @@ def test_resumed_rows_with_an_unpaired_run():
     _check_resumed(state, fresh)
 
 
+def _fields(state):
+    return [_bits(f) for f in (state.B, state.carry, state.totals)] + [state.n_done]
+
+
+def _assert_same_state(got, want):
+    assert got.powers == want.powers
+    for g, w in zip(_fields(got), _fields(want)):
+        assert np.array_equal(g, w)
+
+
+def test_taken_rows_resume_and_stack_bit_identically(monkeypatch):
+    # five tail rows, split into two interleaved subsets that are extended to
+    # different levels, then stacked and extended to a common truncation
+    p = np.array([0.05, 0.3, 0.5, 0.8, 0.97])
+    bases = np.array([transform_bases((2, 1), x) for x in p])
+    tail = (1.0 - p + 0.5 * p, 1.0 - p)
+    fresh = GapState.of_rows(bases, (1, 1, 1), tail)
+    fresh.extend(3000)
+    split = GapState.of_rows(bases, (1, 1, 1), tail)
+    split.extend(64)
+    odd, even = split.take(np.array([1, 3])), split.take(slice(0, 5, 2))
+    assert (odd.n_done, odd.totals.shape) == (64, (2, 2))
+    odd.extend(100)
+    even.extend(2000)
+    with pytest.raises(ValueError):
+        GapState.stack([odd, even])
+    odd.extend(2000)
+    # the parent state is left as it was
+    assert split.n_done == 64
+    both = GapState.stack([even, odd])
+    both.extend(3000)
+    _assert_same_state(both, fresh.take([0, 2, 4, 1, 3]))
+    assert np.array_equal(_bits(both.values()), _bits(fresh.values()[[0, 2, 4, 1, 3]]))
+    with pytest.raises(ValueError):
+        GapState.stack([GapState.of_rows(bases[:1], (1, 1, 1), (tail[0][:1], tail[1][:1])),
+                        GapState.of_rows(bases[:1], (1, 2, 1), (tail[0][:1], tail[1][:1]))])
+    # advance in chunks of at most 64 new cells, from a resumed truncation:
+    # the same state as one extension
+    monkeypatch.setattr(chains, "_BATCH_CELLS", 64)
+    chunked = split.take(slice(None))
+    chunked.advance(3000)
+    _assert_same_state(chunked, fresh)
+    chunked.advance(10)
+    _assert_same_state(chunked, fresh)
+
+
 def test_monotone_convergence_nonnegative():
     spec = FactorSpec((F(1, 2), F(1)), (1, 2))
     values = [dp_chain_sum(spec, N) for N in (2, 4, 8, 16)]

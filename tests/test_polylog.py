@@ -231,6 +231,65 @@ def test_transform_values_match_scalar_integrand(N, a):
     assert polylog._transform_values(Composition((2,)), a, N, np.array([])).shape == (0,)
 
 
+def test_mean_average_resumes_node_rows(monkeypatch):
+    # a short ladder (64..512) at a loose tolerance: the resumed run gives
+    # exactly the result of a fresh DP per node and level, counts the
+    # columns that the gap DP really computes, and keeps only the nodes of
+    # the last level
+    monkeypatch.setattr(polylog, "MEAN_INTEGRAL_MAX_N", 512)
+    s, a, tol = Composition((2, 1)), 0.5, 1e-2
+    real_transform, real_columns = polylog._transform_values, chains._gap_columns
+    calls, computed = [], [0]
+
+    def transform(s_, a_, N, p, nodes=None):
+        calls.append((N, p.copy(), nodes))
+        return real_transform(s_, a_, N, p, nodes)
+
+    def columns(B, powers, lo, hi, carry):
+        R, _, L = B.shape
+        computed[0] += R * (hi - lo) * L
+        return real_columns(B, powers, lo, hi, carry)
+
+    monkeypatch.setattr(polylog, "_transform_values", transform)
+    monkeypatch.setattr(chains, "_gap_columns", columns)
+    got = polylog.mean_average_infinite(s, a, tol)
+    assert got.terms_used == computed[0]
+    fresh_terms = sum(N * s.weight * len(p) for N, p, _ in calls)
+    assert got.terms_used < fresh_terms
+    nodes = calls[-1][2]
+    last = calls[-1][0]
+    # every node of the last level but those within 1e-13 of p = 1, which
+    # take the collapsed spec afresh
+    visited = {x for N, p, _ in calls if N == last for x in p.tolist() if 1.0 - x >= 1e-13}
+    assert set(nodes.rows) == visited
+    assert all(state.n_done == last for state, _ in nodes.rows.values())
+
+    monkeypatch.setattr(polylog, "_transform_values",
+                        lambda s_, a_, N, p, nodes=None: real_transform(s_, a_, N, p))
+    want = polylog.mean_average_infinite(s, a, tol)
+    assert [float(x).hex() for x in (got.value, got.error_estimate)] == \
+        [float(x).hex() for x in (want.value, want.error_estimate)]
+    assert (got.truncation_level, got.converged) == (want.truncation_level, want.converged)
+    assert got.truncation_level == last == 512
+
+
+def test_node_store_keeps_only_the_last_level():
+    # a level that visits fewer nodes than the one before: its rows resume,
+    # the edge node (within 1e-13 of p = 1) is never stored, and keep()
+    # drops the node the level did not visit
+    s, a = Composition((2, 1)), -1.0
+    p = np.array([0.1, 0.4, 0.7, 1 - 5e-14])
+    nodes = polylog._NodeStates()
+    polylog._transform_values(s, a, 64, p, nodes)
+    assert set(nodes.rows) == {0.1, 0.4, 0.7}
+    got = polylog._transform_values(s, a, 128, p[[2, 3, 0]], nodes)
+    want = polylog._transform_values(s, a, 128, p[[2, 3, 0]])
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert nodes.terms == 64 * 3 * 3 + 64 * 2 + (128 - 64) * 2 * 3 + 128 * 2
+    nodes.keep(128)
+    assert set(nodes.rows) == {0.1, 0.7}
+
+
 def test_mean_lhs_converges_predicate():
     assert polylog.mean_lhs_converges((2,), 1)
     assert polylog.mean_lhs_converges((2, 1), -1)

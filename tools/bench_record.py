@@ -12,10 +12,12 @@ each side runs the committed files only.  The file records:
   medians and quartiles per side, and the change's wins per metric;
 * the wall time of ``polystar verify --all --json``, serial and with
   ``--jobs 2``, whether the reports of the two sides are identical once
-  ``cost.wall_ms`` is dropped, and a per-report summary of how they differ
-  (:func:`diff_reports`);
+  ``cost.wall_ms`` is dropped, a per-report summary of how they differ
+  (:func:`diff_reports`), and the serial run's ``cost.wall_ms`` summed by
+  identity (``wall_ms_by_identity``);
 * the wall time and the summary line of the Tier-1 suite;
-* the cold start of ``python -m polystar list`` (median of 5);
+* the cold start of ``python -m polystar list`` (median of 5, the two
+  sides sampled in turn);
 * ``src_lines``, the line count of ``src/polystar/*.py`` in each tree;
 * ``nproc`` and the Python, numpy and SciPy versions.
 
@@ -116,9 +118,19 @@ def bench_workloads(trees, pairs, seed0):
     return out
 
 
+def wall_ms_by_identity(rows):
+    """The sum of ``cost.wall_ms`` over the reports of each identity (a
+    report without one, such as a skip, adds 0)."""
+    out = {}
+    for row in rows:
+        out[row["id"]] = out.get(row["id"], 0.0) + row.get("cost", {}).get("wall_ms", 0.0)
+    return out
+
+
 def verify_all(tree, workdir, side):
-    """Wall time of ``verify --all --json`` serial and with ``--jobs 2``;
-    the serial reports without their wall times."""
+    """Wall time of ``verify --all --json`` serial and with ``--jobs 2``, and
+    the serial run's per-identity sum of ``cost.wall_ms``; the serial
+    reports without their wall times."""
     out = {}
     reports = {}
     for label, extra in (("serial_s", []), ("jobs2_s", ["--jobs", "2"])):
@@ -130,6 +142,8 @@ def verify_all(tree, workdir, side):
         out[f"{label}_exit"] = proc.returncode
         with open(path) as fh:
             rows = [json.loads(line) for line in fh if line.strip()]
+        if label == "serial_s":
+            out["wall_ms_by_identity"] = wall_ms_by_identity(rows)
         for row in rows:
             row.get("cost", {}).pop("wall_ms", None)
         reports[label] = rows
@@ -206,10 +220,15 @@ def tier1(tree):
     return {"wall_s": wall, "summary": lines[-1] if lines else "", "exit": proc.returncode}
 
 
-def cold_start(tree):
-    runs = [timed([sys.executable, "-m", "polystar", "list"], tree)[0]
-            for _ in range(COLD_START_SAMPLES)]
-    return {"median_s": statistics.median(runs), "runs": runs}
+def cold_start(trees):
+    """Cold start of ``python -m polystar list`` on each tree, sampled in
+    turn (parent, change, parent, ...) so that drift on the machine falls
+    on both sides alike."""
+    runs = {side: [] for side in trees}
+    for _ in range(COLD_START_SAMPLES):
+        for side, tree in trees.items():
+            runs[side].append(timed([sys.executable, "-m", "polystar", "list"], tree)[0])
+    return {side: {"median_s": statistics.median(r), "runs": r} for side, r in runs.items()}
 
 
 def src_lines(tree):
@@ -259,7 +278,7 @@ def main(argv=None):
         record["verify_all"]["diff"] = diff_reports(reports["parent"], reports["change"])
         record["tier1"] = {side: tier1(trees[side]) for side in trees}
         print(f"tier-1: {record['tier1']}", flush=True)
-        record["cold_start"] = {side: cold_start(trees[side]) for side in trees}
+        record["cold_start"] = cold_start(trees)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
