@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import exact, polylog
 from .chains import PairingUnavailableError
 from .compositions import Composition, ShapeBlocks, as_composition, as_fraction
@@ -324,15 +326,16 @@ _register(_Entry(
 def _aux_eval(variant):
     def evaluate(params, tol, precision):
         n, a, x = params["n"], as_fraction(params["a"]), as_fraction(params["x"])
-        nf, af, xf = n, float(a), float(x)
+        xf = float(x)
 
         def integrand(t):
-            if abs(t) < 1e-30:
-                return nf * xf
-            return ((1 + t * xf) ** nf - 1) / t
+            # the difference quotient, with its limit n x at t = 0
+            near_zero = np.abs(t) < 1e-30
+            t_ = np.where(near_zero, 1.0, t)
+            return np.where(near_zero, n * xf, ((1 + t_ * xf) ** n - 1) / t_)
 
         lo, hi = (0, a) if variant == "aux1" else (1 - a, 1)
-        q = adaptive_quadrature(integrand, lo, hi, tol / 4, precision=precision)
+        q = adaptive_quadrature(integrand, lo, hi, tol / 4)
         rhs = exact.aux_rhs(variant, n, a, x)
         return EvalResult.rounded(q, tol / 4, 0, 0), EvalResult.rounded(rhs)
     return evaluate

@@ -542,37 +542,37 @@ def _add_live(acc, a_lo, a_hi, row, lo, hi):
     return min(lo, a_lo), max(hi, a_hi)
 
 
-def dp_q_coupled(kernel: QKernelSpec, N: int, float_mode=None):
+def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
     """Q-coupled chain sum truncated at n_1 <= N.
 
     Builds the (chain value, partial Q) table of :func:`_q_table` and folds
     it with the kernel; the partial-Q range never exceeds N, so the state
     count is O(N^2 * |s|) and is refused beyond the state budget.  Exact
-    kernels give a Fraction, ``float_mode`` a float.
+    kernels give a Fraction, ``exact=False`` a float.
     """
     s = kernel.s
     n_states = N * N * max(1, s.weight)
     if n_states > Q_STATE_BUDGET:
         raise BudgetExceededError(
             f"Q-coupled DP needs ~{n_states} states, over budget {Q_STATE_BUDGET}")
-    if float_mode is None:
-        float_mode = not isinstance(kernel.a, (int, Fraction))
-    W = _q_table(kernel, N, exact=not float_mode)
-    one = 1.0 if float_mode else Fraction(1)
-    total = 0.0 if float_mode else Fraction(0)
+    if exact is None:
+        exact = isinstance(kernel.a, (int, Fraction))
+    W = _q_table(kernel, N, exact=exact)
+    one = Fraction(1) if exact else 1.0
+    total = Fraction(0) if exact else 0.0
     if kernel.kind == "MEAN_INF":
         # the table carries a 1/n_L that MEAN_INF lacks: the row kernel
         # m / ((q+1)(q+m+1)) multiplies it back out; q1 = q + 1
-        q1 = np.arange(1, N + 2, dtype=np.float64 if float_mode else object)
+        q1 = np.arange(1, N + 2, dtype=object if exact else np.float64)
         for m in range(1, N + 1):
             total += W[m - 1].dot(one * m / (q1 * (q1 + m)))
     else:
         K = _mean_full_kernel(kernel.a, N)
-        if float_mode:
+        if not exact:
             K = K.astype(np.float64)
         cells = np.nonzero(W)
         total = sum(W[cells] * K[cells], total)
-    return float(total) if float_mode else total
+    return total if exact else float(total)
 
 
 def _mean_full_kernel(a, N: int):
@@ -600,20 +600,18 @@ def _mean_full_kernel(a, N: int):
     return K
 
 
-def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
-                 cost_per_level=None, noise_floor=None, min_samples=7):
+def adaptive_sum(evaluator, schedule: TruncationSchedule, cost_per_level=None,
+                 min_samples=7):
     """Evaluate a truncated-sum family over the schedule's ladder.
 
     ``evaluator(N)`` returns the truncation at n_1 <= N.  With
-    ``schedule.extrapolate`` (or ``tail="polynomial"``) window extrapolants
-    drive convergence; otherwise the geometric test |v(gN) - v(N)| <= tol/4
-    with one extra safety level is used.  Returns a float64
-    :class:`EvalResult` whose ``converged`` flag is False when the ladder
-    hits ``max_n``.  Its error estimate is never below
-    ``noise_floor`` (default: the float64 rounding level 1e-12 (1 + |v|)).
+    ``schedule.extrapolate`` window extrapolants drive convergence;
+    otherwise the geometric test |v(gN) - v(N)| <= tol/4 with one extra
+    safety level is used.  Returns a float64 :class:`EvalResult` whose
+    ``converged`` flag is False when the ladder hits ``max_n``.  Its error
+    estimate is never below the float64 rounding level 1e-12 (1 + |v|).
     """
     tol = schedule.tolerance
-    polynomial = schedule.extrapolate or tail == "polynomial"
     levels = []
     values = []
     terms = 0
@@ -623,8 +621,6 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
         return EvalResult(float(value), float(err), terms, level, converged)
 
     def floor():
-        if noise_floor is not None:
-            return noise_floor
         # double-precision ladder values carry relative rounding noise that
         # the window solve amplifies; never claim estimates below this
         return 1e-12 * (1.0 + abs(float(values[-1])))
@@ -635,7 +631,7 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
         terms += cost_per_level(N) if cost_per_level else N
         if len(values) < 2:
             continue
-        if polynomial:
+        if schedule.extrapolate:
             # shallow windows can transiently agree while still biased; only
             # trust the extrapolation once the model order is saturated
             if len(values) < min_samples:
@@ -655,7 +651,7 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, tail="auto",
             else:
                 geo_hits = 0
     # budget exhausted
-    if polynomial and len(values) >= 4:
+    if schedule.extrapolate and len(values) >= 4:
         fit = best_extrapolant(levels, values, noise_floor=floor())
         if fit is not None:
             value, err = fit

@@ -27,47 +27,65 @@ EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 
 
+def _parse(convert, text, what):
+    """``convert(text)``, a malformed value being a usage error."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"bad {what}: {text!r}") from exc
+
+
 def _read_config(path):
-    """Simple key=value overrides; unknown keys are ignored."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+    """Simple key=value overrides; unknown keys, # comments and lines
+    without ``=`` are ignored."""
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise DomainError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    pairs = (line.split("=", 1) for line in lines if "=" in line and line[0] != "#")
+    return {key.strip(): value.strip() for key, value in pairs}
 
 
 def _resolve_run_config(args):
     cfg = {}
     if getattr(args, "config", None):
         cfg = _read_config(args.config)
-    precision = DEFAULT_PRECISION
-    if "precision" in cfg:
-        precision = int(cfg["precision"])
+    precision = _parse(int, cfg.get("precision", DEFAULT_PRECISION), "config precision")
     env = os.environ.get("POLYSTAR_PRECISION")
     if env:
-        precision = int(env)
-    if getattr(args, "precision", None):
+        precision = _parse(int, env, "POLYSTAR_PRECISION")
+    if getattr(args, "precision", None) is not None:
         precision = args.precision
     # only the mpmath steps read it, so check it here for every command
     precision = _resolve_precision(precision)
-    tol = float(cfg["tolerance"]) if "tolerance" in cfg else None
+    tol = _parse(float, cfg["tolerance"], "config tolerance") if "tolerance" in cfg else None
     if getattr(args, "tol", None) is not None:
         tol = args.tol
-    seed = int(cfg.get("seed", 0))
+    seed = _parse(int, cfg.get("seed", 0), "config seed")
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    jobs = int(cfg.get("jobs", 1))
-    if getattr(args, "jobs", None):
+    jobs = _parse(int, cfg.get("jobs", 1), "config jobs")
+    if getattr(args, "jobs", None) is not None:
         jobs = args.jobs
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     return precision, tol, seed, jobs
 
 
 def _fmt_numeric(result: EvalResult, digits=12):
     return f"{fmt(result.value, digits)} (err <= {fmt(result.error_estimate, 3)})"
+
+
+# --param value parsers, by descriptor parameter type
+_PARAM_PARSERS = {
+    "int": int,
+    "rational": Fraction,
+    "float": lambda t: float(Fraction(t)),
+    "composition": Composition.parse,
+    "shape": ShapeBlocks.parse,
+    "intlist": lambda t: tuple(int(v) for v in t.split(",") if v != ""),
+}
 
 
 def _parse_params(entry, pairs):
@@ -79,21 +97,8 @@ def _parse_params(entry, pairs):
         key, text = pair.split("=", 1)
         if key not in types:
             raise DomainError(f"unknown parameter {key!r} for {entry.descriptor.id}")
-        kind = types[key]
-        if kind == "int":
-            params[key] = int(text)
-        elif kind == "rational":
-            params[key] = Fraction(text)
-        elif kind == "float":
-            params[key] = float(Fraction(text))
-        elif kind == "composition":
-            params[key] = Composition.parse(text)
-        elif kind == "shape":
-            params[key] = ShapeBlocks.parse(text)
-        elif kind == "intlist":
-            params[key] = tuple(int(v) for v in text.split(",") if v != "")
-        else:
-            params[key] = text
+        params[key] = _parse(_PARAM_PARSERS.get(types[key], str), text,
+                             f"parameter {key}")
     missing = [key for key in types if key not in params]
     if missing:
         raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
@@ -121,36 +126,44 @@ def cmd_eval(args):
     precision, tol, _, _ = _resolve_run_config(args)
     tol = tol if tol is not None else 1e-9
     kind = args.kind
-    try:
-        if kind == "mhsv":
-            value = exact.mhsv(args.k, Composition.parse(args.s), Fraction(args.a))
-            print(value)
-        elif kind == "mneimneh":
-            value = exact.mneimneh_lhs(args.n, Composition.parse(args.s),
-                                       Fraction(args.a), Fraction(args.p))
-            print(value)
-        elif kind == "li":
-            res = polylog.li(int(args.s), float(Fraction(args.x)), tol, precision)
-            print(_fmt_numeric(res))
-        elif kind == "listar":
-            xs = tuple(float(Fraction(v)) for v in args.x.split(","))
-            res = polylog.li_star(Composition.parse(args.s), xs, tol, precision)
-            print(_fmt_numeric(res))
-            if not res.converged:
-                return EXIT_NOT_CONVERGED
-        elif kind == "zetastar":
-            res = polylog.zeta_star(Composition.parse(args.s), tol, precision)
-            print(_fmt_numeric(res))
-            if not res.converged:
-                return EXIT_NOT_CONVERGED
-        elif kind == "mean":
-            lhs = exact.mean_lhs(args.n, Composition.parse(args.s), Fraction(args.a))
-            print(lhs)
-        else:
-            raise DomainError(f"unknown eval kind {kind!r}")
-    except (DomainError, PairingUnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+    def required(name):
+        value = getattr(args, name)
+        if value is None:
+            raise DomainError(f"eval {kind} needs --{name}")
+        return value
+
+    def rational(name):
+        return _parse(Fraction, getattr(args, name), f"--{name}")
+
+    if kind == "mhsv":
+        value = exact.mhsv(required("k"), Composition.parse(args.s), rational("a"))
+        print(value)
+    elif kind == "mneimneh":
+        value = exact.mneimneh_lhs(required("n"), Composition.parse(args.s),
+                                   rational("a"), rational("p"))
+        print(value)
+    elif kind == "li":
+        res = polylog.li(_parse(int, args.s, "--s"),
+                         _parse(_PARAM_PARSERS["float"], args.x, "--x"), tol, precision)
+        print(_fmt_numeric(res))
+    elif kind == "listar":
+        xs = _parse(lambda t: tuple(float(Fraction(v)) for v in t.split(",")),
+                    args.x, "--x")
+        res = polylog.li_star(Composition.parse(args.s), xs, tol, precision)
+        print(_fmt_numeric(res))
+        if not res.converged:
+            return EXIT_NOT_CONVERGED
+    elif kind == "zetastar":
+        res = polylog.zeta_star(Composition.parse(args.s), tol, precision)
+        print(_fmt_numeric(res))
+        if not res.converged:
+            return EXIT_NOT_CONVERGED
+    elif kind == "mean":
+        lhs = exact.mean_lhs(required("n"), Composition.parse(args.s), rational("a"))
+        print(lhs)
+    else:
+        raise DomainError(f"unknown eval kind {kind!r}")
     return EXIT_OK
 
 
@@ -353,7 +366,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
+    except (DomainError, PairingUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

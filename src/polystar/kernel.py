@@ -8,9 +8,9 @@ Two scalar kernels coexist throughout the package:
 * numeric mode reports float64: an :class:`EvalResult` carries a float value
   and a float error estimate.  The truncation ladders compute in float64;
   the few quantities computed in mpmath (the zeta oracle, the ``li`` series
-  and closed forms, Gauss-Legendre nodes, mpmath-mode quadrature) run at an
-  explicit working precision in bits, return an ``mpmath.mpf`` rounded to
-  it, and are rounded to float64 when they become a result.
+  and the closed forms) run at an explicit working precision in bits,
+  return an ``mpmath.mpf`` rounded to it, and are rounded to float64 when
+  they become a result.  Adaptive quadrature runs in float64 throughout.
 
 Ladder values are float64 truncations, so the window fit behind sequence
 extrapolation is a float64 solve too, centred on the window's last value.
@@ -18,6 +18,7 @@ extrapolation is a float64 solve too, centred on the window's last value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,6 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from mpmath import mp
 
 DEFAULT_PRECISION = 160  # bits; working precision of the mpmath computations
 MIN_PRECISION = 100
@@ -118,63 +118,14 @@ def binom_ratio_sum(m: int, n: int) -> Fraction:
 # Adaptive quadrature
 # ---------------------------------------------------------------------------
 
-_gl_cache: dict = {}
-
-
-def _gauss_legendre_nodes(order, prec):
-    """Nodes/weights for Gauss-Legendre on [-1, 1] at ``prec`` bits."""
-    key = (order, prec)
-    cached = _gl_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workprec(prec + 32):
-        nodes = []
-        weights = []
-        for i in range(order):
-            # Newton refinement from the Chebyshev initial guess.
-            x = mpmath.cos(mpmath.pi * (i + mpmath.mpf(3) / 4) / (order + mpmath.mpf(1) / 2))
-            for _ in range(60):
-                p0, p1 = mpmath.mpf(1), x
-                for j in range(2, order + 1):
-                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mpmath.mpf(2) ** (-prec - 16):
-                    break
-            p0, p1 = mpmath.mpf(1), x
-            for j in range(2, order + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-    _gl_cache[key] = (nodes, weights)
-    return nodes, weights
-
-
-_GL_F64 = None
-
-
+@functools.cache
 def _gl_f64():
-    global _GL_F64
-    if _GL_F64 is None:
-        _GL_F64 = np.polynomial.legendre.leggauss(_GL_ORDER)
-    return _GL_F64
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panel(f, a, b, nodes, weights):
-    h = (b - a) / 2
-    c = (a + b) / 2
-    total = 0
-    for x, w in zip(nodes, weights):
-        total += w * f(c + h * x)
-    return total * h
-
-
-def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
-                        budget=QUADRATURE_PANEL_BUDGET, float_mode=False,
+def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUDGET,
                         min_depth=2, edge_depth=0):
-    """Integrate ``f`` over ``[lo, hi]`` to absolute tolerance ``tol``.
+    """Integrate ``f`` in float64 over ``[lo, hi]`` to absolute tolerance ``tol``.
 
     Adaptive bisection with a fixed-order Gauss-Legendre rule: each panel is
     accepted once the two-half refinement agrees with it to the panel's share
@@ -184,86 +135,62 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, precision=None,
     unsampled.  Raises :class:`NonConvergenceError` when the panel budget is
     exhausted; the budget is checked before each round.
 
-    The bisection runs breadth first: after the whole-interval panel, each
-    round evaluates the two halves of every pending panel.  Accepted panels
-    are summed by descending left endpoint, the order of a depth-first walk
-    that refines the right half first.
-
-    ``float_mode=True`` runs the whole scheme in double precision, for
-    integrands that are themselves float-valued truncations, and returns a
-    float.  There ``f`` takes a 1-D float64 array of nodes and returns their
-    values as an array of the same length; it is called once for the whole
-    interval and then once per round.  Otherwise ``f`` takes one mpmath node
-    at a time and the result is an ``mpmath.mpf`` rounded to ``precision``
-    bits.
+    The bisection runs breadth first: ``f`` takes a 1-D float64 array of
+    nodes and returns their values as an array of the same length, and is
+    called once for the whole interval and then once per round, on the two
+    halves of every pending panel.  Accepted panels are summed by descending
+    left endpoint, the order of a depth-first walk that refines the right
+    half first.  Returns a float.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    prec = _resolve_precision(precision)
-    if float_mode:
-        nodes, weights = _gl_f64()
-        lo_, hi_ = float(lo), float(hi)
-        zero = 0.0
-
-        def panel_sums(ends):
-            a, b = np.array(ends).T
-            h = (b - a) / 2
-            c = (a + b) / 2
-            values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel()))
-            values = values.reshape(len(ends), len(nodes))
-            # the node-by-node accumulation of the scalar rule, per panel
-            total = np.zeros(len(ends))
-            for k, w in enumerate(weights):
-                total = total + w * values[:, k]
-            return total * h
-    else:
-        nodes, weights = _gauss_legendre_nodes(_GL_ORDER, prec)
-        with mp.workprec(prec):
-            lo_, hi_ = _to_mpf(lo), _to_mpf(hi)
-        zero = mpmath.mpf(0)
-
-        def panel_sums(ends):
-            return [_panel(f, a, b, nodes, weights) for a, b in ends]
-
+    nodes, weights = _gl_f64()
+    lo_, hi_ = float(lo), float(hi)
     if lo_ == hi_:
-        return zero
+        return 0.0
 
-    def run():
-        panels = 0
-        accepted = []
-        pending = [(lo_, hi_, panel_sums([(lo_, hi_)])[0], float(tol), 0)]
-        while pending:
-            panels += len(pending)
-            if panels > budget:
-                raise NonConvergenceError(
-                    f"quadrature panel budget {budget} exhausted on [{lo}, {hi}]")
-            halves = []
-            for a, b, _, _, _ in pending:
-                c = (a + b) / 2
-                halves += [(a, c), (c, b)]
-            sums = panel_sums(halves)
-            refined = []
-            for i, (a, b, coarse, budget_here, depth) in enumerate(pending):
-                c = halves[2 * i][1]
-                left, right = sums[2 * i], sums[2 * i + 1]
-                err = abs(coarse - (left + right))
-                force = depth < min_depth or (
-                    depth < edge_depth and (a == lo_ or b == hi_))
-                if err <= budget_here and not force:
-                    accepted.append((a, left + right))
-                else:
-                    refined.append((a, c, left, budget_here / 2, depth + 1))
-                    refined.append((c, b, right, budget_here / 2, depth + 1))
-            pending = refined
-        total = zero
-        for _, value in sorted(accepted, key=lambda panel: panel[0], reverse=True):
-            total += value
-        return total
+    def panel_sums(ends):
+        a, b = np.array(ends).T
+        h = (b - a) / 2
+        c = (a + b) / 2
+        values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel()))
+        values = values.reshape(len(ends), len(nodes))
+        # the node-by-node accumulation of the scalar rule, per panel
+        total = np.zeros(len(ends))
+        for k, w in enumerate(weights):
+            total = total + w * values[:, k]
+        return total * h
 
-    if float_mode:
-        return float(run())
-    with mp.workprec(prec):
-        return +run()
+    panels = 0
+    accepted = []
+    pending = [(lo_, hi_, panel_sums([(lo_, hi_)])[0], float(tol), 0)]
+    while pending:
+        panels += len(pending)
+        if panels > budget:
+            raise NonConvergenceError(
+                f"quadrature panel budget {budget} exhausted on [{lo}, {hi}]")
+        halves = []
+        for a, b, _, _, _ in pending:
+            c = (a + b) / 2
+            halves += [(a, c), (c, b)]
+        sums = panel_sums(halves)
+        refined = []
+        for i, (a, b, coarse, budget_here, depth) in enumerate(pending):
+            c = halves[2 * i][1]
+            left, right = sums[2 * i], sums[2 * i + 1]
+            err = abs(coarse - (left + right))
+            force = depth < min_depth or (
+                depth < edge_depth and (a == lo_ or b == hi_))
+            if err <= budget_here and not force:
+                accepted.append((a, left + right))
+            else:
+                refined.append((a, c, left, budget_here / 2, depth + 1))
+                refined.append((c, b, right, budget_here / 2, depth + 1))
+        pending = refined
+    total = 0.0
+    for _, value in sorted(accepted, key=lambda panel: panel[0], reverse=True):
+        total += value
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +213,6 @@ BASIS_POWER_FIRST = tuple(_basis_term(l, i) for l, i in
 BASIS_LOG_FIRST = tuple(_basis_term(l, i) for l, i in
                         ((0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2)))
 _BASIS = BASIS_POWER_FIRST
-
-
-def _to_mpf(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / v.denominator
-    return mpmath.mpf(v)
 
 
 def _window_limit(levels, values, n_terms, basis=None):

@@ -238,9 +238,7 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
 
     # every marginal prefix direction can raise the log degree of the tail;
     # demand enough ladder samples for the model to cover it
-    return adaptive_sum(evaluate, schedule,
-                        tail="polynomial" if polynomial else "geometric",
-                        cost_per_level=lambda N: new_columns[-1] * L,
+    return adaptive_sum(evaluate, schedule, cost_per_level=lambda N: new_columns[-1] * L,
                         min_samples=max(7, marginal + 4))
 
 
@@ -341,10 +339,9 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
                                   tolerance=tol, extrapolate=True)
 
     def evaluate(N):
-        return dp_q_coupled(kernel, N, float_mode=True)
+        return dp_q_coupled(kernel, N, exact=False)
 
-    return adaptive_sum(evaluate, schedule, tail="polynomial",
-                        cost_per_level=lambda N: N * N * s.weight)
+    return adaptive_sum(evaluate, schedule, cost_per_level=lambda N: N * N * s.weight)
 
 
 class _NodeStates:
@@ -444,8 +441,7 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
         # the truncated integrand has boundary layers of width ~1/N at both
         # endpoints; force the bisection to resolve that scale
         depth = int(math.log2(N)) + 6
-        value = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, float_mode=True,
-                                    edge_depth=depth)
+        value = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, edge_depth=depth)
         nodes.keep(N)
         return value
 
@@ -456,7 +452,7 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
         terms, nodes.terms = nodes.terms, 0
         return terms
 
-    return adaptive_sum(evaluate, schedule, tail="polynomial", cost_per_level=cost_delta)
+    return adaptive_sum(evaluate, schedule, cost_per_level=cost_delta)
 
 
 def mean_lhs_converges(s, a) -> bool:

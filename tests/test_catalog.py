@@ -3,8 +3,8 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
-from mpmath import mp
 
 from polystar import catalog, polylog
 from polystar.compositions import Composition, ShapeBlocks
@@ -170,25 +170,32 @@ def test_skip_reason_in_json():
     assert passed["reason"] is None
 
 
-def test_aux_precision_reaches_quadrature(monkeypatch):
-    # the working precision the AUX quadrature's integrand runs at
-    seen = []
+def test_aux_sides_run_float64_quadrature(monkeypatch):
+    # the AUX integrals run the float64 rule on array integrands, over the
+    # grid and a fuzz sample holding empty intervals (a = 0) and intervals
+    # with t = 0 inside (AUX2 with a > 1)
+    intervals, calls = [], []
     quadrature = catalog.adaptive_quadrature
 
-    def recording_quadrature(f, *args, **kw):
+    def recording_quadrature(f, lo, hi, *args, **kw):
         def integrand(t):
-            seen.append(mp.prec)
+            calls.append(t)
             return f(t)
-        return quadrature(integrand, *args, **kw)
+        intervals.append((lo, hi))
+        return quadrature(integrand, lo, hi, *args, **kw)
 
     monkeypatch.setattr(catalog, "adaptive_quadrature", recording_quadrature)
-    params = dict(n=3, a=F(1, 2), x=F(1, 2))
-    for run, bits in ((lambda: [catalog.verify("AUX1", params, precision=200)], 200),
-                      (lambda: [catalog.verify("AUX1", params)], 160),
-                      (lambda: catalog.fuzz("AUX2", 5, 2, precision=200), 200)):
-        seen.clear()
-        assert all(r.status == "pass" for r in run())
-        assert seen and set(seen) == {bits}
+    reports = []
+    for identity in ("AUX1", "AUX2"):
+        reports += [catalog.verify(identity, params)
+                    for params, _ in catalog.get_entry(identity).grid()]
+        reports += catalog.fuzz(identity, 3, 50)
+    assert len(reports) == 2 * (54 + 50)
+    assert all(r.status == "pass" and r.abs_diff <= 1e-12 for r in reports)
+    assert any(lo == hi == 0 for lo, hi in intervals)
+    assert any(lo < 0 < hi for lo, hi in intervals)
+    assert calls and all(isinstance(t, np.ndarray) and t.ndim == 1
+                         and t.dtype == np.float64 for t in calls)
 
 
 def test_mean_kernel_precision_reaches_zeta(monkeypatch):

@@ -473,7 +473,7 @@ def test_q_coupled_float_matches_exact():
                                ("MEAN_FULL", F(-1), (9,))):
             k = QKernelSpec(Composition(parts), kind, a)
             for N in sizes:
-                value = dp_q_coupled(k, N, float_mode=True)
+                value = dp_q_coupled(k, N, exact=False)
                 assert type(value) is float
                 assert abs(value - float(dp_q_coupled(k, N))) < 1e-12
     # a float weight selects the float table by default
@@ -526,7 +526,7 @@ def test_q_table_row_pass_matches_cumsum(parts):
     want = 0.0
     for m in range(1, 301):
         want += W[m - 1].dot(1.0 * m / ((q + 1) * (q + m + 1)))
-    assert _bits(dp_q_coupled(k, 300, float_mode=True)) == _bits(want)
+    assert _bits(dp_q_coupled(k, 300, exact=False)) == _bits(want)
 
 
 def _term_ratio_fold(kernel, N):
@@ -553,7 +553,7 @@ def test_mean_full_fold_matches_term_ratio(a):
             got = dp_q_coupled(k, N)
             assert type(got) is F
             assert got == _term_ratio_fold(k, N)
-        assert abs(dp_q_coupled(k, 12, float_mode=True) - float(got)) <= 1e-12 * (1 + abs(got))
+        assert abs(dp_q_coupled(k, 12, exact=False) - float(got)) <= 1e-12 * (1 + abs(got))
 
 
 def test_q_coupled_mean_rhs_consistency():
@@ -590,8 +590,7 @@ def test_adaptive_sum_zero_spec():
 def test_adaptive_sum_mean_kernel_polynomial():
     k = QKernelSpec(Composition((2,)), "MEAN_INF")
     sched = TruncationSchedule(max_n=4096, tolerance=1e-6, extrapolate=True)
-    res = adaptive_sum(lambda N: dp_q_coupled(k, N, float_mode=True), sched,
-                       tail="polynomial")
+    res = adaptive_sum(lambda N: dp_q_coupled(k, N, exact=False), sched)
     assert res.converged
     assert abs(float(res.value) - math.pi ** 2 / 6) < 1e-6
 
@@ -607,8 +606,8 @@ def test_adaptive_sum_not_converged_flag():
 def test_adaptive_sum_determinism():
     k = QKernelSpec(Composition((2,)), "MEAN_INF")
     sched = TruncationSchedule(max_n=2048, tolerance=1e-6, extrapolate=True)
-    r1 = adaptive_sum(lambda N: dp_q_coupled(k, N, float_mode=True), sched)
-    r2 = adaptive_sum(lambda N: dp_q_coupled(k, N, float_mode=True), sched)
+    r1 = adaptive_sum(lambda N: dp_q_coupled(k, N, exact=False), sched)
+    r2 = adaptive_sum(lambda N: dp_q_coupled(k, N, exact=False), sched)
     assert float(r1.value) == float(r2.value)
     assert r1.terms_used == r2.terms_used
 

@@ -110,6 +110,38 @@ def test_verify_missing_param_is_usage_error(capsys):
     assert "missing parameter 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env, config", [
+    (["verify", "MEAN_SUM_HK", "--param", "n=abc"], None, None),
+    (["eval", "li", "--s", "2", "--x", "abc"], None, None),
+    (["verify", "AUX1", "--param", "n=2", "--param", "a=1", "--param", "x=1/0"],
+     None, None),
+    (["eval", "mhsv", "--s", "2"], None, None),
+    (["eval", "li", "--s", "2", "--x", "1/2"], "abc", None),
+    (["eval", "li", "--s", "2", "--x", "1/2"], None, "precision=abc\n"),
+    (["eval", "li", "--s", "2", "--x", "1/2"], None, False),
+    (["eval", "li", "--s", "2", "--x", "1/2", "--precision", "0"], None, None),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "0"], None, None),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "-1"], None, None),
+], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "env-precision",
+        "config-precision", "missing-config", "precision-0", "jobs-0", "jobs-negative"])
+def test_malformed_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys,
+                                                 argv, env, config):
+    # env: POLYSTAR_PRECISION; config None: no --config, False: a --config
+    # file that does not exist
+    monkeypatch.delenv("POLYSTAR_PRECISION", raising=False)
+    if env is not None:
+        monkeypatch.setenv("POLYSTAR_PRECISION", env)
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        if config:
+            path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fuzz_exit_code(capsys):
     assert main(["fuzz", "DILCHER_CLASSIC", "--trials", "5", "--seed", "11"]) == 0
     assert "5/5 pass" in capsys.readouterr().out

@@ -1,18 +1,14 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpmath import mp
-
 from polystar.kernel import (_GL_ORDER, BASIS_LOG_FIRST, BASIS_POWER_FIRST,
                              DomainError, NonConvergenceError, SingularFitError,
-                             _gauss_legendre_nodes, _resolve_precision, _to_mpf,
-                             _window_limit, adaptive_quadrature, best_extrapolant,
-                             binom_ratio_sum, binomial)
+                             _resolve_precision, _window_limit, adaptive_quadrature,
+                             best_extrapolant, binom_ratio_sum, binomial)
 
 
 def test_binomial_examples():
@@ -89,16 +85,21 @@ def test_precision_floor():
     assert _resolve_precision(100) == 100
     with pytest.raises(DomainError):
         _resolve_precision(50)
-    with pytest.raises(DomainError):
-        adaptive_quadrature(lambda t: t, 0, 1, 1e-12, precision=50)
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
 
+def _cubic_quotient(t):
+    # ((1+A)^3 - 1)/A, with its limit 3 at A = 0
+    near_zero = np.abs(t) < 1e-30
+    t_ = np.where(near_zero, 1.0, t)
+    return np.where(near_zero, 3.0, ((1 + t_) ** 3 - 1) / t_)
+
+
 def test_quadrature_constant():
-    q = adaptive_quadrature(lambda t: mpmath.mpf(1), 0, 1, 1e-12)
+    q = adaptive_quadrature(lambda t: np.ones_like(t), 0, 1, 1e-12)
     assert abs(float(q) - 1) < 1e-12
 
 
@@ -109,38 +110,24 @@ def test_quadrature_linear():
 
 def test_quadrature_cubic_difference_quotient():
     # integral over [0,1] of ((1+A)^3 - 1)/A equals 1 + 3/2 + 7/3 = 29/6
-    def f(t):
-        if abs(t) < 1e-30:
-            return mpmath.mpf(3)
-        return ((1 + t) ** 3 - 1) / t
-
-    q = adaptive_quadrature(f, 0, 1, 1e-10)
+    q = adaptive_quadrature(_cubic_quotient, 0, 1, 1e-10)
     assert abs(float(q) - float(Fraction(29, 6))) < 1e-10
 
 
 def test_quadrature_float_mode_layer():
     # thin smooth boundary layer: endpoint refinement must resolve it
     eps = 1e-6
-    q = adaptive_quadrature(lambda t: 1.0 / (t + eps), 0.0, 1.0, 1e-8,
-                            float_mode=True, edge_depth=26)
+    q = adaptive_quadrature(lambda t: 1.0 / (t + eps), 0.0, 1.0, 1e-8, edge_depth=26)
     assert abs(float(q) - math.log((1 + eps) / eps)) < 1e-7
 
 
-def _depth_first_quadrature(f, lo, hi, tol, precision=None, budget=2 ** 20,
-                            float_mode=False, min_depth=2, edge_depth=0):
+def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, min_depth=2, edge_depth=0):
     """Adaptive quadrature as a depth-first stack walk with a scalar
     integrand, right half refined first: the reference for the breadth-first
     scheme.  Returns the integral and the depth of every panel visited."""
-    prec = _resolve_precision(precision)
-    if float_mode:
-        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-        nodes, weights = list(x), list(w)
-        lo_, hi_, total = float(lo), float(hi), 0.0
-    else:
-        nodes, weights = _gauss_legendre_nodes(_GL_ORDER, prec)
-        with mp.workprec(prec):
-            lo_, hi_ = _to_mpf(lo), _to_mpf(hi)
-        total = mpmath.mpf(0)
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    nodes, weights = list(x), list(w)
+    lo_, hi_, total = float(lo), float(hi), 0.0
 
     def panel(a, b):
         h, c = (b - a) / 2, (a + b) / 2
@@ -150,72 +137,53 @@ def _depth_first_quadrature(f, lo, hi, tol, precision=None, budget=2 ** 20,
         return acc * h
 
     depths = []
-    with mp.workprec(prec):
-        stack = [(lo_, hi_, panel(lo_, hi_), float(tol), 0)]
-        while stack:
-            a, b, coarse, budget_here, depth = stack.pop()
-            depths.append(depth)
-            if len(depths) > budget:
-                raise NonConvergenceError("budget")
-            c = (a + b) / 2
-            left, right = panel(a, c), panel(c, b)
-            force = depth < min_depth or (
-                depth < edge_depth and (a == lo_ or b == hi_))
-            if abs(coarse - (left + right)) <= budget_here and not force:
-                total += left + right
-            else:
-                stack.append((a, c, left, budget_here / 2, depth + 1))
-                stack.append((c, b, right, budget_here / 2, depth + 1))
-        return total, depths
+    stack = [(lo_, hi_, panel(lo_, hi_), float(tol), 0)]
+    while stack:
+        a, b, coarse, budget_here, depth = stack.pop()
+        depths.append(depth)
+        if len(depths) > budget:
+            raise NonConvergenceError("budget")
+        c = (a + b) / 2
+        left, right = panel(a, c), panel(c, b)
+        force = depth < min_depth or (
+            depth < edge_depth and (a == lo_ or b == hi_))
+        if abs(coarse - (left + right)) <= budget_here and not force:
+            total += left + right
+        else:
+            stack.append((a, c, left, budget_here / 2, depth + 1))
+            stack.append((c, b, right, budget_here / 2, depth + 1))
+    return total, depths
 
 
+# (integrand, lo, hi, tol, edge_depth)
 FLOAT_INTEGRANDS = (
-    (lambda t: 1.0 / (t + 1e-6), 1e-8, 26),
-    (lambda t: np.exp(-40.0 * t) * np.cos(25.0 * t), 1e-11, 0),
-    (lambda t: np.sqrt(t) * (1.0 - t) ** 3, 1e-10, 12),
+    (lambda t: 1.0 / (t + 1e-6), 0.0, 1.0, 1e-8, 26),
+    (lambda t: np.exp(-40.0 * t) * np.cos(25.0 * t), 0.0, 1.0, 1e-11, 0),
+    (lambda t: np.sqrt(t) * (1.0 - t) ** 3, 0.0, 1.0, 1e-10, 12),
+    (_cubic_quotient, 0.0, 1.0, 1e-10, 0),
+    (lambda t: np.exp(-t * t), -1.0, 2.0, 1e-14, 0),
+    (lambda t: 1.0 / (t + 1e-4), 0.0, 1.0, 1e-12, 0),
 )
 
 
 @pytest.mark.parametrize("case", range(len(FLOAT_INTEGRANDS)))
 def test_quadrature_breadth_first_matches_depth_first_float(case):
-    f, tol, edge = FLOAT_INTEGRANDS[case]
-    got = adaptive_quadrature(f, 0.0, 1.0, tol, float_mode=True, edge_depth=edge)
-    want, _ = _depth_first_quadrature(f, 0.0, 1.0, tol, float_mode=True,
-                                      edge_depth=edge)
+    f, lo, hi, tol, edge = FLOAT_INTEGRANDS[case]
+    got = adaptive_quadrature(f, lo, hi, tol, edge_depth=edge)
+    want, _ = _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge)
     assert float(got).hex() == float(want).hex()
 
 
-def test_quadrature_breadth_first_matches_depth_first_mpmath():
-    def f(t):
-        if abs(t) < 1e-30:
-            return mpmath.mpf(3)
-        return ((1 + t) ** 3 - 1) / t
-
-    for integrand, lo, hi, tol in ((f, 0, 1, 1e-10),
-                                   (lambda t: mpmath.exp(-t * t), -1, 2, 1e-14),
-                                   (lambda t: 1 / (t + mpmath.mpf("1e-4")), 0, 1, 1e-12)):
-        got = adaptive_quadrature(integrand, lo, hi, tol, precision=160)
-        want, _ = _depth_first_quadrature(integrand, lo, hi, tol, precision=160)
-        assert got == want
-
-
-def test_quadrature_budget_exhausted_both_modes():
-    f, tol, edge = FLOAT_INTEGRANDS[0]
-    _, depths = _depth_first_quadrature(f, 0.0, 1.0, tol, float_mode=True,
-                                        edge_depth=edge)
+def test_quadrature_budget_exhausted():
+    f, lo, hi, tol, edge = FLOAT_INTEGRANDS[0]
+    _, depths = _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge)
     # the exact panel count passes; one fewer raises, like the stack walk
-    adaptive_quadrature(f, 0.0, 1.0, tol, float_mode=True, edge_depth=edge,
-                        budget=len(depths))
+    adaptive_quadrature(f, lo, hi, tol, edge_depth=edge, budget=len(depths))
     for budget in (len(depths) - 1, 5):
         with pytest.raises(NonConvergenceError):
-            adaptive_quadrature(f, 0.0, 1.0, tol, float_mode=True,
-                                edge_depth=edge, budget=budget)
+            adaptive_quadrature(f, lo, hi, tol, edge_depth=edge, budget=budget)
         with pytest.raises(NonConvergenceError):
-            _depth_first_quadrature(f, 0.0, 1.0, tol, float_mode=True,
-                                    edge_depth=edge, budget=budget)
-    with pytest.raises(NonConvergenceError):
-        adaptive_quadrature(lambda t: 1 / (t + mpmath.mpf("1e-4")), 0, 1, 1e-12,
-                            budget=20)
+            _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge, budget=budget)
 
 
 def test_quadrature_float_calls_once_per_round():
@@ -227,15 +195,13 @@ def test_quadrature_float_calls_once_per_round():
             return f(t)
         return g
 
-    adaptive_quadrature(record(lambda t: np.ones_like(t)), 0.0, 1.0, 1e-12,
-                        float_mode=True)
+    adaptive_quadrature(record(lambda t: np.ones_like(t)), 0.0, 1.0, 1e-12)
     # the whole interval, then rounds of 2, 4 and 8 halves (min_depth 2)
     assert [len(t) for t in calls] == [12, 24, 48, 96]
-    f, tol, edge = FLOAT_INTEGRANDS[0]
+    f, lo, hi, tol, edge = FLOAT_INTEGRANDS[0]
     calls.clear()
-    adaptive_quadrature(record(f), 0.0, 1.0, tol, float_mode=True, edge_depth=edge)
-    _, depths = _depth_first_quadrature(f, 0.0, 1.0, tol, float_mode=True,
-                                        edge_depth=edge)
+    adaptive_quadrature(record(f), lo, hi, tol, edge_depth=edge)
+    _, depths = _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge)
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64
                for t in calls)
     # one call per depth of visited panels, after the whole-interval one
