@@ -115,7 +115,7 @@ def _all_compositions(max_weight):
     return out
 
 
-def _shapes(family, d_max, m_max, u_max, ud_values=None):
+def _shapes(family, d_max, m_max, u_max):
     shapes = []
     for d in range(1, d_max + 1):
         m_grid = itertools.product(range(m_max + 1), repeat=d)
@@ -124,19 +124,18 @@ def _shapes(family, d_max, m_max, u_max, ud_values=None):
             u_grid_fn = lambda: itertools.product(range(u_max + 1), repeat=u_len)
         else:
             u_len = d
-            uds = ud_values or range(1, u_max + 1)
             u_grid_fn = lambda: (
                 tuple(head) + (ud,)
                 for head in itertools.product(range(u_max + 1), repeat=u_len - 1)
-                for ud in uds)
+                for ud in range(1, u_max + 1))
         for m in m_grid:
             for u in u_grid_fn():
                 shapes.append(ShapeBlocks(family, m, tuple(u)))
     return shapes
 
 
-def _rational(rng, lo, hi, max_den=12):
-    den = rng.randint(1, max_den)
+def _rational(rng, lo, hi):
+    den = rng.randint(1, 12)
     lo_n = int(as_fraction(lo) * den)
     hi_n = int(as_fraction(hi) * den)
     return Fraction(rng.randint(lo_n, hi_n), den)
@@ -467,13 +466,11 @@ _register(_Entry(
 # --- series identities (numeric) -------------------------------------------
 
 def _series_eval(identity, shape_key="shape"):
+    # verify has gated the domain already, or was told not to
     def evaluate(params, tol, precision):
-        target = params.get(shape_key)
-        a = params.get("a", 1)
-        p = params["p"] if "p" in params else None
         return polylog.li_identity_sides(
-            identity, target, a, p, tol, precision,
-            check_domain=not params.get("_outside", False))
+            identity, params.get(shape_key), params.get("a", 1), params.get("p"),
+            tol, precision, check_domain=False)
     return evaluate
 
 
@@ -494,9 +491,7 @@ _register(_Entry(
         "Li_s(a) = Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) - Li*_{1..1}(1-p,{1}_(s-1))",
         "NUMERIC", {"s": "int", "a": "float", "p": "float"},
         constraint_id="MAIN_AP", default_tol=1e-8),
-    lambda params, tol, precision: polylog.li_identity_sides(
-        "INTRO_SERIES", params["s"], params["a"], params["p"], tol, precision,
-        check_domain=not params.get("_outside", False)),
+    _series_eval("INTRO_SERIES", "s"),
     lambda: ((dict(s=s, a=a, p=p), None)
              for s in (2, 3, 4) for a, p in ((0.5, 0.5), (-1, 0.5), (1, 0.4))),
     sample=lambda rng: dict(s=rng.randint(2, 4),
@@ -511,9 +506,7 @@ _register(_Entry(
         "Li*_{1..1}(1-p,{1}_(s-1)) = -Li_s(1-1/p)",
         "NUMERIC", {"s": "int", "p": "float"},
         constraint_id="RED_BOX", default_tol=1e-8),
-    lambda params, tol, precision: polylog.li_identity_sides(
-        "INTRO_RED_L", params["s"], 1, params["p"], tol, precision,
-        check_domain=not params.get("_outside", False)),
+    _series_eval("INTRO_RED_L", "s"),
     lambda: ((dict(s=s, p=p), None) for s in (2, 3, 4) for p in _RED_P),
     sample=lambda rng: dict(s=rng.randint(2, 4), p=0.5 + rng.random() * 0.45),
     domain=_series_domain_fn("INTRO_RED_L"),
@@ -525,9 +518,7 @@ _register(_Entry(
         "Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) = Li_s(a) - Li_s(1-1/p)",
         "NUMERIC", {"s": "int", "a": "float", "p": "float"},
         constraint_id="RED_BOX", default_tol=1e-8),
-    lambda params, tol, precision: polylog.li_identity_sides(
-        "INTRO_RED_R", params["s"], params["a"], params["p"], tol, precision,
-        check_domain=not params.get("_outside", False)),
+    _series_eval("INTRO_RED_R", "s"),
     lambda: ((dict(s=s, a=a, p=p), None)
              for s in (2, 3, 4) for a in _RED_A for p in _RED_P),
     sample=lambda rng: dict(s=rng.randint(2, 4), a=rng.uniform(-1, 1 / 3),
@@ -657,9 +648,7 @@ _register(_Entry(
         "MEAN_INF_A",
         "Li*_s({1}_(d-1),a) equals the infinite binomial-ratio mean kernel sum",
         "NUMERIC", {"s": "composition", "a": "float"}, default_tol=1e-6),
-    lambda params, tol, precision: polylog.li_identity_sides(
-        "MEAN_INF_A", params["s"], params["a"], None, tol, precision,
-        check_domain=not params.get("_outside", False)),
+    _series_eval("MEAN_INF_A", "s"),
     lambda: ((dict(s=s, a=a), None)
              for s, alist in ((Composition((2,)), (1, 0.5, -1)),
                               (Composition((1, 1)), (0.5,)),
@@ -676,8 +665,7 @@ _register(_Entry(
         "MEAN_INF_1",
         "zeta*(s) = sum over |s|-chains of 1/((Q+1)(Q+n_|s|+1) n_1...n_(|s|-1))",
         "NUMERIC", {"s": "composition"}, default_tol=1e-6),
-    lambda params, tol, precision: polylog.li_identity_sides(
-        "MEAN_INF_1", params["s"], 1, None, tol, precision),
+    _series_eval("MEAN_INF_1", "s"),
     lambda: iter(((dict(s=Composition((2,))), 1e-6),
                   (dict(s=Composition((3,))), 1e-6),
                   (dict(s=Composition((2, 2))), 1e-5))),
@@ -764,8 +752,6 @@ def verify(identity_id, params=None, tol=None, precision=None,
             report.skipped = True
             report.skip_reason = reason
             return report
-    if outside:
-        params["_outside"] = True
     start = time.perf_counter()
 
     def not_converged(reason):

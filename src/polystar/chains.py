@@ -13,11 +13,10 @@ Three evaluators share the same summand model:
   :class:`GapState` holds R rows of one or two runs (a tail's alpha and
   gamma runs share one recurrence call per layer) and is resumable, so a
   truncation ladder extends one state level by level and computes each
-  column once, bit-identical to a fresh DP per level
-  (:func:`dp_chain_values` runs many specs with shared powers at once, one
-  row each, bit-identical to one spec per call); a float spec whose prefix
-  products leave the unit disc is refused with
-  :class:`PairingUnavailableError`;
+  column once, bit-identical to a fresh DP per level (a state of many
+  specs with shared powers, one row each, is bit-identical to one spec per
+  call); the state is where a float spec whose prefix products leave the
+  unit disc is refused, with :class:`PairingUnavailableError`;
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one dense (chain value, partial Q) table, Fractions for
   exact kernels and float64 for float ones, built by one descending row
@@ -113,21 +112,22 @@ class QKernelSpec:
 
 @dataclass(frozen=True)
 class TruncationSchedule:
+    """The truncation ladder start, 2 start, 4 start, ... up to ``max_n``."""
+
     start: int = 64
-    growth: int = 2
     max_n: int = 2 ** 20
     tolerance: float = 1e-8
     extrapolate: bool = False
 
     def __post_init__(self):
-        if self.start < 1 or self.growth < 2 or self.tolerance <= 0:
+        if self.start < 1 or self.tolerance <= 0:
             raise DomainError("invalid truncation schedule")
 
     def levels(self):
         n = self.start
         while n <= self.max_n:
             yield n
-            n *= self.growth
+            n *= 2
 
 
 def _walk_chains(N: int, L: int, root, step, budget=NAIVE_CHAIN_BUDGET):
@@ -287,9 +287,10 @@ class GapState:
     ``runs`` is an R x K x L array of bases: row r is one run (K = 1) or
     the two runs of a last-index tail (K = 2, the last base times alpha and
     times gamma), and its value is the first run minus the second.  Every
-    run's prefix products must stay in the unit disc (up to the pairing
-    slack), where the gap form of :func:`_gap_columns` keeps every carried
-    quantity bounded; otherwise :class:`PairingUnavailableError` is raised.
+    run's prefix products ``B`` must stay in the unit disc (up to the
+    pairing slack), where the gap form of :func:`_gap_columns` keeps every
+    carried quantity bounded; otherwise :class:`PairingUnavailableError`
+    names the first run whose products leave it.
 
     The state holds the prefix products, each inner layer's carry, the
     running cumulative totals and ``n_done``, the truncation reached, so
@@ -303,9 +304,11 @@ class GapState:
     def __init__(self, runs, powers):
         self.powers = tuple(powers)
         self.B = np.cumprod(np.asarray(runs, dtype=np.float64), axis=2)
-        if not (np.abs(self.B) <= 1.0 + PAIRING_SLACK).all():
-            raise PairingUnavailableError(
-                "prefix products leave the unit disc; the gap-form DP would diverge")
+        paired = (np.abs(self.B) <= 1.0 + PAIRING_SLACK).all(axis=2)
+        if not paired.all():
+            r, k = np.argwhere(~paired)[0]
+            raise PairingUnavailableError(f"prefix products {self.B[r, k].tolist()} leave "
+                                          "the unit disc; chain sum would diverge")
         self.carry = np.zeros(self.B.shape)
         self.totals = np.zeros(self.B.shape[:2])
         self.n_done = 0
@@ -313,18 +316,18 @@ class GapState:
     @classmethod
     def of_spec(cls, spec: FactorSpec):
         """The one-row state of a float spec."""
-        return cls([[[float(b) for b in run.bases] for run in spec.expanded()]],
-                   spec.powers)
+        return cls.of_rows([spec.bases], spec.powers, spec.tail)
 
     @classmethod
     def of_rows(cls, bases, powers, tail=None):
-        """The state of the rows of :func:`dp_chain_values`: row r has the
-        bases ``bases[r]`` and, with a ``tail`` (alpha, gamma) of length-R
-        arrays, the runs with last base times alpha[r] and times gamma[r]."""
+        """The state of R chain sums with shared powers: row r has the bases
+        ``bases[r]`` of the R x L array and, with a ``tail`` (alpha, gamma)
+        of two scalars or two length-R arrays, the runs with last base times
+        alpha[r] and times gamma[r]."""
         runs = np.asarray(bases, dtype=np.float64)[:, None]
         if tail is not None:
             runs = np.repeat(runs, 2, axis=1)
-            runs[:, :, -1] *= np.stack(tail, axis=1)
+            runs[:, :, -1] *= np.array(tail, dtype=np.float64).T
         return cls(runs, powers)
 
     @classmethod
@@ -428,24 +431,6 @@ def dp_chain_partials(spec: FactorSpec, N: int):
     totals = np.zeros(max(N, 0) + 1)
     totals[1:] = _signed_sum(GapState.of_spec(spec).extend(N)[0])
     return totals
-
-
-def dp_chain_values(bases, powers, N: int, tail=None):
-    """Float values at truncation N of R chain sums with shared powers.
-
-    Row r of the R x L array ``bases`` holds the bases of sum r; ``tail``
-    is None or a pair (alpha, gamma) of length-R arrays giving row r the
-    last-index tail factor (alpha[r]^{n_L} - gamma[r]^{n_L}).  Entry r
-    equals ``dp_chain_partials(FactorSpec(bases[r], powers, tail=(alpha[r],
-    gamma[r])), N)[N]`` bit for bit.  The rows are one fresh
-    :class:`GapState` (:meth:`GapState.of_rows`), advanced in chunks of at
-    most 2^21 / N runs, so a tail's two runs count twice; a tail row makes
-    one recurrence call per layer for its pair of runs.  N <= 0 gives
-    zeros.
-    """
-    state = GapState.of_rows(bases, powers, tail)
-    state.advance(N)
-    return state.values()
 
 
 # ---------------------------------------------------------------------------

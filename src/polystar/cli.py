@@ -73,8 +73,8 @@ def _resolve_run_config(args):
     return precision, tol, seed, jobs
 
 
-def _fmt_numeric(result: EvalResult, digits=12):
-    return f"{fmt(result.value, digits)} (err <= {fmt(result.error_estimate, 3)})"
+def _fmt_numeric(result: EvalResult):
+    return f"{fmt(result.value, 12)} (err <= {fmt(result.error_estimate, 3)})"
 
 
 # --param value parsers, by descriptor parameter type
@@ -302,12 +302,12 @@ def cmd_bench(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--precision", type=int, help="working precision in bits")
-    common.add_argument("--tol", type=float, help="tolerance override")
-    common.add_argument("--seed", type=int, help="fuzzing seed")
-    common.add_argument("--jobs", type=int, help="parallel verification workers")
+    # the flags of the commands that evaluate; each command takes only the
+    # flags it reads
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="key=value config file")
+    run.add_argument("--precision", type=int, help="working precision in bits")
+    run.add_argument("--tol", type=float, help="tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="polystar",
@@ -315,12 +315,12 @@ def build_parser():
                     "and verify their transformation identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list the identity catalog", parents=[common])
+    p_list = sub.add_parser("list", help="list the identity catalog")
     p_list.add_argument("--json", action="store_true")
     p_list.add_argument("--mode", choices=["exact", "numeric", "quadrature"])
     p_list.set_defaults(fn=cmd_list)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate a single quantity")
+    p_eval = sub.add_parser("eval", parents=[run], help="evaluate a single quantity")
     p_eval.add_argument("kind", choices=["mhsv", "mneimneh", "li", "listar",
                                          "zetastar", "mean"])
     p_eval.add_argument("--k", type=int)
@@ -331,8 +331,9 @@ def build_parser():
     p_eval.add_argument("--x", default="1")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify identities on their grids")
+    p_verify = sub.add_parser("verify", parents=[run], help="verify identities on their grids")
     p_verify.add_argument("ids", nargs="*")
+    p_verify.add_argument("--jobs", type=int, help="parallel verification workers")
     p_verify.add_argument("--all", action="store_true")
     p_verify.add_argument("--param", action="append",
                           help="key=value; run a single instance instead of the grid")
@@ -343,15 +344,17 @@ def build_parser():
     p_verify.add_argument("--verbose", action="store_true")
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_fuzz = sub.add_parser("fuzz", parents=[common], help="deterministically sample and verify")
+    p_fuzz = sub.add_parser("fuzz", parents=[run], help="deterministically sample and verify")
     p_fuzz.add_argument("id")
+    p_fuzz.add_argument("--seed", type=int, help="fuzzing seed")
     p_fuzz.add_argument("--trials", type=int, default=20)
     p_fuzz.add_argument("--outside", action="store_true")
     p_fuzz.add_argument("--json", action="store_true")
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
-    p_bench = sub.add_parser("bench", parents=[common], help="benchmark evaluation strategies")
+    p_bench = sub.add_parser("bench", help="benchmark evaluation strategies")
     p_bench.add_argument("scenario", choices=["dp-vs-naive", "depth-reduction"])
+    p_bench.add_argument("--tol", type=float, help="tolerance override")
     p_bench.add_argument("--L", type=int, default=4)
     p_bench.add_argument("--N", type=int, default=20)
     p_bench.add_argument("--shape", default="A:m=3;u=")

@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import compositions
 from .chains import (FactorSpec, QKernelSpec, _chain_partials, _exact_columns,
                      _walk_chains, dp_chain_sum, dp_q_coupled)
-from .compositions import Composition, as_composition, as_fraction
+from .compositions import Composition, as_composition, as_fraction, transform_bases
 from .kernel import DomainError, binomial
 
 
@@ -77,12 +76,6 @@ def mneimneh_lhs(n: int, s, a, p) -> Fraction:
     """Binomially weighted average sum_{k=1}^{n} C(n,k) p^k (1-p)^{n-k} zeta*_k(s; a)."""
     p = as_fraction(p)
     return _binomial_average(n, p, 1 - p, *_star_partials(n, s, a))
-
-
-def transform_bases(s, p) -> tuple:
-    """Exact per-index bases of the chain-sum transform (see
-    :func:`polystar.compositions.transform_bases`).  Requires p != 1."""
-    return compositions.transform_bases(s, as_fraction(p))
 
 
 def main_rhs(n: int, s, a, p) -> Fraction:

@@ -32,6 +32,8 @@ MIN_PRECISION = 100
 
 QUADRATURE_PANEL_BUDGET = 2 ** 20
 _GL_ORDER = 12
+# bisection levels every panel goes through before the error test may stop it
+_MIN_DEPTH = 2
 
 
 class DomainError(ValueError):
@@ -124,13 +126,13 @@ def _gl_f64():
 
 
 def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUDGET,
-                        min_depth=2, edge_depth=0):
+                        edge_depth=0):
     """Integrate ``f`` in float64 over ``[lo, hi]`` to absolute tolerance ``tol``.
 
     Adaptive bisection with a fixed-order Gauss-Legendre rule: each panel is
     accepted once the two-half refinement agrees with it to the panel's share
-    of the tolerance.  Panels shallower than ``min_depth`` always subdivide,
-    and panels touching an endpoint subdivide down to ``edge_depth``, so
+    of the tolerance.  Panels of the first two levels always subdivide, and
+    panels touching an endpoint subdivide down to ``edge_depth``, so
     integrands with thin boundary layers cannot slip past the error test
     unsampled.  Raises :class:`NonConvergenceError` when the panel budget is
     exhausted; the budget is checked before each round.
@@ -179,7 +181,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
             c = halves[2 * i][1]
             left, right = sums[2 * i], sums[2 * i + 1]
             err = abs(coarse - (left + right))
-            force = depth < min_depth or (
+            force = depth < _MIN_DEPTH or (
                 depth < edge_depth and (a == lo_ or b == hi_))
             if err <= budget_here and not force:
                 accepted.append((a, left + right))
@@ -212,18 +214,17 @@ BASIS_POWER_FIRST = tuple(_basis_term(l, i) for l, i in
                           ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (0, 3), (1, 3)))
 BASIS_LOG_FIRST = tuple(_basis_term(l, i) for l, i in
                         ((0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2)))
-_BASIS = BASIS_POWER_FIRST
 
 
-def _window_limit(levels, values, n_terms, basis=None):
-    """Fit value ~ c0 + sum c_t * basis_t(N) on the trailing window.
+def _window_limit(levels, values, n_terms, basis):
+    """Fit value ~ c0 + sum c_t * basis_t(N), t < ``n_terms``, on the
+    trailing window.
 
     A float64 solve for float64 data.  It fits ``values - values[-1]`` and
     adds ``values[-1]`` back, so a constant window fits exactly and a large
     limit never passes through the solve.  Raises :class:`SingularFitError`
     when the matrix is singular or the limit is not finite.
     """
-    basis = _BASIS if basis is None else basis
     k = n_terms + 1
     levels = levels[-k:]
     values = [float(v) for v in values[-k:]]
@@ -237,9 +238,8 @@ def _window_limit(levels, values, n_terms, basis=None):
     return c0 + values[-1]
 
 
-def best_extrapolant(levels, values, bases=(BASIS_POWER_FIRST, BASIS_LOG_FIRST),
-                     noise_floor=0.0):
-    """Extrapolate with each candidate basis ordering and keep the smallest
+def best_extrapolant(levels, values, noise_floor=0.0):
+    """Extrapolate with each basis ordering and keep the smallest
     embedded error estimate (three times the shift caused by dropping the
     model's last term on the final window), guarded below by the
     disagreement between the candidate models and by the caller's noise
@@ -252,7 +252,7 @@ def best_extrapolant(levels, values, bases=(BASIS_POWER_FIRST, BASIS_LOG_FIRST),
     if len(values) < 4:
         return None
     fits = []
-    for basis in bases:
+    for basis in (BASIS_POWER_FIRST, BASIS_LOG_FIRST):
         k = min(len(values) - 1, len(basis))
         k_prev = min(len(values) - 2, len(basis))
         try:

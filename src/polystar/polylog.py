@@ -17,9 +17,8 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .chains import (PAIRING_SLACK, FactorSpec, GapState, PairingUnavailableError,
-                     QKernelSpec, Q_STATE_BUDGET, TruncationSchedule, adaptive_sum,
-                     dp_chain_partials, dp_q_coupled)
+from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_BUDGET,
+                     TruncationSchedule, adaptive_sum, dp_chain_partials, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
@@ -148,27 +147,16 @@ def li(s: int, x, tol=None, precision=None) -> EvalResult:
 # Multi-dimensional star sums
 # ---------------------------------------------------------------------------
 
-def _prefix_products(xs):
-    out = []
-    acc = 1.0
-    for x in xs:
-        acc *= x
-        out.append(acc)
-    return out
-
-
-def _decay_converges(bases, powers) -> bool:
+def _decay_converges(B, powers) -> bool:
     """Conservative convergence test for the chain sum with the given
-    per-index bases and denominator powers.
+    prefix products ``B`` of its bases, all in the unit disc, and
+    denominator powers.
 
     Walks the inner-to-outer DP symbolically, tracking whether each layer
     decays geometrically or like m^-alpha (log factors ignored; they never
     flip strict comparisons used here).
     """
-    L = len(bases)
-    B = _prefix_products(bases)
-    if any(abs(b) > 1 + PAIRING_SLACK for b in B):
-        return False
+    L = len(B)
     # state: ("geo", rho) or ("poly", alpha, alternating)
     bL = B[-1]
     if abs(bL) < 1 - _MARGINAL_EPS:
@@ -207,29 +195,24 @@ def _star_factor_spec(s: Composition, xs) -> FactorSpec:
 
 def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     """Truncation ladder for a validated chain-sum spec (possibly with a
-    last-index tail difference)."""
+    last-index tail difference).  Its :class:`GapState` refuses a run whose
+    prefix products leave the unit disc."""
+    # one DP resumed across the levels: each level computes only its new
+    # columns, and that is the work it counts
+    state = GapState.of_spec(spec)
     worst = 0.0
     marginal = 0
-    for run in spec.expanded():
-        B = _prefix_products([float(b) for b in run.bases])
-        if any(abs(b) > 1 + PAIRING_SLACK for b in B):
-            raise PairingUnavailableError(
-                f"prefix products {B} leave the unit disc; chain sum would diverge")
-        if not _decay_converges([float(b) for b in run.bases], run.powers):
+    for run, B in zip(spec.expanded(), state.B[0].tolist()):
+        if not _decay_converges(B, run.powers):
             raise DomainError(f"chain sum for {run} diverges")
         worst = max(worst, max(abs(b) for b in B))
         # only prefix products near +1 stack logarithms into the tail;
         # alternating (near -1) directions give bounded inner sums
         marginal = max(marginal, sum(1 for b in B if b >= 1 - PAIRING_SLACK))
     polynomial = worst >= 0.95
-    schedule = TruncationSchedule(
-        start=64, growth=2,
-        max_n=POLY_MAX_N if polynomial else GEO_MAX_N,
-        tolerance=tol, extrapolate=polynomial)
+    schedule = TruncationSchedule(max_n=POLY_MAX_N if polynomial else GEO_MAX_N,
+                                  tolerance=tol, extrapolate=polynomial)
     L = spec.length
-    # one DP resumed across the levels: each level computes only its new
-    # columns, and that is the work it counts
-    state = GapState.of_spec(spec)
     new_columns = []
 
     def evaluate(N):
@@ -335,8 +318,7 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
     s = as_composition(s)
     kernel = QKernelSpec(s, "MEAN_INF")
     max_n = min(Q_MAX_N, int(math.isqrt(Q_STATE_BUDGET // max(1, s.weight))))
-    schedule = TruncationSchedule(start=64, growth=2, max_n=max_n,
-                                  tolerance=tol, extrapolate=True)
+    schedule = TruncationSchedule(max_n=max_n, tolerance=tol, extrapolate=True)
 
     def evaluate(N):
         return dp_q_coupled(kernel, N, exact=False)
@@ -363,22 +345,20 @@ class _NodeStates:
         self.rows = {p: kept for p, kept in self.rows.items() if kept[0].n_done == N}
 
 
-def _transform_values(s: Composition, a: float, N: int, p, nodes=None):
+def _transform_values(s: Composition, a: float, N: int, p, nodes: _NodeStates):
     """Truncated chain-sum transform of shape s at (a, p) for every entry of
     the float64 node array ``p``: the integrand of
     :func:`mean_average_infinite`.
 
-    A node found in ``nodes`` (a :class:`_NodeStates`, whose rows must not
-    be past N) resumes its row from the truncation it reached, and every
-    other node starts a fresh row; the nodes are grouped by that
-    truncation, each group is one row-batched :class:`GapState` advanced to
-    N, and every node's row is kept in ``nodes``.  The values are
+    A node found in ``nodes`` (whose rows must not be past N) resumes its
+    row from the truncation it reached, and every other node starts a fresh
+    row; the nodes are grouped by that truncation, each group is one
+    row-batched :class:`GapState` advanced to N, and every node's row is
+    kept in ``nodes``.  The values are
     bit-identical to a fresh DP per node.  Nodes within 1e-13 of p = 1
     take the collapsed spec, where only zero-gap chains survive, fresh each
     time.
     """
-    if nodes is None:
-        nodes = _NodeStates()
     values = np.empty(len(p))
     edge = 1.0 - p < 1e-13
     if edge.any():
@@ -445,8 +425,8 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
         nodes.keep(N)
         return value
 
-    schedule = TruncationSchedule(start=64, growth=2, max_n=MEAN_INTEGRAL_MAX_N,
-                                  tolerance=tol, extrapolate=True)
+    schedule = TruncationSchedule(max_n=MEAN_INTEGRAL_MAX_N, tolerance=tol,
+                                  extrapolate=True)
 
     def cost_delta(N):
         terms, nodes.terms = nodes.terms, 0

@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+import subprocess
+from types import SimpleNamespace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -120,3 +123,38 @@ def test_wall_ms_by_identity_sums_the_serial_reports():
     assert bench_record.wall_ms_by_identity(rows) == {"MEAN_INF_A": 1701.5}
     rows.append({"id": "MN1", "cost": {"wall_ms": 0.25}})
     assert bench_record.wall_ms_by_identity(rows) == {"MEAN_INF_A": 1701.5, "MN1": 0.25}
+
+
+def test_verify_all_samples_the_two_sides_in_turn(monkeypatch, tmp_path):
+    order = []
+    # per sample: parent serial, change serial, parent --jobs 2, change --jobs 2
+    walls = iter([3.0, 30.0, 2.0, 20.0, 1.0, 10.0, 5.0, 50.0, 2.5, 25.0, 1.5, 15.0])
+
+    def timed(cmd, tree, stdout=None):
+        jobs = "--jobs" in cmd
+        order.append((tree, jobs))
+        if stdout is not subprocess.DEVNULL:
+            for n in (1, 2):
+                # the change's --jobs 2 run counts other terms than its serial run
+                terms = n + (tree == "c" and jobs)
+                stdout.write(json.dumps({"id": "X", "params": {"n": str(n)},
+                                         "cost": {"wall_ms": 10.0 * n + jobs,
+                                                  "terms_lhs": terms}}) + "\n")
+        return next(walls), SimpleNamespace(returncode=0)
+
+    monkeypatch.setattr(bench_record, "timed", timed)
+    out, reports = bench_record.verify_all({"parent": "p", "change": "c"}, str(tmp_path))
+    n = bench_record.VERIFY_ALL_SAMPLES
+    assert order == [("p", False), ("c", False), ("p", True), ("c", True)] * n
+    parent, change = out["parent"], out["change"]
+    assert (parent["serial_s_runs"], parent["serial_s"]) == ([3.0, 1.0, 2.5], 2.5)
+    assert (parent["jobs2_s_runs"], parent["jobs2_s"]) == ([2.0, 5.0, 1.5], 2.0)
+    assert (change["serial_s_runs"], change["serial_s"]) == ([30.0, 10.0, 25.0], 25.0)
+    assert (change["jobs2_s_runs"], change["jobs2_s"]) == ([20.0, 50.0, 15.0], 20.0)
+    assert parent["serial_s_exits"] == change["jobs2_s_exits"] == [0] * n
+    # the first serial run's reports, summed by identity and without wall times
+    assert parent["wall_ms_by_identity"] == change["wall_ms_by_identity"] == {"X": 30.0}
+    assert parent["reports"] == change["reports"] == 2
+    assert parent["jobs_match_serial"] and not change["jobs_match_serial"]
+    assert reports["parent"] == reports["change"] == [
+        {"id": "X", "params": {"n": str(n)}, "cost": {"terms_lhs": n}} for n in (1, 2)]

@@ -12,7 +12,7 @@ from polystar import chains, exact
 from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
                              TruncationSchedule, _gap_columns, _q_table, _signed_sum,
                              _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
-                             dp_chain_values, dp_q_coupled, dp_q_naive, naive_chain_sum)
+                             dp_q_coupled, dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
 from polystar.kernel import BudgetExceededError, DomainError
 
@@ -189,7 +189,7 @@ def test_dp_float_unpaired_is_rejected():
         with pytest.raises(PairingUnavailableError):
             dp_chain_partials(spec_f, N)
         with pytest.raises(PairingUnavailableError):
-            dp_chain_values(np.array([spec_f.bases]), spec_f.powers, N)
+            _row_values(np.array([spec_f.bases]), spec_f.powers, N)
         assert dp_chain_sum(spec_e, N) == naive_chain_sum(spec_e, N)
     with pytest.raises(PairingUnavailableError):
         GapState.of_spec(spec_f)
@@ -228,6 +228,14 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def _row_values(bases, powers, N, tail=None):
+    """The values at truncation N of fresh :meth:`GapState.of_rows` rows,
+    advanced in row chunks."""
+    state = GapState.of_rows(bases, powers, tail)
+    state.advance(N)
+    return state.values()
+
+
 # nodes across [0, 1): the ends, a deep edge node, and p within 1e-13 of 1
 BATCH_NODES = (0.0, 1e-9, 0.03, 0.25, 0.5, 0.7, 0.93, 1 - 1e-6, 1 - 9e-14,
                1 - 5e-14)
@@ -241,16 +249,22 @@ def test_batched_gap_dp_matches_per_row(N, a):
     p = np.array(BATCH_NODES)
     bases = np.array([transform_bases(s, x) for x in p])
     alpha, gamma = 1.0 - p + a * p, 1.0 - p
-    got = dp_chain_values(bases, (1,) * L, N, tail=(alpha, gamma))
+    got = _row_values(bases, (1,) * L, N, tail=(alpha, gamma))
     for r in range(len(bases)):
         spec = FactorSpec(tuple(bases[r]), (1,) * L, tail=(alpha[r], gamma[r]))
         assert _bits(got[r]) == _bits(dp_chain_partials(spec, N)[N])
         assert _bits(got[r]) == _bits(_one_spec_float_partials(spec, N)[N])
+        # a tail of two scalars gives the row of a tail of length-1 arrays
+        scalar = _row_values(bases[r:r + 1], (1,) * L, N,
+                             tail=(float(alpha[r]), float(gamma[r])))
+        one = _row_values(bases[r:r + 1], (1,) * L, N, tail=(alpha[r:r + 1], gamma[r:r + 1]))
+        assert float(scalar[0]).hex() == float(one[0]).hex() == \
+            float(_one_spec_float_partials(spec, N)[N]).hex()
     # the low run alone (B_L = 1 - p), with every row's partials
     plain = bases.copy()
     plain[:, -1] *= gamma
     powers = (2, 1, 1, 3, 2)
-    got = dp_chain_values(plain, powers, N)
+    got = _row_values(plain, powers, N)
     for r in range(len(plain)):
         spec = FactorSpec(tuple(plain[r]), powers)
         want = _one_spec_float_partials(spec, N)
@@ -260,13 +274,13 @@ def test_batched_gap_dp_matches_per_row(N, a):
     unpaired = np.array([[1.001, 0.9, 0.5, 0.8, 1.0]])
     tail = (np.array([0.5 + a * 0.5]), np.array([0.5]))
     with pytest.raises(PairingUnavailableError):
-        dp_chain_values(unpaired, (1,) * L, N, tail=tail)
+        _row_values(unpaired, (1,) * L, N, tail=tail)
     with pytest.raises(PairingUnavailableError):
         dp_chain_partials(FactorSpec(tuple(unpaired[0]), (1,) * L,
                                      tail=(tail[0][0], tail[1][0])), N)
     unpaired[:, -1] *= tail[1]
     with pytest.raises(PairingUnavailableError):
-        dp_chain_values(unpaired, powers, N)
+        _row_values(unpaired, powers, N)
 
 
 def test_gap_terms_match_one_spec_terms():
@@ -290,7 +304,7 @@ def test_batched_gap_dp_chunks_rows():
     N = 4096
     p = np.linspace(0.0, 0.999, 600)
     bases = np.array([transform_bases((2,), x) for x in p])
-    got = dp_chain_values(bases, (1, 1), N, tail=(1.0 - p + 0.5 * p, 1.0 - p))
+    got = _row_values(bases, (1, 1), N, tail=(1.0 - p + 0.5 * p, 1.0 - p))
     for r in (0, 255, 256, 299, 511, 512, 599):
         spec = FactorSpec(tuple(bases[r]), (1, 1),
                           tail=(1.0 - p[r] + 0.5 * p[r], 1.0 - p[r]))
@@ -304,9 +318,9 @@ def test_float_dp_below_one_is_the_empty_sum():
         got = dp_chain_sum(spec, N)
         assert isinstance(got, float) and got == 0.0
         assert np.array_equal(dp_chain_partials(spec, N), [0.0])
-        assert np.array_equal(dp_chain_values(np.array([[0.5, 0.5]]), (1, 1), N), [0.0])
+        assert np.array_equal(_row_values(np.array([[0.5, 0.5]]), (1, 1), N), [0.0])
         tail = (np.array([0.9]), np.array([0.3]))
-        assert np.array_equal(dp_chain_values(np.array([[0.5, 0.5]]), (1, 1), N, tail), [0.0])
+        assert np.array_equal(_row_values(np.array([[0.5, 0.5]]), (1, 1), N, tail), [0.0])
     # extending a state to N <= n_done changes nothing
     state = GapState.of_spec(FactorSpec((0.5, 0.9), (1, 2), tail=(0.9, -0.4)))
     state.extend(100)
@@ -373,13 +387,13 @@ def test_resumed_rows_with_an_unpaired_run():
         with pytest.raises(PairingUnavailableError):
             GapState(runs[rows], (1, 2))
         with pytest.raises(PairingUnavailableError):
-            dp_chain_values(bases[rows], (1, 2), 64, tail=(tail[0][rows], tail[1][rows]))
+            _row_values(bases[rows], (1, 2), 64, tail=(tail[0][rows], tail[1][rows]))
     state = GapState(runs[1:], (1, 2))
 
     def fresh(N):
         want = dp_chain_partials(FactorSpec(tuple(bases[1]), (1, 2),
                                             tail=(tail[0][1], tail[1][1])), N)[None]
-        got = dp_chain_values(bases[1:], (1, 2), N, tail=(tail[0][1:], tail[1][1:]))
+        got = _row_values(bases[1:], (1, 2), N, tail=(tail[0][1:], tail[1][1:]))
         assert np.array_equal(_bits(got), _bits(want[:, N]))
         return want
 
@@ -613,7 +627,5 @@ def test_adaptive_sum_determinism():
 
 
 def test_schedule_validation():
-    with pytest.raises(DomainError):
-        TruncationSchedule(growth=1)
     with pytest.raises(DomainError):
         TruncationSchedule(tolerance=0)

@@ -142,6 +142,22 @@ def test_malformed_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["list", "--config", "run.cfg"], ["list", "--precision", "5"], ["list", "--tol", "1e-8"],
+    ["list", "--seed", "1"], ["list", "--jobs", "-3"],
+    ["eval", "li", "--s", "2", "--seed", "1"], ["eval", "li", "--s", "2", "--jobs", "2"],
+    ["verify", "MEAN_SUM_HK", "--seed", "1"],
+    ["fuzz", "DILCHER_CLASSIC", "--jobs", "4"],
+    ["bench", "dp-vs-naive", "--config", "run.cfg"], ["bench", "dp-vs-naive", "--precision", "5"],
+    ["bench", "dp-vs-naive", "--seed", "1"], ["bench", "dp-vs-naive", "--jobs", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
 def test_fuzz_exit_code(capsys):
     assert main(["fuzz", "DILCHER_CLASSIC", "--trials", "5", "--seed", "11"]) == 0
     assert "5/5 pass" in capsys.readouterr().out

@@ -271,13 +271,13 @@ def test_richardson_constant_sequence():
 
 def test_richardson_pure_inverse_tail():
     # one 1/N tail term is eliminated from two samples
-    value = _window_limit([100, 200], [1 + 1 / 100, 1 + 1 / 200], 1)
+    value = _window_limit([100, 200], [1 + 1 / 100, 1 + 1 / 200], 1, BASIS_POWER_FIRST)
     assert abs(value - 1) < 1e-9
 
 
 def test_richardson_needs_two_samples():
     with pytest.raises(SingularFitError):
-        _window_limit([10], [1.0], 1)
+        _window_limit([10], [1.0], 1, BASIS_POWER_FIRST)
     # best_extrapolant compares two window fits, so it needs four samples
     assert best_extrapolant([10, 20, 40], [1.0, 1.0, 1.0]) is None
 
@@ -297,6 +297,6 @@ def test_singular_window_fit():
     levels = [64, 128, 128, 256, 512]
     values = [1 + 1 / N for N in levels]
     with pytest.raises(SingularFitError):
-        _window_limit(levels, values, 4)
+        _window_limit(levels, values, 4, BASIS_POWER_FIRST)
     assert issubclass(SingularFitError, ZeroDivisionError)
     assert best_extrapolant(levels, values) is None

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -64,6 +65,10 @@ def test_li_star_examples():
 def test_li_star_pairing_rejection():
     with pytest.raises(PairingUnavailableError):
         polylog.li_star((1, 1), (2.0, 0.9))
+    # the gamma run alone leaves the unit disc, and the message names its
+    # prefix products
+    with pytest.raises(PairingUnavailableError, match=re.escape(str([0.9, 0.9 * 1.2]))):
+        polylog.li_star_diff((1, 1), (0.9,), 0.5, 1.2, 1e-9)
 
 
 def test_li_star_divergence_rejection():
@@ -71,6 +76,8 @@ def test_li_star_divergence_rejection():
         polylog.li_star((1, 1), (1.0, 0.5))  # leading unit-weight direction
     with pytest.raises(DomainError):
         polylog.li_star((1, 2), (1.0, 1.0))
+    with pytest.raises(DomainError):
+        polylog.li_star_diff((1, 2), (1.0,), 1.0, 0.5, 1e-9)
 
 
 def test_li_star_diff_matches_separate():
@@ -225,10 +232,11 @@ def test_transform_values_match_scalar_integrand(N, a):
     p = np.array([0.0, 0.2, 0.5, 0.9, 1 - 1e-7, 1 - 2e-13, 1 - 5e-14, 0.6])
     for parts in ((2,), (2, 1), (1, 3)):
         s = Composition(parts)
-        got = polylog._transform_values(s, a, N, p)
+        got = polylog._transform_values(s, a, N, p, polylog._NodeStates())
         want = [_scalar_transform_value(s, a, N, x) for x in p]
         assert [float(v).hex() for v in got] == [v.hex() for v in want]
-    assert polylog._transform_values(Composition((2,)), a, N, np.array([])).shape == (0,)
+    assert polylog._transform_values(Composition((2,)), a, N, np.array([]),
+                                     polylog._NodeStates()).shape == (0,)
 
 
 def test_mean_average_resumes_node_rows(monkeypatch):
@@ -241,7 +249,7 @@ def test_mean_average_resumes_node_rows(monkeypatch):
     real_transform, real_columns = polylog._transform_values, chains._gap_columns
     calls, computed = [], [0]
 
-    def transform(s_, a_, N, p, nodes=None):
+    def transform(s_, a_, N, p, nodes):
         calls.append((N, p.copy(), nodes))
         return real_transform(s_, a_, N, p, nodes)
 
@@ -264,8 +272,10 @@ def test_mean_average_resumes_node_rows(monkeypatch):
     assert set(nodes.rows) == visited
     assert all(state.n_done == last for state, _ in nodes.rows.values())
 
-    monkeypatch.setattr(polylog, "_transform_values",
-                        lambda s_, a_, N, p, nodes=None: real_transform(s_, a_, N, p))
+    def fresh_transform(s_, a_, N, p, nodes):
+        return real_transform(s_, a_, N, p, polylog._NodeStates())
+
+    monkeypatch.setattr(polylog, "_transform_values", fresh_transform)
     want = polylog.mean_average_infinite(s, a, tol)
     assert [float(x).hex() for x in (got.value, got.error_estimate)] == \
         [float(x).hex() for x in (want.value, want.error_estimate)]
@@ -283,7 +293,7 @@ def test_node_store_keeps_only_the_last_level():
     polylog._transform_values(s, a, 64, p, nodes)
     assert set(nodes.rows) == {0.1, 0.4, 0.7}
     got = polylog._transform_values(s, a, 128, p[[2, 3, 0]], nodes)
-    want = polylog._transform_values(s, a, 128, p[[2, 3, 0]])
+    want = polylog._transform_values(s, a, 128, p[[2, 3, 0]], polylog._NodeStates())
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
     assert nodes.terms == 64 * 3 * 3 + 64 * 2 + (128 - 64) * 2 * 3 + 128 * 2
     nodes.keep(128)

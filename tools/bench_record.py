@@ -11,10 +11,11 @@ each side runs the committed files only.  The file records:
   ``--seed + i``; the side that runs first alternates), as per-run values,
   medians and quartiles per side, and the change's wins per metric;
 * the wall time of ``polystar verify --all --json``, serial and with
-  ``--jobs 2``, whether the reports of the two sides are identical once
+  ``--jobs 2`` (median and every run of 3 samples, the two sides sampled
+  in turn), whether the reports of the two sides are identical once
   ``cost.wall_ms`` is dropped, a per-report summary of how they differ
-  (:func:`diff_reports`), and the serial run's ``cost.wall_ms`` summed by
-  identity (``wall_ms_by_identity``);
+  (:func:`diff_reports`), and the first serial run's ``cost.wall_ms``
+  summed by identity (``wall_ms_by_identity``);
 * the wall time and the summary line of the Tier-1 suite;
 * the cold start of ``python -m polystar list`` (median of 5, the two
   sides sampled in turn);
@@ -22,7 +23,7 @@ each side runs the committed files only.  The file records:
 * ``nproc`` and the Python, numpy and SciPy versions.
 
 Everything runs one process at a time, so the pool of ``--jobs 2`` is the
-only parallel part.  A full record takes about 20 minutes on 2 cores with
+only parallel part.  A full record takes about 25 minutes on 2 cores with
 the default 3 pairs.
 """
 
@@ -42,6 +43,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("exact_grids", "series_ladders", "mean_kernels", "cli_pool")
 COLD_START_SAMPLES = 5
+VERIFY_ALL_SAMPLES = 3
+VERIFY_ALL_RUNS = (("serial_s", []), ("jobs2_s", ["--jobs", "2"]))
 
 
 def export(rev, dest):
@@ -127,29 +130,40 @@ def wall_ms_by_identity(rows):
     return out
 
 
-def verify_all(tree, workdir, side):
-    """Wall time of ``verify --all --json`` serial and with ``--jobs 2``, and
-    the serial run's per-identity sum of ``cost.wall_ms``; the serial
+def verify_all(trees, workdir):
+    """Wall time of ``verify --all --json`` on each tree, serial and with
+    ``--jobs 2``: the median and every run of ``VERIFY_ALL_SAMPLES``
+    samples, the two sides sampled in turn like :func:`cold_start`.  The
+    reports of the first sample are kept: the serial run's per-identity sum
+    of ``cost.wall_ms``, and whether the ``--jobs 2`` reports match the
+    serial ones.  Returns the record by side and each side's first serial
     reports without their wall times."""
-    out = {}
-    reports = {}
-    for label, extra in (("serial_s", []), ("jobs2_s", ["--jobs", "2"])):
-        path = os.path.join(workdir, f"verify-{side}-{label}.jsonl")
-        with open(path, "w") as fh:
-            wall, proc = timed([sys.executable, "-m", "polystar", "verify", "--all",
-                                "--json"] + extra, tree, stdout=fh)
-        out[label] = wall
-        out[f"{label}_exit"] = proc.returncode
-        with open(path) as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        if label == "serial_s":
-            out["wall_ms_by_identity"] = wall_ms_by_identity(rows)
-        for row in rows:
-            row.get("cost", {}).pop("wall_ms", None)
-        reports[label] = rows
-    out["reports"] = len(reports["serial_s"])
-    out["jobs_match_serial"] = _canonical(reports["serial_s"]) == _canonical(reports["jobs2_s"])
-    return out, reports["serial_s"]
+    out = {side: {} for side in trees}
+    reports = {side: {} for side in trees}
+    for i in range(VERIFY_ALL_SAMPLES):
+        for label, extra in VERIFY_ALL_RUNS:
+            for side, tree in trees.items():
+                cmd = [sys.executable, "-m", "polystar", "verify", "--all", "--json"] + extra
+                if i:
+                    wall, proc = timed(cmd, tree, stdout=subprocess.DEVNULL)
+                else:
+                    path = os.path.join(workdir, f"verify-{side}-{label}.jsonl")
+                    with open(path, "w") as fh:
+                        wall, proc = timed(cmd, tree, stdout=fh)
+                    with open(path) as fh:
+                        reports[side][label] = [json.loads(line) for line in fh if line.strip()]
+                out[side].setdefault(f"{label}_runs", []).append(wall)
+                out[side].setdefault(f"{label}_exits", []).append(proc.returncode)
+    for side, rec in out.items():
+        rec["wall_ms_by_identity"] = wall_ms_by_identity(reports[side]["serial_s"])
+        for label, _ in VERIFY_ALL_RUNS:
+            rec[label] = statistics.median(rec[f"{label}_runs"])
+            for row in reports[side][label]:
+                row.get("cost", {}).pop("wall_ms", None)
+        serial = reports[side]["serial_s"]
+        rec["reports"] = len(serial)
+        rec["jobs_match_serial"] = _canonical(serial) == _canonical(reports[side]["jobs2_s"])
+    return out, {side: reports[side]["serial_s"] for side in trees}
 
 
 def _canonical(rows):
@@ -268,11 +282,8 @@ def main(argv=None):
         record = {"commits": shas, "machine": versions(), "pairs": args.pairs,
                   "src_lines": {side: src_lines(trees[side]) for side in trees}}
         record["workloads"] = bench_workloads(trees, args.pairs, args.seed)
-        record["verify_all"] = {}
-        reports = {}
-        for side in trees:
-            record["verify_all"][side], reports[side] = verify_all(trees[side], workdir, side)
-            print(f"verify --all {side}: {record['verify_all'][side]}", flush=True)
+        record["verify_all"], reports = verify_all(trees, workdir)
+        print(f"verify --all: {record['verify_all']}", flush=True)
         record["verify_all"]["identical_without_wall_ms"] = (
             _canonical(reports["parent"]) == _canonical(reports["change"]))
         record["verify_all"]["diff"] = diff_reports(reports["parent"], reports["change"])
