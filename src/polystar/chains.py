@@ -16,7 +16,9 @@ Three evaluators share the same summand model:
   column once, bit-identical to a fresh DP per level (a state of many
   specs with shared powers, one row each, is bit-identical to one spec per
   call); the state is where a float spec whose prefix products leave the
-  unit disc is refused, with :class:`PairingUnavailableError`;
+  unit disc is refused, with :class:`PairingUnavailableError`; its one
+  SciPy call, ``lfilter``, is imported at the first float gap DP
+  (:func:`load_lfilter`), so a process that runs none never loads SciPy;
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one dense (chain value, partial Q) table, Fractions for
   exact kernels and float64 for float ones, built by one descending row
@@ -30,12 +32,12 @@ and returns the result as float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .compositions import Composition, as_composition, chain_q_signs
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
@@ -241,6 +243,15 @@ def _underflow_index(b, N):
     return min(N, math.ceil(_UNDERFLOW_LOG2 / -math.log2(mag)))
 
 
+@functools.cache
+def load_lfilter():
+    """``scipy.signal.lfilter``, imported on the first call: importing
+    ``scipy.signal`` costs most of a cold start, and only the float gap DP
+    uses it."""
+    from scipy.signal import lfilter
+    return lfilter
+
+
 def _gap_columns(B, powers, lo, hi, carry):
     """Outer-layer terms of the gap-form DP at n_1 = lo+1..hi.
 
@@ -258,6 +269,7 @@ def _gap_columns(B, powers, lo, hi, carry):
     per call for all rows, and each inner layer is one first-order
     recurrence per row, over the row's K x n block.
     """
+    lfilter = load_lfilter()
     R, K, L = B.shape
     j = np.arange(lo + 1, hi + 1, dtype=np.float64)
     D = np.zeros((R, K, hi - lo))

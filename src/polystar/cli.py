@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import catalog, exact, polylog
+from . import catalog, chains, exact, polylog
 from .chains import FactorSpec, PairingUnavailableError, dp_chain_sum, naive_chain_sum
 from .compositions import Composition, ShapeBlocks, shape_composition
 from .kernel import (DEFAULT_PRECISION, DomainError, EvalResult, _resolve_precision,
@@ -47,30 +47,38 @@ def _read_config(path):
     return {key.strip(): value.strip() for key, value in pairs}
 
 
+# config key -> (the attribute of its flag, parser, default); a command
+# reads the keys of the flags it takes and no others
+_RUN_SETTINGS = {
+    "precision": ("precision", int, DEFAULT_PRECISION),
+    "tolerance": ("tol", float, None),
+    "seed": ("seed", int, 0),
+    "jobs": ("jobs", int, 1),
+}
+
+
 def _resolve_run_config(args):
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = _read_config(args.config)
-    precision = _parse(int, cfg.get("precision", DEFAULT_PRECISION), "config precision")
+    """The run settings of the flags the command takes, by attribute: the
+    flag, else (for precision) ``POLYSTAR_PRECISION``, else the config key,
+    else the default.  A config key is parsed and checked only when the
+    command takes its flag."""
+    cfg = _read_config(args.config) if args.config else {}
     env = os.environ.get("POLYSTAR_PRECISION")
-    if env:
-        precision = _parse(int, env, "POLYSTAR_PRECISION")
-    if getattr(args, "precision", None) is not None:
-        precision = args.precision
+    settings = {}
+    for key, (name, convert, default) in _RUN_SETTINGS.items():
+        if not hasattr(args, name):
+            continue
+        value = _parse(convert, cfg[key], f"config {key}") if key in cfg else default
+        if name == "precision" and env:
+            value = _parse(int, env, "POLYSTAR_PRECISION")
+        if getattr(args, name) is not None:
+            value = getattr(args, name)
+        settings[name] = value
     # only the mpmath steps read it, so check it here for every command
-    precision = _resolve_precision(precision)
-    tol = _parse(float, cfg["tolerance"], "config tolerance") if "tolerance" in cfg else None
-    if getattr(args, "tol", None) is not None:
-        tol = args.tol
-    seed = _parse(int, cfg.get("seed", 0), "config seed")
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    jobs = _parse(int, cfg.get("jobs", 1), "config jobs")
-    if getattr(args, "jobs", None) is not None:
-        jobs = args.jobs
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    return precision, tol, seed, jobs
+    settings["precision"] = _resolve_precision(settings["precision"])
+    if settings.get("jobs", 1) < 1:
+        raise DomainError(f"jobs must be >= 1, got {settings['jobs']}")
+    return settings
 
 
 def _fmt_numeric(result: EvalResult):
@@ -123,8 +131,9 @@ def cmd_list(args):
 
 
 def cmd_eval(args):
-    precision, tol, _, _ = _resolve_run_config(args)
-    tol = tol if tol is not None else 1e-9
+    run = _resolve_run_config(args)
+    precision = run["precision"]
+    tol = run["tol"] if run["tol"] is not None else 1e-9
     kind = args.kind
 
     def required(name):
@@ -178,7 +187,8 @@ def _report_key(report):
 
 
 def cmd_verify(args):
-    precision, tol_override, _, jobs = _resolve_run_config(args)
+    run = _resolve_run_config(args)
+    precision, tol_override, jobs = run["precision"], run["tol"], run["jobs"]
     ids = args.ids
     if args.all:
         ids = [d.id for d in catalog.list_identities()]
@@ -203,6 +213,9 @@ def cmd_verify(args):
                 tasks.append((ident, params, tol, precision, args.outside))
 
     if jobs > 1:
+        # load SciPy before the fork, so the workers share its pages
+        if any(entry.descriptor.mode != "EXACT" for entry in entries):
+            chains.load_lfilter()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_task, tasks, chunksize=8))
     else:
@@ -229,10 +242,10 @@ def cmd_verify(args):
 
 
 def cmd_fuzz(args):
-    precision, tol, seed, _ = _resolve_run_config(args)
+    run = _resolve_run_config(args)
     try:
-        reports = catalog.fuzz(args.id, seed, args.trials, tol, outside=args.outside,
-                               precision=precision)
+        reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
+                               outside=args.outside, precision=run["precision"])
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,8 @@ import os
 import subprocess
 from types import SimpleNamespace
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
     "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
@@ -106,15 +108,26 @@ def test_cold_start_samples_the_two_sides_in_turn(monkeypatch):
     order = []
 
     def timed(cmd, tree, stdout=None):
-        order.append(tree)
-        return (1.0 if tree == "p" else 2.0), None
+        command = cmd[3]
+        order.append((command, tree))
+        wall = {"list": 1.0, "eval": 3.0}[command] + (tree == "c")
+        return wall, SimpleNamespace(returncode=0)
 
     monkeypatch.setattr(bench_record, "timed", timed)
     got = bench_record.cold_start({"parent": "p", "change": "c"})
     n = bench_record.COLD_START_SAMPLES
-    assert order == ["p", "c"] * n
-    assert got == {"parent": {"median_s": 1.0, "runs": [1.0] * n},
-                   "change": {"median_s": 2.0, "runs": [2.0] * n}}
+    assert order == [("list", "p"), ("list", "c"), ("eval", "p"), ("eval", "c")] * n
+    assert got == {"list": {"parent": {"median_s": 1.0, "runs": [1.0] * n},
+                            "change": {"median_s": 2.0, "runs": [2.0] * n}},
+                   "eval_zetastar": {"parent": {"median_s": 3.0, "runs": [3.0] * n},
+                                     "change": {"median_s": 4.0, "runs": [4.0] * n}}}
+
+
+def test_cold_start_refuses_a_failed_command(monkeypatch):
+    monkeypatch.setattr(bench_record, "timed", lambda cmd, tree, stdout=None:
+                        (0.1, SimpleNamespace(returncode=2, stderr="error: boom")))
+    with pytest.raises(RuntimeError, match="cold start list in p exited 2"):
+        bench_record.cold_start({"parent": "p", "change": "c"})
 
 
 def test_wall_ms_by_identity_sums_the_serial_reports():

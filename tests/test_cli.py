@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import polystar
-from polystar import catalog, chains
+from polystar import catalog, chains, cli
 from polystar.cli import main
 
 CLI = [sys.executable, "-m", "polystar.cli"]
@@ -122,8 +122,11 @@ def test_verify_missing_param_is_usage_error(capsys):
     (["eval", "li", "--s", "2", "--x", "1/2", "--precision", "0"], None, None),
     (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "0"], None, None),
     (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "-1"], None, None),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3"], None, "jobs = 0\n"),
+    (["fuzz", "DILCHER_CLASSIC", "--trials", "1"], None, "seed = x\n"),
 ], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "env-precision",
-        "config-precision", "missing-config", "precision-0", "jobs-0", "jobs-negative"])
+        "config-precision", "missing-config", "precision-0", "jobs-0", "jobs-negative",
+        "config-jobs-0", "config-seed"])
 def test_malformed_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys,
                                                  argv, env, config):
     # env: POLYSTAR_PRECISION; config None: no --config, False: a --config
@@ -156,6 +159,17 @@ def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["eval", "li", "--s", "2", "--x", "1/2"], "jobs = 0\n"),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3"], "seed = x\n"),
+], ids=["eval-jobs", "verify-seed"])
+def test_config_key_a_command_does_not_read_is_not_checked(tmp_path, capsys, argv, config):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main(argv + ["--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fuzz_exit_code(capsys):
@@ -219,6 +233,60 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("tolerance = 1e-6\nseed = 9\n")
     assert main(["eval", "zetastar", "--s", "2", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.startswith("1.644934")
+
+
+def test_scipy_is_loaded_at_the_first_float_gap_dp():
+    # a fresh process: the test session has imported SciPy already
+    script = """if True:
+        import sys
+        import polystar
+        from polystar import cli
+        loaded = ["scipy" in sys.modules]
+        for argv in (["list"],
+                     ["verify", "MN1", "--param", "n=3", "--param", "d=2",
+                      "--param", "a=1/2", "--param", "p=1/3"],
+                     ["eval", "zetastar", "--s", "2,2", "--tol", "1e-8"]):
+            assert cli.main(argv) == 0
+            loaded.append("scipy" in sys.modules)
+        print(loaded)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True]"
+
+
+@pytest.mark.parametrize("argv, preloaded", [
+    (["verify", "LI1_EX", "--param", "d=2", "--param", "p=0.5"], True),
+    (["verify", "MN1", "--param", "n=3", "--param", "d=2", "--param", "a=1/2",
+      "--param", "p=1/3"], False),
+], ids=["numeric", "exact"])
+def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, preloaded):
+    # the forked workers share the parent's SciPy pages only when it was
+    # loaded before the pool started; a run of EXACT identities never loads it
+    events = []
+    load = chains.load_lfilter
+
+    def recording_load():
+        events.append("load")
+        return load()
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            events.append("pool")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(chains, "load_lfilter", recording_load)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert events[:2] == (["load", "pool"] if preloaded else ["pool"])
 
 
 def test_parallel_verify_subprocess():

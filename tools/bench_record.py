@@ -17,8 +17,9 @@ each side runs the committed files only.  The file records:
   (:func:`diff_reports`), and the first serial run's ``cost.wall_ms``
   summed by identity (``wall_ms_by_identity``);
 * the wall time and the summary line of the Tier-1 suite;
-* the cold start of ``python -m polystar list`` (median of 5, the two
-  sides sampled in turn);
+* the cold start of ``python -m polystar list``, which runs no float DP,
+  and of ``python -m polystar eval zetastar --s 2,2 --tol 1e-8``, which
+  does (median of 5 each, the two sides sampled in turn);
 * ``src_lines``, the line count of ``src/polystar/*.py`` in each tree;
 * ``nproc`` and the Python, numpy and SciPy versions.
 
@@ -43,6 +44,10 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("exact_grids", "series_ladders", "mean_kernels", "cli_pool")
 COLD_START_SAMPLES = 5
+COLD_START_COMMANDS = {
+    "list": ["list"],
+    "eval_zetastar": ["eval", "zetastar", "--s", "2,2", "--tol", "1e-8"],
+}
 VERIFY_ALL_SAMPLES = 3
 VERIFY_ALL_RUNS = (("serial_s", []), ("jobs2_s", ["--jobs", "2"]))
 
@@ -235,14 +240,22 @@ def tier1(tree):
 
 
 def cold_start(trees):
-    """Cold start of ``python -m polystar list`` on each tree, sampled in
+    """Cold start of each of ``COLD_START_COMMANDS`` on each tree, by
+    command and side.  Each sample runs every command on the two sides in
     turn (parent, change, parent, ...) so that drift on the machine falls
-    on both sides alike."""
-    runs = {side: [] for side in trees}
+    on both sides alike; a command that fails is an error, not a time."""
+    runs = {name: {side: [] for side in trees} for name in COLD_START_COMMANDS}
     for _ in range(COLD_START_SAMPLES):
-        for side, tree in trees.items():
-            runs[side].append(timed([sys.executable, "-m", "polystar", "list"], tree)[0])
-    return {side: {"median_s": statistics.median(r), "runs": r} for side, r in runs.items()}
+        for name, args in COLD_START_COMMANDS.items():
+            for side, tree in trees.items():
+                wall, proc = timed([sys.executable, "-m", "polystar"] + args, tree)
+                if proc.returncode != 0:
+                    raise RuntimeError(f"cold start {name} in {tree} exited "
+                                       f"{proc.returncode}: {proc.stderr[-2000:]}")
+                runs[name][side].append(wall)
+    return {name: {side: {"median_s": statistics.median(r), "runs": r}
+                   for side, r in by_side.items()}
+            for name, by_side in runs.items()}
 
 
 def src_lines(tree):
