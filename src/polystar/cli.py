@@ -1,5 +1,5 @@
-"""Command-line front end: evaluate single quantities, run the verification
-suite, fuzz identities, and benchmark evaluation strategies.
+"""Command-line front end: list the identity catalog, evaluate single
+quantities, run the verification suite and fuzz identities.
 
 Exit codes: 0 success (passes and skips only), 1 identity failure, 2 usage
 error, 3 convergence failure.
@@ -11,15 +11,13 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import catalog, chains, exact, polylog
-from .chains import FactorSpec, PairingUnavailableError, dp_chain_sum, naive_chain_sum
-from .compositions import Composition, ShapeBlocks, shape_composition
-from .kernel import (DEFAULT_PRECISION, DomainError, EvalResult, _resolve_precision,
-                     binomial, fmt)
+from .chains import PairingUnavailableError
+from .compositions import Composition, ShapeBlocks
+from .kernel import DEFAULT_PRECISION, DomainError, EvalResult, _resolve_precision, fmt
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -212,10 +210,11 @@ def cmd_verify(args):
                 tol = tol_override if tol_override is not None else grid_tol
                 tasks.append((ident, params, tol, precision, args.outside))
 
+    # load SciPy before the first task, so no instance's wall_ms books the
+    # import and forked workers share its pages
+    if any(entry.descriptor.mode != "EXACT" for entry in entries):
+        chains.load_lfilter()
     if jobs > 1:
-        # load SciPy before the fork, so the workers share its pages
-        if any(entry.descriptor.mode != "EXACT" for entry in entries):
-            chains.load_lfilter()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_verify_task, tasks, chunksize=8))
     else:
@@ -244,6 +243,8 @@ def cmd_verify(args):
 def cmd_fuzz(args):
     run = _resolve_run_config(args)
     try:
+        if catalog.get_entry(args.id).descriptor.mode != "EXACT":
+            chains.load_lfilter()
         reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
                                outside=args.outside, precision=run["precision"])
     except DomainError as exc:
@@ -264,53 +265,6 @@ def cmd_fuzz(args):
         return EXIT_FAIL
     if ncs:
         return EXIT_NOT_CONVERGED
-    return EXIT_OK
-
-
-def cmd_bench(args):
-    rows = []
-    if args.scenario == "dp-vs-naive":
-        L, N = args.L, args.N
-        bases = tuple(Fraction(1, 2) if i % 2 == 0 else Fraction(2) for i in range(L))
-        spec = FactorSpec(bases, (1,) * L)
-        t0 = time.perf_counter()
-        naive_value = naive_chain_sum(spec, N)
-        t_naive = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dp_value = dp_chain_sum(spec, N)
-        t_dp = time.perf_counter() - t0
-        rows.append({
-            "scenario": "dp-vs-naive", "L": L, "N": N,
-            # the oracle's walker takes one step per chain prefix
-            "naive_terms": sum(binomial(N + i - 1, i) for i in range(1, L + 1)),
-            "dp_terms": N * L,
-            "naive_ms": round(t_naive * 1e3, 3), "dp_ms": round(t_dp * 1e3, 3),
-            "values_equal": naive_value == dp_value,
-        })
-    elif args.scenario == "depth-reduction":
-        shape = ShapeBlocks.parse(args.shape)
-        tol = args.tol if args.tol is not None else 1e-8
-        t0 = time.perf_counter()
-        lhs, rhs = polylog.li_identity_sides("LI1_RED1" if shape.family == "A"
-                                             else "LI2_RED1", shape, 1, args.p, tol)
-        wall = time.perf_counter() - t0
-        comp = shape_composition(shape)
-        rows.append({
-            "scenario": "depth-reduction", "shape": str(shape), "p": args.p,
-            "full_depth": comp.weight, "reduced_depth": comp.depth,
-            "terms_full_side": lhs.terms_used, "terms_reduced_side": rhs.terms_used,
-            "abs_diff": abs(lhs.value - rhs.value),
-            "wall_ms": round(wall * 1e3, 3),
-        })
-    else:
-        print(f"error: unknown scenario {args.scenario}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.json:
-        print(json.dumps(rows, indent=2))
-    else:
-        for row in rows:
-            for key, value in row.items():
-                print(f"  {key:20s} {value}")
     return EXIT_OK
 
 
@@ -365,15 +319,6 @@ def build_parser():
     p_fuzz.add_argument("--json", action="store_true")
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
-    p_bench = sub.add_parser("bench", help="benchmark evaluation strategies")
-    p_bench.add_argument("scenario", choices=["dp-vs-naive", "depth-reduction"])
-    p_bench.add_argument("--tol", type=float, help="tolerance override")
-    p_bench.add_argument("--L", type=int, default=4)
-    p_bench.add_argument("--N", type=int, default=20)
-    p_bench.add_argument("--shape", default="A:m=3;u=")
-    p_bench.add_argument("--p", type=float, default=0.5)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_BUDGET,
-                     TruncationSchedule, adaptive_sum, dp_chain_partials, dp_q_coupled)
+                     TruncationSchedule, adaptive_sum, dp_q_coupled)
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
@@ -354,23 +354,17 @@ def _transform_values(s: Composition, a: float, N: int, p, nodes: _NodeStates):
     row from the truncation it reached, and every other node starts a fresh
     row; the nodes are grouped by that truncation, each group is one
     row-batched :class:`GapState` advanced to N, and every node's row is
-    kept in ``nodes``.  The values are
-    bit-identical to a fresh DP per node.  Nodes within 1e-13 of p = 1
-    take the collapsed spec, where only zero-gap chains survive, fresh each
-    time.
+    kept in ``nodes``.  The values are bit-identical to a fresh DP per
+    node.  A node at p = 1 exactly has no transform bases, and
+    :func:`transform_bases` raises :class:`DomainError` for it.
     """
     values = np.empty(len(p))
-    edge = 1.0 - p < 1e-13
-    if edge.any():
-        collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
-        values[edge] = dp_chain_partials(collapsed, N)[N]
-        nodes.terms += N * collapsed.length
     keys = p.tolist()
     # n_done -> id of the source state -> (state, its rows, indices into p)
     groups = {}
     fresh = []
-    for i in np.flatnonzero(~edge).tolist():
-        kept = nodes.rows.get(keys[i])
+    for i, key in enumerate(keys):
+        kept = nodes.rows.get(key)
         if kept is None:
             fresh.append(i)
             continue
@@ -402,13 +396,13 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     Evaluated through the beta-integral representation: the truncated kernel
     sum equals the integral over p in [0,1] of the truncated chain-sum
     transform at (a, p), which the separable DP evaluates in O(N |s|) per
-    quadrature node; all the nodes of a bisection round go through one
-    row-batched DP (:func:`_transform_values`).  The bisection is nested,
-    so most nodes of a level come back at the next: each node's DP row is
-    kept for one level and resumed from there, computing only the columns
-    past the previous truncation, bit-identical to a fresh row.  The
-    side's ``terms_used`` counts those columns times |s|.  The truncation
-    ladder is then extrapolated as usual.
+    quadrature node; all the nodes of a bisection round, those nearest p = 1
+    included, go through one row-batched DP (:func:`_transform_values`).
+    The bisection is nested, so most nodes of a level come back at the
+    next: each node's DP row is kept for one level and resumed from there,
+    computing only the columns past the previous truncation, bit-identical
+    to a fresh row.  The side's ``terms_used`` counts those columns times
+    |s|.  The truncation ladder is then extrapolated as usual.
     """
     s = as_composition(s)
     a = float(a)

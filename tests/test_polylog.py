@@ -217,9 +217,6 @@ def test_mean_kernel_terms_count_q_dp_cells(monkeypatch):
 
 def _scalar_transform_value(s, a, N, p):
     """One node of the MEAN_INF_A integrand, one spec per call."""
-    if 1.0 - p < 1e-13:
-        collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
-        return float(dp_chain_partials(collapsed, N)[N])
     spec = FactorSpec(transform_bases(s, p), (1,) * s.weight,
                       tail=(1.0 - p + a * p, 1.0 - p))
     return float(dp_chain_partials(spec, N)[N])
@@ -228,7 +225,7 @@ def _scalar_transform_value(s, a, N, p):
 @pytest.mark.parametrize("N", (1, 64, 4096))
 @pytest.mark.parametrize("a", (-1.0, 0.5, 1.0))
 def test_transform_values_match_scalar_integrand(N, a):
-    # p = 1 - 5e-14 takes the collapsed branch, p = 1 - 2e-13 does not
+    # the nodes nearest p = 1 go through the same batched DP as the rest
     p = np.array([0.0, 0.2, 0.5, 0.9, 1 - 1e-7, 1 - 2e-13, 1 - 5e-14, 0.6])
     for parts in ((2,), (2, 1), (1, 3)):
         s = Composition(parts)
@@ -266,9 +263,7 @@ def test_mean_average_resumes_node_rows(monkeypatch):
     assert got.terms_used < fresh_terms
     nodes = calls[-1][2]
     last = calls[-1][0]
-    # every node of the last level but those within 1e-13 of p = 1, which
-    # take the collapsed spec afresh
-    visited = {x for N, p, _ in calls if N == last for x in p.tolist() if 1.0 - x >= 1e-13}
+    visited = {x for N, p, _ in calls if N == last for x in p.tolist()}
     assert set(nodes.rows) == visited
     assert all(state.n_done == last for state, _ in nodes.rows.values())
 
@@ -285,19 +280,39 @@ def test_mean_average_resumes_node_rows(monkeypatch):
 
 def test_node_store_keeps_only_the_last_level():
     # a level that visits fewer nodes than the one before: its rows resume,
-    # the edge node (within 1e-13 of p = 1) is never stored, and keep()
-    # drops the node the level did not visit
+    # the edge node (5e-14 below p = 1) is stored like any other, and
+    # keep() drops the node the level did not visit
     s, a = Composition((2, 1)), -1.0
     p = np.array([0.1, 0.4, 0.7, 1 - 5e-14])
     nodes = polylog._NodeStates()
     polylog._transform_values(s, a, 64, p, nodes)
-    assert set(nodes.rows) == {0.1, 0.4, 0.7}
+    assert set(nodes.rows) == set(p.tolist())
     got = polylog._transform_values(s, a, 128, p[[2, 3, 0]], nodes)
     want = polylog._transform_values(s, a, 128, p[[2, 3, 0]], polylog._NodeStates())
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    assert nodes.terms == 64 * 3 * 3 + 64 * 2 + (128 - 64) * 2 * 3 + 128 * 2
+    # four fresh rows to 64, then three resumed rows from 64 to 128, each
+    # column over the weight-3 chain
+    assert nodes.terms == 4 * 64 * 3 + 3 * (128 - 64) * 3
     nodes.keep(128)
-    assert set(nodes.rows) == {0.1, 0.7}
+    assert set(nodes.rows) == {0.1, 0.7, 1 - 5e-14}
+
+
+@pytest.mark.parametrize("edge", (5e-14, 1e-14, 1.0 - math.nextafter(1.0, 0.0)))
+@pytest.mark.parametrize("N", (1, 64, 4096))
+@pytest.mark.parametrize("a", (-1.0, 0.5, 1.0))
+def test_transform_values_near_p_one_match_the_collapsed_spec(a, N, edge):
+    # as p -> 1 only the zero-gap chains survive: the transform tends to the
+    # chain sum with bases (1, ..., 1, a) and powers s, within O(1 - p)
+    p = np.array([1.0 - edge])
+    for parts in ((2,), (2, 1), (1, 3), (3,), (2, 2)):
+        s = Composition(parts)
+        collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
+        want = float(dp_chain_partials(collapsed, N)[N])
+        got = polylog._transform_values(s, a, N, p, polylog._NodeStates())[0]
+        assert abs(got - want) <= 4 * edge * (1 + abs(want)) + 1e-15
+    with pytest.raises(DomainError):
+        polylog._transform_values(Composition((2, 1)), a, N, np.array([0.5, 1.0]),
+                                  polylog._NodeStates())
 
 
 def test_mean_lhs_converges_predicate():
