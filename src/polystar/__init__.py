@@ -13,8 +13,8 @@ from .exact import (aux_rhs, dilcher_classic, dilcher_plus, gen_harmonic,
 from .chains import (FactorSpec, PairingUnavailableError, QKernelSpec,
                      TruncationSchedule, adaptive_sum, dp_chain_sum,
                      dp_q_coupled, naive_chain_sum)
-from .polylog import (PolylogQuery, li, li_identity_sides, li_star, zeta,
-                      zeta_star, zeta_star_closed)
+from .polylog import (li, li_identity_sides, li_star, zeta, zeta_star,
+                      zeta_star_closed)
 from .catalog import IdentityReport, fuzz, list_identities, verify
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "Composition", "DomainError", "EvalResult",
     "FactorSpec", "IdentityReport", "IndexChain", "NonConvergenceError",
-    "PairingUnavailableError", "PolylogQuery", "QKernelSpec", "ShapeBlocks",
+    "PairingUnavailableError", "QKernelSpec", "ShapeBlocks",
     "SingularFitError", "TruncationSchedule", "adaptive_quadrature",
     "adaptive_sum", "aux_rhs", "binom_ratio_sum", "binomial",
     "dilcher_classic", "dilcher_plus", "domain_check", "dp_chain_sum", "dp_q_coupled", "fuzz", "gen_harmonic",

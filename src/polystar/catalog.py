@@ -165,7 +165,7 @@ _P3 = (0.3, 0.5, 0.7)
 class _Entry:
     def __init__(self, descriptor, evaluate, grid, sample=None, domain=None):
         self.descriptor = descriptor
-        self.evaluate = evaluate      # (params, tol, precision) -> (lhs, rhs)
+        self.evaluate = evaluate      # (params, tol) -> (lhs, rhs)
         self.grid = grid              # () -> iterable of (params, tol or None)
         self.sample = sample          # (rng) -> params
         self.domain = domain          # (params) -> (ok, reason)
@@ -181,7 +181,7 @@ def _register(entry):
 
 
 def _exact_pair(fn):
-    def evaluate(params, tol, precision):
+    def evaluate(params, tol):
         return fn(params)
     return evaluate
 
@@ -323,7 +323,7 @@ _register(_Entry(
 
 
 def _aux_eval(variant):
-    def evaluate(params, tol, precision):
+    def evaluate(params, tol):
         n, a, x = params["n"], as_fraction(params["a"]), as_fraction(params["x"])
         xf = float(x)
 
@@ -467,10 +467,10 @@ _register(_Entry(
 
 def _series_eval(identity, shape_key="shape"):
     # verify has gated the domain already, or was told not to
-    def evaluate(params, tol, precision):
+    def evaluate(params, tol):
         return polylog.li_identity_sides(
             identity, params.get(shape_key), params.get("a", 1), params.get("p"),
-            tol, precision, check_domain=False)
+            tol, check_domain=False)
     return evaluate
 
 
@@ -623,8 +623,8 @@ _a1_entry("LI2_A1", "B",
 
 
 def _ex_entry(ident, family, anchor):
-    def evaluate(params, tol, precision):
-        return polylog.li_example_sides(family, params["d"], params["p"], tol, precision)
+    def evaluate(params, tol):
+        return polylog.li_example_sides(family, params["d"], params["p"], tol)
 
     _register(_Entry(
         IdentityDescriptor(ident, anchor, "NUMERIC", {"d": "int", "p": "float"},
@@ -675,11 +675,11 @@ _register(_Entry(
 ))
 
 
-def _mean_ex2_eval(params, tol, precision):
+def _mean_ex2_eval(params, tol):
     d = params["d"]
     s = Composition((2,) * d)
     lhs = polylog.mean_kernel_infinite(s, tol / 4)
-    closed = polylog.zeta_star_closed("TWO_D", d, precision)
+    closed = polylog.zeta_star_closed("TWO_D", d)
     return lhs, EvalResult.rounded(closed)
 
 
@@ -727,8 +727,7 @@ def _diffs(lhs, rhs, mode):
     return diff, diff / max(abs(lhs.value), abs(rhs.value), 1.0)
 
 
-def verify(identity_id, params=None, tol=None, precision=None,
-           outside=False) -> IdentityReport:
+def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     """Evaluate one identity instance and compare its sides.
 
     Domain violations yield a skipped report (not a failure) unless
@@ -762,7 +761,7 @@ def verify(identity_id, params=None, tol=None, precision=None,
         return report
 
     try:
-        lhs, rhs = entry.evaluate(params, tol, precision)
+        lhs, rhs = entry.evaluate(params, tol)
     except (PairingUnavailableError, DomainError) as exc:
         if outside:
             return not_converged(f"evaluation rejected: {exc}")
@@ -790,7 +789,7 @@ def verify(identity_id, params=None, tol=None, precision=None,
     return report
 
 
-def fuzz(identity_id, seed, trials, tol=None, outside=False, precision=None):
+def fuzz(identity_id, seed, trials, tol=None, outside=False):
     """Deterministically sample ``trials`` parameter points and verify each.
 
     In-domain sampling rejects points outside the identity's validity region,
@@ -814,5 +813,5 @@ def fuzz(identity_id, seed, trials, tol=None, outside=False, precision=None):
                 if guard > 10000 * trials:
                     raise NonStopSampling(identity_id)
                 continue
-        reports.append(verify(identity_id, params, tol, precision, outside=outside))
+        reports.append(verify(identity_id, params, tol, outside=outside))
     return reports

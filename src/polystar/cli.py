@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import catalog, chains, exact, polylog
 from .chains import PairingUnavailableError
 from .compositions import Composition, ShapeBlocks
-from .kernel import DEFAULT_PRECISION, DomainError, EvalResult, _resolve_precision, fmt
+from .kernel import DomainError, EvalResult, fmt
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,7 +48,6 @@ def _read_config(path):
 # config key -> (the attribute of its flag, parser, default); a command
 # reads the keys of the flags it takes and no others
 _RUN_SETTINGS = {
-    "precision": ("precision", int, DEFAULT_PRECISION),
     "tolerance": ("tol", float, None),
     "seed": ("seed", int, 0),
     "jobs": ("jobs", int, 1),
@@ -57,23 +56,19 @@ _RUN_SETTINGS = {
 
 def _resolve_run_config(args):
     """The run settings of the flags the command takes, by attribute: the
-    flag, else (for precision) ``POLYSTAR_PRECISION``, else the config key,
-    else the default.  A config key is parsed and checked only when the
-    command takes its flag."""
+    flag, else the config key, else the default.  A config key is parsed
+    and checked only when the command takes its flag."""
     cfg = _read_config(args.config) if args.config else {}
-    env = os.environ.get("POLYSTAR_PRECISION")
     settings = {}
     for key, (name, convert, default) in _RUN_SETTINGS.items():
         if not hasattr(args, name):
             continue
         value = _parse(convert, cfg[key], f"config {key}") if key in cfg else default
-        if name == "precision" and env:
-            value = _parse(int, env, "POLYSTAR_PRECISION")
         if getattr(args, name) is not None:
             value = getattr(args, name)
         settings[name] = value
-    # only the mpmath steps read it, so check it here for every command
-    settings["precision"] = _resolve_precision(settings["precision"])
+    if settings["tol"] is not None and not 0 < settings["tol"] < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {settings['tol']}")
     if settings.get("jobs", 1) < 1:
         raise DomainError(f"jobs must be >= 1, got {settings['jobs']}")
     return settings
@@ -130,7 +125,6 @@ def cmd_list(args):
 
 def cmd_eval(args):
     run = _resolve_run_config(args)
-    precision = run["precision"]
     tol = run["tol"] if run["tol"] is not None else 1e-9
     kind = args.kind
 
@@ -152,17 +146,17 @@ def cmd_eval(args):
         print(value)
     elif kind == "li":
         res = polylog.li(_parse(int, args.s, "--s"),
-                         _parse(_PARAM_PARSERS["float"], args.x, "--x"), tol, precision)
+                         _parse(_PARAM_PARSERS["float"], args.x, "--x"))
         print(_fmt_numeric(res))
     elif kind == "listar":
         xs = _parse(lambda t: tuple(float(Fraction(v)) for v in t.split(",")),
                     args.x, "--x")
-        res = polylog.li_star(Composition.parse(args.s), xs, tol, precision)
+        res = polylog.li_star(Composition.parse(args.s), xs, tol)
         print(_fmt_numeric(res))
         if not res.converged:
             return EXIT_NOT_CONVERGED
     elif kind == "zetastar":
-        res = polylog.zeta_star(Composition.parse(args.s), tol, precision)
+        res = polylog.zeta_star(Composition.parse(args.s), tol)
         print(_fmt_numeric(res))
         if not res.converged:
             return EXIT_NOT_CONVERGED
@@ -175,8 +169,8 @@ def cmd_eval(args):
 
 
 def _verify_task(task):
-    identity, params, tol, precision, outside = task
-    return catalog.verify(identity, params, tol, precision, outside=outside)
+    identity, params, tol, outside = task
+    return catalog.verify(identity, params, tol, outside=outside)
 
 
 def _report_key(report):
@@ -186,7 +180,7 @@ def _report_key(report):
 
 def cmd_verify(args):
     run = _resolve_run_config(args)
-    precision, tol_override, jobs = run["precision"], run["tol"], run["jobs"]
+    tol_override, jobs = run["tol"], run["jobs"]
     ids = args.ids
     if args.all:
         ids = [d.id for d in catalog.list_identities()]
@@ -204,11 +198,11 @@ def cmd_verify(args):
         ident = entry.descriptor.id
         if args.param:
             params = _parse_params(entry, args.param)
-            tasks.append((ident, params, tol_override, precision, args.outside))
+            tasks.append((ident, params, tol_override, args.outside))
         else:
             for params, grid_tol in entry.grid():
                 tol = tol_override if tol_override is not None else grid_tol
-                tasks.append((ident, params, tol, precision, args.outside))
+                tasks.append((ident, params, tol, args.outside))
 
     # load SciPy before the first task, so no instance's wall_ms books the
     # import and forked workers share its pages
@@ -246,7 +240,7 @@ def cmd_fuzz(args):
         if catalog.get_entry(args.id).descriptor.mode != "EXACT":
             chains.load_lfilter()
         reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
-                               outside=args.outside, precision=run["precision"])
+                               outside=args.outside)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -273,7 +267,6 @@ def build_parser():
     # flags it reads
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--config", help="key=value config file")
-    run.add_argument("--precision", type=int, help="working precision in bits")
     run.add_argument("--tol", type=float, help="tolerance override")
 
     parser = argparse.ArgumentParser(

@@ -7,10 +7,10 @@ Two scalar kernels coexist throughout the package:
   rationals), so finite-sum identities can be compared with ``==``;
 * numeric mode reports float64: an :class:`EvalResult` carries a float value
   and a float error estimate.  The truncation ladders compute in float64;
-  the few quantities computed in mpmath (the zeta oracle, the ``li`` series
-  and the closed forms) run at an explicit working precision in bits,
-  return an ``mpmath.mpf`` rounded to it, and are rounded to float64 when
-  they become a result.  Adaptive quadrature runs in float64 throughout.
+  the few quantities taken from mpmath (the zeta oracle, the depth-one
+  polylogarithm and the closed forms built on them) run at a fixed 160
+  bits and are rounded to float64 when they become a result.  Adaptive
+  quadrature runs in float64 throughout.
 
 Ladder values are float64 truncations, so the window fit behind sequence
 extrapolation is a float64 solve too, centred on the window's last value.
@@ -26,9 +26,6 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-
-DEFAULT_PRECISION = 160  # bits; working precision of the mpmath computations
-MIN_PRECISION = 100
 
 QUADRATURE_PANEL_BUDGET = 2 ** 20
 _GL_ORDER = 12
@@ -51,14 +48,6 @@ class NonConvergenceError(RuntimeError):
 class SingularFitError(ZeroDivisionError):
     """A window fit whose design matrix is singular or whose limit is not
     finite."""
-
-
-def _resolve_precision(precision):
-    if precision is None:
-        return DEFAULT_PRECISION
-    if precision < MIN_PRECISION:
-        raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
-    return int(precision)
 
 
 def fmt(v, digits=17):

@@ -1,16 +1,17 @@
 """Numerical evaluation of polylogarithms, nested star sums, their closed
 forms, and the assembled sides of the series identities.
 
-All infinite sums here are truncation ladders driven through the chain-sum
-engine; geometric tails stop on raw differences, polynomial tails (any prefix
-product of the argument string on the unit circle) go through window
-extrapolation.
+The depth-one polylogarithm and the zeta oracle come from mpmath at a fixed
+working precision.  Every other infinite sum here is a truncation ladder
+driven through the chain-sum engine; geometric tails stop on raw
+differences, polynomial tails (any prefix product of the argument string on
+the unit circle) go through window extrapolation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -22,7 +23,7 @@ from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_B
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
-from .kernel import DomainError, EvalResult, adaptive_quadrature, _resolve_precision
+from .kernel import DomainError, EvalResult, adaptive_quadrature
 
 _MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
@@ -31,116 +32,34 @@ Q_MAX_N = 4096
 MEAN_INTEGRAL_MAX_N = 2 ** 15
 
 
-@dataclass(frozen=True)
-class PolylogQuery:
-    """A star-polylogarithm request: composition s, per-index arguments xs
-    (length = depth of s), and an absolute tolerance."""
-
-    s: Composition
-    xs: tuple
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_composition(self.s))
-        xs = tuple(float(x) for x in self.xs)
-        if len(xs) != self.s.depth:
-            raise DomainError(f"need {self.s.depth} arguments, got {len(xs)}")
-        if self.tol <= 0:
-            raise DomainError("tolerance must be positive")
-        object.__setattr__(self, "xs", xs)
-
-
 # ---------------------------------------------------------------------------
 # One-dimensional polylogarithm and the zeta oracle
 # ---------------------------------------------------------------------------
 
-_EM_K = 12
+PRECISION = 160  # bits; working precision of the mpmath oracles
 
 
-def zeta(s: int, tol=None, precision=None) -> mpmath.mpf:
-    """Riemann zeta at an integer s >= 2 by Euler-Maclaurin summation,
-    rounded to ``precision`` bits.
-
-    The cutoff grows until the rigorous remainder bound (first omitted
-    correction term, doubled for safety) drops below ``tol``.
-    """
+def zeta(s: int) -> mpmath.mpf:
+    """Riemann zeta at an integer s >= 2: ``mpmath.zeta`` at
+    :data:`PRECISION` bits."""
     if s < 2:
         raise DomainError("zeta oracle needs s >= 2")
-    prec = _resolve_precision(precision)
-    with mp.workprec(prec + 48):
-        if tol is None:
-            tol_ = mpmath.mpf(2) ** (-(prec + 8))
-        else:
-            tol_ = mpmath.mpf(tol)
-        M = 16
-        while True:
-            # remainder bound after the B_{2K} term
-            rising = mpmath.mpf(1)
-            for j in range(2 * _EM_K + 1):
-                rising *= s + j
-            bound = (2 * abs(mpmath.bernoulli(2 * _EM_K + 2))
-                     / mpmath.factorial(2 * _EM_K + 2)
-                     * rising * mpmath.mpf(M) ** (-(s + 2 * _EM_K + 1)))
-            if bound <= tol_ or M >= 2 ** 20:
-                break
-            M *= 2
-        total = mpmath.mpf(0)
-        for n in range(1, M):
-            total += mpmath.mpf(n) ** (-s)
-        total += mpmath.mpf(M) ** (1 - s) / (s - 1)
-        total += mpmath.mpf(M) ** (-s) / 2
-        rising = mpmath.mpf(s)
-        mpow = mpmath.mpf(M) ** (-s - 1)
-        for k in range(1, _EM_K + 1):
-            total += (mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
-                      * rising * mpow)
-            rising *= (s + 2 * k - 1) * (s + 2 * k)
-            mpow /= M * M
-    with mp.workprec(prec):
-        return +total
+    with mp.workprec(PRECISION):
+        return mpmath.zeta(s)
 
 
-def li(s: int, x, tol=None, precision=None) -> EvalResult:
-    """One-dimensional polylogarithm sum_{n>=1} x^n / n^s for |x| <= 1.
-
-    Order 1 uses the closed form -log(1-x); the endpoint values at x = +-1
-    go through the zeta oracle.  Everything is computed in mpmath at
-    ``precision`` bits and rounded to float64 in the result.
-    """
+def li(s: int, x) -> EvalResult:
+    """One-dimensional polylogarithm sum_{n>=1} x^n / n^s for |x| <= 1:
+    ``mpmath.polylog`` at :data:`PRECISION` bits, rounded to float64."""
     if s < 1:
         raise DomainError("order must be >= 1")
-    prec = _resolve_precision(precision)
-    tol = float(tol) if tol is not None else 1e-12
-    x = float(x) if not isinstance(x, (int, Fraction)) else Fraction(x)
-    xf = float(x)
-    if abs(xf) > 1 + 1e-15:
-        raise DomainError(f"|x| <= 1 required, got x={xf}")
-    if s == 1:
-        if xf == 1:
-            raise DomainError("order-1 polylogarithm diverges at x = 1")
-        with mp.workprec(prec):
-            return EvalResult.rounded(-mpmath.log(1 - mpmath.mpf(xf)))
-    if xf == 1:
-        return EvalResult.rounded(zeta(s, tol, prec))
-    if xf == -1:
-        with mp.workprec(prec):
-            z = zeta(s, tol, prec)
-            return EvalResult.rounded(-(1 - mpmath.mpf(2) ** (1 - s)) * z)
-    with mp.workprec(prec):
-        xm = mpmath.mpf(xf)
-        total = mpmath.mpf(0)
-        power = mpmath.mpf(1)
-        n = 0
-        while True:
-            n += 1
-            power *= xm
-            total += power / mpmath.mpf(n) ** s
-            tail = abs(power * xm) / ((n + 1) ** s * (1 - abs(xm)))
-            if tail <= tol:
-                break
-            if n > 10 ** 7:
-                raise DomainError("order-1 series did not reach tolerance")
-        return EvalResult.rounded(total, tail, n, n)
+    x = float(x)
+    if abs(x) > 1:
+        raise DomainError(f"|x| <= 1 required, got x={x}")
+    if s == 1 and x == 1:
+        raise DomainError("order-1 polylogarithm diverges at x = 1")
+    with mp.workprec(PRECISION):
+        return EvalResult.rounded(mpmath.polylog(s, x))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +108,6 @@ def _decay_converges(B, powers) -> bool:
     return val > 1 + 1e-9 or (alt and val > 1e-9)
 
 
-def _star_factor_spec(s: Composition, xs) -> FactorSpec:
-    return FactorSpec(tuple(float(x) for x in xs), s.parts)
-
-
 def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     """Truncation ladder for a validated chain-sum spec (possibly with a
     last-index tail difference).  Its :class:`GapState` refuses a run whose
@@ -225,29 +140,29 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
                         min_samples=max(7, marginal + 4))
 
 
-def li_star(query, xs=None, tol=None, precision=None) -> EvalResult:
+def li_star(s, xs, tol=1e-9) -> EvalResult:
     """Star polylogarithm sum over n_1 >= ... >= n_d >= 1 of
-    prod x_i^{n_i} / n_i^{s_i}.
+    prod x_i^{n_i} / n_i^{s_i}, to absolute tolerance ``tol``.
 
-    Accepts a :class:`PolylogQuery` or ``(s, xs, tol)``.  Queries whose
-    argument-string prefix products leave the unit disc are rejected with
-    :class:`PairingUnavailableError`; provably divergent ones with
-    :class:`DomainError`.
+    Queries whose argument-string prefix products leave the unit disc are
+    rejected with :class:`PairingUnavailableError`; provably divergent ones
+    with :class:`DomainError`.
     """
-    if isinstance(query, PolylogQuery):
-        q = query
-    else:
-        q = PolylogQuery(as_composition(query), tuple(xs), tol if tol is not None else 1e-9)
-    s = q.s
-    if any(x == 0 for x in q.xs):
+    s = as_composition(s)
+    xs = tuple(float(x) for x in xs)
+    if len(xs) != s.depth:
+        raise DomainError(f"need {s.depth} arguments, got {len(xs)}")
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
+    if any(x == 0 for x in xs):
         # a zero argument annihilates every chain
         return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
-        return li(s.parts[0], q.xs[0], q.tol, precision)
-    return _star_ladder(_star_factor_spec(s, q.xs), q.tol)
+        return li(s.parts[0], xs[0])
+    return _star_ladder(FactorSpec(xs, s.parts), tol)
 
 
-def li_star_diff(s, xs, x_hi, x_lo, tol, precision=None) -> EvalResult:
+def li_star_diff(s, xs, x_hi, x_lo, tol) -> EvalResult:
     """Difference of two star polylogarithms over the same composition whose
     argument strings differ only in the last entry:
 
@@ -264,14 +179,14 @@ def li_star_diff(s, xs, x_hi, x_lo, tol, precision=None) -> EvalResult:
     if x_hi == x_lo or any(x == 0 for x in xs):
         return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
-        return _li_diff(s.parts[0], x_hi, x_lo, tol, precision)
+        return _li_diff(s.parts[0], x_hi, x_lo)
     spec = FactorSpec(xs + (1.0,), s.parts, tail=(x_hi, x_lo))
     return _star_ladder(spec, tol)
 
 
-def _li_diff(s: int, x_hi, x_lo, tol, precision) -> EvalResult:
-    """Li_s(x_hi) - Li_s(x_lo) from two :func:`li` calls at ``tol / 2``."""
-    hi, lo = (li(s, x, tol / 2, precision) for x in (x_hi, x_lo))
+def _li_diff(s: int, x_hi, x_lo) -> EvalResult:
+    """Li_s(x_hi) - Li_s(x_lo) from two :func:`li` calls."""
+    hi, lo = (li(s, x) for x in (x_hi, x_lo))
     value = hi.value - lo.value
     # the float subtraction rounds once more
     err = hi.error_estimate + lo.error_estimate + math.ulp(value) / 2
@@ -280,31 +195,26 @@ def _li_diff(s: int, x_hi, x_lo, tol, precision) -> EvalResult:
                       hi.converged and lo.converged)
 
 
-def zeta_star(s, tol=None, precision=None) -> EvalResult:
+def zeta_star(s, tol=1e-9) -> EvalResult:
     """Multiple zeta-star value: the star polylogarithm with unit arguments.
     Requires s_1 >= 2 for convergence."""
     s = as_composition(s)
     if s.parts[0] < 2:
         raise DomainError("zeta-star values need a leading part >= 2")
-    return li_star(PolylogQuery(s, (1.0,) * s.depth, tol if tol is not None else 1e-9),
-                   precision=precision)
+    return li_star(s, (1.0,) * s.depth, tol)
 
 
-def zeta_star_closed(form: str, d: int, precision=None) -> mpmath.mpf:
+def zeta_star_closed(form: str, d: int) -> mpmath.mpf:
     """Closed forms: TWO_D -> (2 - 4^(1-d)) zeta(2d); TWO_D_ONE -> 2 zeta(2d+1),
-    rounded to ``precision`` bits."""
+    at :data:`PRECISION` bits."""
     if d < 1:
         raise DomainError("need d >= 1")
-    prec = _resolve_precision(precision)
-    with mp.workprec(prec + 16):
+    with mp.workprec(PRECISION):
         if form == "TWO_D":
-            val = (2 - mpmath.mpf(4) ** (1 - d)) * zeta(2 * d, precision=prec)
-        elif form == "TWO_D_ONE":
-            val = 2 * zeta(2 * d + 1, precision=prec)
-        else:
-            raise DomainError(f"unknown closed form {form!r}")
-    with mp.workprec(prec):
-        return +val
+            return (2 - mpmath.mpf(4) ** (1 - d)) * zeta(2 * d)
+        if form == "TWO_D_ONE":
+            return 2 * zeta(2 * d + 1)
+    raise DomainError(f"unknown closed form {form!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +374,7 @@ def _series_domain(identity, a, p):
     return True
 
 
-def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
-                      precision=None, check_domain=True):
+def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True):
     """Assemble and evaluate both sides of a series identity.
 
     Returns ``(lhs, rhs)`` as :class:`EvalResult` values, each evaluated to
@@ -483,13 +392,12 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
     if identity in ("MEAN_INF_1", "MEAN_INF_A"):
         s = as_composition(shape_or_comp)
         if identity == "MEAN_INF_1":
-            lhs = zeta_star(s, side_tol, precision)
+            lhs = zeta_star(s, side_tol)
             rhs = mean_kernel_infinite(s, side_tol)
             return lhs, rhs
         if check_domain and not mean_lhs_converges(s, a):
             raise DomainError(f"left side diverges for s={s}, a={a}")
-        lhs = li_star(PolylogQuery(s, (1.0,) * (s.depth - 1) + (float(a),), side_tol),
-                      precision=precision)
+        lhs = li_star(s, (1.0,) * (s.depth - 1) + (a,), side_tol)
         rhs = mean_average_infinite(s, a, side_tol)
         return lhs, rhs
 
@@ -516,12 +424,10 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
     ones = Composition((1,) * comp.weight)
 
     def star(args, tol_):
-        return li_star(PolylogQuery(ones, tuple(float(x) for x in args), tol_),
-                       precision=precision)
+        return li_star(ones, args, tol_)
 
     def depth_side(x_last, tol_):
-        xs = (1.0,) * (comp.depth - 1) + (float(x_last),)
-        return li_star(PolylogQuery(comp, xs, tol_), precision=precision)
+        return li_star(comp, (1.0,) * (comp.depth - 1) + (x_last,), tol_)
 
     main_args = shape_args(shape, "main", a, p)
     sub_args = shape_args(shape, "sub", a, p)
@@ -530,25 +436,24 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
     assert main_args[:-1] == sub_args[:-1]
 
     def string_diff(tol_):
-        return li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1],
-                            tol_, precision)
+        return li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1], tol_)
 
     if identity == "INTRO_SERIES" or identity in ("LI1_MAIN", "LI2_MAIN"):
         if identity == "INTRO_SERIES":
-            lhs = li(comp.parts[0], a, side_tol, precision)
+            lhs = li(comp.parts[0], a)
         else:
             lhs = depth_side(a, side_tol)
         return lhs, string_diff(2 * side_tol)
 
     if identity in ("LI1_A1", "LI2_A1"):
-        lhs = zeta_star(comp, side_tol, precision)
+        lhs = zeta_star(comp, side_tol)
         return lhs, string_diff(2 * side_tol)
 
     a_red = 1 - 1 / float(p)
     if identity in ("INTRO_RED_L", "LI1_RED1", "LI2_RED1"):
         lhs = star(sub_args, side_tol)
         if identity == "INTRO_RED_L":
-            inner = li(comp.parts[0], a_red, side_tol, precision)
+            inner = li(comp.parts[0], a_red)
         else:
             inner = depth_side(a_red, 2 * side_tol)
         return lhs, replace(inner, value=-inner.value)
@@ -556,14 +461,13 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol,
     # INTRO_RED_R / LI1_RED2 / LI2_RED2
     lhs = star(main_args, side_tol)
     if identity == "INTRO_RED_R":
-        rhs = _li_diff(comp.parts[0], a, a_red, 2 * side_tol, precision)
+        rhs = _li_diff(comp.parts[0], a, a_red)
     else:
-        rhs = li_star_diff(comp, (1.0,) * (comp.depth - 1), a, a_red,
-                           2 * side_tol, precision)
+        rhs = li_star_diff(comp, (1.0,) * (comp.depth - 1), a, a_red, 2 * side_tol)
     return lhs, rhs
 
 
-def li_example_sides(family: str, d: int, p, tol, precision=None):
+def li_example_sides(family: str, d: int, p, tol):
     """Closed-form instances of the block identities at zero block sizes:
 
     family A: the main/sub difference equals (2 - 4^(1-d)) zeta(2d);
@@ -571,13 +475,13 @@ def li_example_sides(family: str, d: int, p, tol, precision=None):
     """
     if family == "A":
         shape = ShapeBlocks("A", (0,) * d, (0,) * (d - 1))
-        closed = zeta_star_closed("TWO_D", d, precision)
+        closed = zeta_star_closed("TWO_D", d)
         ident = "LI1_A1"
     elif family == "B":
         shape = ShapeBlocks("B", (0,) * d, (0,) * (d - 1) + (1,))
-        closed = zeta_star_closed("TWO_D_ONE", d, precision)
+        closed = zeta_star_closed("TWO_D_ONE", d)
         ident = "LI2_A1"
     else:
         raise DomainError(f"family must be 'A' or 'B', got {family!r}")
-    _, rhs = li_identity_sides(ident, shape, 1, p, tol, precision)
+    _, rhs = li_identity_sides(ident, shape, 1, p, tol)
     return EvalResult.rounded(closed), rhs

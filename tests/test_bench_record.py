@@ -14,10 +14,10 @@ _spec.loader.exec_module(bench_record)
 
 
 def _row(ident, params, mode="NUMERIC", status="pass", lhs="1.0", rhs="1.0",
-         err_lhs="1e-12", err_rhs="1e-12", **terms):
+         err_lhs="1e-12", err_rhs="1e-12", tolerance=1e-8, **terms):
     return {"id": ident, "params": params, "mode": mode, "status": status,
             "lhs": lhs, "rhs": rhs, "err_lhs": err_lhs, "err_rhs": err_rhs,
-            "cost": dict(terms)}
+            "tolerance": None if mode == "EXACT" else tolerance, "cost": dict(terms)}
 
 
 def test_src_lines_counts_the_package_modules(tmp_path):
@@ -36,8 +36,9 @@ def test_diff_reports_counts_each_kind_of_change():
     parent = [
         _row("EX", {"n": "1"}, "EXACT", lhs="1/2", rhs="1/2", err_lhs=None, err_rhs=None),
         _row("EX", {"n": "2"}, "EXACT", lhs="1/3", rhs="1/3", err_lhs=None, err_rhs=None),
-        _row("NUM", {"a": "1"}, lhs="2.0", rhs="2.0000000001", terms_lhs=10, terms_rhs=5),
-        _row("NUM", {"a": "2"}, lhs="0.5", err_rhs="1e-9", terms_rhs=7),
+        _row("NUM", {"a": "1"}, lhs="2.0", rhs="2.0000000001", tolerance=1e-12,
+             terms_lhs=10, terms_rhs=5),
+        _row("NUM", {"a": "2"}, lhs="0.5", err_rhs="1e-9", tolerance=1e-3, terms_rhs=7),
         _row("NUM", {"a": "3"}, status="skip", lhs=None, rhs=None,
              err_lhs=None, err_rhs=None),
         _row("GONE", {}),
@@ -49,9 +50,9 @@ def test_diff_reports_counts_each_kind_of_change():
         _row("EX", {"n": "2"}, "EXACT", lhs="1/3", rhs="2/3", err_lhs=None, err_rhs=None),
         _row("EX", {"n": "1"}, "EXACT", lhs="1/2", rhs="1/2", err_lhs=None, err_rhs=None),
         _row("NUM", {"a": "1"}, lhs="2.0000000000000004", rhs="2.0000000001",
-             terms_lhs=10, terms_rhs=6),
+             tolerance=1e-12, terms_lhs=10, terms_rhs=6),
         _row("NUM", {"a": "2"}, lhs="0.5000001", err_lhs="1e-13",
-             err_rhs="1e-10", terms_rhs=7),
+             err_rhs="1e-10", tolerance=1e-3, terms_rhs=7),
         _row("NEW", {}),
     ]
     diff = bench_record.diff_reports(parent, change)
@@ -68,6 +69,9 @@ def test_diff_reports_counts_each_kind_of_change():
                                     "value": 0.5000001 - 0.5}
     assert diff["max_rel_move"]["params"] == {"a": "2"}
     assert diff["max_rel_move"]["value"] == (0.5000001 - 0.5) / 0.5
+    # a move of 4.4e-16 at tolerance 1e-12 outweighs 1e-7 at tolerance 1e-3
+    assert diff["max_tol_move"] == {"id": "NUM", "params": {"a": "1"}, "side": "lhs",
+                                    "value": (2.0000000000000004 - 2.0) / 1e-12}
     assert diff["err_shrank"] == 2
 
 
@@ -77,6 +81,7 @@ def test_diff_reports_identical_runs():
     diff = bench_record.diff_reports(rows, [dict(r) for r in rows])
     assert diff["paired"] == 2
     assert diff["max_abs_move"] is None and diff["max_rel_move"] is None
+    assert diff["max_tol_move"] is None
     assert all(diff[k] == 0 for k in ("unpaired", "status_changed", "terms_changed",
                                       "terms_fell", "terms_rose", "exact_sides_changed",
                                       "numeric_sides_moved", "err_shrank"))

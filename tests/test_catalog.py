@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystar import catalog, polylog
+from polystar import catalog
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
                              SingularFitError)
@@ -132,7 +132,7 @@ def test_outside_mode_reports_failure_without_abort():
 @pytest.mark.parametrize("exc_type", [NonConvergenceError, BudgetExceededError,
                                       SingularFitError])
 def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
-    def evaluate(params, tol, precision):
+    def evaluate(params, tol):
         raise exc_type("out of budget")
 
     monkeypatch.setattr(catalog.get_entry("AUX1"), "evaluate", evaluate)
@@ -145,7 +145,7 @@ def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
 
 
 def test_zero_division_still_raises(monkeypatch):
-    def evaluate(params, tol, precision):
+    def evaluate(params, tol):
         raise ZeroDivisionError("singular")
 
     monkeypatch.setattr(catalog.get_entry("AUX1"), "evaluate", evaluate)
@@ -196,25 +196,6 @@ def test_aux_sides_run_float64_quadrature(monkeypatch):
     assert any(lo < 0 < hi for lo, hi in intervals)
     assert calls and all(isinstance(t, np.ndarray) and t.ndim == 1
                          and t.dtype == np.float64 for t in calls)
-
-
-def test_mean_kernel_precision_reaches_zeta(monkeypatch):
-    # MEAN_INF_1's left side and MEAN_EX2's closed form go through the zeta
-    # oracle, the one step of either identity computed in mpmath
-    seen = []
-    zeta = polylog.zeta
-
-    def recording_zeta(s, tol=None, precision=None):
-        seen.append(precision)
-        return zeta(s, tol, precision)
-
-    monkeypatch.setattr(polylog, "zeta", recording_zeta)
-    for ident, params in (("MEAN_INF_1", dict(s=(2,))), ("MEAN_EX2", dict(d=1))):
-        for precision, bits in ((200, 200), (None, 160)):
-            seen.clear()
-            r = catalog.verify(ident, params, 1e-4, precision=precision)
-            assert r.status == "pass"
-            assert seen == [bits], (ident, precision)
 
 
 @pytest.mark.parametrize("ident, params", [

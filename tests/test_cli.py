@@ -110,30 +110,25 @@ def test_verify_missing_param_is_usage_error(capsys):
     assert "missing parameter 'a'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, env, config", [
-    (["verify", "MEAN_SUM_HK", "--param", "n=abc"], None, None),
-    (["eval", "li", "--s", "2", "--x", "abc"], None, None),
-    (["verify", "AUX1", "--param", "n=2", "--param", "a=1", "--param", "x=1/0"],
-     None, None),
-    (["eval", "mhsv", "--s", "2"], None, None),
-    (["eval", "li", "--s", "2", "--x", "1/2"], "abc", None),
-    (["eval", "li", "--s", "2", "--x", "1/2"], None, "precision=abc\n"),
-    (["eval", "li", "--s", "2", "--x", "1/2"], None, False),
-    (["eval", "li", "--s", "2", "--x", "1/2", "--precision", "0"], None, None),
-    (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "0"], None, None),
-    (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "-1"], None, None),
-    (["verify", "MEAN_SUM_HK", "--param", "n=3"], None, "jobs = 0\n"),
-    (["fuzz", "DILCHER_CLASSIC", "--trials", "1"], None, "seed = x\n"),
-], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "env-precision",
-        "config-precision", "missing-config", "precision-0", "jobs-0", "jobs-negative",
-        "config-jobs-0", "config-seed"])
-def test_malformed_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys,
-                                                 argv, env, config):
-    # env: POLYSTAR_PRECISION; config None: no --config, False: a --config
-    # file that does not exist
-    monkeypatch.delenv("POLYSTAR_PRECISION", raising=False)
-    if env is not None:
-        monkeypatch.setenv("POLYSTAR_PRECISION", env)
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "MEAN_SUM_HK", "--param", "n=abc"], None),
+    (["eval", "li", "--s", "2", "--x", "abc"], None),
+    (["verify", "AUX1", "--param", "n=2", "--param", "a=1", "--param", "x=1/0"], None),
+    (["eval", "mhsv", "--s", "2"], None),
+    (["eval", "li", "--s", "2", "--x", "1/2"], False),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "0"], None),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "-1"], None),
+    (["verify", "MEAN_SUM_HK", "--param", "n=3"], "jobs = 0\n"),
+    (["fuzz", "DILCHER_CLASSIC", "--trials", "1"], "seed = x\n"),
+    (["verify", "LI1_EX", "--param", "d=1", "--param", "p=0.5", "--tol", "nan"], None),
+    (["verify", "LI1_EX", "--param", "d=1", "--param", "p=0.5", "--tol", "inf"], None),
+    (["eval", "zetastar", "--s", "2", "--tol", "0"], None),
+    (["fuzz", "DILCHER_CLASSIC", "--trials", "1"], "tolerance = nan\n"),
+], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "missing-config",
+        "jobs-0", "jobs-negative", "config-jobs-0", "config-seed", "tol-nan", "tol-inf",
+        "tol-0", "config-tol-nan"])
+def test_malformed_input_is_one_usage_error_line(tmp_path, capsys, argv, config):
+    # config None: no --config, False: a --config file that does not exist
     if config is not None:
         path = tmp_path / "run.cfg"
         if config:
@@ -149,6 +144,7 @@ def test_malformed_input_is_one_usage_error_line(tmp_path, monkeypatch, capsys,
     ["list", "--config", "run.cfg"], ["list", "--precision", "5"], ["list", "--tol", "1e-8"],
     ["list", "--seed", "1"], ["list", "--jobs", "-3"],
     ["eval", "li", "--s", "2", "--seed", "1"], ["eval", "li", "--s", "2", "--jobs", "2"],
+    ["eval", "li", "--s", "2", "--precision", "200"],
     ["verify", "MEAN_SUM_HK", "--seed", "1"],
     ["fuzz", "DILCHER_CLASSIC", "--jobs", "4"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
@@ -180,29 +176,6 @@ def test_bench_is_not_a_command(capsys):
         main(["bench", "dp-vs-naive"])
     assert exc.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
-
-
-def test_precision_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("POLYSTAR_PRECISION", "128")
-    assert main(["eval", "li", "--s", "2", "--x", "1/2", "--tol", "1e-12"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("0.5822405264")
-
-
-def test_precision_flag_reaches_verify_and_fuzz(monkeypatch, capsys):
-    seen = []
-    verify = catalog.verify
-
-    def recording_verify(identity, params=None, tol=None, precision=None, **kw):
-        seen.append(precision)
-        return verify(identity, params, tol, precision, **kw)
-
-    monkeypatch.setattr(catalog, "verify", recording_verify)
-    monkeypatch.delenv("POLYSTAR_PRECISION", raising=False)
-    assert main(["verify", "MEAN_SUM_HK", "--param", "n=3", "--precision", "200"]) == 0
-    assert main(["fuzz", "DILCHER_CLASSIC", "--trials", "2", "--precision", "200"]) == 0
-    assert main(["verify", "MEAN_SUM_HK", "--param", "n=3"]) == 0
-    assert seen == [200, 200, 200, 160]
 
 
 def test_config_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polystar.kernel import (_GL_ORDER, BASIS_LOG_FIRST, BASIS_POWER_FIRST,
                              DomainError, NonConvergenceError, SingularFitError,
-                             _resolve_precision, _window_limit, adaptive_quadrature,
+                             _window_limit, adaptive_quadrature,
                              best_extrapolant, binom_ratio_sum, binomial)
 
 
@@ -74,17 +74,6 @@ def test_rational_canonical(a, b):
     for value in (a + b, a * b, a - b):
         assert math.gcd(value.numerator, value.denominator) == 1
         assert value.denominator >= 1
-
-
-# ---------------------------------------------------------------------------
-# working precision of the mpmath steps
-# ---------------------------------------------------------------------------
-
-def test_precision_floor():
-    assert _resolve_precision(None) == 160
-    assert _resolve_precision(100) == 100
-    with pytest.raises(DomainError):
-        _resolve_precision(50)
 
 
 # ---------------------------------------------------------------------------

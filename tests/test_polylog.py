@@ -16,34 +16,45 @@ ZETA3 = 1.2020569031595942854
 
 
 def test_zeta_closed_forms():
-    assert abs(float(polylog.zeta(2)) - math.pi ** 2 / 6) < 1e-15
-    assert abs(float(polylog.zeta(4)) - math.pi ** 4 / 90) < 1e-15
-    with mpmath.workprec(200):
-        # independent library value as oracle
-        for s in (2, 3, 5, 8, 13):
-            assert abs(polylog.zeta(s, precision=200) - mpmath.zeta(s)) \
-                < mpmath.mpf(2) ** -190
-    # each mpmath value is rounded to its working precision
-    for value in (polylog.zeta(3, precision=120),
-                  polylog.zeta_star_closed("TWO_D_ONE", 1, precision=120)):
-        with mpmath.workprec(120):
+    # zeta(2k) = |B_2k| (2 pi)^2k / (2 (2k)!), a rational multiple of pi^2k
+    for k, q in ((1, 6), (2, 90), (3, 945), (4, 9450)):
+        value = math.pi ** (2 * k) / q
+        assert abs(float(polylog.zeta(2 * k)) - value) <= 2e-15 * value
+    # each mpmath value is rounded to the working precision
+    for value in (polylog.zeta(3), polylog.zeta_star_closed("TWO_D_ONE", 1)):
+        with mpmath.workprec(polylog.PRECISION):
             assert +value == value
 
 
 def test_zeta_domain():
     with pytest.raises(DomainError):
         polylog.zeta(1)
-    with pytest.raises(DomainError):
-        polylog.zeta(2, precision=50)
 
 
 def test_li_examples():
     assert abs(float(polylog.li(1, 0.5).value) - math.log(2)) < 1e-14
-    assert abs(float(polylog.li(2, 1, 1e-10).value) - math.pi ** 2 / 6) < 1e-14
+    assert abs(float(polylog.li(2, 1).value) - math.pi ** 2 / 6) < 1e-14
     assert float(polylog.li(3, 0.0).value) == 0
     assert abs(float(polylog.li(2, -1).value) + math.pi ** 2 / 12) < 1e-14
-    assert abs(float(polylog.li(2, 0.5, 1e-12).value) -
+    assert abs(float(polylog.li(2, 0.5).value) -
                (math.pi ** 2 / 12 - math.log(2) ** 2 / 2)) < 1e-12
+
+
+def test_li_closed_forms():
+    ln2 = math.log(2)
+    # alternating values: Li_s(-1) = -(1 - 2^(1-s)) zeta(s)
+    for s in (2, 3, 4, 5):
+        value = -(1 - 2.0 ** (1 - s)) * float(polylog.zeta(s))
+        assert abs(polylog.li(s, -1).value - value) <= 4e-16
+    assert abs(polylog.li(2, 0.5).value - (math.pi ** 2 / 12 - ln2 ** 2 / 2)) <= 4e-16
+    assert abs(polylog.li(3, 0.5).value
+               - (7 * ZETA3 / 8 - math.pi ** 2 * ln2 / 12 + ln2 ** 3 / 6)) <= 4e-16
+    # reflection next to x = 1, where the power series converges slowest;
+    # 1 - x is exact in float64 here
+    x = 0.9999999
+    y = 1 - x
+    value = math.pi ** 2 / 6 - math.log(x) * math.log(y)
+    assert abs(polylog.li(2, x).value + polylog.li(2, y).value - value) <= 1e-15
 
 
 def test_li_domain():
@@ -51,6 +62,11 @@ def test_li_domain():
         polylog.li(1, 1)
     with pytest.raises(DomainError):
         polylog.li(2, 1.5)
+    # no slack past the unit circle
+    with pytest.raises(DomainError):
+        polylog.li(2, math.nextafter(1, 2))
+    with pytest.raises(DomainError):
+        polylog.li(0, 0.5)
 
 
 def test_li_star_examples():

@@ -189,7 +189,9 @@ def diff_reports(parent, change):
     ``terms_fell`` and ``terms_rose`` and by identity (a missing counter
     counts as 0).
     For the other modes it counts the sides whose ``lhs``/``rhs`` string
-    moved, by identity, with the largest absolute and relative move and the
+    moved, by identity, with the largest absolute and relative move, the
+    largest move as a fraction of the report's ``tolerance``
+    (``max_tol_move``, the quantity the perfbench gate bounds) and the
     instance where each happens, and the ``err_*`` values that shrank.
     """
     old = {_report_key(row): row for row in parent}
@@ -198,7 +200,8 @@ def diff_reports(parent, change):
            "status_changed": 0, "terms_changed": 0, "terms_fell": 0, "terms_rose": 0,
            "terms_by_identity": {}, "exact_sides_changed": 0,
            "numeric_sides_moved": 0, "moved_by_identity": {},
-           "max_abs_move": None, "max_rel_move": None, "err_shrank": 0}
+           "max_abs_move": None, "max_rel_move": None, "max_tol_move": None,
+           "err_shrank": 0}
     for key in sorted(old.keys() & new.keys()):
         p, c = old[key], new[key]
         out["paired"] += 1
@@ -222,8 +225,10 @@ def diff_reports(parent, change):
             before, after = float(p[side]), float(c[side])
             move = abs(after - before)
             rel = move / abs(before) if before else float("inf")
+            per_tol = move / p["tolerance"] if p.get("tolerance") else float("inf")
             where = {"id": p["id"], "params": p["params"], "side": side}
-            for name, amount in (("max_abs_move", move), ("max_rel_move", rel)):
+            for name, amount in (("max_abs_move", move), ("max_rel_move", rel),
+                                 ("max_tol_move", per_tol)):
                 if out[name] is None or amount > out[name]["value"]:
                     out[name] = dict(where, value=amount)
         for side in ("err_lhs", "err_rhs"):
