@@ -22,19 +22,23 @@ from .chains import PairingUnavailableError
 from .compositions import Composition, ShapeBlocks, as_composition, as_fraction
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
                      NonConvergenceError, SingularFitError, adaptive_quadrature,
-                     binom_ratio_sum, fmt)
-
-DEFAULT_NUMERIC_TOL = 1e-8
+                     binom_ratio_sum, check_tolerance, fmt)
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+@dataclass
+class Identity:
+    """One catalog identity: what it states, its two sides, its grid, its
+    fuzz sampler and its validity check."""
     id: str
     anchor: str
     mode: str  # EXACT | NUMERIC | QUADRATURE
     param_types: dict
+    evaluate: object              # (params, tol) -> (lhs, rhs)
+    grid: object                  # () -> iterable of (params, tol or None)
+    sample: object                # (rng) -> params
+    domain: object = None         # (params) -> (ok, reason)
     constraint_id: str = None
-    default_tol: float = None
+    default_tol: float = 1e-8     # verify's tolerance when given none
 
     def __post_init__(self):
         if self.mode not in ("EXACT", "NUMERIC", "QUADRATURE"):
@@ -162,22 +166,13 @@ _RED_P = (0.5, 0.75)
 _P3 = (0.3, 0.5, 0.7)
 
 
-class _Entry:
-    def __init__(self, descriptor, evaluate, grid, sample=None, domain=None):
-        self.descriptor = descriptor
-        self.evaluate = evaluate      # (params, tol) -> (lhs, rhs)
-        self.grid = grid              # () -> iterable of (params, tol or None)
-        self.sample = sample          # (rng) -> params
-        self.domain = domain          # (params) -> (ok, reason)
-
-
 _REGISTRY: dict = {}
 
 
-def _register(entry):
-    if entry.descriptor.id in _REGISTRY:
-        raise DomainError(f"duplicate identity id {entry.descriptor.id}")
-    _REGISTRY[entry.descriptor.id] = entry
+def _register(identity):
+    if identity.id in _REGISTRY:
+        raise DomainError(f"duplicate identity id {identity.id}")
+    _REGISTRY[identity.id] = identity
 
 
 def _exact_pair(fn):
@@ -188,11 +183,10 @@ def _exact_pair(fn):
 
 # --- finite / exact identities ---------------------------------------------
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MNEIMNEH_ORIG",
-        "sum_{k<=n} C(n,k) p^k (1-p)^(n-k) H_k = sum_{k<=n} (1-(1-p)^k)/k",
-        "EXACT", {"n": "int", "p": "rational"}),
+_register(Identity(
+    "MNEIMNEH_ORIG",
+    "sum_{k<=n} C(n,k) p^k (1-p)^(n-k) H_k = sum_{k<=n} (1-(1-p)^k)/k",
+    "EXACT", {"n": "int", "p": "rational"},
     _exact_pair(lambda pr: (exact.mneimneh_lhs(pr["n"], (1,), 1, pr["p"]),
                             exact.classic_binomial_rhs(pr["n"], pr["p"]))),
     lambda: ((dict(n=n, p=p), None) for n in range(1, 11)
@@ -200,12 +194,11 @@ _register(_Entry(
     sample=lambda rng: dict(n=rng.randint(1, 15), p=_rational(rng, 0, 1)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "GENCEV_D1",
-        "weighted average of order-s harmonic numbers equals the depth-1 "
-        "chain transform with factor (1-p)^(n_1) ((1+ap/(1-p))^(n_s) - 1)",
-        "EXACT", {"n": "int", "s": "int", "a": "rational", "p": "rational"}),
+_register(Identity(
+    "GENCEV_D1",
+    "weighted average of order-s harmonic numbers equals the depth-1 "
+    "chain transform with factor (1-p)^(n_1) ((1+ap/(1-p))^(n_s) - 1)",
+    "EXACT", {"n": "int", "s": "int", "a": "rational", "p": "rational"},
     _exact_pair(lambda pr: (exact.mneimneh_lhs(pr["n"], (pr["s"],), pr["a"], pr["p"]),
                             exact.depth1_rhs(pr["n"], pr["s"], pr["a"], pr["p"]))),
     lambda: ((dict(n=n, s=s, a=a, p=p), None)
@@ -218,12 +211,11 @@ _register(_Entry(
     domain=lambda pr: (pr["p"] != 1, "p = 1 excluded"),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MAIN_TRANSFORM",
-        "sum_{k<=n} C(n,k) p^k (1-p)^(n-k) zeta*_k(s;a) equals the chain sum of "
-        "(1-p)^Q(s) [(1-p+ap)^(n_|s|) - (1-p)^(n_|s|)] / (n_1...n_|s|)",
-        "EXACT", {"n": "int", "s": "composition", "a": "rational", "p": "rational"}),
+_register(Identity(
+    "MAIN_TRANSFORM",
+    "sum_{k<=n} C(n,k) p^k (1-p)^(n-k) zeta*_k(s;a) equals the chain sum of "
+    "(1-p)^Q(s) [(1-p+ap)^(n_|s|) - (1-p)^(n_|s|)] / (n_1...n_|s|)",
+    "EXACT", {"n": "int", "s": "composition", "a": "rational", "p": "rational"},
     _exact_pair(lambda pr: (exact.mneimneh_lhs(pr["n"], pr["s"], pr["a"], pr["p"]),
                             exact.main_rhs(pr["n"], pr["s"], pr["a"], pr["p"]))),
     lambda: ((dict(n=n, s=s, a=a, p=p), None)
@@ -234,23 +226,21 @@ _register(_Entry(
                             a=_rational(rng, -2, 2), p=_rational(rng, -1, 2)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "EX_FIRST",
-        "sum_k C(n,k) sum_{j<=k} [sum_{i<=j} (-1)^(i-1)/i^2]/j^3 = "
-        "sum over 5-chains of 2^(n-n_1+n_3-n_4)/(n_1...n_5)",
-        "EXACT", {"n": "int"}),
+_register(Identity(
+    "EX_FIRST",
+    "sum_k C(n,k) sum_{j<=k} [sum_{i<=j} (-1)^(i-1)/i^2]/j^3 = "
+    "sum over 5-chains of 2^(n-n_1+n_3-n_4)/(n_1...n_5)",
+    "EXACT", {"n": "int"},
     _exact_pair(lambda pr: exact.power_weight_example_sides(pr["n"])),
     lambda: ((dict(n=n), None) for n in range(1, 9)),
     sample=lambda rng: dict(n=rng.randint(1, 8)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MN1",
-        "for s = {1}_d the chain transform collapses to "
-        "sum [(1-p+ap)^(n_d) - (1-p)^(n_d)]/(n_1...n_d)",
-        "EXACT", {"n": "int", "d": "int", "a": "rational", "p": "rational"}),
+_register(Identity(
+    "MN1",
+    "for s = {1}_d the chain transform collapses to "
+    "sum [(1-p+ap)^(n_d) - (1-p)^(n_d)]/(n_1...n_d)",
+    "EXACT", {"n": "int", "d": "int", "a": "rational", "p": "rational"},
     _exact_pair(lambda pr: (exact.main_rhs(pr["n"], (1,) * pr["d"], pr["a"], pr["p"]),
                             exact.ones_rhs(pr["n"], pr["d"], pr["a"], pr["p"]))),
     lambda: ((dict(n=n, d=d, a=a, p=p), None)
@@ -262,11 +252,10 @@ _register(_Entry(
                             a=_rational(rng, -2, 2), p=_rational(rng, -1, 2)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "DILCHER_PLUS",
-        "sum_{k<=n} C(n,k) (-1)^k zeta*_k({1}_d;a) = ((1-a)^n - 1)/n^d",
-        "EXACT", {"n": "int", "d": "int", "a": "rational"}),
+_register(Identity(
+    "DILCHER_PLUS",
+    "sum_{k<=n} C(n,k) (-1)^k zeta*_k({1}_d;a) = ((1-a)^n - 1)/n^d",
+    "EXACT", {"n": "int", "d": "int", "a": "rational"},
     _exact_pair(lambda pr: exact.dilcher_plus(pr["n"], pr["d"], pr["a"])),
     lambda: ((dict(n=n, d=d, a=a), None)
              for n in range(1, 26) for d in range(1, 6) for a in _DILCHER_A),
@@ -274,42 +263,38 @@ _register(_Entry(
                             a=_rational(rng, -2, 3)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "DILCHER_A2",
-        "sum_{k<=n} C(n,k) (-1)^(k-1) zeta*_k({1}_d;2) = 0 (n even) or 2/n^d (n odd)",
-        "EXACT", {"n": "int", "d": "int"}),
+_register(Identity(
+    "DILCHER_A2",
+    "sum_{k<=n} C(n,k) (-1)^(k-1) zeta*_k({1}_d;2) = 0 (n even) or 2/n^d (n odd)",
+    "EXACT", {"n": "int", "d": "int"},
     _exact_pair(lambda pr: exact.signed_ones_cases(pr["n"], pr["d"])),
     lambda: ((dict(n=n, d=d), None) for n in range(1, 26) for d in range(1, 6)),
     sample=lambda rng: dict(n=rng.randint(1, 25), d=rng.randint(1, 5)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "ODD_BINOM",
-        "sum_{k<=floor((n+1)/2)} C(n,2k-1)/(2k-1)^d = zeta*_n({1}_d;2)/2",
-        "EXACT", {"n": "int", "d": "int"}),
+_register(Identity(
+    "ODD_BINOM",
+    "sum_{k<=floor((n+1)/2)} C(n,2k-1)/(2k-1)^d = zeta*_n({1}_d;2)/2",
+    "EXACT", {"n": "int", "d": "int"},
     _exact_pair(lambda pr: exact.odd_binom_sum(pr["n"], pr["d"])),
     lambda: ((dict(n=n, d=d), None) for n in range(1, 26) for d in range(1, 6)),
     sample=lambda rng: dict(n=rng.randint(1, 25), d=rng.randint(1, 5)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "DILCHER_CLASSIC",
-        "sum_{k<=n} C(n,k) (-1)^(k-1)/k^d = zeta*_n({1}_d)",
-        "EXACT", {"n": "int", "d": "int"}),
+_register(Identity(
+    "DILCHER_CLASSIC",
+    "sum_{k<=n} C(n,k) (-1)^(k-1)/k^d = zeta*_n({1}_d)",
+    "EXACT", {"n": "int", "d": "int"},
     _exact_pair(lambda pr: exact.dilcher_classic(pr["n"], pr["d"])),
     lambda: ((dict(n=n, d=d), None) for n in range(1, 26) for d in range(1, 6)),
     sample=lambda rng: dict(n=rng.randint(1, 25), d=rng.randint(1, 5)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "P_DEGENERATE",
-        "the chain transform is 0 at p=0 and zeta*_n(s;a) at p=1 "
-        "(0^0 = 1 convention)",
-        "EXACT", {"n": "int", "s": "composition", "a": "rational", "p": "rational"}),
+_register(Identity(
+    "P_DEGENERATE",
+    "the chain transform is 0 at p=0 and zeta*_n(s;a) at p=1 "
+    "(0^0 = 1 convention)",
+    "EXACT", {"n": "int", "s": "composition", "a": "rational", "p": "rational"},
     _exact_pair(lambda pr: (exact.main_rhs(pr["n"], pr["s"], pr["a"], pr["p"]),
                             Fraction(0) if pr["p"] == 0
                             else exact.mhsv(pr["n"], pr["s"], pr["a"]))),
@@ -322,7 +307,15 @@ _register(_Entry(
 ))
 
 
-def _aux_eval(variant):
+_AUX_GRID = [(dict(n=n, a=a, x=x), None)
+             for n in range(1, 7)
+             for a in (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+             for x in (Fraction(-1, 2), Fraction(1, 2), Fraction(1))]
+
+
+def _aux(ident, anchor):
+    variant = ident.lower()
+
     def evaluate(params, tol):
         n, a, x = params["n"], as_fraction(params["a"]), as_fraction(params["x"])
         xf = float(x)
@@ -337,37 +330,20 @@ def _aux_eval(variant):
         q = adaptive_quadrature(integrand, lo, hi, tol / 4)
         rhs = exact.aux_rhs(variant, n, a, x)
         return EvalResult.rounded(q, tol / 4, 0, 0), EvalResult.rounded(rhs)
-    return evaluate
+
+    _register(Identity(
+        ident, anchor, "QUADRATURE", {"n": "int", "a": "rational", "x": "rational"},
+        evaluate,
+        lambda: iter(_AUX_GRID),
+        sample=lambda rng: dict(n=rng.randint(1, 6), a=_rational(rng, 0, 2),
+                                x=_rational(rng, -1, 1)),
+        default_tol=1e-10,
+    ))
 
 
-_AUX_GRID = [(dict(n=n, a=a, x=x), None)
-             for n in range(1, 7)
-             for a in (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-             for x in (Fraction(-1, 2), Fraction(1, 2), Fraction(1))]
-
-_register(_Entry(
-    IdentityDescriptor(
-        "AUX1",
-        "integral_0^a ((1+Ax)^n - 1)/A dA = sum_{j<=n} ((1+ax)^j - 1)/j",
-        "QUADRATURE", {"n": "int", "a": "rational", "x": "rational"},
-        default_tol=1e-10),
-    _aux_eval("aux1"),
-    lambda: iter(_AUX_GRID),
-    sample=lambda rng: dict(n=rng.randint(1, 6), a=_rational(rng, 0, 2),
-                            x=_rational(rng, -1, 1)),
-))
-
-_register(_Entry(
-    IdentityDescriptor(
-        "AUX2",
-        "integral_{1-a}^1 ((1+Ax)^n - 1)/A dA = sum_{j<=n} ((1+x)^j - (1+x-ax)^j)/j",
-        "QUADRATURE", {"n": "int", "a": "rational", "x": "rational"},
-        default_tol=1e-10),
-    _aux_eval("aux2"),
-    lambda: iter(_AUX_GRID),
-    sample=lambda rng: dict(n=rng.randint(1, 6), a=_rational(rng, 0, 2),
-                            x=_rational(rng, -1, 1)),
-))
+_aux("AUX1", "integral_0^a ((1+Ax)^n - 1)/A dA = sum_{j<=n} ((1+ax)^j - 1)/j")
+_aux("AUX2", "integral_{1-a}^1 ((1+Ax)^n - 1)/A dA = "
+             "sum_{j<=n} ((1+x)^j - (1+x-ax)^j)/j")
 
 
 def _pan_xu_grids():
@@ -384,22 +360,6 @@ def _pan_xu_grids():
                         yield dict(n=n, r=r, u=u, m=m, x=x, y=y), None
 
 
-_register(_Entry(
-    IdentityDescriptor(
-        "PAN_XU",
-        "sum_k C(n,k) x^k y^(n-k) zeta*_k({1}_(u_1),m_1+2,...,{1}_(u_(r+1))) = "
-        "(x+y)^n times the chain transform at a=1, p=x/(x+y)",
-        "EXACT", {"n": "int", "r": "int", "u": "intlist", "m": "intlist",
-                  "x": "rational", "y": "rational"}),
-    _exact_pair(lambda pr: exact.pan_xu_check(pr["n"], pr["r"], pr["u"], pr["m"],
-                                              pr["x"], pr["y"])),
-    _pan_xu_grids,
-    sample=lambda rng: _pan_xu_sample(rng),
-    domain=lambda pr: (as_fraction(pr["x"]) + as_fraction(pr["y"]) != 0,
-                       "x + y must be nonzero"),
-))
-
-
 def _pan_xu_sample(rng):
     r = rng.randint(0, 2)
     while True:
@@ -413,12 +373,26 @@ def _pan_xu_sample(rng):
             return dict(n=rng.randint(1, 8), r=r, u=u, m=m, x=x, y=y)
 
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MEAN_FINITE",
-        "(1/(n+1)) sum_{k<=n} zeta*_k(s;a) equals the (|s|+1)-chain sum with the "
-        "binomial-ratio kernel C(n_|s|,n_(|s|+1))/C(Q+n_|s|,n_(|s|+1))",
-        "EXACT", {"n": "int", "s": "composition", "a": "rational"}),
+_register(Identity(
+    "PAN_XU",
+    "sum_k C(n,k) x^k y^(n-k) zeta*_k({1}_(u_1),m_1+2,...,{1}_(u_(r+1))) = "
+    "(x+y)^n times the chain transform at a=1, p=x/(x+y)",
+    "EXACT", {"n": "int", "r": "int", "u": "intlist", "m": "intlist",
+              "x": "rational", "y": "rational"},
+    _exact_pair(lambda pr: exact.pan_xu_check(pr["n"], pr["r"], pr["u"], pr["m"],
+                                              pr["x"], pr["y"])),
+    _pan_xu_grids,
+    sample=_pan_xu_sample,
+    domain=lambda pr: (as_fraction(pr["x"]) + as_fraction(pr["y"]) != 0,
+                       "x + y must be nonzero"),
+))
+
+
+_register(Identity(
+    "MEAN_FINITE",
+    "(1/(n+1)) sum_{k<=n} zeta*_k(s;a) equals the (|s|+1)-chain sum with the "
+    "binomial-ratio kernel C(n_|s|,n_(|s|+1))/C(Q+n_|s|,n_(|s|+1))",
+    "EXACT", {"n": "int", "s": "composition", "a": "rational"},
     _exact_pair(lambda pr: (exact.mean_lhs(pr["n"], pr["s"], pr["a"]),
                             exact.mean_rhs(pr["n"], pr["s"], pr["a"]))),
     lambda: ((dict(n=n, s=s, a=a), None)
@@ -428,33 +402,30 @@ _register(_Entry(
                             a=_rational(rng, -2, 2)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MEAN_EX1",
-        "(1/(n+1)) sum_{k<=n} zeta*_k({1}_d) = "
-        "sum over d-chains of 1/(n_1...n_(d-1)(n_d+1))",
-        "EXACT", {"n": "int", "d": "int"}),
+_register(Identity(
+    "MEAN_EX1",
+    "(1/(n+1)) sum_{k<=n} zeta*_k({1}_d) = "
+    "sum over d-chains of 1/(n_1...n_(d-1)(n_d+1))",
+    "EXACT", {"n": "int", "d": "int"},
     _exact_pair(lambda pr: (exact.mean_lhs(pr["n"], (1,) * pr["d"], 1),
                             exact.mean_example1_rhs(pr["n"], pr["d"]))),
     lambda: ((dict(n=n, d=d), None) for d in range(1, 5) for n in range(1, 13)),
     sample=lambda rng: dict(n=rng.randint(1, 12), d=rng.randint(1, 4)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MEAN_SUM_HK",
-        "sum_{k<=n} H_k = (n+1)(H_(n+1) - 1)",
-        "EXACT", {"n": "int"}),
+_register(Identity(
+    "MEAN_SUM_HK",
+    "sum_{k<=n} H_k = (n+1)(H_(n+1) - 1)",
+    "EXACT", {"n": "int"},
     _exact_pair(lambda pr: exact.mean_sum_hk_sides(pr["n"])),
     lambda: ((dict(n=n), None) for n in range(1, 51)),
     sample=lambda rng: dict(n=rng.randint(1, 60)),
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "BINOM_RATIO",
-        "sum_{k<=m} C(m,k)/C(n,k) = m/(n+1-m)",
-        "EXACT", {"m": "int", "n": "int"}),
+_register(Identity(
+    "BINOM_RATIO",
+    "sum_{k<=m} C(m,k)/C(n,k) = m/(n+1-m)",
+    "EXACT", {"m": "int", "n": "int"},
     _exact_pair(lambda pr: (binom_ratio_sum(pr["m"], pr["n"]),
                             Fraction(pr["m"], pr["n"] + 1 - pr["m"]))),
     lambda: ((dict(m=m, n=n), None) for n in range(1, 26) for m in range(1, n + 1)),
@@ -465,190 +436,135 @@ _register(_Entry(
 
 # --- series identities (numeric) -------------------------------------------
 
-def _series_eval(identity, shape_key="shape"):
-    # verify has gated the domain already, or was told not to
+def _series(ident, anchor, param_types, constraint, points, sample, shape_key="shape"):
+    """Register a series identity, checked on ``points`` in order.  Its sides
+    are ``polylog.li_identity_sides`` at ``params[shape_key]`` (the order of
+    ``INTRO_*``, the block shape of ``LI*``), or the closed-form
+    ``polylog.li_example_sides`` of ``LI*_EX``; its domain is the validity
+    region of its constraint."""
+    example = ident.endswith("_EX")
+
     def evaluate(params, tol):
+        if example:
+            family = "A" if ident.startswith("LI1") else "B"
+            return polylog.li_example_sides(family, params["d"], params["p"], tol)
+        # verify has gated the domain already, or was told not to
         return polylog.li_identity_sides(
-            identity, params.get(shape_key), params.get("a", 1), params.get("p"),
+            ident, params.get(shape_key), params.get("a", 1), params.get("p"),
             tol, check_domain=False)
-    return evaluate
 
-
-def _series_domain_fn(identity):
-    def check(params):
+    def domain(params):
         p = params.get("p")
         if p is None:
             return False, "missing parameter p"
-        a = params.get("a", 1)
-        ok = polylog._series_domain(identity, as_fraction(a), as_fraction(p))
-        return ok, "outside validity region"
-    return check
+        if example:
+            return 0 < p < 1, "p must lie in (0,1)"
+        a = as_fraction(params.get("a", 1))
+        return polylog._series_domain(ident, a, as_fraction(p)), "outside validity region"
+
+    _register(Identity(ident, anchor, "NUMERIC", param_types, evaluate,
+                       lambda: ((dict(point), None) for point in points), sample,
+                       domain, constraint_id=constraint))
 
 
-_register(_Entry(
-    IdentityDescriptor(
-        "INTRO_SERIES",
+_series("INTRO_SERIES",
         "Li_s(a) = Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) - Li*_{1..1}(1-p,{1}_(s-1))",
-        "NUMERIC", {"s": "int", "a": "float", "p": "float"},
-        constraint_id="MAIN_AP", default_tol=1e-8),
-    _series_eval("INTRO_SERIES", "s"),
-    lambda: ((dict(s=s, a=a, p=p), None)
-             for s in (2, 3, 4) for a, p in ((0.5, 0.5), (-1, 0.5), (1, 0.4))),
-    sample=lambda rng: dict(s=rng.randint(2, 4),
-                            a=float(_rational(rng, -1, 1)),
-                            p=float(_rational(rng, 1, 9) + Fraction(1, 10))),
-    domain=_series_domain_fn("INTRO_SERIES"),
-))
+        {"s": "int", "a": "float", "p": "float"}, "MAIN_AP",
+        [dict(s=s, a=a, p=p) for s in (2, 3, 4)
+         for a, p in ((0.5, 0.5), (-1, 0.5), (1, 0.4))],
+        lambda rng: dict(s=rng.randint(2, 4), a=float(_rational(rng, -1, 1)),
+                         p=float(_rational(rng, 1, 9) + Fraction(1, 10))),
+        shape_key="s")
 
-_register(_Entry(
-    IdentityDescriptor(
-        "INTRO_RED_L",
-        "Li*_{1..1}(1-p,{1}_(s-1)) = -Li_s(1-1/p)",
-        "NUMERIC", {"s": "int", "p": "float"},
-        constraint_id="RED_BOX", default_tol=1e-8),
-    _series_eval("INTRO_RED_L", "s"),
-    lambda: ((dict(s=s, p=p), None) for s in (2, 3, 4) for p in _RED_P),
-    sample=lambda rng: dict(s=rng.randint(2, 4), p=0.5 + rng.random() * 0.45),
-    domain=_series_domain_fn("INTRO_RED_L"),
-))
+_series("INTRO_RED_L", "Li*_{1..1}(1-p,{1}_(s-1)) = -Li_s(1-1/p)",
+        {"s": "int", "p": "float"}, "RED_BOX",
+        [dict(s=s, p=p) for s in (2, 3, 4) for p in _RED_P],
+        lambda rng: dict(s=rng.randint(2, 4), p=0.5 + rng.random() * 0.45),
+        shape_key="s")
 
-_register(_Entry(
-    IdentityDescriptor(
-        "INTRO_RED_R",
-        "Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) = Li_s(a) - Li_s(1-1/p)",
-        "NUMERIC", {"s": "int", "a": "float", "p": "float"},
-        constraint_id="RED_BOX", default_tol=1e-8),
-    _series_eval("INTRO_RED_R", "s"),
-    lambda: ((dict(s=s, a=a, p=p), None)
-             for s in (2, 3, 4) for a in _RED_A for p in _RED_P),
-    sample=lambda rng: dict(s=rng.randint(2, 4), a=rng.uniform(-1, 1 / 3),
-                            p=0.5 + rng.random() * 0.45),
-    domain=_series_domain_fn("INTRO_RED_R"),
-))
+_series("INTRO_RED_R", "Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) = Li_s(a) - Li_s(1-1/p)",
+        {"s": "int", "a": "float", "p": "float"}, "RED_BOX",
+        [dict(s=s, a=a, p=p) for s in (2, 3, 4) for a in _RED_A for p in _RED_P],
+        lambda rng: dict(s=rng.randint(2, 4), a=rng.uniform(-1, 1 / 3),
+                         p=0.5 + rng.random() * 0.45),
+        shape_key="s")
 
 
-def _li_entry(ident, family, grid_points, schema_extra, anchor, constraint):
+def _li_entry(ident, family, points, anchor, constraint):
+    """A block-family identity at every shape of depth, block sizes and
+    trailing sizes up to 2, crossed with ``points``; a float parameter per
+    key of a point."""
     shapes = _shapes(family, 2, 2, 2)
-
-    def grid():
-        for shape in shapes:
-            for point in grid_points:
-                params = dict(shape=shape)
-                params.update(point)
-                yield params, None
-
-    def sample(rng):
-        shape = rng.choice(shapes)
-        point = grid_points[rng.randrange(len(grid_points))]
-        return dict(shape=shape, **point)
-
-    schema = {"shape": "shape"}
-    schema.update(schema_extra)
-    _register(_Entry(
-        IdentityDescriptor(ident, anchor, "NUMERIC", schema,
-                           constraint_id=constraint, default_tol=1e-8),
-        _series_eval(ident),
-        grid,
-        sample=sample,
-        domain=_series_domain_fn(ident),
-    ))
+    _series(ident, anchor, {"shape": "shape", **dict.fromkeys(points[0], "float")},
+            constraint, [dict(shape=shape, **point) for shape in shapes for point in points],
+            lambda rng: dict(shape=rng.choice(shapes), **points[rng.randrange(len(points))]))
 
 
-_li_entry("LI1_MAIN", "A",
-          [dict(a=a, p=p) for a, p in _LI_AP],
-          {"a": "float", "p": "float"},
+_li_entry("LI1_MAIN", "A", [dict(a=a, p=p) for a, p in _LI_AP],
           "Li*_s({1}_(d-1),a) equals the main/sub argument-string difference "
           "of depth-|s| star polylogarithms (trailing-block family)",
           "MAIN_AP")
 
-_li_entry("LI2_MAIN", "B",
-          [dict(a=a, p=p) for a, p in _LI_AP],
-          {"a": "float", "p": "float"},
+_li_entry("LI2_MAIN", "B", [dict(a=a, p=p) for a, p in _LI_AP],
           "Li*_s({1}_(d-1),a) equals the main/sub argument-string difference "
           "of depth-|s| star polylogarithms (trailing-ones family)",
           "MAIN_AP")
 
-_li_entry("LI1_RED1", "A",
-          [dict(p=p) for p in _RED_P],
-          {"p": "float"},
+_li_entry("LI1_RED1", "A", [dict(p=p) for p in _RED_P],
           "the a-free depth-|s| string reduces to -Li*_s({1}_(d-1),1-1/p)",
           "RED_BOX")
 
-_li_entry("LI2_RED1", "B",
-          [dict(p=p) for p in _RED_P],
-          {"p": "float"},
+_li_entry("LI2_RED1", "B", [dict(p=p) for p in _RED_P],
           "the a-free depth-|s| string reduces to -Li*_s({1}_(d-1),1-1/p) "
           "(trailing-ones family)",
           "RED_BOX")
 
-_li_entry("LI1_RED2", "A",
-          [dict(a=a, p=p) for a in _RED_A for p in _RED_P],
-          {"a": "float", "p": "float"},
+_li_entry("LI1_RED2", "A", [dict(a=a, p=p) for a in _RED_A for p in _RED_P],
           "the a-dependent depth-|s| string reduces to "
           "Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p)",
           "RED_BOX")
 
-_li_entry("LI2_RED2", "B",
-          [dict(a=a, p=p) for a in _RED_A for p in _RED_P],
-          {"a": "float", "p": "float"},
+_li_entry("LI2_RED2", "B", [dict(a=a, p=p) for a in _RED_A for p in _RED_P],
           "the a-dependent depth-|s| string reduces to "
           "Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p) (trailing-ones family)",
           "RED_BOX")
 
+_A1_SHAPES = {family: _shapes(family, 2, 1, 1) for family in "AB"}
 
-def _a1_entry(ident, family, anchor):
-    shapes = _shapes(family, 2, 1, 1)
+_series("LI1_A1",
+        "zeta*(s) equals the unit-argument main/sub string difference, "
+        "independently of p in (0,1)",
+        {"shape": "shape", "p": "float"}, "A1_P",
+        [dict(shape=shape, p=p) for shape in _A1_SHAPES["A"] for p in _P3],
+        lambda rng: dict(shape=rng.choice(_A1_SHAPES["A"]), p=0.2 + rng.random() * 0.6))
 
-    def grid():
-        for shape in shapes:
-            for p in _P3:
-                yield dict(shape=shape, p=p), None
+_series("LI2_A1",
+        "zeta*(s) equals the unit-argument main/sub string difference "
+        "(trailing-ones family), independently of p in (0,1)",
+        {"shape": "shape", "p": "float"}, "A1_P",
+        [dict(shape=shape, p=p) for shape in _A1_SHAPES["B"] for p in _P3],
+        lambda rng: dict(shape=rng.choice(_A1_SHAPES["B"]), p=0.2 + rng.random() * 0.6))
 
-    _register(_Entry(
-        IdentityDescriptor(ident, anchor, "NUMERIC", {"shape": "shape", "p": "float"},
-                           constraint_id="A1_P", default_tol=1e-8),
-        _series_eval(ident),
-        grid,
-        sample=lambda rng: dict(shape=rng.choice(shapes), p=0.2 + rng.random() * 0.6),
-        domain=_series_domain_fn(ident),
-    ))
+_series("LI1_EX",
+        "(2-4^(1-d)) zeta(2d) = Li*_{1..1}({1-p,1/(1-p)}_d) - "
+        "Li*_{1..1}({1-p,1/(1-p)}_(d-1),1-p,1)",
+        {"d": "int", "p": "float"}, "A1_P",
+        [dict(d=d, p=p) for d in (1, 2) for p in _P3],
+        lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 
+_series("LI2_EX",
+        "2 zeta(2d+1) = Li*_{1..1}({1-p,1/(1-p)}_d,1) - "
+        "Li*_{1..1}({1-p,1/(1-p)}_d,1-p)",
+        {"d": "int", "p": "float"}, "A1_P",
+        [dict(d=d, p=p) for d in (1, 2) for p in _P3],
+        lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 
-_a1_entry("LI1_A1", "A",
-          "zeta*(s) equals the unit-argument main/sub string difference, "
-          "independently of p in (0,1)")
-_a1_entry("LI2_A1", "B",
-          "zeta*(s) equals the unit-argument main/sub string difference "
-          "(trailing-ones family), independently of p in (0,1)")
-
-
-def _ex_entry(ident, family, anchor):
-    def evaluate(params, tol):
-        return polylog.li_example_sides(family, params["d"], params["p"], tol)
-
-    _register(_Entry(
-        IdentityDescriptor(ident, anchor, "NUMERIC", {"d": "int", "p": "float"},
-                           constraint_id="A1_P", default_tol=1e-8),
-        evaluate,
-        lambda: ((dict(d=d, p=p), None) for d in (1, 2) for p in _P3),
-        sample=lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6),
-        domain=lambda pr: (0 < pr["p"] < 1, "p must lie in (0,1)"),
-    ))
-
-
-_ex_entry("LI1_EX", "A",
-          "(2-4^(1-d)) zeta(2d) = Li*_{1..1}({1-p,1/(1-p)}_d) - "
-          "Li*_{1..1}({1-p,1/(1-p)}_(d-1),1-p,1)")
-_ex_entry("LI2_EX", "B",
-          "2 zeta(2d+1) = Li*_{1..1}({1-p,1/(1-p)}_d,1) - "
-          "Li*_{1..1}({1-p,1/(1-p)}_d,1-p)")
-
-_register(_Entry(
-    IdentityDescriptor(
-        "MEAN_INF_A",
-        "Li*_s({1}_(d-1),a) equals the infinite binomial-ratio mean kernel sum",
-        "NUMERIC", {"s": "composition", "a": "float"}, default_tol=1e-6),
-    _series_eval("MEAN_INF_A", "s"),
+_register(Identity(
+    "MEAN_INF_A",
+    "Li*_s({1}_(d-1),a) equals the infinite binomial-ratio mean kernel sum",
+    "NUMERIC", {"s": "composition", "a": "float"},
+    lambda pr, tol: polylog.li_identity_sides("MEAN_INF_A", pr["s"], pr["a"], None, tol,
+                                              check_domain=False),
     lambda: ((dict(s=s, a=a), None)
              for s, alist in ((Composition((2,)), (1, 0.5, -1)),
                               (Composition((1, 1)), (0.5,)),
@@ -658,20 +574,21 @@ _register(_Entry(
                             a=float(_rational(rng, -1, 1))),
     domain=lambda pr: (polylog.mean_lhs_converges(pr["s"], pr["a"]),
                        "left side diverges"),
+    default_tol=1e-6,
 ))
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MEAN_INF_1",
-        "zeta*(s) = sum over |s|-chains of 1/((Q+1)(Q+n_|s|+1) n_1...n_(|s|-1))",
-        "NUMERIC", {"s": "composition"}, default_tol=1e-6),
-    _series_eval("MEAN_INF_1", "s"),
+_register(Identity(
+    "MEAN_INF_1",
+    "zeta*(s) = sum over |s|-chains of 1/((Q+1)(Q+n_|s|+1) n_1...n_(|s|-1))",
+    "NUMERIC", {"s": "composition"},
+    lambda pr, tol: polylog.li_identity_sides("MEAN_INF_1", pr["s"], 1, None, tol),
     lambda: iter(((dict(s=Composition((2,))), 1e-6),
                   (dict(s=Composition((3,))), 1e-6),
                   (dict(s=Composition((2, 2))), 1e-5))),
     sample=lambda rng: dict(s=rng.choice((Composition((2,)), Composition((3,)),
                                           Composition((2, 2))))),
     domain=lambda pr: (as_composition(pr["s"]).parts[0] >= 2, "needs s_1 >= 2"),
+    default_tol=1e-6,
 ))
 
 
@@ -683,15 +600,15 @@ def _mean_ex2_eval(params, tol):
     return lhs, EvalResult.rounded(closed)
 
 
-_register(_Entry(
-    IdentityDescriptor(
-        "MEAN_EX2",
-        "sum over 2d-chains of 1/((1+alt-sum)(1+alt-sum')n_1...n_(2d-1)) = "
-        "zeta*({2}_d) = (2-4^(1-d)) zeta(2d)",
-        "NUMERIC", {"d": "int"}, default_tol=1e-6),
+_register(Identity(
+    "MEAN_EX2",
+    "sum over 2d-chains of 1/((1+alt-sum)(1+alt-sum')n_1...n_(2d-1)) = "
+    "zeta*({2}_d) = (2-4^(1-d)) zeta(2d)",
+    "NUMERIC", {"d": "int"},
     _mean_ex2_eval,
     lambda: iter(((dict(d=1), 1e-6), (dict(d=2), 1e-5))),
     sample=lambda rng: dict(d=rng.randint(1, 2)),
+    default_tol=1e-6,
 ))
 
 
@@ -700,11 +617,12 @@ _register(_Entry(
 # ---------------------------------------------------------------------------
 
 def list_identities():
-    """All identity descriptors, sorted by id."""
-    return [e.descriptor for _, e in sorted(_REGISTRY.items())]
+    """Every identity record, sorted by id."""
+    return [identity for _, identity in sorted(_REGISTRY.items())]
 
 
 def get_entry(identity_id):
+    """The record of one identity; :class:`DomainError` for an unknown id."""
     try:
         return _REGISTRY[identity_id]
     except KeyError:
@@ -735,16 +653,17 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     rejection or divergence is reported as ``not_converged``.  An evaluation
     that runs out of budget or whose window fit is singular is reported as
     ``not_converged`` too, with the exception named in ``skip_reason``.
-    Mathematical failure never raises; it returns ``passed=False``.
+    Mathematical failure never raises; it returns ``passed=False``.  A
+    ``tol`` that is not finite and > 0 raises :class:`DomainError`.
     """
     entry = get_entry(identity_id)
-    desc = entry.descriptor
     params = dict(params or {})
     if tol is None:
-        tol = desc.default_tol if desc.default_tol is not None else DEFAULT_NUMERIC_TOL
-    report = IdentityReport(id=desc.id, params=dict(params), mode=desc.mode,
-                            anchor=desc.anchor,
-                            tolerance=None if desc.mode == "EXACT" else tol)
+        tol = entry.default_tol
+    check_tolerance(tol)
+    report = IdentityReport(id=entry.id, params=dict(params), mode=entry.mode,
+                            anchor=entry.anchor,
+                            tolerance=None if entry.mode == "EXACT" else tol)
     if entry.domain is not None:
         ok, reason = entry.domain(params)
         if not ok and not outside:
@@ -773,14 +692,14 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     report.rhs = rhs.value if isinstance(rhs, EvalResult) else rhs
     report.err_lhs = lhs.error_estimate if isinstance(lhs, EvalResult) else None
     report.err_rhs = rhs.error_estimate if isinstance(rhs, EvalResult) else None
-    report.abs_diff, report.rel_diff = _diffs(lhs, rhs, desc.mode)
+    report.abs_diff, report.rel_diff = _diffs(lhs, rhs, entry.mode)
     cost = {"wall_ms": round(wall_ms, 3)}
     if isinstance(lhs, EvalResult):
         cost["terms_lhs"] = lhs.terms_used
     if isinstance(rhs, EvalResult):
         cost["terms_rhs"] = rhs.terms_used
     report.cost = cost
-    if desc.mode == "EXACT":
+    if entry.mode == "EXACT":
         report.passed = (lhs == rhs)
     else:
         converged = all(r.converged for r in (lhs, rhs) if isinstance(r, EvalResult))
@@ -794,13 +713,12 @@ def fuzz(identity_id, seed, trials, tol=None, outside=False):
 
     In-domain sampling rejects points outside the identity's validity region,
     so ordinary fuzz runs never produce domain skips; ``outside=True`` keeps
-    every sampled point and lets evaluations fail.
+    every sampled point and lets evaluations fail.  ``tol`` is checked by
+    :func:`verify`.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     entry = get_entry(identity_id)
-    if entry.sample is None:
-        raise DomainError(f"{identity_id} has no fuzz sampler")
     rng = random.Random(f"{identity_id}:{seed}")
     reports = []
     guard = 0

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -17,7 +16,7 @@ from fractions import Fraction
 from . import catalog, chains, exact, polylog
 from .chains import PairingUnavailableError
 from .compositions import Composition, ShapeBlocks
-from .kernel import DomainError, EvalResult, fmt
+from .kernel import DomainError, EvalResult, check_tolerance, fmt
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,8 +66,8 @@ def _resolve_run_config(args):
         if getattr(args, name) is not None:
             value = getattr(args, name)
         settings[name] = value
-    if settings["tol"] is not None and not 0 < settings["tol"] < math.inf:
-        raise DomainError(f"tolerance must be finite and > 0, got {settings['tol']}")
+    if settings["tol"] is not None:
+        check_tolerance(settings["tol"])
     if settings.get("jobs", 1) < 1:
         raise DomainError(f"jobs must be >= 1, got {settings['jobs']}")
     return settings
@@ -78,7 +77,7 @@ def _fmt_numeric(result: EvalResult):
     return f"{fmt(result.value, 12)} (err <= {fmt(result.error_estimate, 3)})"
 
 
-# --param value parsers, by descriptor parameter type
+# --param value parsers, by the identity's parameter type
 _PARAM_PARSERS = {
     "int": int,
     "rational": Fraction,
@@ -90,43 +89,45 @@ _PARAM_PARSERS = {
 
 
 def _parse_params(entry, pairs):
-    types = entry.descriptor.param_types
+    types = entry.param_types
     params = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise DomainError(f"--param expects key=value, got {pair!r}")
         key, text = pair.split("=", 1)
         if key not in types:
-            raise DomainError(f"unknown parameter {key!r} for {entry.descriptor.id}")
+            raise DomainError(f"unknown parameter {key!r} for {entry.id}")
         params[key] = _parse(_PARAM_PARSERS.get(types[key], str), text,
                              f"parameter {key}")
     missing = [key for key in types if key not in params]
     if missing:
         raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
-                          f"for {entry.descriptor.id}")
+                          f"for {entry.id}")
     return params
 
 
 def cmd_list(args):
-    descriptors = catalog.list_identities()
+    identities = catalog.list_identities()
     if args.mode:
-        descriptors = [d for d in descriptors if d.mode.lower() == args.mode.lower()]
+        identities = [d for d in identities if d.mode.lower() == args.mode.lower()]
     if args.json:
         payload = [{"id": d.id, "mode": d.mode, "anchor": d.anchor,
                     "constraint": d.constraint_id,
-                    "params": d.param_types} for d in descriptors]
+                    "params": d.param_types} for d in identities]
         print(json.dumps(payload, indent=2))
     else:
-        for d in descriptors:
+        for d in identities:
             print(f"{d.id:16s} {d.mode:10s} {d.anchor}")
-        print(f"{len(descriptors)} identities")
+        print(f"{len(identities)} identities")
     return EXIT_OK
 
 
 def cmd_eval(args):
+    kind = args.kind
+    if args.tol is not None and kind not in ("listar", "zetastar"):
+        raise DomainError(f"eval {kind} takes no --tol")
     run = _resolve_run_config(args)
     tol = run["tol"] if run["tol"] is not None else 1e-9
-    kind = args.kind
 
     def required(name):
         value = getattr(args, name)
@@ -195,7 +196,7 @@ def cmd_verify(args):
 
     tasks = []
     for entry in entries:
-        ident = entry.descriptor.id
+        ident = entry.id
         if args.param:
             params = _parse_params(entry, args.param)
             tasks.append((ident, params, tol_override, args.outside))
@@ -206,7 +207,7 @@ def cmd_verify(args):
 
     # load SciPy before the first task, so no instance's wall_ms books the
     # import and forked workers share its pages
-    if any(entry.descriptor.mode != "EXACT" for entry in entries):
+    if any(entry.mode != "EXACT" for entry in entries):
         chains.load_lfilter()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -237,7 +238,7 @@ def cmd_verify(args):
 def cmd_fuzz(args):
     run = _resolve_run_config(args)
     try:
-        if catalog.get_entry(args.id).descriptor.mode != "EXACT":
+        if catalog.get_entry(args.id).mode != "EXACT":
             chains.load_lfilter()
         reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
                                outside=args.outside)

@@ -37,6 +37,12 @@ class DomainError(ValueError):
     """Arguments outside an operation's stated domain."""
 
 
+def check_tolerance(tol):
+    """The one tolerance rule: finite and > 0, else :class:`DomainError`."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration or DP refused to run past its cost budget."""
 
@@ -133,8 +139,7 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
     left endpoint, the order of a depth-first walk that refines the right
     half first.  Returns a float.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    check_tolerance(tol)
     nodes, weights = _gl_f64()
     lo_, hi_ = float(lo), float(hi)
     if lo_ == hi_:

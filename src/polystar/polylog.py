@@ -23,7 +23,7 @@ from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_B
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
-from .kernel import DomainError, EvalResult, adaptive_quadrature
+from .kernel import DomainError, EvalResult, adaptive_quadrature, check_tolerance
 
 _MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
@@ -152,8 +152,7 @@ def li_star(s, xs, tol=1e-9) -> EvalResult:
     xs = tuple(float(x) for x in xs)
     if len(xs) != s.depth:
         raise DomainError(f"need {s.depth} arguments, got {len(xs)}")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    check_tolerance(tol)
     if any(x == 0 for x in xs):
         # a zero argument annihilates every chain
         return EvalResult(0.0, 0.0, 0, 0, True)

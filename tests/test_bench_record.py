@@ -29,6 +29,7 @@ def test_src_lines_counts_the_package_modules(tmp_path):
     (pkg / "notes.txt").write_text("one\ntwo\n")
     (pkg / "sub").mkdir()
     (pkg / "sub" / "c.py").write_text("w = 4\n")
+    assert bench_record.module_lines(str(tmp_path)) == {"a.py": 3, "b.py": 1}
     assert bench_record.src_lines(str(tmp_path)) == 4
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -30,6 +32,12 @@ def test_catalog_complete_and_unique():
     assert len(ids) == 33
     assert len(set(ids)) == 33
     assert set(ids) == EXPECTED_IDS
+
+
+def test_list_identities_returns_the_registry_records():
+    for record in catalog.list_identities():
+        assert catalog.get_entry(record.id) is record
+        assert callable(record.evaluate) and callable(record.sample)
 
 
 def test_catalog_modes():
@@ -109,6 +117,19 @@ def test_fuzz_red1_red_box_samples():
     reports = catalog.fuzz("LI1_RED1", 1, 10, 1e-8)
     assert len(reports) == 10
     assert all(r.status == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_verify_and_fuzz_refuse_a_tolerance_not_finite_and_positive(tol):
+    # the numeric instance would not converge at nan and would pass at inf;
+    # the exact one and the skipped one read no tolerance, and refuse it too
+    for ident, params in (("LI1_EX", dict(d=1, p=0.5)), ("MEAN_SUM_HK", dict(n=3)),
+                          ("MEAN_INF_A", dict(s=Composition((1, 1)), a=0.5))):
+        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+            catalog.verify(ident, params, tol)
+    for ident in ("LI1_EX", "DILCHER_CLASSIC"):
+        with pytest.raises(DomainError, match="tolerance must be finite and > 0"):
+            catalog.fuzz(ident, 1, 2, tol)
 
 
 def test_fuzz_requires_trials():
@@ -237,3 +258,87 @@ def test_grid_tolerance_overrides():
     tols = {str(params["s"]): tol for params, tol in grids}
     assert tols["2"] == 1e-6
     assert tols["2,2"] == 1e-5
+
+
+# --- the catalog pinned: fields, grids in order, seeded fuzz samples --------
+
+PIN_SEED = 2024
+PIN_SAMPLES = 40
+
+
+def _pin_values(params):
+    return [[key, type(value).__name__, repr(value)] for key, value in params.items()]
+
+
+def _pin_verdict(entry, params):
+    if entry.domain is None:
+        return None
+    ok, reason = entry.domain(params)
+    return [bool(ok), None if ok else reason]
+
+
+def _catalog_fingerprints():
+    """Per identity id: its grid size and a digest of its listed fields (a
+    tolerance only where the mode has one), its default grid in order with
+    value types, grid tolerances and domain verdicts, and its first
+    ``PIN_SAMPLES`` fuzz samples for ``PIN_SEED`` (drawn from the ``rng``
+    that ``fuzz`` seeds) with their verdicts."""
+    out = {}
+    for record in catalog.list_identities():
+        entry = catalog.get_entry(record.id)
+        fields = [record.id, record.anchor, record.mode, list(record.param_types.items()),
+                  record.constraint_id,
+                  None if record.mode == "EXACT" else record.default_tol]
+        grid = [[_pin_values(params), tol, _pin_verdict(entry, params)]
+                for params, tol in catalog.default_grid(record.id)]
+        rng = random.Random(f"{record.id}:{PIN_SEED}")
+        samples = []
+        for _ in range(PIN_SAMPLES):
+            params = entry.sample(rng)
+            samples.append([_pin_values(params), _pin_verdict(entry, params)])
+        text = json.dumps([fields, grid, samples])
+        out[record.id] = (len(grid), hashlib.sha256(text.encode()).hexdigest()[:16])
+    return out
+
+
+# a change that moves a grid point, a grid tolerance, a sampler draw, a domain
+# verdict or a listed field changes the identity's digest
+CATALOG_PIN = {
+    'AUX1': (54, 'd331085b6c56b98a'),
+    'AUX2': (54, 'f091121c2602868a'),
+    'BINOM_RATIO': (325, '3ffe5453a7b83d64'),
+    'DILCHER_A2': (125, '31e8eac5f9a15bc5'),
+    'DILCHER_CLASSIC': (125, '7b5ca59af9e0851d'),
+    'DILCHER_PLUS': (875, '9bfc1012be7e3440'),
+    'EX_FIRST': (8, '83cabef1fd01a743'),
+    'GENCEV_D1': (640, '9b68d46f78c6246a'),
+    'INTRO_RED_L': (6, '0ba85b1f3e9a56ee'),
+    'INTRO_RED_R': (18, '662a0b87291062eb'),
+    'INTRO_SERIES': (9, 'a63f3afe3acea2df'),
+    'LI1_A1': (30, '2c7f76f2e7ad040f'),
+    'LI1_EX': (6, '121cf40749c2cfdf'),
+    'LI1_MAIN': (150, 'e1ecd8168ead7252'),
+    'LI1_RED1': (60, 'f68acd5e38db62f7'),
+    'LI1_RED2': (180, 'a2fd1c14ed39b511'),
+    'LI2_A1': (30, 'b2d3aed6c1c026e3'),
+    'LI2_EX': (6, 'bc2affb11a61ec70'),
+    'LI2_MAIN': (300, '2b8a92f5503e3257'),
+    'LI2_RED1': (120, 'a249e01c36008fc9'),
+    'LI2_RED2': (360, '060a4d09b655d8b7'),
+    'MAIN_TRANSFORM': (3750, '1d4e1191ed6178e8'),
+    'MEAN_EX1': (48, '1ab418d9e5bccda7'),
+    'MEAN_EX2': (2, '7e26ca199d24d186'),
+    'MEAN_FINITE': (720, '83656e78b3e66184'),
+    'MEAN_INF_1': (3, 'fa669ad4a629ac7a'),
+    'MEAN_INF_A': (7, '2df2c94628ea9344'),
+    'MEAN_SUM_HK': (50, 'cb891e7d07d61cdf'),
+    'MN1': (1120, '7028a3657b431540'),
+    'MNEIMNEH_ORIG': (50, '9ef31c80b2e0378e'),
+    'ODD_BINOM': (125, 'd628ac6c53b71abb'),
+    'PAN_XU': (5120, 'ccc164b45becd1ef'),
+    'P_DEGENERATE': (1500, '7bab93fc0057b203'),
+}
+
+
+def test_catalog_fields_grids_and_samples_are_pinned():
+    assert _catalog_fingerprints() == CATALOG_PIN

@@ -124,9 +124,14 @@ def test_verify_missing_param_is_usage_error(capsys):
     (["verify", "LI1_EX", "--param", "d=1", "--param", "p=0.5", "--tol", "inf"], None),
     (["eval", "zetastar", "--s", "2", "--tol", "0"], None),
     (["fuzz", "DILCHER_CLASSIC", "--trials", "1"], "tolerance = nan\n"),
+    (["eval", "li", "--s", "2", "--x", "1/2", "--tol", "1e-300"], None),
+    (["eval", "mhsv", "--k", "2", "--s", "2,1", "--tol", "1e-8"], None),
+    (["eval", "mneimneh", "--n", "3", "--s", "2", "--p", "1/2", "--tol", "1e-8"], None),
+    (["eval", "mean", "--n", "3", "--s", "2", "--tol", "1e-8"], None),
 ], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "missing-config",
         "jobs-0", "jobs-negative", "config-jobs-0", "config-seed", "tol-nan", "tol-inf",
-        "tol-0", "config-tol-nan"])
+        "tol-0", "config-tol-nan", "eval-li-tol", "eval-mhsv-tol", "eval-mneimneh-tol",
+        "eval-mean-tol"])
 def test_malformed_input_is_one_usage_error_line(tmp_path, capsys, argv, config):
     # config None: no --config, False: a --config file that does not exist
     if config is not None:
@@ -183,6 +188,9 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("tolerance = 1e-6\nseed = 9\n")
     assert main(["eval", "zetastar", "--s", "2", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.startswith("1.644934")
+    # the config key stays shared: a kind that reads no tolerance ignores it
+    assert main(["eval", "li", "--s", "2", "--x", "-1", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("-0.822467033")
 
 
 def test_scipy_is_loaded_at_the_first_float_gap_dp():

@@ -20,7 +20,8 @@ each side runs the committed files only.  The file records:
 * the cold start of ``python -m polystar list``, which runs no float DP,
   and of ``python -m polystar eval zetastar --s 2,2 --tol 1e-8``, which
   does (median of 5 each, the two sides sampled in turn);
-* ``src_lines``, the line count of ``src/polystar/*.py`` in each tree;
+* ``src_lines``, the line count of ``src/polystar/*.py`` in each tree, and
+  ``module_lines``, the count of each of those modules by file name;
 * ``nproc`` and the Python, numpy and SciPy versions.
 
 Everything runs one process at a time, so the pool of ``--jobs 2`` is the
@@ -263,13 +264,20 @@ def cold_start(trees):
             for name, by_side in runs.items()}
 
 
-def src_lines(tree):
-    """Newlines in ``src/polystar/*.py`` under ``tree``, as ``wc -l`` counts."""
-    total = 0
-    for path in glob.glob(os.path.join(tree, "src", "polystar", "*.py")):
+def module_lines(tree):
+    """Newlines in each ``src/polystar/*.py`` under ``tree``, as ``wc -l``
+    counts, by file name."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "polystar", "*.py"))):
         with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+            out[os.path.basename(path)] = fh.read().count(b"\n")
+    return out
+
+
+def src_lines(tree):
+    """Newlines in ``src/polystar/*.py`` under ``tree``: the sum of
+    :func:`module_lines`."""
+    return sum(module_lines(tree).values())
 
 
 def versions():
@@ -298,7 +306,8 @@ def main(argv=None):
         shas = {side: export(rev, trees[side])
                 for side, rev in (("parent", args.parent), ("change", args.change))}
         record = {"commits": shas, "machine": versions(), "pairs": args.pairs,
-                  "src_lines": {side: src_lines(trees[side]) for side in trees}}
+                  "src_lines": {side: src_lines(trees[side]) for side in trees},
+                  "module_lines": {side: module_lines(trees[side]) for side in trees}}
         record["workloads"] = bench_workloads(trees, args.pairs, args.seed)
         record["verify_all"], reports = verify_all(trees, workdir)
         print(f"verify --all: {record['verify_all']}", flush=True)
