@@ -473,7 +473,7 @@ _series("INTRO_SERIES",
         [dict(s=s, a=a, p=p) for s in (2, 3, 4)
          for a, p in ((0.5, 0.5), (-1, 0.5), (1, 0.4))],
         lambda rng: dict(s=rng.randint(2, 4), a=float(_rational(rng, -1, 1)),
-                         p=float(_rational(rng, 1, 9) + Fraction(1, 10))),
+                         p=float(_rational(rng, 0, 2))),
         shape_key="s")
 
 _series("INTRO_RED_L", "Li*_{1..1}(1-p,{1}_(s-1)) = -Li_s(1-1/p)",

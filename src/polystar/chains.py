@@ -20,10 +20,11 @@ Three evaluators share the same summand model:
   SciPy call, ``lfilter``, is imported at the first float gap DP
   (:func:`load_lfilter`), so a process that runs none never loads SciPy;
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
-  to the summand: one dense (chain value, partial Q) table, Fractions for
-  exact kernels and float64 for float ones, built by one descending row
-  pass per chain index over each row's live q-range, folded with the
-  kernel (the MEAN_FULL kernel table comes from an O(N^2) recurrence).
+  to the summand: one descending sweep runs the pass of every chain index
+  together over the live q-range of each (chain value, partial Q) row,
+  Fractions for exact kernels and float64 for float ones, and folds each
+  row with the kernel as it arrives (the exact MEAN_FULL kernel table comes
+  from an O(N^2) recurrence): O(|s| * N) memory, O(N^2 * |s|) work.
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails,
@@ -478,49 +479,51 @@ def dp_q_naive(kernel: QKernelSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
     return Fraction(_walk_chains(N, kernel.chain_length, (0, 1, 0), step, budget))
 
 
-def _q_table(kernel: QKernelSpec, N: int, exact: bool):
-    """Dense table W[m - 1, q] over the length-|s| chains truncated at
-    n_1 <= N: the sum of 1/(n_1 ... n_|s|) over the chains with last value
-    n_|s| = m and statistic Q = q, for m = 1..N and q = 0..N.
+def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
+    """The rows of the (chain value, partial Q) table over the length-|s|
+    chains truncated at n_1 <= N, as one descending sweep: yields (m, row)
+    for m = N..1, where row[q] is the sum of 1/(n_1 ... n_|s|) over the
+    chains with last value n_|s| = m and statistic Q = q, q = 0..N.
 
-    Holds Fractions in an object array when ``exact``, float64 otherwise.
-    Each later chain index is one descending pass over the rows: it carries
-    the suffix sum over the previous values >= m, then shifts and scales
-    row m in place.  Every step touches only the live q-range of a row,
-    outside of which the row is known to be zero, so no arithmetic runs on
-    a structural zero.
+    Holds Fractions in object arrays when ``exact``, float64 otherwise.
+    Each chain index is one pass, and all passes step together: at m, a
+    later pass adds the previous pass's row m to its accumulator, the suffix
+    sum over the values >= m that the sweep has already produced, then
+    shifts and scales it into its own row m.  So a pass holds one
+    accumulator and one row buffer of length N+1, and the yielded row is
+    overwritten by the next step.  Every step touches only the live q-range
+    of a row, outside of which it is zero, so no arithmetic runs on a
+    structural zero.
     """
     signs = chain_q_signs(kernel.s)
-    if exact:
-        W = np.zeros((N, N + 1), dtype=object)
-        inv = [Fraction(1, m) for m in range(1, N + 1)]
-    else:
-        W = np.zeros((N, N + 1))
-        inv = 1.0 / np.arange(1, N + 1)
-    # live[m - 1] = (lo, hi): row m is zero outside lo <= q <= hi
-    live = []
-    for m in range(1, N + 1):
+    dtype = object if exact else np.float64
+    inv = [Fraction(1, m) for m in range(1, N + 1)] if exact else 1.0 / np.arange(1, N + 1)
+    rows = [np.zeros(N + 1, dtype=dtype) for _ in signs]
+    # accs[i]: pass i's sum of pass i-1's rows >= m (accs[0] is unused)
+    accs = [np.zeros(N + 1, dtype=dtype) for _ in signs]
+    # row i is zero outside live[i], acc i outside acc_live[i]
+    live = [(0, -1)] * len(signs)
+    acc_live = [(N + 1, -1)] * len(signs)
+    for m in range(N, 0, -1):
+        rows[0][live[0][0]:live[0][1] + 1] = 0
         q = m if signs[0] > 0 else 0
-        W[m - 1, q] = inv[m - 1]
-        live.append((q, q))
-    for sg in signs[1:]:
-        # acc: the sum of the rows >= m (the next value m admits any previous
-        # value >= m), live on a_lo <= q <= a_hi
-        acc = np.zeros(N + 1, dtype=W.dtype)
-        a_lo, a_hi = N + 1, -1
-        for m in range(N, 0, -1):
-            row = W[m - 1]
-            lo, hi = live[m - 1]
+        rows[0][q] = inv[m - 1]
+        live[0] = (q, q)
+        for i in range(1, len(signs)):
+            lo, hi = live[i - 1]
             if lo <= hi:
-                a_lo, a_hi = _add_live(acc, a_lo, a_hi, row, lo, hi)
-                row[lo:hi + 1] = 0
+                acc_live[i] = _add_live(accs[i], *acc_live[i], rows[i - 1], lo, hi)
+            lo, hi = live[i]
+            if lo <= hi:
+                rows[i][lo:hi + 1] = 0
             # shift by sg * m along the partial-Q axis, then scale by 1/m
-            shift = sg * m
+            shift = signs[i] * m
+            a_lo, a_hi = acc_live[i]
             lo, hi = max(a_lo + shift, 0), min(a_hi + shift, N)
             if lo <= hi:
-                row[lo:hi + 1] = acc[lo - shift:hi - shift + 1] * inv[m - 1]
-            live[m - 1] = (lo, hi)
-    return W
+                rows[i][lo:hi + 1] = accs[i][lo - shift:hi - shift + 1] * inv[m - 1]
+            live[i] = (lo, hi)
+        yield m, rows[-1]
 
 
 def _add_live(acc, a_lo, a_hi, row, lo, hi):
@@ -542,33 +545,38 @@ def _add_live(acc, a_lo, a_hi, row, lo, hi):
 def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
     """Q-coupled chain sum truncated at n_1 <= N.
 
-    Builds the (chain value, partial Q) table of :func:`_q_table` and folds
-    it with the kernel; the partial-Q range never exceeds N, so the state
-    count is O(N^2 * |s|) and is refused beyond the state budget.  Exact
-    kernels give a Fraction, ``exact=False`` a float.
+    Folds each row of the sweep of :func:`_q_rows` with the kernel as it
+    arrives, so memory is O(|s| * N) (the exact MEAN_FULL kernel table
+    aside); the partial-Q range never exceeds N, so the sweep makes
+    O(N^2 * |s|) cell updates, and ``Q_STATE_BUDGET`` bounds that work, not
+    the memory.  Exact kernels give a Fraction, ``exact=False`` a float.
     """
-    s = kernel.s
-    n_states = N * N * max(1, s.weight)
-    if n_states > Q_STATE_BUDGET:
+    n_cells = N * N * max(1, kernel.s.weight)
+    if n_cells > Q_STATE_BUDGET:
         raise BudgetExceededError(
-            f"Q-coupled DP needs ~{n_states} states, over budget {Q_STATE_BUDGET}")
+            f"Q-coupled DP needs ~{n_cells} cell updates, over budget {Q_STATE_BUDGET}")
     if exact is None:
         exact = isinstance(kernel.a, (int, Fraction))
-    W = _q_table(kernel, N, exact=exact)
-    one = Fraction(1) if exact else 1.0
+    rows = _q_rows(kernel, N, exact=exact)
     total = Fraction(0) if exact else 0.0
     if kernel.kind == "MEAN_INF":
-        # the table carries a 1/n_L that MEAN_INF lacks: the row kernel
+        # the rows carry a 1/n_L that MEAN_INF lacks: the row kernel
         # m / ((q+1)(q+m+1)) multiplies it back out; q1 = q + 1
+        one = Fraction(1) if exact else 1.0
         q1 = np.arange(1, N + 2, dtype=object if exact else np.float64)
-        for m in range(1, N + 1):
-            total += W[m - 1].dot(one * m / (q1 * (q1 + m)))
+        dots = [0] * N
+        for m, row in rows:
+            dots[m - 1] = row.dot(one * m / (q1 * (q1 + m)))
+        # summed in ascending m, the table's row order, not the sweep's
+        for dot in dots:
+            total += dot
     else:
         K = _mean_full_kernel(kernel.a, N)
         if not exact:
             K = K.astype(np.float64)
-        cells = np.nonzero(W)
-        total = sum(W[cells] * K[cells], total)
+        for m, row in rows:
+            cells = np.nonzero(row)
+            total = sum(row[cells] * K[m - 1][cells], total)
     return total if exact else float(total)
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -129,6 +130,46 @@ def test_cold_start_samples_the_two_sides_in_turn(monkeypatch):
                                      "change": {"median_s": 4.0, "runs": [4.0] * n}}}
 
 
+def test_verify_all_records_the_peak_rss_of_each_run(monkeypatch, tmp_path):
+    # per sample: parent serial, change serial, parent --jobs 2, change --jobs 2
+    peaks = iter([250.0, 120.0, 215.0, 110.0, 247.0, 121.0, 216.0, 111.0,
+                  249.0, 119.0, 214.0, 109.0])
+
+    def timed(cmd, tree, stdout=None):
+        if stdout is not subprocess.DEVNULL:
+            stdout.write(json.dumps({"id": "X", "params": {}, "cost": {}}) + "\n")
+        return 1.0, SimpleNamespace(returncode=0, peak_rss_mb=next(peaks))
+
+    monkeypatch.setattr(bench_record, "timed", timed)
+    out, _ = bench_record.verify_all({"parent": "p", "change": "c"}, str(tmp_path))
+    parent, change = out["parent"], out["change"]
+    assert parent["serial_peak_rss_mb_runs"] == [250.0, 247.0, 249.0]
+    assert parent["jobs2_peak_rss_mb_runs"] == [215.0, 216.0, 214.0]
+    assert change["serial_peak_rss_mb_runs"] == [120.0, 121.0, 119.0]
+    assert change["jobs2_peak_rss_mb_runs"] == [110.0, 111.0, 109.0]
+    assert (parent["serial_peak_rss_mb"], parent["jobs2_peak_rss_mb"]) == (249.0, 215.0)
+    assert (change["serial_peak_rss_mb"], change["jobs2_peak_rss_mb"]) == (120.0, 110.0)
+
+
+def test_timed_peak_rss_covers_a_reaped_grandchild(tmp_path):
+    # timed() runs in a fresh small process, because a child's ru_maxrss
+    # starts at its launcher's peak; the 48 MB live in a grandchild that the
+    # timed child waits for, and a bare child stays below them
+    grandchild = "b = b'x' * (48 * 2 ** 20)"
+    child = (f"import subprocess, sys; subprocess.run([sys.executable, '-c', {grandchild!r}], "
+             "check=True); print('done')")
+    probe = (f"import importlib.util, json, sys; spec = importlib.util.spec_from_file_location("
+             f"'bench_record', {bench_record.__file__!r}); "
+             "br = importlib.util.module_from_spec(spec); spec.loader.exec_module(br); "
+             "runs = [br.timed([sys.executable, '-c', c], '.')[1] for c in sys.argv[1:]]; "
+             "print(json.dumps([[p.returncode, p.stdout, p.peak_rss_mb] for p in runs]))")
+    out = subprocess.run([sys.executable, "-c", probe, child, "import sys; sys.exit(3)"],
+                         cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+    (code, stdout, big), (bare_code, _, bare) = json.loads(out)
+    assert (code, stdout, bare_code) == (0, "done\n", 3)
+    assert big >= 48 > bare
+
+
 def test_cold_start_refuses_a_failed_command(monkeypatch):
     monkeypatch.setattr(bench_record, "timed", lambda cmd, tree, stdout=None:
                         (0.1, SimpleNamespace(returncode=2, stderr="error: boom")))
@@ -159,7 +200,7 @@ def test_verify_all_samples_the_two_sides_in_turn(monkeypatch, tmp_path):
                 stdout.write(json.dumps({"id": "X", "params": {"n": str(n)},
                                          "cost": {"wall_ms": 10.0 * n + jobs,
                                                   "terms_lhs": terms}}) + "\n")
-        return next(walls), SimpleNamespace(returncode=0)
+        return next(walls), SimpleNamespace(returncode=0, peak_rss_mb=100.0)
 
     monkeypatch.setattr(bench_record, "timed", timed)
     out, reports = bench_record.verify_all({"parent": "p", "change": "c"}, str(tmp_path))

@@ -143,6 +143,17 @@ def test_fuzz_in_domain_never_skips():
         assert all(not r.skipped for r in reports)
 
 
+def test_intro_series_fuzz_reaches_the_grid_side_of_p_1():
+    # the grid points have p < 1; in-domain draws must reach them, on
+    # both sides of p = 1, and never draw p = 0 or p = 1
+    entry = catalog.get_entry("INTRO_SERIES")
+    rng = random.Random("INTRO_SERIES:0")
+    ps = [params["p"] for params in (entry.sample(rng) for _ in range(400))
+          if entry.domain(params)[0]]
+    assert any(p < 1 for p in ps) and any(p > 1 for p in ps)
+    assert all(0 < p <= 2 and p != 1 for p in ps)
+
+
 def test_outside_mode_reports_failure_without_abort():
     # divergent series outside the validity region: a failure, not an error
     r = catalog.verify("INTRO_SERIES", dict(s=2, a=-1.0, p=1.5), 1e-8, outside=True)
@@ -314,7 +325,7 @@ CATALOG_PIN = {
     'GENCEV_D1': (640, '9b68d46f78c6246a'),
     'INTRO_RED_L': (6, '0ba85b1f3e9a56ee'),
     'INTRO_RED_R': (18, '662a0b87291062eb'),
-    'INTRO_SERIES': (9, 'a63f3afe3acea2df'),
+    'INTRO_SERIES': (9, '49a06c3d63edf541'),
     'LI1_A1': (30, '2c7f76f2e7ad040f'),
     'LI1_EX': (6, '121cf40749c2cfdf'),
     'LI1_MAIN': (150, 'e1ecd8168ead7252'),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.signal import lfilter
 
 from polystar import chains, exact
 from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
-                             TruncationSchedule, _gap_columns, _q_table, _signed_sum,
+                             TruncationSchedule, _gap_columns, _q_rows, _signed_sum,
                              _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
                              dp_q_coupled, dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
@@ -522,16 +523,28 @@ def _cumsum_q_table(kernel, N, exact):
     return W
 
 
+def _swept_q_table(kernel, N, exact):
+    """The Q table assembled from the rows of the one descending sweep,
+    which must come in the order m = N..1."""
+    W = np.zeros((N, N + 1), dtype=object if exact else np.float64)
+    order = []
+    for m, row in _q_rows(kernel, N, exact):
+        W[m - 1] = row
+        order.append(m)
+    assert order == list(range(N, 0, -1))
+    return W
+
+
 @pytest.mark.parametrize("parts", ((2,), (3,), (2, 2), (1, 2, 1), (4,), (2, 1)))
 def test_q_table_row_pass_matches_cumsum(parts):
     k = QKernelSpec(Composition(parts), "MEAN_FULL", F(1, 2))
     for N in (1, 2, 7, 12):
-        got = _q_table(k, N, exact=True)
+        got = _swept_q_table(k, N, exact=True)
         want = _cumsum_q_table(k, N, exact=True)
         assert (got == want).all()
         assert all(type(x) is F for x in got[got != 0])
-    for N in (1, 7, 64, 300):
-        got = _q_table(k, N, exact=False)
+    for N in (1, 7, 64, 300) + ((1024,) if parts == (2, 2) else ()):
+        got = _swept_q_table(k, N, exact=False)
         assert np.array_equal(_bits(got), _bits(_cumsum_q_table(k, N, exact=False)))
     # the MEAN_INF fold of the row-pass table, against the cumsum table's
     k = QKernelSpec(Composition(parts), "MEAN_INF")
@@ -543,10 +556,23 @@ def test_q_table_row_pass_matches_cumsum(parts):
     assert _bits(dp_q_coupled(k, 300, exact=False)) == _bits(want)
 
 
+def test_q_sweep_memory_is_linear_in_n():
+    # an N x (N+1) float64 table at N = 2,048 is 32 MiB; the sweep holds a
+    # few rows of N+1 cells per chain index
+    k = QKernelSpec(Composition((2, 2)), "MEAN_INF")
+    tracemalloc.start()
+    try:
+        dp_q_coupled(k, 2048, exact=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 def _term_ratio_fold(kernel, N):
     """The MEAN_FULL fold cell by cell, each kernel sum rebuilt from the
     ratio of consecutive terms: the reference of the recurrence table."""
-    W = _q_table(kernel, N, exact=True)
+    W = _swept_q_table(kernel, N, exact=True)
     a = F(kernel.a)
     total = F(0)
     for i, q in zip(*np.nonzero(W)):

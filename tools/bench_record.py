@@ -12,7 +12,9 @@ each side runs the committed files only.  The file records:
   medians and quartiles per side, and the change's wins per metric;
 * the wall time of ``polystar verify --all --json``, serial and with
   ``--jobs 2`` (median and every run of 3 samples, the two sides sampled
-  in turn), whether the reports of the two sides are identical once
+  in turn), the peak RSS of each of those runs (``serial_peak_rss_mb``,
+  ``jobs2_peak_rss_mb`` and their ``_runs``; a pool's workers count, see
+  :func:`timed`), whether the reports of the two sides are identical once
   ``cost.wall_ms`` is dropped, a per-report summary of how they differ
   (:func:`diff_reports`), and the first serial run's ``cost.wall_ms``
   summed by identity (``wall_ms_by_identity``);
@@ -72,11 +74,30 @@ def env_for(tree):
 
 
 def timed(cmd, tree, stdout=subprocess.PIPE):
-    """Run ``cmd`` in ``tree``; return (wall seconds, completed process)."""
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=tree, env=env_for(tree), stdout=stdout,
-                          stderr=subprocess.PIPE, text=True)
-    return time.perf_counter() - start, proc
+    """Run ``cmd`` in ``tree``; return (wall seconds, completed process).
+
+    The process also carries ``peak_rss_mb``, the ``ru_maxrss`` that
+    ``os.wait4`` reports for the child: the largest resident set of the
+    child and of every descendant it reaped, such as a pool's workers.
+    Linux starts the child's count at this process's own peak resident set
+    (the memory the child shares until it execs), so it is a floor on the
+    reading: start measured runs while this process is small.  Output goes
+    through temporary files, so a large one cannot block the child while it
+    is waited for.
+    """
+    with tempfile.TemporaryFile("w+") as err, tempfile.TemporaryFile("w+") as out:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=tree, env=env_for(tree), text=True, stderr=err,
+                                 stdout=out if stdout is subprocess.PIPE else stdout)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(cmd, child.returncode, out.read(), err.read())
+    # ru_maxrss is in KiB on Linux
+    proc.peak_rss_mb = usage.ru_maxrss / 1024.0
+    return wall, proc
 
 
 def perfbench(tree, workload, seed):
@@ -137,15 +158,17 @@ def wall_ms_by_identity(rows):
 
 
 def verify_all(trees, workdir):
-    """Wall time of ``verify --all --json`` on each tree, serial and with
-    ``--jobs 2``: the median and every run of ``VERIFY_ALL_SAMPLES``
-    samples, the two sides sampled in turn like :func:`cold_start`.  The
-    reports of the first sample are kept: the serial run's per-identity sum
-    of ``cost.wall_ms``, and whether the ``--jobs 2`` reports match the
-    serial ones.  Returns the record by side and each side's first serial
-    reports without their wall times."""
+    """Wall time and peak RSS of ``verify --all --json`` on each tree,
+    serial and with ``--jobs 2``: the median and every run of
+    ``VERIFY_ALL_SAMPLES`` samples, the two sides sampled in turn like
+    :func:`cold_start`.  The reports of the first sample are kept: the
+    serial run's per-identity sum of ``cost.wall_ms``, and whether the
+    ``--jobs 2`` reports match the serial ones.  They are read only after
+    the last run, so that this process stays small while it starts the runs
+    (see :func:`timed`).  Returns the record by side and each side's first
+    serial reports without their wall times."""
     out = {side: {} for side in trees}
-    reports = {side: {} for side in trees}
+    paths = {}
     for i in range(VERIFY_ALL_SAMPLES):
         for label, extra in VERIFY_ALL_RUNS:
             for side, tree in trees.items():
@@ -153,23 +176,32 @@ def verify_all(trees, workdir):
                 if i:
                     wall, proc = timed(cmd, tree, stdout=subprocess.DEVNULL)
                 else:
-                    path = os.path.join(workdir, f"verify-{side}-{label}.jsonl")
-                    with open(path, "w") as fh:
+                    paths[side, label] = os.path.join(workdir, f"verify-{side}-{label}.jsonl")
+                    with open(paths[side, label], "w") as fh:
                         wall, proc = timed(cmd, tree, stdout=fh)
-                    with open(path) as fh:
-                        reports[side][label] = [json.loads(line) for line in fh if line.strip()]
                 out[side].setdefault(f"{label}_runs", []).append(wall)
                 out[side].setdefault(f"{label}_exits", []).append(proc.returncode)
+                out[side].setdefault(_rss_key(label) + "_runs", []).append(proc.peak_rss_mb)
+    reports = {side: {} for side in trees}
+    for (side, label), path in paths.items():
+        with open(path) as fh:
+            reports[side][label] = [json.loads(line) for line in fh if line.strip()]
     for side, rec in out.items():
         rec["wall_ms_by_identity"] = wall_ms_by_identity(reports[side]["serial_s"])
         for label, _ in VERIFY_ALL_RUNS:
             rec[label] = statistics.median(rec[f"{label}_runs"])
+            rec[_rss_key(label)] = statistics.median(rec[_rss_key(label) + "_runs"])
             for row in reports[side][label]:
                 row.get("cost", {}).pop("wall_ms", None)
         serial = reports[side]["serial_s"]
         rec["reports"] = len(serial)
         rec["jobs_match_serial"] = _canonical(serial) == _canonical(reports[side]["jobs2_s"])
     return out, {side: reports[side]["serial_s"] for side in trees}
+
+
+def _rss_key(label):
+    """``serial_peak_rss_mb`` for ``serial_s``, and so on."""
+    return label.removesuffix("_s") + "_peak_rss_mb"
 
 
 def _canonical(rows):
