@@ -17,8 +17,10 @@ Three evaluators share the same summand model:
   specs with shared powers, one row each, is bit-identical to one spec per
   call); the state is where a float spec whose prefix products leave the
   unit disc is refused, with :class:`PairingUnavailableError`; its one
-  SciPy call, ``lfilter``, is imported at the first float gap DP
-  (:func:`load_lfilter`), so a process that runs none never loads SciPy;
+  SciPy call, the C recurrence core of ``scipy.signal.lfilter``, is loaded
+  from its extension file at the first float gap DP (:func:`load_lfilter`),
+  so a process that runs none never loads SciPy, and none imports
+  ``scipy.signal``;
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one descending sweep runs the pass of every chain index
   together over the live q-range of each (chain value, partial Q) row,
@@ -34,6 +36,8 @@ and returns the result as float64.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,11 +250,37 @@ def _underflow_index(b, N):
 
 @functools.cache
 def load_lfilter():
-    """``scipy.signal.lfilter``, imported on the first call: importing
-    ``scipy.signal`` costs most of a cold start, and only the float gap DP
-    uses it."""
-    from scipy.signal import lfilter
-    return lfilter
+    """SciPy's first-order recurrence core, ``_linear_filter`` of the
+    extension module ``scipy.signal._sigtools``, loaded on the first call
+    straight from its file.
+
+    ``scipy.signal.lfilter`` hands a length-2 denominator to this one C call
+    unchanged, so calling it directly gives the same bits; importing
+    ``scipy.signal`` instead would also import ``scipy.stats``,
+    ``interpolate``, ``optimize`` and ``spatial``, most of a cold start.
+    Only ``scipy`` itself is imported, to locate the file, and the module is
+    not imported under its package.  Raises ImportError if the installed
+    SciPy has no such function.
+    """
+    package = importlib.util.find_spec("scipy.signal")
+    finder = importlib.machinery.FileFinder(
+        package.submodule_search_locations[0],
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.signal._sigtools")
+    core = None
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        core = getattr(module, "_linear_filter", None)
+    if core is None:
+        import scipy
+        raise ImportError(f"SciPy {scipy.__version__} has no "
+                          "scipy.signal._sigtools._linear_filter")
+    return core
+
+
+# the numerator of every recurrence y[n] = x[n] + B y[n-1]
+_ONE = np.ones(1)
 
 
 def _gap_columns(B, powers, lo, hi, carry):
@@ -288,7 +318,7 @@ def _gap_columns(B, powers, lo, hi, carry):
                 x = D[r, k]
                 if lo:
                     x[..., 0] += B[r, 0, i] * carry[r, k, i]
-                D[r, k] = lfilter([1.0], [1.0, -B[r, 0, i]], x, axis=-1)
+                D[r, k] = lfilter(_ONE, np.array([1.0, -B[r, 0, i]]), x, -1)
                 carry[r, k, i] = D[r, k, ..., -1]
             D /= j ** np.float64(powers[i])
     return D

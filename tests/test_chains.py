@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -227,6 +229,38 @@ def _one_spec_float_partials(spec, N):
 
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("b", (0.5, -0.999, 1.0))
+@pytest.mark.parametrize("shape", ((257,), (2, 257)), ids=("1-D", "2xn"))
+def test_recurrence_core_matches_public_lfilter(b, shape):
+    # for a length-2 denominator lfilter makes exactly this C call
+    x = np.random.default_rng(5).standard_normal(shape)
+    got = chains.load_lfilter()(np.ones(1), np.array([1.0, -b]), x, -1)
+    assert np.array_equal(_bits(got), _bits(lfilter([1.0], [1.0, -b], x, axis=-1)))
+
+
+@pytest.mark.parametrize("first", ("core", "scipy.signal"))
+def test_recurrence_core_loads_before_or_after_scipy_signal(first):
+    # a fresh process: the test session has imported scipy.signal already
+    script = f"""if True:
+        import sys
+        import numpy as np
+        from polystar import chains
+        x = np.linspace(-1.0, 1.0, 202).reshape(2, 101)
+        def core():
+            load = chains.load_lfilter.__wrapped__  # a new load each time
+            return load()(np.ones(1), np.array([1.0, -0.75]), x, -1)
+        out = [core()] if {first!r} == "core" else []
+        assert "scipy.signal" not in sys.modules
+        import scipy.signal
+        out += [core(), scipy.signal.lfilter([1.0], [1.0, -0.75], x, axis=-1)]
+        print(len(out), all(np.array_equal(y.view(np.int64), out[0].view(np.int64))
+                            for y in out))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(3 if first == "core" else 2), "True"]
 
 
 def _row_values(bases, powers, N, tail=None):
