@@ -251,16 +251,12 @@ def _underflow_index(b, N):
 @functools.cache
 def load_lfilter():
     """SciPy's first-order recurrence core, ``_linear_filter`` of the
-    extension module ``scipy.signal._sigtools``, loaded on the first call
-    straight from its file.
-
-    ``scipy.signal.lfilter`` hands a length-2 denominator to this one C call
-    unchanged, so calling it directly gives the same bits; importing
-    ``scipy.signal`` instead would also import ``scipy.stats``,
-    ``interpolate``, ``optimize`` and ``spatial``, most of a cold start.
-    Only ``scipy`` itself is imported, to locate the file, and the module is
-    not imported under its package.  Raises ImportError if the installed
-    SciPy has no such function.
+    extension module ``scipy.signal._sigtools``, loaded from its file on the
+    first call.  ``scipy.signal.lfilter`` passes a length-2 denominator to
+    it unchanged, so the bits are the same, but importing ``scipy.signal``
+    also imports ``stats``, ``interpolate``, ``optimize`` and ``spatial``:
+    most of a cold start.  Only ``scipy`` itself is imported, to find the
+    file.  Raises ImportError if the installed SciPy lacks the function.
     """
     package = importlib.util.find_spec("scipy.signal")
     finder = importlib.machinery.FileFinder(
@@ -522,8 +518,9 @@ def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
     shifts and scales it into its own row m.  So a pass holds one
     accumulator and one row buffer of length N+1, and the yielded row is
     overwritten by the next step.  Every step touches only the live q-range
-    of a row, outside of which it is zero, so no arithmetic runs on a
-    structural zero.
+    of a row, so no arithmetic runs on a structural zero.  The yielded row
+    is zero outside its live range; the other passes' rows are read only
+    inside theirs, so their stale cells outside it are never cleared.
     """
     signs = chain_q_signs(kernel.s)
     dtype = object if exact else np.float64
@@ -535,7 +532,7 @@ def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
     live = [(0, -1)] * len(signs)
     acc_live = [(N + 1, -1)] * len(signs)
     for m in range(N, 0, -1):
-        rows[0][live[0][0]:live[0][1] + 1] = 0
+        rows[-1][live[-1][0]:live[-1][1] + 1] = 0
         q = m if signs[0] > 0 else 0
         rows[0][q] = inv[m - 1]
         live[0] = (q, q)
@@ -543,9 +540,6 @@ def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
             lo, hi = live[i - 1]
             if lo <= hi:
                 acc_live[i] = _add_live(accs[i], *acc_live[i], rows[i - 1], lo, hi)
-            lo, hi = live[i]
-            if lo <= hi:
-                rows[i][lo:hi + 1] = 0
             # shift by sg * m along the partial-Q axis, then scale by 1/m
             shift = signs[i] * m
             a_lo, a_hi = acc_live[i]

@@ -210,8 +210,16 @@ def cmd_verify(args):
     if any(entry.mode != "EXACT" for entry in entries):
         chains.load_lfilter()
     if jobs > 1:
+        exact_ids = {entry.id for entry in entries if entry.mode == "EXACT"}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_task, tasks, chunksize=8))
+            # a non-EXACT task can take seconds, so each one goes alone to
+            # the next free worker, ahead of the EXACT tasks, which take
+            # milliseconds and go eight to a chunk
+            runs = [pool.map(_verify_task, [t for t in tasks if t[0] not in exact_ids],
+                             chunksize=1),
+                    pool.map(_verify_task, [t for t in tasks if t[0] in exact_ids],
+                             chunksize=8)]
+            reports = [report for run in runs for report in run]
     else:
         reports = [_verify_task(t) for t in tasks]
     reports.sort(key=_report_key)

@@ -212,9 +212,40 @@ def test_verify_all_samples_the_two_sides_in_turn(monkeypatch, tmp_path):
     assert (change["serial_s_runs"], change["serial_s"]) == ([30.0, 10.0, 25.0], 25.0)
     assert (change["jobs2_s_runs"], change["jobs2_s"]) == ([20.0, 50.0, 15.0], 20.0)
     assert parent["serial_s_exits"] == change["jobs2_s_exits"] == [0] * n
-    # the first serial run's reports, summed by identity and without wall times
+    # the serial runs' reports, summed by identity, and the first sample's
+    # reports without wall times
     assert parent["wall_ms_by_identity"] == change["wall_ms_by_identity"] == {"X": 30.0}
     assert parent["reports"] == change["reports"] == 2
     assert parent["jobs_match_serial"] and not change["jobs_match_serial"]
     assert reports["parent"] == reports["change"] == [
         {"id": "X", "params": {"n": str(n)}, "cost": {"terms_lhs": n}} for n in (1, 2)]
+
+
+def test_wall_ms_by_identity_is_the_median_of_the_serial_samples(monkeypatch, tmp_path):
+    # a side's serial samples read X 5, 1, 3 ms and Y 1, 9, 2 ms; the
+    # --jobs 2 runs do not count
+    serial = {"p": iter([(5.0, 1.0), (1.0, 9.0), (3.0, 2.0)]),
+              "c": iter([(2.0, 4.0), (8.0, 4.0), (6.0, 0.5)])}
+    events = []
+
+    def timed(cmd, tree, stdout=None):
+        events.append("run")
+        x, y = (100.0, 100.0) if "--jobs" in cmd else next(serial[tree])
+        for ident, ms in (("X", x), ("Y", y)):
+            stdout.write(json.dumps({"id": ident, "params": {}, "cost": {"wall_ms": ms}}) + "\n")
+        return 1.0, SimpleNamespace(returncode=0, peak_rss_mb=100.0)
+
+    read = bench_record.read_reports
+
+    def recording_read(path):
+        events.append("read")
+        return read(path)
+
+    monkeypatch.setattr(bench_record, "VERIFY_ALL_SAMPLES", 3)
+    monkeypatch.setattr(bench_record, "timed", timed)
+    monkeypatch.setattr(bench_record, "read_reports", recording_read)
+    out, _ = bench_record.verify_all({"parent": "p", "change": "c"}, str(tmp_path))
+    assert out["parent"]["wall_ms_by_identity"] == {"X": 3.0, "Y": 2.0}
+    assert out["change"]["wall_ms_by_identity"] == {"X": 6.0, "Y": 4.0}
+    # every report file is read after the last run has ended
+    assert events[:12] == ["run"] * 12 and set(events[12:]) == {"read"}

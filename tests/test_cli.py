@@ -214,15 +214,19 @@ def test_scipy_is_loaded_at_the_first_float_gap_dp():
     assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True] False"
 
 
-@pytest.mark.parametrize("argv, preloaded", [
-    (["verify", "LI1_EX", "--param", "d=2", "--param", "p=0.5"], True),
+@pytest.mark.parametrize("argv, preloaded, maps", [
+    (["verify", "LI1_EX", "--param", "d=2", "--param", "p=0.5"], True,
+     [(["LI1_EX"], 1), ([], 8)]),
     (["verify", "MN1", "--param", "n=3", "--param", "d=2", "--param", "a=1/2",
-      "--param", "p=1/3"], False),
-], ids=["numeric", "exact"])
-def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, preloaded):
+      "--param", "p=1/3"], False, [([], 1), (["MN1"], 8)]),
+    (["verify", "EX_FIRST", "LI1_EX"], True, [(["LI1_EX"] * 6, 1), (["EX_FIRST"] * 8, 8)]),
+], ids=["numeric", "exact", "mixed"])
+def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, preloaded, maps):
     # the forked workers share the parent's SciPy pages only when it was
-    # loaded before the pool started; a run of EXACT identities never loads it
-    events = []
+    # loaded before the pool started; a run of EXACT identities never loads
+    # it.  The non-EXACT tasks are mapped first, one per chunk, and the
+    # EXACT ones in chunks of eight, in the same pool
+    events, mapped = [], []
     load = chains.load_lfilter
 
     def recording_load():
@@ -240,12 +244,14 @@ def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, prel
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            mapped.append(([task[0] for task in tasks], chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(chains, "load_lfilter", recording_load)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert main(argv + ["--jobs", "2"]) == 0
     assert events[:2] == (["load", "pool"] if preloaded else ["pool"])
+    assert mapped == maps
 
 
 @pytest.mark.parametrize("argv, preloaded", [

@@ -16,8 +16,8 @@ each side runs the committed files only.  The file records:
   ``jobs2_peak_rss_mb`` and their ``_runs``; a pool's workers count, see
   :func:`timed`), whether the reports of the two sides are identical once
   ``cost.wall_ms`` is dropped, a per-report summary of how they differ
-  (:func:`diff_reports`), and the first serial run's ``cost.wall_ms``
-  summed by identity (``wall_ms_by_identity``);
+  (:func:`diff_reports`), and ``wall_ms_by_identity``: each serial run's
+  ``cost.wall_ms`` summed by identity, the median over the samples;
 * the wall time and the summary line of the Tier-1 suite;
 * the cold start of ``python -m polystar list``, which runs no float DP,
   and of ``python -m polystar eval zetastar --s 2,2 --tol 1e-8``, which
@@ -161,33 +161,33 @@ def verify_all(trees, workdir):
     """Wall time and peak RSS of ``verify --all --json`` on each tree,
     serial and with ``--jobs 2``: the median and every run of
     ``VERIFY_ALL_SAMPLES`` samples, the two sides sampled in turn like
-    :func:`cold_start`.  The reports of the first sample are kept: the
-    serial run's per-identity sum of ``cost.wall_ms``, and whether the
-    ``--jobs 2`` reports match the serial ones.  They are read only after
-    the last run, so that this process stays small while it starts the runs
-    (see :func:`timed`).  Returns the record by side and each side's first
-    serial reports without their wall times."""
+    :func:`cold_start`.  Every run's reports are kept in a file and read
+    only after the last run, so that this process stays small while it
+    starts the runs (see :func:`timed`): the serial runs give the median
+    per-identity sum of ``cost.wall_ms``, and the first sample gives the
+    reports, whether the ``--jobs 2`` ones match the serial ones.  Returns
+    the record by side and each side's first serial reports without their
+    wall times."""
     out = {side: {} for side in trees}
     paths = {}
     for i in range(VERIFY_ALL_SAMPLES):
         for label, extra in VERIFY_ALL_RUNS:
             for side, tree in trees.items():
                 cmd = [sys.executable, "-m", "polystar", "verify", "--all", "--json"] + extra
-                if i:
-                    wall, proc = timed(cmd, tree, stdout=subprocess.DEVNULL)
-                else:
-                    paths[side, label] = os.path.join(workdir, f"verify-{side}-{label}.jsonl")
-                    with open(paths[side, label], "w") as fh:
-                        wall, proc = timed(cmd, tree, stdout=fh)
+                path = os.path.join(workdir, f"verify-{side}-{label}-{i}.jsonl")
+                paths[side, label, i] = path
+                with open(path, "w") as fh:
+                    wall, proc = timed(cmd, tree, stdout=fh)
                 out[side].setdefault(f"{label}_runs", []).append(wall)
                 out[side].setdefault(f"{label}_exits", []).append(proc.returncode)
                 out[side].setdefault(_rss_key(label) + "_runs", []).append(proc.peak_rss_mb)
-    reports = {side: {} for side in trees}
-    for (side, label), path in paths.items():
-        with open(path) as fh:
-            reports[side][label] = [json.loads(line) for line in fh if line.strip()]
+    reports = {side: {label: read_reports(paths[side, label, 0]) for label, _ in VERIFY_ALL_RUNS}
+               for side in trees}
     for side, rec in out.items():
-        rec["wall_ms_by_identity"] = wall_ms_by_identity(reports[side]["serial_s"])
+        sums = [wall_ms_by_identity(read_reports(paths[side, "serial_s", i]))
+                for i in range(VERIFY_ALL_SAMPLES)]
+        rec["wall_ms_by_identity"] = {
+            ident: statistics.median(s.get(ident, 0.0) for s in sums) for ident in sums[0]}
         for label, _ in VERIFY_ALL_RUNS:
             rec[label] = statistics.median(rec[f"{label}_runs"])
             rec[_rss_key(label)] = statistics.median(rec[_rss_key(label) + "_runs"])
@@ -197,6 +197,12 @@ def verify_all(trees, workdir):
         rec["reports"] = len(serial)
         rec["jobs_match_serial"] = _canonical(serial) == _canonical(reports[side]["jobs2_s"])
     return out, {side: reports[side]["serial_s"] for side in trees}
+
+
+def read_reports(path):
+    """The JSON reports of one ``verify --json`` run, one per line."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _rss_key(label):
