@@ -164,8 +164,8 @@ def verify_all(trees, workdir):
     :func:`cold_start`.  Every run's reports are kept in a file and read
     only after the last run, so that this process stays small while it
     starts the runs (see :func:`timed`): the serial runs give the median
-    per-identity sum of ``cost.wall_ms``, and the first sample gives the
-    reports, whether the ``--jobs 2`` ones match the serial ones.  Returns
+    per-identity sum of ``cost.wall_ms``, and the first sample's reports
+    say whether the ``--jobs 2`` ones match the serial ones.  Returns
     the record by side and each side's first serial reports without their
     wall times."""
     out = {side: {} for side in trees}
