@@ -232,8 +232,8 @@ def _chain_partials(columns):
 
 
 # float64 cells per row-batched gap DP pass, both runs of a tail counted
-# (16 MiB)
-_BATCH_CELLS = 2 ** 21
+# (8 MiB)
+_BATCH_CELLS = 2 ** 20
 # |b|^j < 2^-1100 rounds to exactly 0 in float64, far below the smallest
 # subnormal 2^-1074
 _UNDERFLOW_LOG2 = 1100
@@ -405,9 +405,9 @@ class GapState:
 
     def advance(self, N):
         """Advance to truncation N like :meth:`extend`, without keeping the
-        new columns: the rows go through in chunks of at most 2^21 new
+        new columns: the rows go through in chunks of at most 2^20 new
         cells, a tail's two runs counted twice, so a batch of any size
-        holds at most 16 MiB of columns at a time."""
+        holds at most 8 MiB of columns at a time."""
         if N <= self.n_done:
             return
         R, K = self.totals.shape
@@ -459,14 +459,9 @@ def dp_chain_sum(spec: FactorSpec, N: int):
 
 
 def dp_chain_partials(spec: FactorSpec, N: int):
-    """Cumulative float values at every truncation 1..N (index 0 unused).
-
-    Uses the gap rewriting prod base_i^{n_i} = prod B_i^{n_i - n_{i+1}} *
-    B_L^{n_L} with B_i the prefix products, so every carried quantity stays
-    bounded whenever all |B_i| <= 1 (bases > 1 paired against earlier bases
-    < 1); see :class:`GapState`, whose one-row case this is, and which
-    raises :class:`PairingUnavailableError` otherwise.
-    """
+    """Cumulative float values at every truncation 1..N (index 0 unused),
+    from a fresh one-row :class:`GapState`, which raises
+    :class:`PairingUnavailableError` for a run that leaves the unit disc."""
     totals = np.zeros(max(N, 0) + 1)
     totals[1:] = _signed_sum(GapState.of_spec(spec).extend(N)[0])
     return totals
@@ -518,9 +513,14 @@ def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
     shifts and scales it into its own row m.  So a pass holds one
     accumulator and one row buffer of length N+1, and the yielded row is
     overwritten by the next step.  Every step touches only the live q-range
-    of a row, so no arithmetic runs on a structural zero.  The yielded row
-    is zero outside its live range; the other passes' rows are read only
-    inside theirs, so their stale cells outside it are never cleared.
+    of a row, so no arithmetic runs on a structural zero, and no row is
+    cleared: a pass reads the previous pass's row only inside its live
+    range, and the yielded row's live range never loses a cell as m falls.
+    Why: pass i's live range at m is the hull of the partial Q of the
+    chains with n_{i+1} = m (by induction; so it is never empty, and the
+    clip to 0..N cuts nothing).  The constant chain has Q = 0, and lowering
+    n_|s| from m+1 to m keeps a chain and changes Q by -sign >= 0, as the
+    last index ends a block.
     """
     signs = chain_q_signs(kernel.s)
     dtype = object if exact else np.float64
@@ -528,24 +528,20 @@ def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
     rows = [np.zeros(N + 1, dtype=dtype) for _ in signs]
     # accs[i]: pass i's sum of pass i-1's rows >= m (accs[0] is unused)
     accs = [np.zeros(N + 1, dtype=dtype) for _ in signs]
-    # row i is zero outside live[i], acc i outside acc_live[i]
+    # live[i]: the cells row i last wrote; acc i is zero outside acc_live[i]
     live = [(0, -1)] * len(signs)
     acc_live = [(N + 1, -1)] * len(signs)
     for m in range(N, 0, -1):
-        rows[-1][live[-1][0]:live[-1][1] + 1] = 0
         q = m if signs[0] > 0 else 0
         rows[0][q] = inv[m - 1]
         live[0] = (q, q)
         for i in range(1, len(signs)):
-            lo, hi = live[i - 1]
-            if lo <= hi:
-                acc_live[i] = _add_live(accs[i], *acc_live[i], rows[i - 1], lo, hi)
+            acc_live[i] = _add_live(accs[i], *acc_live[i], rows[i - 1], *live[i - 1])
             # shift by sg * m along the partial-Q axis, then scale by 1/m
             shift = signs[i] * m
             a_lo, a_hi = acc_live[i]
             lo, hi = max(a_lo + shift, 0), min(a_hi + shift, N)
-            if lo <= hi:
-                rows[i][lo:hi + 1] = accs[i][lo - shift:hi - shift + 1] * inv[m - 1]
+            rows[i][lo:hi + 1] = accs[i][lo - shift:hi - shift + 1] * inv[m - 1]
             live[i] = (lo, hi)
         yield m, rows[-1]
 

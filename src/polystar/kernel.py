@@ -29,8 +29,6 @@ import numpy as np
 
 QUADRATURE_PANEL_BUDGET = 2 ** 20
 _GL_ORDER = 12
-# bisection levels every panel goes through before the error test may stop it
-_MIN_DEPTH = 2
 
 
 class DomainError(ValueError):
@@ -121,20 +119,21 @@ def _gl_f64():
 
 
 def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUDGET,
-                        edge_depth=0):
+                        breaks=None):
     """Integrate ``f`` in float64 over ``[lo, hi]`` to absolute tolerance ``tol``.
 
-    Adaptive bisection with a fixed-order Gauss-Legendre rule: each panel is
-    accepted once the two-half refinement agrees with it to the panel's share
-    of the tolerance.  Panels of the first two levels always subdivide, and
-    panels touching an endpoint subdivide down to ``edge_depth``, so
-    integrands with thin boundary layers cannot slip past the error test
-    unsampled.  Raises :class:`NonConvergenceError` when the panel budget is
-    exhausted; the budget is checked before each round.
+    Adaptive bisection with a fixed-order Gauss-Legendre rule from the mesh
+    ``[lo, *breaks, hi]`` (breaks strictly monotone from lo to hi, else
+    :class:`DomainError`; the quarter mesh when None, so thin layers need
+    breaks graded toward them): an initial panel gets ``tol * width / (hi -
+    lo)`` of the tolerance, and each panel is accepted once its two halves
+    agree with it to its share, else bisected with half the share to each.
+    Raises :class:`NonConvergenceError` when the panel budget is exhausted;
+    the budget is checked before each round.
 
     The bisection runs breadth first: ``f`` takes a 1-D float64 array of
     nodes and returns their values as an array of the same length, and is
-    called once for the whole interval and then once per round, on the two
+    called once for the initial mesh and then once per round, on the two
     halves of every pending panel.  Accepted panels are summed by descending
     left endpoint, the order of a depth-first walk that refines the right
     half first.  Returns a float.
@@ -144,44 +143,48 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
     lo_, hi_ = float(lo), float(hi)
     if lo_ == hi_:
         return 0.0
+    if breaks is None:
+        c = (lo_ + hi_) / 2
+        mesh = [lo_, (lo_ + c) / 2, c, (c + hi_) / 2, hi_]
+    else:
+        mesh = [lo_, *map(float, breaks), hi_]
+        if not all(a < b if lo_ < hi_ else a > b for a, b in zip(mesh, mesh[1:])):
+            raise DomainError(f"breaks {breaks} do not run strictly from {lo} to {hi}")
 
     def panel_sums(ends):
         a, b = np.array(ends).T
-        h = (b - a) / 2
-        c = (a + b) / 2
-        values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel()))
-        values = values.reshape(len(ends), len(nodes))
+        h, c = (b - a) / 2, (a + b) / 2
+        values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel())).reshape(len(ends), -1)
         # the node-by-node accumulation of the scalar rule, per panel
         total = np.zeros(len(ends))
         for k, w in enumerate(weights):
             total = total + w * values[:, k]
         return total * h
 
+    initial = list(zip(mesh, mesh[1:]))
+    pending = [(a, b, coarse, float(tol) * ((b - a) / (hi_ - lo_)))
+               for (a, b), coarse in zip(initial, panel_sums(initial))]
     panels = 0
     accepted = []
-    pending = [(lo_, hi_, panel_sums([(lo_, hi_)])[0], float(tol), 0)]
     while pending:
         panels += len(pending)
         if panels > budget:
             raise NonConvergenceError(
                 f"quadrature panel budget {budget} exhausted on [{lo}, {hi}]")
         halves = []
-        for a, b, _, _, _ in pending:
+        for a, b, _, _ in pending:
             c = (a + b) / 2
             halves += [(a, c), (c, b)]
         sums = panel_sums(halves)
         refined = []
-        for i, (a, b, coarse, budget_here, depth) in enumerate(pending):
+        for i, (a, b, coarse, budget_here) in enumerate(pending):
             c = halves[2 * i][1]
             left, right = sums[2 * i], sums[2 * i + 1]
-            err = abs(coarse - (left + right))
-            force = depth < _MIN_DEPTH or (
-                depth < edge_depth and (a == lo_ or b == hi_))
-            if err <= budget_here and not force:
+            if abs(coarse - (left + right)) <= budget_here:
                 accepted.append((a, left + right))
             else:
-                refined.append((a, c, left, budget_here / 2, depth + 1))
-                refined.append((c, b, right, budget_here / 2, depth + 1))
+                refined.append((a, c, left, budget_here / 2))
+                refined.append((c, b, right, budget_here / 2))
         pending = refined
     total = 0.0
     for _, value in sorted(accepted, key=lambda panel: panel[0], reverse=True):

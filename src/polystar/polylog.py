@@ -305,13 +305,12 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     Evaluated through the beta-integral representation: the truncated kernel
     sum equals the integral over p in [0,1] of the truncated chain-sum
     transform at (a, p), which the separable DP evaluates in O(N |s|) per
-    quadrature node; all the nodes of a bisection round, those nearest p = 1
-    included, go through one row-batched DP (:func:`_transform_values`).
-    The bisection is nested, so most nodes of a level come back at the
-    next: each node's DP row is kept for one level and resumed from there,
+    node; the nodes of the initial mesh (graded toward both ends) and of
+    each bisection round go through one row-batched DP (:func:`_transform_values`).
+    The mesh at 2N refines the mesh at N, so most nodes come back at the
+    next level: each node's DP row is kept for one level and resumed,
     computing only the columns past the previous truncation, bit-identical
-    to a fresh row.  The side's ``terms_used`` counts those columns times
-    |s|.  The truncation ladder is then extrapolated as usual.
+    to a fresh row; ``terms_used`` counts those columns times |s|.
     """
     s = as_composition(s)
     a = float(a)
@@ -322,9 +321,11 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
             return _transform_values(s, a, N, p, nodes)
 
         # the truncated integrand has boundary layers of width ~1/N at both
-        # endpoints; force the bisection to resolve that scale
-        depth = int(math.log2(N)) + 6
-        value = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, edge_depth=depth)
+        # endpoints; grade the mesh to 2^-K toward 0 and 2^-ceil(K/2) toward 1
+        K = int(math.log2(N)) + 6
+        breaks = ([2.0 ** -k for k in range(K, 0, -1)]
+                  + [1.0 - 2.0 ** -k for k in range(2, (K + 1) // 2 + 1)])
+        value = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, breaks=breaks)
         nodes.keep(N)
         return value
 

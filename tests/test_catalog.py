@@ -202,6 +202,20 @@ def test_skip_reason_in_json():
     assert passed["reason"] is None
 
 
+@pytest.mark.parametrize("a", (1.0, 0.5, -1.0))
+def test_mean_inf_a_rhs_error_covers_dilogarithm(a):
+    # at s = (2,) the mean kernel equals Li_2(a); its quadrature must resolve
+    # the integrand's layers at p = 0 and p = 1 for the rhs error estimate
+    # to cover the distance to the closed form (a tolerance below the
+    # default, where a mesh graded toward p = 0 alone leaves, at a = -1, a
+    # distance twice the estimate)
+    r = catalog.verify("MEAN_INF_A", dict(s=Composition((2,)), a=a), 1e-7)
+    assert r.status == "pass"
+    with mpmath.mp.workprec(160):
+        distance = abs(mpmath.mpf(r.rhs) - mpmath.polylog(2, a))
+    assert distance <= r.err_rhs
+
+
 def test_aux_sides_run_float64_quadrature(monkeypatch):
     # the AUX integrals run the float64 rule on array integrands, over the
     # grid and a fuzz sample holding empty intervals (a = 0) and intervals

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from polystar import chains, exact
+from polystar.catalog import _all_compositions
 from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
                              TruncationSchedule, _gap_columns, _q_rows, _signed_sum,
                              _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
@@ -588,6 +589,28 @@ def test_q_table_row_pass_matches_cumsum(parts):
     for m in range(1, 301):
         want += W[m - 1].dot(1.0 * m / ((q + 1) * (q + m + 1)))
     assert _bits(dp_q_coupled(k, 300, exact=False)) == _bits(want)
+
+
+def test_q_sweep_last_range_never_drops_a_cell():
+    # the sweep never clears the yielded row, so the cells it writes at m
+    # must include every cell it wrote at m+1; NaN-filling the yielded
+    # buffer (which no pass reads) shows the cells the next step writes
+    steps = 0
+    for s in _all_compositions(8):
+        for N in (1, 2, 3, 7, 40):
+            want = _cumsum_q_table(QKernelSpec(s, "MEAN_INF"), N, exact=False)
+            # at m = N the one chain is constant, with Q = 0
+            previous = (0, 0)
+            for m, row in _q_rows(QKernelSpec(s, "MEAN_INF"), N, exact=False):
+                written = np.flatnonzero(~np.isnan(row) if m < N else row)
+                lo, hi = written[0], written[-1]
+                assert len(written) == hi - lo + 1
+                assert lo <= previous[0] and previous[1] <= hi
+                assert np.array_equal(_bits(np.nan_to_num(row)), _bits(want[m - 1]))
+                previous = (lo, hi)
+                row[:] = np.nan
+                steps += 1
+    assert steps == 255 * (1 + 2 + 3 + 7 + 40)
 
 
 def test_q_sweep_memory_is_linear_in_n():

@@ -103,17 +103,24 @@ def test_quadrature_cubic_difference_quotient():
     assert abs(float(q) - float(Fraction(29, 6))) < 1e-10
 
 
+def _geometric(K):
+    """Breaks 2^-k for k = K..1, graded toward 0."""
+    return [2.0 ** -k for k in range(K, 0, -1)]
+
+
 def test_quadrature_float_mode_layer():
-    # thin smooth boundary layer: endpoint refinement must resolve it
+    # thin smooth boundary layer: a mesh graded toward it must resolve it
     eps = 1e-6
-    q = adaptive_quadrature(lambda t: 1.0 / (t + eps), 0.0, 1.0, 1e-8, edge_depth=26)
+    q = adaptive_quadrature(lambda t: 1.0 / (t + eps), 0.0, 1.0, 1e-8, breaks=_geometric(26))
     assert abs(float(q) - math.log((1 + eps) / eps)) < 1e-7
 
 
-def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, min_depth=2, edge_depth=0):
+def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, breaks=None):
     """Adaptive quadrature as a depth-first stack walk with a scalar
-    integrand, right half refined first: the reference for the breadth-first
-    scheme.  Returns the integral and the depth of every panel visited."""
+    integrand, right half refined first, from the same initial mesh with
+    the same width-proportional shares of the tolerance: the reference for
+    the breadth-first scheme.  Returns the integral and the depth of every
+    panel visited (0 for the initial panels)."""
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
     nodes, weights = list(x), list(w)
     lo_, hi_, total = float(lo), float(hi), 0.0
@@ -125,8 +132,14 @@ def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, min_depth=2, edge_de
             acc += w * f(c + h * x)
         return acc * h
 
+    if breaks is None:
+        c = (lo_ + hi_) / 2
+        mesh = [lo_, (lo_ + c) / 2, c, (c + hi_) / 2, hi_]
+    else:
+        mesh = [lo_, *breaks, hi_]
     depths = []
-    stack = [(lo_, hi_, panel(lo_, hi_), float(tol), 0)]
+    stack = [(a, b, panel(a, b), tol * ((b - a) / (hi_ - lo_)), 0)
+             for a, b in zip(mesh, mesh[1:])]
     while stack:
         a, b, coarse, budget_here, depth = stack.pop()
         depths.append(depth)
@@ -134,9 +147,7 @@ def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, min_depth=2, edge_de
             raise NonConvergenceError("budget")
         c = (a + b) / 2
         left, right = panel(a, c), panel(c, b)
-        force = depth < min_depth or (
-            depth < edge_depth and (a == lo_ or b == hi_))
-        if abs(coarse - (left + right)) <= budget_here and not force:
+        if abs(coarse - (left + right)) <= budget_here:
             total += left + right
         else:
             stack.append((a, c, left, budget_here / 2, depth + 1))
@@ -144,35 +155,36 @@ def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, min_depth=2, edge_de
     return total, depths
 
 
-# (integrand, lo, hi, tol, edge_depth)
+# (integrand, lo, hi, tol, breaks)
 FLOAT_INTEGRANDS = (
-    (lambda t: 1.0 / (t + 1e-6), 0.0, 1.0, 1e-8, 26),
-    (lambda t: np.exp(-40.0 * t) * np.cos(25.0 * t), 0.0, 1.0, 1e-11, 0),
-    (lambda t: np.sqrt(t) * (1.0 - t) ** 3, 0.0, 1.0, 1e-10, 12),
-    (_cubic_quotient, 0.0, 1.0, 1e-10, 0),
-    (lambda t: np.exp(-t * t), -1.0, 2.0, 1e-14, 0),
-    (lambda t: 1.0 / (t + 1e-4), 0.0, 1.0, 1e-12, 0),
+    (lambda t: 1.0 / (t + 1e-6), 0.0, 1.0, 1e-8, _geometric(26)),
+    (lambda t: np.exp(-40.0 * t) * np.cos(25.0 * t), 0.0, 1.0, 1e-11, None),
+    (lambda t: np.sqrt(t) * (1.0 - t) ** 3, 0.0, 1.0, 1e-10,
+     _geometric(12) + [1.0 - 2.0 ** -k for k in range(2, 7)]),
+    (_cubic_quotient, 0.0, 1.0, 1e-10, None),
+    (lambda t: np.exp(-t * t), -1.0, 2.0, 1e-14, None),
+    (lambda t: 1.0 / (t + 1e-4), 0.0, 1.0, 1e-12, []),
 )
 
 
 @pytest.mark.parametrize("case", range(len(FLOAT_INTEGRANDS)))
 def test_quadrature_breadth_first_matches_depth_first_float(case):
-    f, lo, hi, tol, edge = FLOAT_INTEGRANDS[case]
-    got = adaptive_quadrature(f, lo, hi, tol, edge_depth=edge)
-    want, _ = _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge)
+    f, lo, hi, tol, breaks = FLOAT_INTEGRANDS[case]
+    got = adaptive_quadrature(f, lo, hi, tol, breaks=breaks)
+    want, _ = _depth_first_quadrature(f, lo, hi, tol, breaks=breaks)
     assert float(got).hex() == float(want).hex()
 
 
 def test_quadrature_budget_exhausted():
-    f, lo, hi, tol, edge = FLOAT_INTEGRANDS[0]
-    _, depths = _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge)
+    f, lo, hi, tol, breaks = FLOAT_INTEGRANDS[0]
+    _, depths = _depth_first_quadrature(f, lo, hi, tol, breaks=breaks)
     # the exact panel count passes; one fewer raises, like the stack walk
-    adaptive_quadrature(f, lo, hi, tol, edge_depth=edge, budget=len(depths))
+    adaptive_quadrature(f, lo, hi, tol, breaks=breaks, budget=len(depths))
     for budget in (len(depths) - 1, 5):
         with pytest.raises(NonConvergenceError):
-            adaptive_quadrature(f, lo, hi, tol, edge_depth=edge, budget=budget)
+            adaptive_quadrature(f, lo, hi, tol, breaks=breaks, budget=budget)
         with pytest.raises(NonConvergenceError):
-            _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge, budget=budget)
+            _depth_first_quadrature(f, lo, hi, tol, breaks=breaks, budget=budget)
 
 
 def test_quadrature_float_calls_once_per_round():
@@ -185,17 +197,29 @@ def test_quadrature_float_calls_once_per_round():
         return g
 
     adaptive_quadrature(record(lambda t: np.ones_like(t)), 0.0, 1.0, 1e-12)
-    # the whole interval, then rounds of 2, 4 and 8 halves (min_depth 2)
-    assert [len(t) for t in calls] == [12, 24, 48, 96]
-    f, lo, hi, tol, edge = FLOAT_INTEGRANDS[0]
+    # the quarter mesh, then one round of 8 halves
+    assert [len(t) for t in calls] == [48, 96]
+    f, lo, hi, tol, breaks = FLOAT_INTEGRANDS[0]
     calls.clear()
-    adaptive_quadrature(record(f), lo, hi, tol, edge_depth=edge)
-    _, depths = _depth_first_quadrature(f, lo, hi, tol, edge_depth=edge)
+    adaptive_quadrature(record(f), lo, hi, tol, breaks=breaks)
+    _, depths = _depth_first_quadrature(f, lo, hi, tol, breaks=breaks)
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64
                for t in calls)
-    # one call per depth of visited panels, after the whole-interval one
+    # one call per depth of visited panels, after the initial-mesh one
     assert len(calls) == 1 + len(set(depths))
-    assert sum(len(t) for t in calls) == _GL_ORDER * (1 + 2 * len(depths))
+    assert sum(len(t) for t in calls) == _GL_ORDER * (len(breaks) + 1 + 2 * len(depths))
+
+
+def test_quadrature_rejects_bad_breaks():
+    for lo, hi, breaks in ((0.0, 1.0, [0.5, 1.0]), (0.0, 1.0, [0.0, 0.5]),
+                           (0.0, 1.0, [1.5]), (0.0, 1.0, [-0.5]),
+                           (0.0, 1.0, [0.5, 0.25]), (0.0, 1.0, [0.5, 0.5]),
+                           (0.0, 1.0, [math.nan]), (1.0, 0.0, [0.25, 0.5])):
+        with pytest.raises(DomainError):
+            adaptive_quadrature(lambda t: t, lo, hi, 1e-10, breaks=breaks)
+    # lo > hi (as in AUX1 at a < 0) takes breaks that fall from lo to hi
+    q = adaptive_quadrature(lambda t: t, 1.0, 0.0, 1e-12, breaks=[0.75, 0.5, 0.25])
+    assert abs(q + 0.5) < 1e-12
 
 
 def test_quadrature_rejects_bad_tol():
