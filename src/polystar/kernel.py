@@ -125,9 +125,9 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
     Adaptive bisection with a fixed-order Gauss-Legendre rule from the mesh
     ``[lo, *breaks, hi]`` (breaks strictly monotone from lo to hi, else
     :class:`DomainError`; the quarter mesh when None, so thin layers need
-    breaks graded toward them): an initial panel gets ``tol * width / (hi -
-    lo)`` of the tolerance, and each panel is accepted once its two halves
-    agree with it to its share, else bisected with half the share to each.
+    breaks graded toward them): an initial panel's share of the tolerance
+    is ``tol * width / (hi - lo)``, and each panel is accepted once its two
+    halves agree with it to its share, else bisected, half the share each.
     Raises :class:`NonConvergenceError` when the panel budget is exhausted;
     the budget is checked before each round.
 
