@@ -652,7 +652,9 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     ``outside=True``, in which case the evaluation is attempted anyway and a
     rejection or divergence is reported as ``not_converged``.  An evaluation
     that runs out of budget or whose window fit is singular is reported as
-    ``not_converged`` too, with the exception named in ``skip_reason``.
+    ``not_converged`` too, with the exception named in ``skip_reason``, and
+    so is a ladder side that ended unconverged, named in ``skip_reason``
+    with its truncation level and error estimate.
     Mathematical failure never raises; it returns ``passed=False``.  A
     ``tol`` that is not finite and > 0 raises :class:`DomainError`.
     """
@@ -702,9 +704,13 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     if entry.mode == "EXACT":
         report.passed = (lhs == rhs)
     else:
-        converged = all(r.converged for r in (lhs, rhs) if isinstance(r, EvalResult))
-        report.converged = converged
-        report.passed = bool(converged and report.abs_diff <= tol)
+        stuck = [f"{side} did not converge: ladder ended at truncation_level "
+                 f"{r.truncation_level} with error estimate {r.error_estimate:.3g}"
+                 for side, r in (("lhs", lhs), ("rhs", rhs))
+                 if isinstance(r, EvalResult) and not r.converged]
+        report.converged = not stuck
+        report.skip_reason = "; ".join(stuck) or None
+        report.passed = bool(not stuck and report.abs_diff <= tol)
     return report
 
 

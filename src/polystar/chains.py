@@ -24,9 +24,11 @@ Three evaluators share the same summand model:
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
   to the summand: one descending sweep runs the pass of every chain index
   together over the live q-range of each (chain value, partial Q) row,
-  Fractions for exact kernels and float64 for float ones, and folds each
-  row with the kernel as it arrives (the exact MEAN_FULL kernel table comes
-  from an O(N^2) recurrence): O(|s| * N) memory, O(N^2 * |s|) work.
+  integer numerators over lcm(1..N)^|s| for exact kernels and float64 for
+  float ones, and folds each row's live range with the kernel as it
+  arrives (the exact MEAN_FULL kernel table's integer numerators come from
+  an O(N^2) recurrence), building one Fraction, for an exact total:
+  O(|s| * N) memory, O(N^2 * |s|) work.
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails,
@@ -502,74 +504,58 @@ def dp_q_naive(kernel: QKernelSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
 
 def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
     """The rows of the (chain value, partial Q) table over the length-|s|
-    chains truncated at n_1 <= N, as one descending sweep: yields (m, row)
-    for m = N..1, where row[q] is the sum of 1/(n_1 ... n_|s|) over the
-    chains with last value n_|s| = m and statistic Q = q, q = 0..N.
+    chains truncated at n_1 <= N, as one descending sweep: yields
+    (m, row, lo, hi) for m = N..1, where row[q] is the sum of
+    1/(n_1 ... n_|s|) over the chains with last value n_|s| = m and
+    statistic Q = q, and lo..hi is the row's live q-range, outside of which
+    the row is zero.
 
-    Holds Fractions in object arrays when ``exact``, float64 otherwise.
+    Exact rows hold Python-int numerators over lcm(1..N)^|s| in object
+    arrays (a pass multiplies by the integer lcm/m), float rows float64.
     Each chain index is one pass, and all passes step together: at m, a
-    later pass adds the previous pass's row m to its accumulator, the suffix
-    sum over the values >= m that the sweep has already produced, then
-    shifts and scales it into its own row m.  So a pass holds one
-    accumulator and one row buffer of length N+1, and the yielded row is
-    overwritten by the next step.  Every step touches only the live q-range
-    of a row, so no arithmetic runs on a structural zero, and no row is
-    cleared: a pass reads the previous pass's row only inside its live
-    range, and the yielded row's live range never loses a cell as m falls.
-    Why: pass i's live range at m is the hull of the partial Q of the
-    chains with n_{i+1} = m (by induction; so it is never empty, and the
-    clip to 0..N cuts nothing).  The constant chain has Q = 0, and lowering
-    n_|s| from m+1 to m keeps a chain and changes Q by -sign >= 0, as the
-    last index ends a block.
+    later pass adds the previous pass's live slice of row m to its
+    accumulator, the suffix sum over the values >= m that the sweep has
+    already produced, with one in-place add (the accumulator is zero
+    outside the hull of what was added to it), then shifts its live range
+    and scales it into its own row m with one multiply.  So a pass holds
+    one accumulator and one row buffer of length N+1, the yielded row is
+    overwritten by the next step, and no arithmetic runs on a structural
+    zero.  Pass i's live range at m is the hull of the partial Q of the
+    chains with n_{i+1} = m (by induction), which lies in 0..N, so no
+    range is clipped and none is empty.
     """
     signs = chain_q_signs(kernel.s)
-    dtype = object if exact else np.float64
-    inv = [Fraction(1, m) for m in range(1, N + 1)] if exact else 1.0 / np.arange(1, N + 1)
-    rows = [np.zeros(N + 1, dtype=dtype) for _ in signs]
-    # accs[i]: pass i's sum of pass i-1's rows >= m (accs[0] is unused)
-    accs = [np.zeros(N + 1, dtype=dtype) for _ in signs]
-    # live[i]: the cells row i last wrote; acc i is zero outside acc_live[i]
-    live = [(0, -1)] * len(signs)
+    if exact:
+        lcm = math.lcm(*range(1, N + 1))
+        inv = [lcm // m for m in range(1, N + 1)]
+    else:
+        inv = 1.0 / np.arange(1, N + 1)
+    rows = [np.zeros(N + 1, dtype=object if exact else np.float64) for _ in signs]
+    # accs[i]: pass i's sum of pass i-1's rows >= m over its hull acc_live[i]
+    # (accs[0] is unused)
+    accs = [np.zeros_like(row) for row in rows]
     acc_live = [(N + 1, -1)] * len(signs)
     for m in range(N, 0, -1):
-        q = m if signs[0] > 0 else 0
-        rows[0][q] = inv[m - 1]
-        live[0] = (q, q)
+        lo = hi = m if signs[0] > 0 else 0
+        rows[0][lo] = inv[m - 1]
         for i in range(1, len(signs)):
-            acc_live[i] = _add_live(accs[i], *acc_live[i], rows[i - 1], *live[i - 1])
-            # shift by sg * m along the partial-Q axis, then scale by 1/m
-            shift = signs[i] * m
-            a_lo, a_hi = acc_live[i]
-            lo, hi = max(a_lo + shift, 0), min(a_hi + shift, N)
-            rows[i][lo:hi + 1] = accs[i][lo - shift:hi - shift + 1] * inv[m - 1]
-            live[i] = (lo, hi)
-        yield m, rows[-1]
-
-
-def _add_live(acc, a_lo, a_hi, row, lo, hi):
-    """acc += row on lo..hi, where acc is zero outside a_lo..a_hi: adds on
-    the overlap and copies elsewhere.  Returns acc's new live range."""
-    if a_lo > a_hi:
-        acc[lo:hi + 1] = row[lo:hi + 1]
-        return lo, hi
-    o_lo, o_hi = max(lo, a_lo), min(hi, a_hi)
-    if o_lo <= o_hi:
-        acc[o_lo:o_hi + 1] += row[o_lo:o_hi + 1]
-    left = min(hi, a_lo - 1)
-    acc[lo:left + 1] = row[lo:left + 1]
-    right = max(lo, a_hi + 1)
-    acc[right:hi + 1] = row[right:hi + 1]
-    return min(lo, a_lo), max(hi, a_hi)
+            accs[i][lo:hi + 1] += rows[i - 1][lo:hi + 1]
+            a_lo, a_hi = acc_live[i] = min(lo, acc_live[i][0]), max(hi, acc_live[i][1])
+            # shift by signs[i] * m along the partial-Q axis, then scale by 1/m
+            lo, hi = a_lo + signs[i] * m, a_hi + signs[i] * m
+            np.multiply(accs[i][a_lo:a_hi + 1], inv[m - 1], out=rows[i][lo:hi + 1])
+        yield m, rows[-1], lo, hi
 
 
 def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
     """Q-coupled chain sum truncated at n_1 <= N.
 
-    Folds each row of the sweep of :func:`_q_rows` with the kernel as it
-    arrives, so memory is O(|s| * N) (the exact MEAN_FULL kernel table
-    aside); the partial-Q range never exceeds N, so the sweep makes
-    O(N^2 * |s|) cell updates, and ``Q_STATE_BUDGET`` bounds that work, not
-    the memory.  Exact kernels give a Fraction, ``exact=False`` a float.
+    Folds each row of the sweep of :func:`_q_rows` with the kernel over its
+    live q-range as it arrives, so memory is O(|s| * N) (the exact MEAN_FULL
+    kernel table aside); the partial-Q range never exceeds N, so the sweep
+    makes O(N^2 * |s|) cell updates, and ``Q_STATE_BUDGET`` bounds that
+    work, not the memory.  Exact kernels fold integer numerators and build
+    one Fraction, for the total; ``exact=False`` gives a float.
     """
     n_cells = N * N * max(1, kernel.s.weight)
     if n_cells > Q_STATE_BUDGET:
@@ -577,39 +563,49 @@ def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
             f"Q-coupled DP needs ~{n_cells} cell updates, over budget {Q_STATE_BUDGET}")
     if exact is None:
         exact = isinstance(kernel.a, (int, Fraction))
-    rows = _q_rows(kernel, N, exact=exact)
-    total = Fraction(0) if exact else 0.0
     if kernel.kind == "MEAN_INF":
         # the rows carry a 1/n_L that MEAN_INF lacks: the row kernel
-        # m / ((q+1)(q+m+1)) multiplies it back out; q1 = q + 1
-        one = Fraction(1) if exact else 1.0
-        q1 = np.arange(1, N + 2, dtype=object if exact else np.float64)
-        dots = [0] * N
-        for m, row in rows:
-            dots[m - 1] = row.dot(one * m / (q1 * (q1 + m)))
-        # summed in ascending m, the table's row order, not the sweep's
-        for dot in dots:
-            total += dot
+        # m / ((q+1)(q+m+1)) = m r[q] r[q+m], r[k] = 1/(k+1), multiplies it
+        # back out; exact r[k] are the numerators l/(k+1) over l
+        if exact:
+            lcm = math.lcm(*range(1, 2 * N + 2))
+            r = np.array([lcm // k for k in range(1, 2 * N + 2)], dtype=object)
+            den = lcm * lcm
+        else:
+            r = 1.0 / np.arange(1, 2 * N + 2)
+
+        def fold(m, row, lo, hi):
+            return m * row[lo:hi + 1].dot(r[lo:hi + 1] * r[lo + m:hi + m + 1])
     else:
-        K = _mean_full_kernel(kernel.a, N)
+        K, den = _mean_full_kernel(kernel.a, N)
         if not exact:
-            K = K.astype(np.float64)
-        for m, row in rows:
-            cells = np.nonzero(row)
-            total = sum(row[cells] * K[m - 1][cells], total)
-    return total if exact else float(total)
+            K = (K / den).astype(np.float64)
+
+        def fold(m, row, lo, hi):
+            return row[lo:hi + 1].dot(K[m - 1, lo:hi + 1])
+    dots = [0] * N
+    for m, row, lo, hi in _q_rows(kernel, N, exact):
+        dots[m - 1] = fold(m, row, lo, hi)
+    # summed in ascending m, the table's row order, not the sweep's
+    total = 0
+    for dot in dots:
+        total += dot
+    if exact:
+        return Fraction(total, math.lcm(*range(1, N + 1)) ** kernel.s.weight * den)
+    return float(total)
 
 
 def _mean_full_kernel(a, N: int):
-    """Exact MEAN_FULL fold of the last index t <= m, as a table K[m - 1, q]
-    = sum_{t=1}^{m} C(m,t)/C(q+m,t) a^t / (q+m+1) for m = 1..N, q = 0..N.
+    """Exact MEAN_FULL fold of the last index t <= m, as integer numerators
+    K[m - 1, q] over one denominator of sum_{t=1}^{m} C(m,t)/C(q+m,t) a^t /
+    (q+m+1) for m = 1..N, q = 0..N.  Returns K and the denominator.
 
     C(m,t)/C(q+m,t) = (q+m+1) int_0^1 x^t (1-x)^(q+m-t) dx, so the sum from
     t = 0 is I(m, q) = int_0^1 y^q (a - (a-1) y)^m dy, which satisfies
     I(0, q) = 1/(q+1) and I(m, q) = a I(m-1, q) - (a-1) I(m-1, q+1); the
     t = 0 term 1/(q+m+1) is then subtracted.  The recurrence runs on the
-    integers J(m, q) = a_d^m l I(m, q), l = lcm(1..2N+1): O(N^2) integer
-    operations and one Fraction per cell.
+    integers J(m, q) = a_d^m l I(m, q), l = lcm(1..2N+1), O(N^2) integer
+    operations; row m, over a_d^m l, is scaled to the common a_d^N l.
     """
     a = Fraction(a)
     an, ad = a.numerator, a.denominator
@@ -620,9 +616,9 @@ def _mean_full_kernel(a, N: int):
     for m in range(1, N + 1):
         J = [an * J[q] - (an - ad) * J[q + 1] for q in range(len(J) - 1)]
         adm *= ad
-        K[m - 1] = [Fraction(J[q] - adm * (lcm // (q + m + 1)), adm * lcm)
+        K[m - 1] = [(J[q] - adm * (lcm // (q + m + 1))) * ad ** (N - m)
                     for q in range(N + 1)]
-    return K
+    return K, ad ** N * lcm
 
 
 def adaptive_sum(evaluator, schedule: TruncationSchedule, cost_per_level=None,

@@ -202,6 +202,16 @@ def test_skip_reason_in_json():
     assert passed["reason"] is None
 
 
+def test_unconverged_ladder_reason_names_its_side():
+    # at weight 9 Q_STATE_BUDGET caps the Q-coupled ladder below N = 4,096:
+    # it ends at 2,048 after 6 levels, short of the 7 samples a fit needs
+    r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
+    assert r.status == "not_converged"
+    assert r.skip_reason == ("rhs did not converge: ladder ended at truncation_level "
+                             f"2048 with error estimate {r.err_rhs:.3g}")
+    assert json.loads(json.dumps(r.to_json_dict()))["reason"] == r.skip_reason
+
+
 @pytest.mark.parametrize("a", (1.0, 0.5, -1.0))
 def test_mean_inf_a_rhs_error_covers_dilogarithm(a):
     # at s = (2,) the mean kernel equals Li_2(a); its quadrature must resolve

@@ -517,15 +517,18 @@ def test_q_coupled_matches_enumeration():
 
 
 def test_q_coupled_float_matches_exact():
+    # the float fold reads each row's live range only and takes the MEAN_INF
+    # kernel from reciprocals; up to N = 128 it stays at the rounding level
     for parts in Q_COMPOSITIONS:
-        for kind, a, sizes in (("MEAN_INF", F(1), (5, 17)),
+        for kind, a, sizes in (("MEAN_INF", F(1), (5, 17, 64, 128)),
                                ("MEAN_FULL", F(1, 2), (4, 9)),
                                ("MEAN_FULL", F(-1), (9,))):
             k = QKernelSpec(Composition(parts), kind, a)
             for N in sizes:
                 value = dp_q_coupled(k, N, exact=False)
                 assert type(value) is float
-                assert abs(value - float(dp_q_coupled(k, N))) < 1e-12
+                want = dp_q_coupled(k, N)
+                assert abs(value - want) <= 1e-14 * (1 + abs(want))
     # a float weight selects the float table by default
     k = QKernelSpec(Composition((2, 1)), "MEAN_FULL", 0.5)
     assert type(dp_q_coupled(k, 4)) is float
@@ -559,12 +562,14 @@ def _cumsum_q_table(kernel, N, exact):
 
 
 def _swept_q_table(kernel, N, exact):
-    """The Q table assembled from the rows of the one descending sweep,
-    which must come in the order m = N..1."""
+    """The Q table assembled from the live ranges of the rows of the one
+    descending sweep, which must come in the order m = N..1; exact rows are
+    read as Fractions, their integer numerators over lcm(1..N)^|s|."""
     W = np.zeros((N, N + 1), dtype=object if exact else np.float64)
+    den = math.lcm(*range(1, N + 1)) ** kernel.s.weight
     order = []
-    for m, row in _q_rows(kernel, N, exact):
-        W[m - 1] = row
+    for m, row, lo, hi in _q_rows(kernel, N, exact):
+        W[m - 1, lo:hi + 1] = [F(v, den) for v in row[lo:hi + 1]] if exact else row[lo:hi + 1]
         order.append(m)
     assert order == list(range(N, 0, -1))
     return W
@@ -581,30 +586,36 @@ def test_q_table_row_pass_matches_cumsum(parts):
     for N in (1, 7, 64, 300) + ((1024,) if parts == (2, 2) else ()):
         got = _swept_q_table(k, N, exact=False)
         assert np.array_equal(_bits(got), _bits(_cumsum_q_table(k, N, exact=False)))
-    # the MEAN_INF fold of the row-pass table, against the cumsum table's
+    # the MEAN_INF fold of the row-pass table, against the cumsum table's:
+    # each row's nonzero hull, dotted with r[q] r[q+m] (r[k] = 1/(k+1)),
+    # times m, summed in ascending m
     k = QKernelSpec(Composition(parts), "MEAN_INF")
     W = _cumsum_q_table(k, 300, exact=False)
-    q = np.arange(301, dtype=np.float64)
+    r = 1.0 / np.arange(1, 602)
     want = 0.0
     for m in range(1, 301):
-        want += W[m - 1].dot(1.0 * m / ((q + 1) * (q + m + 1)))
+        nonzero = np.flatnonzero(W[m - 1])
+        lo, hi = nonzero[0], nonzero[-1]
+        want += m * W[m - 1, lo:hi + 1].dot(r[lo:hi + 1] * r[lo + m:hi + m + 1])
     assert _bits(dp_q_coupled(k, 300, exact=False)) == _bits(want)
 
 
 def test_q_sweep_last_range_never_drops_a_cell():
     # the sweep never clears the yielded row, so the cells it writes at m
-    # must include every cell it wrote at m+1; NaN-filling the yielded
-    # buffer (which no pass reads) shows the cells the next step writes
+    # must include every cell it wrote at m+1, and the live range it yields
+    # must be the cells it wrote; NaN-filling the yielded buffer (which no
+    # pass reads) shows the cells the next step writes
     steps = 0
     for s in _all_compositions(8):
         for N in (1, 2, 3, 7, 40):
             want = _cumsum_q_table(QKernelSpec(s, "MEAN_INF"), N, exact=False)
             # at m = N the one chain is constant, with Q = 0
             previous = (0, 0)
-            for m, row in _q_rows(QKernelSpec(s, "MEAN_INF"), N, exact=False):
+            for m, row, live_lo, live_hi in _q_rows(QKernelSpec(s, "MEAN_INF"), N, exact=False):
                 written = np.flatnonzero(~np.isnan(row) if m < N else row)
                 lo, hi = written[0], written[-1]
                 assert len(written) == hi - lo + 1
+                assert (live_lo, live_hi) == (lo, hi)
                 assert lo <= previous[0] and previous[1] <= hi
                 assert np.array_equal(_bits(np.nan_to_num(row)), _bits(want[m - 1]))
                 previous = (lo, hi)
