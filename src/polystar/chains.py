@@ -10,8 +10,9 @@ Three evaluators share the same summand model:
   specs run the ring-generic recurrence on integer numerators over one
   common denominator and build one Fraction for the truncation read; float
   specs run the gap-form DP, one code path for every caller: a
-  :class:`GapState` holds R rows of one or two runs (a tail's alpha and
-  gamma runs share one recurrence call per layer) and is resumable, so a
+  :class:`GapState` holds R rows, one recurrence call per inner layer each
+  (a tail's last layer takes the difference of its two runs' powers), and
+  is resumable, so a
   truncation ladder extends one state level by level and computes each
   column once, bit-identical to a fresh DP per level (a state of many
   specs with shared powers, one row each, is bit-identical to one spec per
@@ -51,7 +52,7 @@ from .kernel import (BudgetExceededError, DomainError, EvalResult,
                      best_extrapolant, binomial)
 
 NAIVE_CHAIN_BUDGET = 10 ** 7
-Q_STATE_BUDGET = 10 ** 8
+Q_STATE_BUDGET = 2 * 10 ** 8
 PAIRING_SLACK = 1e-9
 
 
@@ -233,8 +234,7 @@ def _chain_partials(columns):
     return out
 
 
-# float64 cells per row-batched gap DP pass, both runs of a tail counted
-# (8 MiB)
+# float64 cells per row-batched gap DP pass (8 MiB)
 _BATCH_CELLS = 2 ** 20
 # |b|^j < 2^-1100 rounds to exactly 0 in float64, far below the smallest
 # subnormal 2^-1074
@@ -281,43 +281,44 @@ def load_lfilter():
 _ONE = np.ones(1)
 
 
-def _gap_columns(B, powers, lo, hi, carry):
+def _gap_columns(B, last, powers, lo, hi, carry):
     """Outer-layer terms of the gap-form DP at n_1 = lo+1..hi.
 
-    ``B`` is an R x K x L array of prefix products: row r holds K runs
-    (two for a tail) that share all but the last prefix product, and
-    ``powers`` are the L shared index powers.  Entry [r, k, n_1 - lo - 1]
-    of the result is the sum over the chains with that first index of
-    prod_i B[r, k, i]^{n_i - n_{i+1}} / n_i^{powers[i]} (with n_{L+1} = 0).
+    Row r of the R x (L-1) array ``B`` holds the prefix products of the
+    inner layers, and row r of the R x K array ``last`` the last prefix
+    product of its one run, or of the two runs of a last-index tail;
+    ``powers`` are the L shared index powers.  Entry [r, n_1 - lo - 1] of
+    the result is the sum over the chains with that first index of
+    prod_{i<L} B[r, i]^{n_i - n_{i+1}} / n_i^{powers[i]} times
+    (last[r, 0]^{n_L} - last[r, 1]^{n_L}) / n_L^{powers[L-1]} (the second
+    power only for a tail).
 
-    ``carry[r, k, i]`` is inner layer i's recurrence output at n = lo,
-    before its division by j^s; it is folded into the first new column
-    (the same rounding as the recurrence's own x + B y) and updated, so the
-    columns continue a DP that stopped at lo bit for bit.  B_L^j is computed
-    only up to the index past which it is exactly 0 in float64, j^s once
-    per call for all rows, and each inner layer is one first-order
-    recurrence per row, over the row's K x n block.
+    ``carry[r, i]`` is inner layer i's recurrence output at n = lo, before
+    its division by j^s; it is folded into the first new column (the same
+    rounding as the recurrence's own x + B y) and updated, so the columns
+    continue a DP that stopped at lo bit for bit.  Each power b^j is
+    computed only up to the index past which it is exactly 0 in float64,
+    j^s once per call for all rows, and each inner layer is one first-order
+    recurrence per row.
     """
     lfilter = load_lfilter()
-    R, K, L = B.shape
     j = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    D = np.zeros((R, K, hi - lo))
-    # a 1-D call when K = 1: bit-identical to a (1, n) call, and faster
-    k = slice(None) if K > 1 else 0
+    D = np.zeros((len(last), hi - lo))
     with np.errstate(under="ignore"):
-        for (r, run), b in np.ndenumerate(B[:, :, -1]):
+        for (r, run), b in np.ndenumerate(last):
             m = _underflow_index(b, hi) - lo
-            if m > 0:
-                np.power(b, j[:m], out=D[r, run, :m])
+            if m > 0 and run:  # a tail's second run, subtracted
+                D[r, :m] -= np.power(b, j[:m])
+            elif m > 0:
+                np.power(b, j[:m], out=D[r, :m])
         # divide by j^s, never multiply by its reciprocal (one ulp apart)
         D /= j ** np.float64(powers[-1])
-        for i in range(L - 2, -1, -1):
-            for r in range(R):
-                x = D[r, k]
+        for i in range(B.shape[1] - 1, -1, -1):
+            for r, x in enumerate(D):
                 if lo:
-                    x[..., 0] += B[r, 0, i] * carry[r, k, i]
-                D[r, k] = lfilter(_ONE, np.array([1.0, -B[r, 0, i]]), x, -1)
-                carry[r, k, i] = D[r, k, ..., -1]
+                    x[0] += B[r, i] * carry[r, i]
+                D[r] = lfilter(_ONE, np.array([1.0, -B[r, i]]), x, -1)
+                carry[r, i] = D[r, -1]
             D /= j ** np.float64(powers[i])
     return D
 
@@ -325,13 +326,15 @@ def _gap_columns(B, powers, lo, hi, carry):
 class GapState:
     """Resumable float DP of R chain sums with shared powers.
 
-    ``runs`` is an R x K x L array of bases: row r is one run (K = 1) or
-    the two runs of a last-index tail (K = 2, the last base times alpha and
-    times gamma), and its value is the first run minus the second.  Every
-    run's prefix products ``B`` must stay in the unit disc (up to the
-    pairing slack), where the gap form of :func:`_gap_columns` keeps every
-    carried quantity bounded; otherwise :class:`PairingUnavailableError`
-    names the first run whose products leave it.
+    Row r is one chain sum: ``B[r]`` holds the prefix products of its L-1
+    inner layers and ``last[r]`` the last prefix product of its one run, or
+    of the two runs of a last-index tail (the last base times alpha and
+    times gamma), whose powers the last layer takes as a difference, so a
+    row is one recurrence per inner layer.  Every run's prefix products
+    must stay in the unit disc (up to the pairing slack), where the gap
+    form of :func:`_gap_columns` keeps every carried quantity bounded;
+    otherwise :class:`PairingUnavailableError` names the first run whose
+    products leave it.
 
     The state holds the prefix products, each inner layer's carry, the
     running cumulative totals and ``n_done``, the truncation reached, so
@@ -342,17 +345,22 @@ class GapState:
     with other rows of the same truncation (:meth:`stack`).
     """
 
-    def __init__(self, runs, powers):
-        self.powers = tuple(powers)
-        self.B = np.cumprod(np.asarray(runs, dtype=np.float64), axis=2)
-        paired = (np.abs(self.B) <= 1.0 + PAIRING_SLACK).all(axis=2)
+    _ROW_FIELDS = ("B", "last", "carry", "totals")
+
+    def __init__(self, powers, B, last):
+        paired = (np.abs(B) <= 1.0 + PAIRING_SLACK).all(axis=1)[:, None] \
+            & (np.abs(last) <= 1.0 + PAIRING_SLACK)
         if not paired.all():
-            r, k = np.argwhere(~paired)[0]
-            raise PairingUnavailableError(f"prefix products {self.B[r, k].tolist()} leave "
+            r, run = np.argwhere(~paired)[0]
+            products = np.append(B[r], last[r, run]).tolist()
+            raise PairingUnavailableError(f"prefix products {products} leave "
                                           "the unit disc; chain sum would diverge")
-        self.carry = np.zeros(self.B.shape)
-        self.totals = np.zeros(self.B.shape[:2])
-        self.n_done = 0
+        self._set(tuple(powers), B, last, np.zeros(B.shape), np.zeros(len(last)), 0)
+
+    def _set(self, powers, B, last, carry, totals, n_done):
+        self.powers, self.B, self.last, self.carry, self.totals = powers, B, last, carry, totals
+        self.n_done = n_done
+        return self
 
     @classmethod
     def of_spec(cls, spec: FactorSpec):
@@ -365,25 +373,21 @@ class GapState:
         ``bases[r]`` of the R x L array and, with a ``tail`` (alpha, gamma)
         of two scalars or two length-R arrays, the runs with last base times
         alpha[r] and times gamma[r]."""
-        runs = np.asarray(bases, dtype=np.float64)[:, None]
+        bases = np.asarray(bases, dtype=np.float64)
+        B = np.cumprod(bases[:, :-1], axis=1)
+        last = bases[:, -1:]
         if tail is not None:
-            runs = np.repeat(runs, 2, axis=1)
-            runs[:, :, -1] *= np.array(tail, dtype=np.float64).T
-        return cls(runs, powers)
-
-    @classmethod
-    def _of_fields(cls, powers, B, carry, totals, n_done):
-        state = cls.__new__(cls)
-        state.powers, state.B, state.carry, state.totals = powers, B, carry, totals
-        state.n_done = n_done
-        return state
+            last = last * np.array(tail, dtype=np.float64).T
+        if B.shape[1]:
+            last = B[:, -1:] * last
+        return cls(powers, B, last)
 
     def take(self, rows):
         """A new state holding copies of the given rows (an index array or
         slice) at the same truncation."""
-        return GapState._of_fields(self.powers, self.B[rows].copy(),
-                                   self.carry[rows].copy(), self.totals[rows].copy(),
-                                   self.n_done)
+        return GapState.__new__(GapState)._set(
+            self.powers, *(getattr(self, f)[rows].copy() for f in self._ROW_FIELDS),
+            self.n_done)
 
     @staticmethod
     def stack(states):
@@ -392,14 +396,13 @@ class GapState:
         first = states[0]
         if any((st.powers, st.n_done) != (first.powers, first.n_done) for st in states):
             raise ValueError("stacked gap states must share powers and n_done")
-        return GapState._of_fields(first.powers,
-                                   *(np.concatenate([getattr(st, f) for st in states])
-                                     for f in ("B", "carry", "totals")),
-                                   first.n_done)
+        return GapState.__new__(GapState)._set(
+            first.powers, *(np.concatenate([getattr(st, f) for st in states])
+                            for f in GapState._ROW_FIELDS), first.n_done)
 
     def extend(self, N):
         """Advance to truncation N (a no-op unless N > ``n_done``).  Returns
-        the R x K x n cumulative values of every run at the new n_1 =
+        the R x n cumulative values of every row at the new n_1 =
         n_done+1..N."""
         D = self._extend_rows(slice(None), N)
         self.n_done = max(N, self.n_done)
@@ -408,13 +411,12 @@ class GapState:
     def advance(self, N):
         """Advance to truncation N like :meth:`extend`, without keeping the
         new columns: the rows go through in chunks of at most 2^20 new
-        cells, a tail's two runs counted twice, so a batch of any size
-        holds at most 8 MiB of columns at a time."""
+        cells, so a batch of any size holds at most 8 MiB of columns at a
+        time."""
         if N <= self.n_done:
             return
-        R, K = self.totals.shape
-        step = max(1, _BATCH_CELLS // ((N - self.n_done) * K))
-        for lo in range(0, R, step):
+        step = max(1, _BATCH_CELLS // (N - self.n_done))
+        for lo in range(0, len(self.totals), step):
             self._extend_rows(slice(lo, lo + step), N)
         self.n_done = N
 
@@ -425,24 +427,16 @@ class GapState:
         totals = self.totals[rows]
         if N <= lo:
             return np.zeros(totals.shape + (0,))
-        D = _gap_columns(self.B[rows], self.powers, lo, N, self.carry[rows])
+        D = _gap_columns(self.B[rows], self.last[rows], self.powers, lo, N, self.carry[rows])
         if lo:
-            D[:, :, 0] += totals
-        np.cumsum(D, axis=2, out=D)
-        totals[...] = D[:, :, -1]
+            D[:, 0] += totals
+        np.cumsum(D, axis=1, out=D)
+        totals[...] = D[:, -1]
         return D
 
     def values(self):
         """The R chain sums at truncation ``n_done``."""
-        return _signed_sum(self.totals.T)
-
-
-def _signed_sum(runs):
-    """The first run minus the second (if any), along axis 0."""
-    out = np.zeros(runs.shape[1:])
-    for sign, run in zip((1.0, -1.0), runs):
-        out += sign * run
-    return out
+        return self.totals.copy()
 
 
 def dp_chain_sum(spec: FactorSpec, N: int):
@@ -465,7 +459,7 @@ def dp_chain_partials(spec: FactorSpec, N: int):
     from a fresh one-row :class:`GapState`, which raises
     :class:`PairingUnavailableError` for a run that leaves the unit disc."""
     totals = np.zeros(max(N, 0) + 1)
-    totals[1:] = _signed_sum(GapState.of_spec(spec).extend(N)[0])
+    totals[1:] = GapState.of_spec(spec).extend(N)[0]
     return totals
 
 

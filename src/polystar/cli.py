@@ -231,7 +231,8 @@ def cmd_verify(args):
             print(json.dumps(report.to_json_dict()))
         elif report.status != "pass" or args.verbose:
             print(f"{report.status.upper():14s} {report.id} {report.params}"
-                  + ("" if report.abs_diff is None else f" |diff|={report.abs_diff}"))
+                  + ("" if report.abs_diff is None else f" |diff|={report.abs_diff}")
+                  + ("" if report.skip_reason is None else f" ({report.skip_reason})"))
     if not args.json:
         print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
               f"{counts['skip']} skipped, {counts['not_converged']} not converged "

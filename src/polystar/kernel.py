@@ -28,7 +28,8 @@ import mpmath
 import numpy as np
 
 QUADRATURE_PANEL_BUDGET = 2 ** 20
-_GL_ORDER = 12
+# the orders of the Gauss-Legendre pair: the accepted rule, then its check
+_GL_ORDERS = (12, 6)
 
 
 class DomainError(ValueError):
@@ -114,32 +115,36 @@ def binom_ratio_sum(m: int, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _gl_f64():
-    return np.polynomial.legendre.leggauss(_GL_ORDER)
+def _gl_pair():
+    """The 12-point and the 6-point Gauss-Legendre rules on [-1, 1]: their
+    nodes as one array (the 12 first) and the weights of each."""
+    (x12, w12), (x6, w6) = (np.polynomial.legendre.leggauss(n) for n in _GL_ORDERS)
+    return np.concatenate([x12, x6]), w12, w6
 
 
 def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUDGET,
                         breaks=None):
     """Integrate ``f`` in float64 over ``[lo, hi]`` to absolute tolerance ``tol``.
 
-    Adaptive bisection with a fixed-order Gauss-Legendre rule from the mesh
+    Adaptive bisection with a Gauss-Legendre pair from the mesh
     ``[lo, *breaks, hi]`` (breaks strictly monotone from lo to hi, else
     :class:`DomainError`; the quarter mesh when None, so thin layers need
     breaks graded toward them): an initial panel's share of the tolerance
-    is ``tol * width / (hi - lo)``, and each panel is accepted once its two
-    halves agree with it to its share, else bisected, half the share each.
-    Raises :class:`NonConvergenceError` when the panel budget is exhausted;
-    the budget is checked before each round.
+    is ``tol * width / (hi - lo)``, and each panel is evaluated once, by the
+    12-point rule G12 and the 6-point rule G6 on its own nodes, and
+    accepted with G12 once |G12 - G6| is within its share, else bisected,
+    half the share each.  Raises :class:`NonConvergenceError` when the
+    panel budget is exhausted; the budget is checked before each round.
 
     The bisection runs breadth first: ``f`` takes a 1-D float64 array of
     nodes and returns their values as an array of the same length, and is
-    called once for the initial mesh and then once per round, on the two
-    halves of every pending panel.  Accepted panels are summed by descending
-    left endpoint, the order of a depth-first walk that refines the right
-    half first.  Returns a float.
+    called once per round, on the 18 nodes of every pending panel (the
+    initial mesh first).  Accepted panels are summed by descending left
+    endpoint, the order of a depth-first walk that refines the right half
+    first.  Returns a float.
     """
     check_tolerance(tol)
-    nodes, weights = _gl_f64()
+    nodes, w12, w6 = _gl_pair()
     lo_, hi_ = float(lo), float(hi)
     if lo_ == hi_:
         return 0.0
@@ -151,19 +156,14 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
         if not all(a < b if lo_ < hi_ else a > b for a, b in zip(mesh, mesh[1:])):
             raise DomainError(f"breaks {breaks} do not run strictly from {lo} to {hi}")
 
-    def panel_sums(ends):
-        a, b = np.array(ends).T
-        h, c = (b - a) / 2, (a + b) / 2
-        values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel())).reshape(len(ends), -1)
+    def rule(values, weights):
         # the node-by-node accumulation of the scalar rule, per panel
-        total = np.zeros(len(ends))
+        total = np.zeros(len(values))
         for k, w in enumerate(weights):
             total = total + w * values[:, k]
-        return total * h
+        return total
 
-    initial = list(zip(mesh, mesh[1:]))
-    pending = [(a, b, coarse, float(tol) * ((b - a) / (hi_ - lo_)))
-               for (a, b), coarse in zip(initial, panel_sums(initial))]
+    pending = [(a, b, float(tol) * ((b - a) / (hi_ - lo_))) for a, b in zip(mesh, mesh[1:])]
     panels = 0
     accepted = []
     while pending:
@@ -171,20 +171,17 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
         if panels > budget:
             raise NonConvergenceError(
                 f"quadrature panel budget {budget} exhausted on [{lo}, {hi}]")
-        halves = []
-        for a, b, _, _ in pending:
-            c = (a + b) / 2
-            halves += [(a, c), (c, b)]
-        sums = panel_sums(halves)
+        a, b, _ = np.array(pending).T
+        h, c = (b - a) / 2, (a + b) / 2
+        values = np.asarray(f((c[:, None] + h[:, None] * nodes).ravel())).reshape(len(a), -1)
+        fine, coarse = rule(values, w12) * h, rule(values[:, len(w12):], w6) * h
         refined = []
-        for i, (a, b, coarse, budget_here) in enumerate(pending):
-            c = halves[2 * i][1]
-            left, right = sums[2 * i], sums[2 * i + 1]
-            if abs(coarse - (left + right)) <= budget_here:
-                accepted.append((a, left + right))
+        for (left, right, share), g12, g6 in zip(pending, fine.tolist(), coarse.tolist()):
+            if abs(g12 - g6) <= share:
+                accepted.append((left, g12))
             else:
-                refined.append((a, c, left, budget_here / 2))
-                refined.append((c, b, right, budget_here / 2))
+                mid = (left + right) / 2
+                refined += [(left, mid, share / 2), (mid, right, share / 2)]
         pending = refined
     total = 0.0
     for _, value in sorted(accepted, key=lambda panel: panel[0], reverse=True):

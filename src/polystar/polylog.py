@@ -23,7 +23,8 @@ from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_B
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
-from .kernel import DomainError, EvalResult, adaptive_quadrature, check_tolerance
+from .kernel import (BudgetExceededError, DomainError, EvalResult, adaptive_quadrature,
+                     check_tolerance)
 
 _MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
@@ -117,7 +118,8 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     state = GapState.of_spec(spec)
     worst = 0.0
     marginal = 0
-    for run, B in zip(spec.expanded(), state.B[0].tolist()):
+    for run, last in zip(spec.expanded(), state.last[0].tolist()):
+        B = state.B[0].tolist() + [last]
         if not _decay_converges(B, run.powers):
             raise DomainError(f"chain sum for {run} diverges")
         worst = max(worst, max(abs(b) for b in B))
@@ -223,11 +225,16 @@ def zeta_star_closed(form: str, d: int) -> mpmath.mpf:
 def mean_kernel_infinite(s, tol) -> EvalResult:
     """Infinite limit of the 1/((Q+1)(Q+n_L+1)) kernel sum over chains of
     shape s: a truncation ladder over the Q-coupled DP with window
-    extrapolation (the tail decays like log N / N)."""
+    extrapolation (the tail decays like log N / N), up to ``Q_MAX_N``; a
+    weight whose last level would exceed ``Q_STATE_BUDGET`` raises
+    :class:`BudgetExceededError` before the first."""
     s = as_composition(s)
     kernel = QKernelSpec(s, "MEAN_INF")
-    max_n = min(Q_MAX_N, int(math.isqrt(Q_STATE_BUDGET // max(1, s.weight))))
-    schedule = TruncationSchedule(max_n=max_n, tolerance=tol, extrapolate=True)
+    if Q_MAX_N ** 2 * s.weight > Q_STATE_BUDGET:
+        raise BudgetExceededError(
+            f"the ladder of weight {s.weight} needs N = {Q_MAX_N}, "
+            f"{Q_MAX_N ** 2 * s.weight} cell updates, over budget {Q_STATE_BUDGET}")
+    schedule = TruncationSchedule(max_n=Q_MAX_N, tolerance=tol, extrapolate=True)
 
     def evaluate(N):
         return dp_q_coupled(kernel, N, exact=False)

@@ -202,9 +202,10 @@ def test_skip_reason_in_json():
     assert passed["reason"] is None
 
 
-def test_unconverged_ladder_reason_names_its_side():
-    # at weight 9 Q_STATE_BUDGET caps the Q-coupled ladder below N = 4,096:
-    # it ends at 2,048 after 6 levels, short of the 7 samples a fit needs
+def test_unconverged_ladder_reason_names_its_side(monkeypatch):
+    # a Q-coupled ladder capped at N = 2,048 ends after 6 levels, short of
+    # the 7 samples a fit needs
+    monkeypatch.setattr(catalog.polylog, "Q_MAX_N", 2048)
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
     assert r.status == "not_converged"
     assert r.skip_reason == ("rhs did not converge: ladder ended at truncation_level "
@@ -212,17 +213,33 @@ def test_unconverged_ladder_reason_names_its_side():
     assert json.loads(json.dumps(r.to_json_dict()))["reason"] == r.skip_reason
 
 
-@pytest.mark.parametrize("a", (1.0, 0.5, -1.0))
-def test_mean_inf_a_rhs_error_covers_dilogarithm(a):
-    # at s = (2,) the mean kernel equals Li_2(a); its quadrature must resolve
-    # the integrand's layers at p = 0 and p = 1 for the rhs error estimate
-    # to cover the distance to the closed form (a tolerance below the
-    # default, where a mesh graded toward p = 0 alone leaves, at a = -1, a
-    # distance twice the estimate)
-    r = catalog.verify("MEAN_INF_A", dict(s=Composition((2,)), a=a), 1e-7)
+def test_q_state_budget_reaches_the_seventh_level_up_to_weight_11(monkeypatch):
+    # weight 9 reaches N = 4,096 and passes; weight 12 would need more than
+    # Q_STATE_BUDGET at N = 4,096, so its ladder refuses before its first level
+    r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
+    assert r.status == "pass" and r.skip_reason is None
+    levels = []
+    monkeypatch.setattr(catalog.polylog, "dp_q_coupled", lambda *args, **kw: levels.append(args))
+    r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3, 3))))
+    assert r.status == "not_converged" and levels == []
+    assert r.skip_reason == ("BudgetExceededError: the ladder of weight 12 needs "
+                             "N = 4096, 201326592 cell updates, over budget 200000000")
+
+
+@pytest.mark.parametrize("s, a", (((2,), 1.0), ((2,), 0.5), ((2,), -1.0), ((2, 1), 1.0)),
+                         ids=("1.0", "0.5", "-1.0", "s=2,1-1.0"))
+def test_mean_inf_a_rhs_error_covers_dilogarithm(s, a):
+    # at s = (2,) the mean kernel equals Li_2(a), and at (2,1), a = 1 it
+    # equals zeta*(2,1) = 2 zeta(3); its quadrature must resolve the
+    # integrand's layers at p = 0 and p = 1 for the rhs error estimate to
+    # cover the distance to the closed form (a tolerance below the default,
+    # where a mesh graded toward p = 0 alone leaves, at a = -1, a distance
+    # twice the estimate)
+    r = catalog.verify("MEAN_INF_A", dict(s=Composition(s), a=a), 1e-7)
     assert r.status == "pass"
     with mpmath.mp.workprec(160):
-        distance = abs(mpmath.mpf(r.rhs) - mpmath.polylog(2, a))
+        closed = mpmath.polylog(2, a) if s == (2,) else 2 * mpmath.zeta(3)
+        distance = abs(mpmath.mpf(r.rhs) - closed)
     assert distance <= r.err_rhs
 
 

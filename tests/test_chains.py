@@ -14,7 +14,7 @@ from scipy.signal import lfilter
 from polystar import chains, exact
 from polystar.catalog import _all_compositions
 from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
-                             TruncationSchedule, _gap_columns, _q_rows, _signed_sum,
+                             TruncationSchedule, _gap_columns, _q_rows,
                              _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
                              dp_q_coupled, dp_q_naive, naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
@@ -206,13 +206,17 @@ def test_dp_partials_are_prefixes():
     assert abs(part[64] - dp_chain_sum(spec, 64)) < 1e-15
 
 
-def _one_spec_gap_terms(B, powers, N):
-    """Outer-layer gap-form terms of one spec with a full-length B_L^j and
-    j^s recomputed: the reference the row-batched DP must match."""
+def _one_spec_gap_terms(B, powers, N, low=None):
+    """Outer-layer gap-form terms of one spec with a full-length B_L^j, less
+    a tail's full-length low^j, and j^s recomputed: the reference the
+    row-batched DP must match."""
     j = np.arange(1, N + 1, dtype=np.float64)
     powers = np.array(powers, dtype=np.float64)
     with np.errstate(under="ignore"):
-        D = np.power(B[-1], j) / j ** powers[-1]
+        D = np.power(B[-1], j)
+        if low is not None:
+            D = D - np.power(low, j)
+        D = D / j ** powers[-1]
         for i in range(len(B) - 2, -1, -1):
             C = lfilter([1.0], [1.0, -B[i]], D)
             D = C / j ** powers[i]
@@ -220,11 +224,12 @@ def _one_spec_gap_terms(B, powers, N):
 
 
 def _one_spec_float_partials(spec, N):
-    """The float DP one spec per call (see ``_one_spec_gap_terms``)."""
+    """The float DP one spec per call (see ``_one_spec_gap_terms``): a
+    tail's two runs share the inner layers and differ in the last."""
+    hi, *lo = (np.cumprod([float(b) for b in run.bases]) for run in spec.expanded())
     totals = np.zeros(N + 1)
-    for sign, run in zip((1.0, -1.0), spec.expanded()):
-        B = np.cumprod([float(b) for b in run.bases])
-        totals[1:] += sign * np.cumsum(_one_spec_gap_terms(B, run.powers, N))
+    totals[1:] = np.cumsum(_one_spec_gap_terms(hi, spec.powers, N,
+                                               lo[0][-1] if lo else None))
     return totals
 
 
@@ -326,17 +331,23 @@ def test_gap_terms_match_one_spec_terms():
     B = np.array([[0.9, 0.5], [1.0, -0.7], [0.2, 0.03], [-1.0, 0.999],
                   [0.5, 1e-5], [0.7, 1.0], [1.0, 0.0], [1.0, -0.5]])
     for powers in ((1, 1), (2, 3)):
-        got = _gap_columns(B[:, None], powers, 0, N, np.zeros((len(B), 1, 2)))[:, 0]
+        got = _gap_columns(B[:, :1], B[:, 1:], powers, 0, N, np.zeros((len(B), 1)))
         for r in range(len(B)):
             assert np.array_equal(got[r], _one_spec_gap_terms(B[r], powers, N))
-        got = _gap_columns(B[:, None, 1:], powers[1:], 0, N, np.zeros((len(B), 1, 1)))[:, 0]
+        got = _gap_columns(B[:, :0], B[:, 1:], powers[1:], 0, N, np.zeros((len(B), 0)))
         for r in range(len(B)):
             assert np.array_equal(got[r], _one_spec_gap_terms(B[r, 1:], powers[1:], N))
+        # a tail row: the last layer takes b^j less the reversed row's b^j,
+        # each power up to its own underflow index
+        last = np.column_stack([B[:, 1], B[::-1, 1]])
+        got = _gap_columns(B[:, :1], last, powers, 0, N, np.zeros((len(B), 1)))
+        for r in range(len(B)):
+            assert np.array_equal(got[r], _one_spec_gap_terms(B[r], powers, N, last[r, 1]))
 
 
 def test_batched_gap_dp_chunks_rows():
-    # 600 two-run rows at N = 4096 run in three chunks of at most
-    # 2^21 / (2 N) = 256 rows
+    # 600 tail rows at N = 4096 run in three chunks of at most
+    # 2^20 / N = 256 rows
     N = 4096
     p = np.linspace(0.0, 0.999, 600)
     bases = np.array([transform_bases((2,), x) for x in p])
@@ -345,6 +356,23 @@ def test_batched_gap_dp_chunks_rows():
         spec = FactorSpec(tuple(bases[r]), (1, 1),
                           tail=(1.0 - p[r] + 0.5 * p[r], 1.0 - p[r]))
         assert _bits(got[r]) == _bits(_one_spec_float_partials(spec, N)[N])
+
+
+@pytest.mark.parametrize("N", (1, 2, 7, 12))
+def test_tail_rows_match_the_fraction_oracle(N):
+    # a tail row takes its runs' difference in the last layer only: exact
+    # enumeration at the rows' own float64 arguments agrees to rounding
+    p = np.array([0.03, 0.25, 0.5, 0.93])
+    for parts, a in (((2,), -1.0), ((2, 1), 0.5), ((1, 3), 1.0), ((2, 1, 1), -0.5)):
+        s = Composition(parts)
+        bases = np.array([transform_bases(s, x) for x in p])
+        alpha, gamma = 1.0 - p + a * p, 1.0 - p
+        got = _row_values(bases, (1,) * s.weight, N, tail=(alpha, gamma))
+        for r in range(len(p)):
+            spec = FactorSpec(tuple(map(F, bases[r])), (1,) * s.weight,
+                              tail=(F(alpha[r]), F(gamma[r])))
+            want = float(naive_chain_sum(spec, N))
+            assert abs(got[r] - want) <= 1e-13 * abs(want), (parts, a, p[r])
 
 
 def test_float_dp_below_one_is_the_empty_sum():
@@ -362,7 +390,7 @@ def test_float_dp_below_one_is_the_empty_sum():
     state.extend(100)
     before = (state.carry.copy(), state.totals.copy())
     for N in (100, 64, 0, -5):
-        assert state.extend(N).shape == (1, 2, 0)
+        assert state.extend(N).shape == (1, 0)
         assert state.n_done == 100
         assert np.array_equal(state.carry, before[0])
         assert np.array_equal(state.totals, before[1])
@@ -394,8 +422,7 @@ def _check_resumed(state, fresh):
         lo = state.n_done
         block = state.extend(N)
         want = fresh(N)
-        got = np.array([_signed_sum(run) for run in block])
-        assert np.array_equal(_bits(got), _bits(want[:, lo + 1:])), N
+        assert np.array_equal(_bits(block), _bits(want[:, lo + 1:])), N
         assert np.array_equal(_bits(state.values()), _bits(want[:, N])), N
 
 
@@ -418,13 +445,12 @@ def test_resumed_rows_with_an_unpaired_run():
     # paired; row 1: both runs paired, one recurrence call per layer
     bases = np.array([[0.9, 1.1], [0.5, 1.6]])
     tail = (np.array([1.0102, 1.0]), np.array([0.5, -0.9]))
-    runs = np.stack([bases * np.stack([np.ones(2), t], axis=1) for t in tail], axis=1)
     for rows in (slice(None), slice(0, 1)):
-        with pytest.raises(PairingUnavailableError):
-            GapState(runs[rows], (1, 2))
+        with pytest.raises(PairingUnavailableError, match=r"\[0\.9, 1\.00"):
+            GapState.of_rows(bases[rows], (1, 2), tail=(tail[0][rows], tail[1][rows]))
         with pytest.raises(PairingUnavailableError):
             _row_values(bases[rows], (1, 2), 64, tail=(tail[0][rows], tail[1][rows]))
-    state = GapState(runs[1:], (1, 2))
+    state = GapState.of_rows(bases[1:], (1, 2), tail=(tail[0][1:], tail[1][1:]))
 
     def fresh(N):
         want = dp_chain_partials(FactorSpec(tuple(bases[1]), (1, 2),
@@ -437,7 +463,7 @@ def test_resumed_rows_with_an_unpaired_run():
 
 
 def _fields(state):
-    return [_bits(f) for f in (state.B, state.carry, state.totals)] + [state.n_done]
+    return [_bits(f) for f in (state.B, state.last, state.carry, state.totals)] + [state.n_done]
 
 
 def _assert_same_state(got, want):
@@ -457,7 +483,7 @@ def test_taken_rows_resume_and_stack_bit_identically(monkeypatch):
     split = GapState.of_rows(bases, (1, 1, 1), tail)
     split.extend(64)
     odd, even = split.take(np.array([1, 3])), split.take(slice(0, 5, 2))
-    assert (odd.n_done, odd.totals.shape) == (64, (2, 2))
+    assert (odd.n_done, odd.totals.shape, odd.carry.shape) == (64, (2,), (2, 2))
     odd.extend(100)
     even.extend(2000)
     with pytest.raises(ValueError):

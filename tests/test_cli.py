@@ -89,6 +89,20 @@ def test_verify_param_instance(capsys):
     assert "1 pass" in out
 
 
+def test_verify_text_line_gives_the_reason(monkeypatch, capsys):
+    # a Q-coupled ladder capped at N = 2,048 ends short of the samples a fit
+    # needs; the text line says so, as the JSON report's reason does
+    monkeypatch.setattr(polystar.polylog, "Q_MAX_N", 2048)
+    assert main(["verify", "MEAN_INF_1", "--param", "s=3,3,3"]) == cli.EXIT_NOT_CONVERGED
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("NOT_CONVERGED  MEAN_INF_1 ")
+    assert line.endswith(" (rhs did not converge: ladder ended at truncation_level 2048 "
+                         f"with error estimate {line.split()[-1][:-1]})")
+    assert main(["verify", "MEAN_INF_A", "--param", "s=1,1", "--param", "a=0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "SKIP           MEAN_INF_A {'s': Composition(parts=(1, 1)), 'a': 0.5} (left side diverges)"
+
+
 def test_verify_json_roundtrip(capsys):
     assert main(["verify", "BINOM_RATIO", "--json"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polystar.kernel import (_GL_ORDER, BASIS_LOG_FIRST, BASIS_POWER_FIRST,
+from polystar.kernel import (_GL_ORDERS, BASIS_LOG_FIRST, BASIS_POWER_FIRST,
                              DomainError, NonConvergenceError, SingularFitError,
                              _window_limit, adaptive_quadrature,
                              best_extrapolant, binom_ratio_sum, binomial)
@@ -116,19 +116,20 @@ def test_quadrature_float_mode_layer():
 
 
 def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, breaks=None):
-    """Adaptive quadrature as a depth-first stack walk with a scalar
+    """The Gauss-pair rule as a depth-first stack walk with a scalar
     integrand, right half refined first, from the same initial mesh with
-    the same width-proportional shares of the tolerance: the reference for
-    the breadth-first scheme.  Returns the integral and the depth of every
-    panel visited (0 for the initial panels)."""
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    nodes, weights = list(x), list(w)
+    the same width-proportional shares of the tolerance: each panel is
+    accepted with its 12-point value when the 6-point value agrees to its
+    share, else bisected.  The reference for the breadth-first scheme.
+    Returns the integral and the depth of every panel visited (0 for the
+    initial panels)."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in _GL_ORDERS]
     lo_, hi_, total = float(lo), float(hi), 0.0
 
-    def panel(a, b):
+    def panel(a, b, rule):
         h, c = (b - a) / 2, (a + b) / 2
         acc = 0
-        for x, w in zip(nodes, weights):
+        for x, w in zip(*rule):
             acc += w * f(c + h * x)
         return acc * h
 
@@ -138,20 +139,19 @@ def _depth_first_quadrature(f, lo, hi, tol, budget=2 ** 20, breaks=None):
     else:
         mesh = [lo_, *breaks, hi_]
     depths = []
-    stack = [(a, b, panel(a, b), tol * ((b - a) / (hi_ - lo_)), 0)
-             for a, b in zip(mesh, mesh[1:])]
+    stack = [(a, b, tol * ((b - a) / (hi_ - lo_)), 0) for a, b in zip(mesh, mesh[1:])]
     while stack:
-        a, b, coarse, budget_here, depth = stack.pop()
+        a, b, budget_here, depth = stack.pop()
         depths.append(depth)
         if len(depths) > budget:
             raise NonConvergenceError("budget")
-        c = (a + b) / 2
-        left, right = panel(a, c), panel(c, b)
-        if abs(coarse - (left + right)) <= budget_here:
-            total += left + right
+        g12, g6 = (panel(a, b, rule) for rule in rules)
+        if abs(g12 - g6) <= budget_here:
+            total += g12
         else:
-            stack.append((a, c, left, budget_here / 2, depth + 1))
-            stack.append((c, b, right, budget_here / 2, depth + 1))
+            c = (a + b) / 2
+            stack.append((a, c, budget_here / 2, depth + 1))
+            stack.append((c, b, budget_here / 2, depth + 1))
     return total, depths
 
 
@@ -187,27 +187,51 @@ def test_quadrature_budget_exhausted():
             _depth_first_quadrature(f, lo, hi, tol, breaks=breaks, budget=budget)
 
 
+def _recording(f, calls):
+    def g(t):
+        calls.append(t)
+        return f(t)
+    return g
+
+
 def test_quadrature_float_calls_once_per_round():
     calls = []
-
-    def record(f):
-        def g(t):
-            calls.append(t)
-            return f(t)
-        return g
-
-    adaptive_quadrature(record(lambda t: np.ones_like(t)), 0.0, 1.0, 1e-12)
-    # the quarter mesh, then one round of 8 halves
-    assert [len(t) for t in calls] == [48, 96]
+    adaptive_quadrature(_recording(lambda t: np.ones_like(t), calls), 0.0, 1.0, 1e-12)
+    # the quarter mesh, 18 nodes a panel, all accepted in the first round
+    assert [len(t) for t in calls] == [4 * 18]
     f, lo, hi, tol, breaks = FLOAT_INTEGRANDS[0]
     calls.clear()
-    adaptive_quadrature(record(f), lo, hi, tol, breaks=breaks)
+    adaptive_quadrature(_recording(f, calls), lo, hi, tol, breaks=breaks)
     _, depths = _depth_first_quadrature(f, lo, hi, tol, breaks=breaks)
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 and t.dtype == np.float64
                for t in calls)
-    # one call per depth of visited panels, after the initial-mesh one
-    assert len(calls) == 1 + len(set(depths))
-    assert sum(len(t) for t in calls) == _GL_ORDER * (len(breaks) + 1 + 2 * len(depths))
+    # one call per depth of visited panels, the initial mesh's included
+    assert len(calls) == len(set(depths))
+    assert sum(len(t) for t in calls) == sum(_GL_ORDERS) * len(depths)
+
+
+def test_quadrature_polynomial_of_degree_11_takes_one_round():
+    # G6 is exact to degree 11, so G12 and G6 agree to rounding and every
+    # initial panel is accepted without a bisection
+    calls = []
+    q = adaptive_quadrature(_recording(lambda t: 3 * t ** 11 - 2 * t ** 4 + t, calls),
+                            0.0, 1.0, 1e-13, breaks=[0.1, 0.7])
+    assert [len(t) for t in calls] == [3 * 18]
+    assert abs(q - (0.25 - 0.4 + 0.5)) <= 1e-15
+
+
+def test_quadrature_bisects_a_panel_whose_check_fails():
+    # t^12 is beyond G6's degree: on one panel |G12 - G6| is about 9e-8, so
+    # the panel is bisected and each half is checked at half the share
+    x, w = np.polynomial.legendre.leggauss(6)
+    g6 = float(np.dot(w, ((x + 1) / 2) ** 12) / 2)
+    assert abs(g6 - 1 / 13) > 1e-8
+    calls = []
+    q = adaptive_quadrature(_recording(lambda t: t ** 12, calls), 0.0, 1.0, 1e-8, breaks=[])
+    assert [len(t) for t in calls] == [18, 36]
+    left, right = calls[1][:18], calls[1][18:]
+    assert left.max() < 0.5 < right.min()
+    assert abs(q - 1 / 13) <= 1e-15
 
 
 def test_quadrature_rejects_bad_breaks():

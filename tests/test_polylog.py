@@ -266,10 +266,9 @@ def test_mean_average_resumes_node_rows(monkeypatch):
         calls.append((N, p.copy(), nodes))
         return real_transform(s_, a_, N, p, nodes)
 
-    def columns(B, powers, lo, hi, carry):
-        R, _, L = B.shape
-        computed[0] += R * (hi - lo) * L
-        return real_columns(B, powers, lo, hi, carry)
+    def columns(B, last, powers, lo, hi, carry):
+        computed[0] += len(last) * (hi - lo) * len(powers)
+        return real_columns(B, last, powers, lo, hi, carry)
 
     monkeypatch.setattr(polylog, "_transform_values", transform)
     monkeypatch.setattr(chains, "_gap_columns", columns)
