@@ -23,13 +23,15 @@ Three evaluators share the same summand model:
   so a process that runs none never loads SciPy, and none imports
   ``scipy.signal``;
 * :func:`dp_q_coupled` — for the kernels that couple the chain statistic Q
-  to the summand: one descending sweep runs the pass of every chain index
-  together over the live q-range of each (chain value, partial Q) row,
-  integer numerators over lcm(1..N)^|s| for exact kernels and float64 for
-  float ones, and folds each row's live range with the kernel as it
-  arrives (the exact MEAN_FULL kernel table's integer numerators come from
-  an O(N^2) recurrence), building one Fraction, for an exact total:
-  O(|s| * N) memory, O(N^2 * |s|) work.
+  to the summand: one ascending sweep, the transpose of the descending
+  sweep over the (chain value, partial Q) rows, seeds the last chain
+  index's pass with the kernel and carries every pass up over its live
+  q-range, integer numerators for exact kernels and float64 for float
+  ones, and reads the contribution of each first index n_1 from one cell
+  (:func:`dp_q_contributions`), so its running sums are the truncations at
+  every n_1 <= N and a ladder runs one sweep (the exact MEAN_FULL kernel
+  table's integer numerators come from an O(N^2) recurrence); an exact
+  total is one Fraction: O(|s| * N) memory, O(N^2 * |s|) work.
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails,
@@ -496,60 +498,75 @@ def dp_q_naive(kernel: QKernelSpec, N: int, budget=NAIVE_CHAIN_BUDGET):
     return Fraction(_walk_chains(N, kernel.chain_length, (0, 1, 0), step, budget))
 
 
-def _q_rows(kernel: QKernelSpec, N: int, exact: bool):
-    """The rows of the (chain value, partial Q) table over the length-|s|
-    chains truncated at n_1 <= N, as one descending sweep: yields
-    (m, row, lo, hi) for m = N..1, where row[q] is the sum of
-    1/(n_1 ... n_|s|) over the chains with last value n_|s| = m and
-    statistic Q = q, and lo..hi is the row's live q-range, outside of which
-    the row is zero.
-
-    Exact rows hold Python-int numerators over lcm(1..N)^|s| in object
-    arrays (a pass multiplies by the integer lcm/m), float rows float64.
-    Each chain index is one pass, and all passes step together: at m, a
-    later pass adds the previous pass's live slice of row m to its
-    accumulator, the suffix sum over the values >= m that the sweep has
-    already produced, with one in-place add (the accumulator is zero
-    outside the hull of what was added to it), then shifts its live range
-    and scales it into its own row m with one multiply.  So a pass holds
-    one accumulator and one row buffer of length N+1, the yielded row is
-    overwritten by the next step, and no arithmetic runs on a structural
-    zero.  Pass i's live range at m is the hull of the partial Q of the
-    chains with n_{i+1} = m (by induction), which lies in 0..N, so no
-    range is clipped and none is empty.
-    """
-    signs = chain_q_signs(kernel.s)
+def _q_seed(kernel: QKernelSpec, N: int, exact: bool):
+    """``seed(m, lo, hi)``, the kernel over its value m, K(m, q)/m for q =
+    lo..hi, and the denominator of exact seeds: ``MEAN_INF``'s r[q] r[q+m],
+    r[k] = 1/(k+1) (exact over lcm(1..N+1), as q + m <= N on every read),
+    or the table of :func:`_mean_full_kernel` over m."""
+    if kernel.kind == "MEAN_INF":
+        if exact:
+            lcm = math.lcm(*range(1, N + 2))
+            r, den = np.array([lcm // k for k in range(1, N + 2)], dtype=object), lcm * lcm
+        else:
+            r, den = 1.0 / np.arange(1, N + 2), 1
+        return (lambda m, lo, hi: r[lo:hi + 1] * r[lo + m:hi + m + 1]), den
+    K, den = _mean_full_kernel(kernel.a, N)
     if exact:
         lcm = math.lcm(*range(1, N + 1))
-        inv = [lcm // m for m in range(1, N + 1)]
-    else:
-        inv = 1.0 / np.arange(1, N + 1)
-    rows = [np.zeros(N + 1, dtype=object if exact else np.float64) for _ in signs]
-    # accs[i]: pass i's sum of pass i-1's rows >= m over its hull acc_live[i]
-    # (accs[0] is unused)
-    accs = [np.zeros_like(row) for row in rows]
-    acc_live = [(N + 1, -1)] * len(signs)
-    for m in range(N, 0, -1):
-        lo = hi = m if signs[0] > 0 else 0
-        rows[0][lo] = inv[m - 1]
-        for i in range(1, len(signs)):
-            accs[i][lo:hi + 1] += rows[i - 1][lo:hi + 1]
-            a_lo, a_hi = acc_live[i] = min(lo, acc_live[i][0]), max(hi, acc_live[i][1])
-            # shift by signs[i] * m along the partial-Q axis, then scale by 1/m
-            lo, hi = a_lo + signs[i] * m, a_hi + signs[i] * m
-            np.multiply(accs[i][a_lo:a_hi + 1], inv[m - 1], out=rows[i][lo:hi + 1])
-        yield m, rows[-1], lo, hi
+        return (lambda m, lo, hi: K[m - 1, lo:hi + 1] * (lcm // m)), den * lcm
+    K = (K / den).astype(np.float64)
+    return (lambda m, lo, hi: K[m - 1, lo:hi + 1] / m), 1
 
 
-def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
-    """Q-coupled chain sum truncated at n_1 <= N.
+def _q_live_ranges(signs):
+    """Entry i (i >= 1) gives the live range of :func:`dp_q_contributions`'
+    accumulator A_i as coefficients (lo_m, hi_n, hi_m): at step m of a sweep
+    to N it is [lo_m m, hi_n N - hi_m m].
 
-    Folds each row of the sweep of :func:`_q_rows` with the kernel over its
-    live q-range as it arrives, so memory is O(|s| * N) (the exact MEAN_FULL
-    kernel table aside); the partial-Q range never exceeds N, so the sweep
-    makes O(N^2 * |s|) cell updates, and ``Q_STATE_BUDGET`` bounds that
-    work, not the memory.  Exact kernels fold integer numerators and build
-    one Fraction, for the total; ``exact=False`` gives a float.
+    A_i is read at step m and later only at the partial Q of n_1..n_i of the
+    chains N >= n_1 >= ... >= n_i >= m.  A block of size >= 2 that n_1..n_i
+    close adds n_first - n_last >= 0, together at most n_1 - n_i <= N - m
+    as the chain does not increase; an open block (the signs before i sum
+    to 1) adds its first index, in m..N.  So the hull is [m, N] while a
+    block is open, [0, N - m] once one has closed and [0, 0] before: the
+    hull of the descending sweep's accumulator at m (its suffix sum over
+    n_i >= m), so the two sweeps update the same cells.
+    """
+    ranges, depth = [None], 0
+    for i in range(1, len(signs)):
+        depth += signs[i - 1]
+        ranges.append((1, 1, 0) if depth else (0, 1, 1) if -1 in signs[:i] else (0, 0, 0))
+    return ranges
+
+
+def dp_q_contributions(kernel: QKernelSpec, N: int, exact=None):
+    """The Q-coupled chain sum split by its first index, from one ascending
+    sweep.  Returns (c, den, cells): ``c[n]`` sums the chains with n_1 = n
+    (``c[0]`` = 0), so ``np.cumsum(c)[n]`` is the truncation at n_1 <= n for
+    every n <= N, and ``cells[n]`` counts the cell updates of step n.  Exact
+    kernels give integer numerators over ``den``, float ones floats.
+
+    With w = |s| and sigma the signs of :func:`chain_q_signs`, the sum is
+    over N >= n_1 >= ... >= n_w >= 1 of prod_i 1/n_i times K(n_w, Q).  The
+    sweep is the transpose of the one that pushes 1/n_1 down the chain
+    indices, pass i holding the suffix sums over n_{i-1} >= n_i, and folds
+    the last with K: it pulls K up instead, at the same cost.  After step
+    m, A_i[q] sums over the tails m >= n_{i+1} >= ... >= n_w of
+    prod_{j>i} 1/n_j K(n_w, q + sigma_i n_{i+1} + ... + sigma_{w-1} n_w):
+    step m adds K(m, q + sigma_{w-1} m)/m to A_{w-1}[q], then, top down,
+    A_{i+1}[q + sigma_i m]/m to A_i[q], and c(m) is A_1[sigma_0 m]/m
+    (K(m, sigma_0 m)/m for w = 1).  A chain with n_1 = m has no index
+    above m, so c(m) does not depend on N: one sweep gives every
+    truncation.
+
+    Each pass updates its live range (:func:`_q_live_ranges`), which
+    shrinks as m grows, so a cell in range was in range at every earlier
+    step; by its cases a pass reads A_{i+1} inside A_{i+1}'s range.  The
+    ranges at N' < N lie inside those at N and the updates are
+    elementwise, so the sweep at N gives c(1..N') bit for bit as the sweep
+    at N' does.  O(N^2 * |s|) cell updates, bounded by ``Q_STATE_BUDGET``,
+    in O(|s| * N) memory (the exact MEAN_FULL table aside); exact sweeps
+    run on Python ints, each 1/m the integer lcm(1..N)/m.
     """
     n_cells = N * N * max(1, kernel.s.weight)
     if n_cells > Q_STATE_BUDGET:
@@ -557,35 +574,49 @@ def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
             f"Q-coupled DP needs ~{n_cells} cell updates, over budget {Q_STATE_BUDGET}")
     if exact is None:
         exact = isinstance(kernel.a, (int, Fraction))
-    if kernel.kind == "MEAN_INF":
-        # the rows carry a 1/n_L that MEAN_INF lacks: the row kernel
-        # m / ((q+1)(q+m+1)) = m r[q] r[q+m], r[k] = 1/(k+1), multiplies it
-        # back out; exact r[k] are the numerators l/(k+1) over l
-        if exact:
-            lcm = math.lcm(*range(1, 2 * N + 2))
-            r = np.array([lcm // k for k in range(1, 2 * N + 2)], dtype=object)
-            den = lcm * lcm
-        else:
-            r = 1.0 / np.arange(1, 2 * N + 2)
-
-        def fold(m, row, lo, hi):
-            return m * row[lo:hi + 1].dot(r[lo:hi + 1] * r[lo + m:hi + m + 1])
-    else:
-        K, den = _mean_full_kernel(kernel.a, N)
-        if not exact:
-            K = (K / den).astype(np.float64)
-
-        def fold(m, row, lo, hi):
-            return row[lo:hi + 1].dot(K[m - 1, lo:hi + 1])
-    dots = [0] * N
-    for m, row, lo, hi in _q_rows(kernel, N, exact):
-        dots[m - 1] = fold(m, row, lo, hi)
-    # summed in ascending m, the table's row order, not the sweep's
-    total = 0
-    for dot in dots:
-        total += dot
+    signs = chain_q_signs(kernel.s)
+    last = len(signs) - 1
+    seed, den = _q_seed(kernel, N, exact)
     if exact:
-        return Fraction(total, math.lcm(*range(1, N + 1)) ** kernel.s.weight * den)
+        lcm = math.lcm(*range(1, N + 1))
+        inv = [lcm // m for m in range(1, N + 1)]
+        den *= lcm ** last
+    else:
+        inv = (1.0 / np.arange(1, N + 1)).tolist()
+    dtype = object if exact else np.float64
+    ranges = _q_live_ranges(signs)
+    accs = [np.zeros(N + 1, dtype=dtype) for _ in signs]  # accs[0] is unused
+    buf = np.zeros(N + 1, dtype=dtype)
+    c = np.zeros(N + 1, dtype=dtype)
+    cells = np.zeros(N + 1, dtype=np.int64)
+    for m in range(1, N + 1):
+        count = 1
+        for i in range(last, 0, -1):
+            lo_m, hi_n, hi_m = ranges[i]
+            lo, hi = lo_m * m, hi_n * N - hi_m * m
+            shift = signs[i] * m
+            if i == last:
+                add = seed(m, lo + shift, hi + shift)
+            else:
+                add = np.multiply(accs[i + 1][lo + shift:hi + shift + 1], inv[m - 1],
+                                  out=buf[:hi - lo + 1])
+            accs[i][lo:hi + 1] += add
+            count += hi - lo + 1
+        q = signs[0] * m
+        c[m] = accs[1][q] * inv[m - 1] if last else seed(m, q, q)[0]
+        cells[m] = count
+    return c, den, cells
+
+
+def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
+    """Q-coupled chain sum truncated at n_1 <= N: the last running sum of
+    :func:`dp_q_contributions`, in ascending n_1 as a ladder reads it.
+    Exact kernels build one Fraction, for the total; ``exact=False`` gives
+    a float."""
+    c, den, _ = dp_q_contributions(kernel, N, exact)
+    total = np.cumsum(c)[-1]
+    if c.dtype == object:
+        return Fraction(total, den)
     return float(total)
 
 

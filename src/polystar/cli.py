@@ -179,6 +179,14 @@ def _report_key(report):
                                   sort_keys=True))
 
 
+def _report_line(report):
+    """The text line of a report: status, id, params, then |diff| and the
+    reason when the report has them."""
+    return (f"{report.status.upper():14s} {report.id} {report.params}"
+            + ("" if report.abs_diff is None else f" |diff|={report.abs_diff}")
+            + ("" if report.skip_reason is None else f" ({report.skip_reason})"))
+
+
 def cmd_verify(args):
     run = _resolve_run_config(args)
     tol_override, jobs = run["tol"], run["jobs"]
@@ -230,9 +238,7 @@ def cmd_verify(args):
         if args.json:
             print(json.dumps(report.to_json_dict()))
         elif report.status != "pass" or args.verbose:
-            print(f"{report.status.upper():14s} {report.id} {report.params}"
-                  + ("" if report.abs_diff is None else f" |diff|={report.abs_diff}")
-                  + ("" if report.skip_reason is None else f" ({report.skip_reason})"))
+            print(_report_line(report))
     if not args.json:
         print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
               f"{counts['skip']} skipped, {counts['not_converged']} not converged "
@@ -260,7 +266,7 @@ def cmd_fuzz(args):
         if args.json:
             print(json.dumps(report.to_json_dict()))
         elif report.status != "pass":
-            print(f"{report.status.upper():14s} {report.id} {report.params}")
+            print(_report_line(report))
         fails += report.status == "fail"
         ncs += report.status == "not_converged"
     if not args.json:

@@ -19,7 +19,7 @@ import numpy as np
 from mpmath import mp
 
 from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_BUDGET,
-                     TruncationSchedule, adaptive_sum, dp_q_coupled)
+                     TruncationSchedule, adaptive_sum, dp_q_contributions)
 from .compositions import (Composition, ShapeBlocks, as_composition,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
@@ -224,10 +224,12 @@ def zeta_star_closed(form: str, d: int) -> mpmath.mpf:
 
 def mean_kernel_infinite(s, tol) -> EvalResult:
     """Infinite limit of the 1/((Q+1)(Q+n_L+1)) kernel sum over chains of
-    shape s: a truncation ladder over the Q-coupled DP with window
-    extrapolation (the tail decays like log N / N), up to ``Q_MAX_N``; a
-    weight whose last level would exceed ``Q_STATE_BUDGET`` raises
-    :class:`BudgetExceededError` before the first."""
+    shape s: window extrapolation (the tail decays like log N / N) over a
+    truncation ladder up to ``Q_MAX_N``, whose levels are read from the
+    running sums of one Q-coupled sweep at ``Q_MAX_N``
+    (:func:`dp_q_contributions`); each level counts the cell updates of the
+    sweep's steps it adds.  A weight whose sweep would exceed
+    ``Q_STATE_BUDGET`` raises :class:`BudgetExceededError` before it runs."""
     s = as_composition(s)
     kernel = QKernelSpec(s, "MEAN_INF")
     if Q_MAX_N ** 2 * s.weight > Q_STATE_BUDGET:
@@ -235,11 +237,16 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
             f"the ladder of weight {s.weight} needs N = {Q_MAX_N}, "
             f"{Q_MAX_N ** 2 * s.weight} cell updates, over budget {Q_STATE_BUDGET}")
     schedule = TruncationSchedule(max_n=Q_MAX_N, tolerance=tol, extrapolate=True)
+    c, _, cells = dp_q_contributions(kernel, Q_MAX_N, exact=False)
+    partials, work = np.cumsum(c), np.cumsum(cells)
+    levels = [0]
 
     def evaluate(N):
-        return dp_q_coupled(kernel, N, exact=False)
+        levels.append(N)
+        return float(partials[N])
 
-    return adaptive_sum(evaluate, schedule, cost_per_level=lambda N: N * N * s.weight)
+    return adaptive_sum(evaluate, schedule,
+                        cost_per_level=lambda N: int(work[N] - work[levels[-2]]))
 
 
 class _NodeStates:

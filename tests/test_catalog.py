@@ -215,13 +215,14 @@ def test_unconverged_ladder_reason_names_its_side(monkeypatch):
 
 def test_q_state_budget_reaches_the_seventh_level_up_to_weight_11(monkeypatch):
     # weight 9 reaches N = 4,096 and passes; weight 12 would need more than
-    # Q_STATE_BUDGET at N = 4,096, so its ladder refuses before its first level
+    # Q_STATE_BUDGET at N = 4,096, so its ladder refuses before its one sweep
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
     assert r.status == "pass" and r.skip_reason is None
-    levels = []
-    monkeypatch.setattr(catalog.polylog, "dp_q_coupled", lambda *args, **kw: levels.append(args))
+    sweeps = []
+    monkeypatch.setattr(catalog.polylog, "dp_q_contributions",
+                        lambda *args, **kw: sweeps.append(args))
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3, 3))))
-    assert r.status == "not_converged" and levels == []
+    assert r.status == "not_converged" and sweeps == []
     assert r.skip_reason == ("BudgetExceededError: the ladder of weight 12 needs "
                              "N = 4096, 201326592 cell updates, over budget 200000000")
 

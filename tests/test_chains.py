@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -14,9 +15,10 @@ from scipy.signal import lfilter
 from polystar import chains, exact
 from polystar.catalog import _all_compositions
 from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
-                             TruncationSchedule, _gap_columns, _q_rows,
+                             TruncationSchedule, _gap_columns,
                              _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
-                             dp_q_coupled, dp_q_naive, naive_chain_sum)
+                             dp_q_contributions, dp_q_coupled, dp_q_naive,
+                             naive_chain_sum)
 from polystar.compositions import Composition, chain_q_signs, transform_bases
 from polystar.kernel import BudgetExceededError, DomainError
 
@@ -543,8 +545,9 @@ def test_q_coupled_matches_enumeration():
 
 
 def test_q_coupled_float_matches_exact():
-    # the float fold reads each row's live range only and takes the MEAN_INF
-    # kernel from reciprocals; up to N = 128 it stays at the rounding level
+    # the float sweep updates each pass's live range only and takes the
+    # MEAN_INF kernel from reciprocals; up to N = 128 it stays at the
+    # rounding level
     for parts in Q_COMPOSITIONS:
         for kind, a, sizes in (("MEAN_INF", F(1), (5, 17, 64, 128)),
                                ("MEAN_FULL", F(1, 2), (4, 9)),
@@ -560,20 +563,27 @@ def test_q_coupled_float_matches_exact():
     assert type(dp_q_coupled(k, 4)) is float
 
 
-def _cumsum_q_table(kernel, N, exact):
-    """The Q table by whole-table axis-0 suffix sums: the reference the
-    row pass must match (bit for bit in float)."""
-    signs = chain_q_signs(kernel.s)
+def _cumsum_q_tables(s, N, exact):
+    """The descending Q tables by whole-table axis-0 suffix sums, the
+    reference the sweep must match: returns (accs, W), where W[m - 1, q] is
+    the sum of 1/(n_1 ... n_|s|) over the chains N >= n_1 >= ... >= n_|s| =
+    m with statistic Q = q, and accs[i] (i >= 1; accs[0] is None) is the
+    suffix sum over n_i >= m of pass i-1's table, by m and the partial Q of
+    n_1..n_i.  Exact tables hold integer numerators over lcm(1..N)^|s|."""
+    signs = chain_q_signs(s)
     if exact:
+        lcm = math.lcm(*range(1, N + 1))
         W = np.zeros((N, N + 1), dtype=object)
-        inv = np.array([F(1, m) for m in range(1, N + 1)], dtype=object)
+        inv = np.array([lcm // m for m in range(1, N + 1)], dtype=object)
     else:
         W = np.zeros((N, N + 1))
         inv = 1.0 / np.arange(1, N + 1)
     rows = np.arange(N)
     W[rows, rows + 1 if signs[0] > 0 else 0] = inv
+    accs = [None]
     for sg in signs[1:]:
         np.cumsum(W[::-1], axis=0, out=W[::-1])
+        accs.append(W.copy())
         if sg:
             for m in range(1, N + 1):
                 row = W[m - 1]
@@ -584,70 +594,100 @@ def _cumsum_q_table(kernel, N, exact):
                     row[:N + 1 - m] = row[m:]
                     row[N + 1 - m:] = 0
         W *= inv[:, None]
-    return W
+    return accs, W
 
 
-def _swept_q_table(kernel, N, exact):
-    """The Q table assembled from the live ranges of the rows of the one
-    descending sweep, which must come in the order m = N..1; exact rows are
-    read as Fractions, their integer numerators over lcm(1..N)^|s|."""
-    W = np.zeros((N, N + 1), dtype=object if exact else np.float64)
-    den = math.lcm(*range(1, N + 1)) ** kernel.s.weight
-    order = []
-    for m, row, lo, hi in _q_rows(kernel, N, exact):
-        W[m - 1, lo:hi + 1] = [F(v, den) for v in row[lo:hi + 1]] if exact else row[lo:hi + 1]
-        order.append(m)
-    assert order == list(range(N, 0, -1))
-    return W
+@functools.cache
+def _fold_kernel(kind, a, N):
+    """K(m, q) for m = 1..N, q = 0..N as integer numerators over the
+    returned denominator: ``MEAN_INF``'s m/((q+1)(q+m+1)) over l^2, l =
+    lcm(1..2N+1), or ``MEAN_FULL``'s table."""
+    if kind == "MEAN_FULL":
+        return chains._mean_full_kernel(a, N)
+    lcm = math.lcm(*range(1, 2 * N + 2))
+    return np.array([[m * (lcm // (q + 1)) * (lcm // (q + m + 1)) for q in range(N + 1)]
+                     for m in range(1, N + 1)], dtype=object), lcm * lcm
+
+
+def _contributions(kernel, N, exact):
+    """The sweep's contribution of each first index n_1 = 1..N, as Fractions
+    for exact sweeps."""
+    c, den, _ = dp_q_contributions(kernel, N, exact)
+    return [F(int(x), den) for x in c[1:]] if exact else c[1:]
+
+
+def _table_fold(kernel, W, N):
+    """The truncation at N of the exact descending table W, folded with the
+    kernel."""
+    K, k_den = _fold_kernel(kernel.kind, kernel.a, N)
+    return F(int((W * K).sum()), math.lcm(*range(1, N + 1)) ** kernel.s.weight * k_den)
 
 
 @pytest.mark.parametrize("parts", ((2,), (3,), (2, 2), (1, 2, 1), (4,), (2, 1)))
 def test_q_table_row_pass_matches_cumsum(parts):
-    k = QKernelSpec(Composition(parts), "MEAN_FULL", F(1, 2))
-    for N in (1, 2, 7, 12):
-        got = _swept_q_table(k, N, exact=True)
-        want = _cumsum_q_table(k, N, exact=True)
-        assert (got == want).all()
-        assert all(type(x) is F for x in got[got != 0])
-    for N in (1, 7, 64, 300) + ((1024,) if parts == (2, 2) else ()):
-        got = _swept_q_table(k, N, exact=False)
-        assert np.array_equal(_bits(got), _bits(_cumsum_q_table(k, N, exact=False)))
-    # the MEAN_INF fold of the row-pass table, against the cumsum table's:
-    # each row's nonzero hull, dotted with r[q] r[q+m] (r[k] = 1/(k+1)),
-    # times m, summed in ascending m
-    k = QKernelSpec(Composition(parts), "MEAN_INF")
-    W = _cumsum_q_table(k, 300, exact=False)
-    r = 1.0 / np.arange(1, 602)
-    want = 0.0
-    for m in range(1, 301):
-        nonzero = np.flatnonzero(W[m - 1])
-        lo, hi = nonzero[0], nonzero[-1]
-        want += m * W[m - 1, lo:hi + 1].dot(r[lo:hi + 1] * r[lo + m:hi + m + 1])
-    assert _bits(dp_q_coupled(k, 300, exact=False)) == _bits(want)
+    # exact: every truncation n <= 12, the running sum of the contributions,
+    # is the fold of the descending table at n; float: each contribution is
+    # a sum of positive terms and each cell of a pass a sum of at most N of
+    # them, so the analysis allows |s| N eps relative, and N eps holds (the
+    # worst at N = 300 is about 7 eps; the float MEAN_FULL table, which only
+    # tests use, is checked at N = 60)
+    s = Composition(parts)
+    for kind, a, N in (("MEAN_INF", F(1), 300), ("MEAN_FULL", F(1, 2), 60)):
+        k = QKernelSpec(s, kind, a)
+        c = _contributions(k, 12, exact=True)
+        for n in range(1, 13):
+            assert sum(c[:n]) == _table_fold(k, _cumsum_q_tables(s, n, exact=True)[1], n)
+        got = _contributions(k, N, exact=False)
+        want = np.array([float(x) for x in _contributions(k, N, exact=True)])
+        assert (want > 0).all()
+        assert (np.abs(got - want) <= N * np.finfo(float).eps * want).all()
 
 
 def test_q_sweep_last_range_never_drops_a_cell():
-    # the sweep never clears the yielded row, so the cells it writes at m
-    # must include every cell it wrote at m+1, and the live range it yields
-    # must be the cells it wrote; NaN-filling the yielded buffer (which no
-    # pass reads) shows the cells the next step writes
-    steps = 0
+    # every cell a pass reads later is nonzero in the descending accumulator
+    # (positive terms), so each live range must cover its nonzero cells: it
+    # is exactly their hull.  c(n_1) = T(n_1) - T(n_1 - 1) does not depend
+    # on the sweep's N, so the sweeps at N in {1, 2, 3, 7, 40} must agree on
+    # their common n_1, and each total must be the descending table's fold
+    # and, where the enumeration is small, the oracle's
+    kernels = (("MEAN_INF", F(1)),) + tuple(("MEAN_FULL", a) for a in (F(-1), F(1, 2), F(1), F(2)))
+    passes = oracle = 0
     for s in _all_compositions(8):
+        signs = chain_q_signs(s)
+        previous = {}
         for N in (1, 2, 3, 7, 40):
-            want = _cumsum_q_table(QKernelSpec(s, "MEAN_INF"), N, exact=False)
-            # at m = N the one chain is constant, with Q = 0
-            previous = (0, 0)
-            for m, row, live_lo, live_hi in _q_rows(QKernelSpec(s, "MEAN_INF"), N, exact=False):
-                written = np.flatnonzero(~np.isnan(row) if m < N else row)
-                lo, hi = written[0], written[-1]
-                assert len(written) == hi - lo + 1
-                assert (live_lo, live_hi) == (lo, hi)
-                assert lo <= previous[0] and previous[1] <= hi
-                assert np.array_equal(_bits(np.nan_to_num(row)), _bits(want[m - 1]))
-                previous = (lo, hi)
-                row[:] = np.nan
-                steps += 1
-    assert steps == 255 * (1 + 2 + 3 + 7 + 40)
+            accs, W = _cumsum_q_tables(s, N, exact=True)
+            ranges = chains._q_live_ranges(signs)
+            for i in range(1, len(signs)):
+                lo_m, hi_n, hi_m = ranges[i]
+                for m in range(1, N + 1):
+                    nonzero = np.flatnonzero(accs[i][m - 1])
+                    assert (lo_m * m, hi_n * N - hi_m * m) == (nonzero[0], nonzero[-1])
+                passes += 1
+            for kind, a in kernels:
+                k = QKernelSpec(s, kind, a)
+                c, den, _ = dp_q_contributions(k, N, exact=True)
+                total = F(int(c.sum()), den)
+                c = [F(int(x), den) for x in c[1:]]
+                before = previous.get((kind, a), [])
+                assert c[:len(before)] == before
+                previous[kind, a] = c
+                assert total == _table_fold(k, W, N)
+                if math.comb(N + k.chain_length - 1, k.chain_length) <= 60:
+                    assert total == dp_q_naive(k, N)
+                    oracle += 1
+    assert passes == sum((s.weight - 1) * 5 for s in _all_compositions(8))
+    assert oracle >= 255 * 5
+
+
+def test_q_sweep_at_n_gives_the_lower_truncations_bit_for_bit():
+    # the ranges at N' < N lie inside those at N and every update is
+    # elementwise, so the sweep at N repeats the sweep at N' on its cells
+    for parts in Q_COMPOSITIONS:
+        k = QKernelSpec(Composition(parts), "MEAN_INF")
+        big = np.cumsum(dp_q_contributions(k, 300, exact=False)[0])
+        for N in (1, 7, 64, 299):
+            assert _bits(big[N]) == _bits(dp_q_coupled(k, N, exact=False))
 
 
 def test_q_sweep_memory_is_linear_in_n():
@@ -666,7 +706,8 @@ def test_q_sweep_memory_is_linear_in_n():
 def _term_ratio_fold(kernel, N):
     """The MEAN_FULL fold cell by cell, each kernel sum rebuilt from the
     ratio of consecutive terms: the reference of the recurrence table."""
-    W = _swept_q_table(kernel, N, exact=True)
+    W = _cumsum_q_tables(kernel.s, N, exact=True)[1]
+    W = W * F(1, math.lcm(*range(1, N + 1)) ** kernel.s.weight)
     a = F(kernel.a)
     total = F(0)
     for i, q in zip(*np.nonzero(W)):

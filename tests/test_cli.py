@@ -190,6 +190,20 @@ def test_fuzz_exit_code(capsys):
     assert "5/5 pass" in capsys.readouterr().out
 
 
+def test_fuzz_text_lines_give_the_reason(capsys):
+    # outside its domain the sampler draws points whose prefix products
+    # leave the unit disc; the text line says why, as the JSON report does
+    args = ["fuzz", "INTRO_SERIES", "--outside", "--trials", "8", "--seed", "3"]
+    assert main(args) == cli.EXIT_NOT_CONVERGED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("NOT_CONVERGED  INTRO_SERIES ")
+    assert "(evaluation rejected: prefix products" in lines[0]
+    assert main(args + ["--json"]) == cli.EXIT_NOT_CONVERGED
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    reasons = [r["reason"] for r in reports if r["status"] != "pass"]
+    assert [line[line.index(" (") + 2:-1] for line in lines[:-1]] == reasons
+
+
 def test_bench_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "dp-vs-naive"])

@@ -223,12 +223,49 @@ def test_mean_inf_identity_sides():
 
 
 def test_mean_kernel_terms_count_q_dp_cells(monkeypatch):
-    # each ladder level N fills an N x N table per chain position
+    # the ladder runs one sweep at Q_MAX_N and reads every level from it;
+    # its terms are that sweep's cell updates, charged to the levels whose
+    # steps made them
+    sweeps = []
+
+    def counted(kernel, N, exact=None):
+        sweeps.append(N)
+        return chains.dp_q_contributions(kernel, N, exact)
+
+    monkeypatch.setattr(polylog, "dp_q_contributions", counted)
     monkeypatch.setattr(polylog, "Q_MAX_N", 256)
     s = Composition((2, 1))
     res = polylog.mean_kernel_infinite(s, 1e-6)
-    assert res.truncation_level == 256  # the ladder ran 64, 128, 256
-    assert res.terms_used == sum(N * N * s.weight for N in (64, 128, 256))
+    assert res.truncation_level == 256  # the ladder read 64, 128, 256
+    assert sweeps == [256]
+    _, _, cells = chains.dp_q_contributions(chains.QKernelSpec(s, "MEAN_INF"), 256, False)
+    assert res.terms_used == sum(cells)
+    # (2,) at N = 64: c(m) read at each step m, one accumulator over [m, 64]
+    monkeypatch.setattr(polylog, "Q_MAX_N", 64)
+    assert polylog.mean_kernel_infinite(Composition((2,)), 1e-6).terms_used == 64 + 64 * 65 // 2
+
+
+@pytest.mark.parametrize("parts, closed", (((2,), lambda: polylog.zeta(2)),
+                                           ((3,), lambda: polylog.zeta(3)),
+                                           ((2, 2), lambda: 7 * polylog.zeta(4) / 4)),
+                         ids=("2", "3", "2,2"))
+def test_mean_kernel_ladder_levels_match_the_dp(monkeypatch, parts, closed):
+    # each level read from the one sweep is the truncated DP at that level
+    levels = {}
+
+    def recorded(evaluator, schedule, **kwargs):
+        return chains.adaptive_sum(lambda N: levels.setdefault(N, evaluator(N)),
+                                   schedule, **kwargs)
+
+    monkeypatch.setattr(polylog, "adaptive_sum", recorded)
+    s = Composition(parts)
+    res = polylog.mean_kernel_infinite(s, 1e-6)
+    assert sorted(levels) == [64 * 2 ** k for k in range(7)]
+    kernel = chains.QKernelSpec(s, "MEAN_INF")
+    for N, value in levels.items():
+        want = chains.dp_q_coupled(kernel, N, exact=False)
+        assert abs(value - want) <= 1e-13 * want
+    assert res.converged and abs(res.value - float(closed())) <= 1e-6
 
 
 def _scalar_transform_value(s, a, N, p):
