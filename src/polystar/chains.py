@@ -34,8 +34,9 @@ Three evaluators share the same summand model:
   total is one Fraction: O(|s| * N) memory, O(N^2 * |s|) work.
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
-geometric-tail stopping test or window extrapolation for polynomial tails,
-and returns the result as float64.
+geometric-tail stopping test or window extrapolation for polynomial tails;
+each level's evaluator returns its value and the work it did, and the
+result, float64, counts that work.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 
 from .compositions import Composition, as_composition, chain_q_signs
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
-                     best_extrapolant, binomial)
+                     best_extrapolant, binomial, check_tolerance)
 
 NAIVE_CHAIN_BUDGET = 10 ** 7
 Q_STATE_BUDGET = 2 * 10 ** 8
@@ -132,8 +133,9 @@ class TruncationSchedule:
     extrapolate: bool = False
 
     def __post_init__(self):
-        if self.start < 1 or self.tolerance <= 0:
+        if self.start < 1:
             raise DomainError("invalid truncation schedule")
+        check_tolerance(self.tolerance)
 
     def levels(self):
         n = self.start
@@ -646,11 +648,11 @@ def _mean_full_kernel(a, N: int):
     return K, ad ** N * lcm
 
 
-def adaptive_sum(evaluator, schedule: TruncationSchedule, cost_per_level=None,
-                 min_samples=7):
+def adaptive_sum(evaluator, schedule: TruncationSchedule, min_samples=7):
     """Evaluate a truncated-sum family over the schedule's ladder.
 
-    ``evaluator(N)`` returns the truncation at n_1 <= N.  With
+    ``evaluator(N)`` returns ``(value, work)``: the truncation at n_1 <= N
+    and the work that level computed, which ``terms_used`` sums.  With
     ``schedule.extrapolate`` window extrapolants drive convergence;
     otherwise the geometric test |v(gN) - v(N)| <= tol/4 with one extra
     safety level is used.  Returns a float64 :class:`EvalResult` whose
@@ -672,9 +674,10 @@ def adaptive_sum(evaluator, schedule: TruncationSchedule, cost_per_level=None,
         return 1e-12 * (1.0 + abs(float(values[-1])))
 
     for N in schedule.levels():
+        value, work = evaluator(N)
         levels.append(N)
-        values.append(evaluator(N))
-        terms += cost_per_level(N) if cost_per_level else N
+        values.append(value)
+        terms += work
         if len(values) < 2:
             continue
         if schedule.extrapolate:

@@ -5,7 +5,11 @@ The depth-one polylogarithm and the zeta oracle come from mpmath at a fixed
 working precision.  Every other infinite sum here is a truncation ladder
 driven through the chain-sum engine; geometric tails stop on raw
 differences, polynomial tails (any prefix product of the argument string on
-the unit circle) go through window extrapolation.
+the unit circle) go through window extrapolation.  Each ladder level
+returns its value with the work it computed, which ``terms_used`` sums,
+and each ladder carries one state across its levels: a star sum's one-row
+:class:`GapState`, a mean kernel's one Q-coupled sweep, and the beta
+integral's one :class:`GapState` of the last level's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def li(s: int, x) -> EvalResult:
     if s < 1:
         raise DomainError("order must be >= 1")
     x = float(x)
-    if abs(x) > 1:
+    if not abs(x) <= 1:  # NaN too
         raise DomainError(f"|x| <= 1 required, got x={x}")
     if s == 1 and x == 1:
         raise DomainError("order-1 polylogarithm diverges at x = 1")
@@ -114,7 +118,7 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     last-index tail difference).  Its :class:`GapState` refuses a run whose
     prefix products leave the unit disc."""
     # one DP resumed across the levels: each level computes only its new
-    # columns, and that is the work it counts
+    # columns, and that is the work it returns
     state = GapState.of_spec(spec)
     worst = 0.0
     marginal = 0
@@ -129,17 +133,14 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     polynomial = worst >= 0.95
     schedule = TruncationSchedule(max_n=POLY_MAX_N if polynomial else GEO_MAX_N,
                                   tolerance=tol, extrapolate=polynomial)
-    L = spec.length
-    new_columns = []
 
     def evaluate(N):
-        new_columns.append(state.extend(N).shape[-1])
-        return float(state.values()[0])
+        columns = state.extend(N).shape[-1]
+        return float(state.values()[0]), columns * spec.length
 
     # every marginal prefix direction can raise the log degree of the tail;
     # demand enough ladder samples for the model to cover it
-    return adaptive_sum(evaluate, schedule, cost_per_level=lambda N: new_columns[-1] * L,
-                        min_samples=max(7, marginal + 4))
+    return adaptive_sum(evaluate, schedule, min_samples=max(7, marginal + 4))
 
 
 def li_star(s, xs, tol=1e-9) -> EvalResult:
@@ -239,77 +240,24 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
     schedule = TruncationSchedule(max_n=Q_MAX_N, tolerance=tol, extrapolate=True)
     c, _, cells = dp_q_contributions(kernel, Q_MAX_N, exact=False)
     partials, work = np.cumsum(c), np.cumsum(cells)
-    levels = [0]
 
     def evaluate(N):
-        levels.append(N)
-        return float(partials[N])
+        # the levels double from the schedule's start: this one adds the
+        # steps past the previous level
+        previous = N // 2 if N > schedule.start else 0
+        return float(partials[N]), int(work[N] - work[previous])
 
-    return adaptive_sum(evaluate, schedule,
-                        cost_per_level=lambda N: int(work[N] - work[levels[-2]]))
-
-
-class _NodeStates:
-    """Gap DP rows of the :func:`mean_average_infinite` integrand, kept by
-    quadrature node p across the levels of one ladder.
-
-    ``rows`` maps a node p to its (GapState, row) at the truncation the
-    node last reached, and holds only the nodes of the last level (see
-    :meth:`keep`); ``terms`` counts the columns computed, times the layers,
-    summed over rows.
-    """
-
-    def __init__(self):
-        self.rows = {}
-        self.terms = 0
-
-    def keep(self, N):
-        """Drop every node that the level at truncation N did not visit."""
-        self.rows = {p: kept for p, kept in self.rows.items() if kept[0].n_done == N}
+    return adaptive_sum(evaluate, schedule)
 
 
-def _transform_values(s: Composition, a: float, N: int, p, nodes: _NodeStates):
-    """Truncated chain-sum transform of shape s at (a, p) for every entry of
-    the float64 node array ``p``: the integrand of
-    :func:`mean_average_infinite`.
-
-    A node found in ``nodes`` (whose rows must not be past N) resumes its
-    row from the truncation it reached, and every other node starts a fresh
-    row; the nodes are grouped by that truncation, each group is one
-    row-batched :class:`GapState` advanced to N, and every node's row is
-    kept in ``nodes``.  The values are bit-identical to a fresh DP per
-    node.  A node at p = 1 exactly has no transform bases, and
-    :func:`transform_bases` raises :class:`DomainError` for it.
-    """
-    values = np.empty(len(p))
-    keys = p.tolist()
-    # n_done -> id of the source state -> (state, its rows, indices into p)
-    groups = {}
-    fresh = []
-    for i, key in enumerate(keys):
-        kept = nodes.rows.get(key)
-        if kept is None:
-            fresh.append(i)
-            continue
-        state, row = kept
-        source = groups.setdefault(state.n_done, {}).setdefault(id(state), (state, [], []))
-        source[1].append(row)
-        source[2].append(i)
-    batches = [(GapState.stack([st.take(rows) for st, rows, _ in sources.values()]),
-                [i for _, _, index in sources.values() for i in index])
-               for sources in groups.values()]
-    if fresh:
-        x = p[fresh]
-        bases = np.array([transform_bases(s, y) for y in x]).reshape(len(x), s.weight)
-        batches.append((GapState.of_rows(bases, (1,) * s.weight,
-                                         tail=(1.0 - x + a * x, 1.0 - x)), fresh))
-    for state, index in batches:
-        nodes.terms += len(index) * (N - state.n_done) * s.weight
-        state.advance(N)
-        values[index] = state.values()
-        for row, i in enumerate(index):
-            nodes.rows[keys[i]] = (state, row)
-    return values
+def _node_rows(s: Composition, a: float, p):
+    """Fresh gap DP rows, at truncation 0, of the truncated chain-sum
+    transform of shape s at (a, p) for every entry of the float64 node
+    array ``p``: the integrand of :func:`mean_average_infinite`.  A node at
+    p = 1 exactly has no transform bases, and :func:`transform_bases`
+    raises :class:`DomainError` for it."""
+    bases = np.array([transform_bases(s, y) for y in p]).reshape(len(p), s.weight)
+    return GapState.of_rows(bases, (1,) * s.weight, tail=(1.0 - p + a * p, 1.0 - p))
 
 
 def mean_average_infinite(s, a, tol) -> EvalResult:
@@ -320,19 +268,41 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     sum equals the integral over p in [0,1] of the truncated chain-sum
     transform at (a, p), which the separable DP evaluates in O(N |s|) per
     node; the nodes of the initial mesh (graded toward both ends) and of
-    each bisection round go through one row-batched DP (:func:`_transform_values`).
-    The mesh at 2N refines the mesh at N, so most nodes come back at the
-    next level: each node's DP row is kept for one level and resumed,
-    computing only the columns past the previous truncation, bit-identical
-    to a fresh row; ``terms_used`` counts those columns times |s|.
+    each bisection round go through one row-batched DP.  The mesh at 2N
+    refines the mesh at N, so most nodes come back at the next level: one
+    :class:`GapState` holds the rows of the nodes the last level visited,
+    with a dict from node to row.  A round takes the rows of its returning
+    nodes, starts its new nodes (:func:`_node_rows`) at the kept
+    truncation, and advances the two together to N; the level's rounds are
+    stacked into the next kept state.  The DP is causal and its rows
+    independent, so every value is bit-identical to a fresh row per node
+    and level; ``terms_used`` counts the columns computed times |s|.
     """
     s = as_composition(s)
     a = float(a)
-    nodes = _NodeStates()
+    kept, row_of = _node_rows(s, a, np.empty(0)), {}  # no rows, at truncation 0
 
     def evaluate(N):
+        nonlocal kept, row_of
+        rounds, nodes, work = [], [], 0
+
         def integrand(p):
-            return _transform_values(s, a, N, p, nodes)
+            nonlocal work
+            keys = p.tolist()
+            rows = [row_of.get(key) for key in keys]
+            back = [i for i, row in enumerate(rows) if row is not None]
+            new = [i for i, row in enumerate(rows) if row is None]
+            fresh = _node_rows(s, a, p[new])
+            fresh.advance(kept.n_done)
+            state = GapState.stack([kept.take([rows[i] for i in back]), fresh])
+            state.advance(N)
+            work += (len(new) * kept.n_done + len(p) * (N - kept.n_done)) * s.weight
+            order = back + new
+            values = np.empty(len(p))
+            values[order] = state.values()
+            rounds.append(state)
+            nodes.extend(keys[i] for i in order)
+            return values
 
         # the truncated integrand has boundary layers of width ~1/N at both
         # endpoints; grade the mesh to 2^-K toward 0 and 2^-ceil(K/2) toward 1
@@ -340,17 +310,12 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
         breaks = ([2.0 ** -k for k in range(K, 0, -1)]
                   + [1.0 - 2.0 ** -k for k in range(2, (K + 1) // 2 + 1)])
         value = adaptive_quadrature(integrand, 0.0, 1.0, tol / 64, breaks=breaks)
-        nodes.keep(N)
-        return value
+        kept, row_of = GapState.stack(rounds), {key: row for row, key in enumerate(nodes)}
+        return value, work
 
     schedule = TruncationSchedule(max_n=MEAN_INTEGRAL_MAX_N, tolerance=tol,
                                   extrapolate=True)
-
-    def cost_delta(N):
-        terms, nodes.terms = nodes.terms, 0
-        return terms
-
-    return adaptive_sum(evaluate, schedule, cost_per_level=cost_delta)
+    return adaptive_sum(evaluate, schedule)
 
 
 def mean_lhs_converges(s, a) -> bool:

@@ -748,7 +748,7 @@ def test_q_coupled_state_budget():
 def test_adaptive_sum_geometric_log2():
     spec = FactorSpec((0.5,), (1,))
     sched = TruncationSchedule(tolerance=1e-10)
-    res = adaptive_sum(lambda N: dp_chain_sum(spec, N), sched)
+    res = adaptive_sum(lambda N: (dp_chain_sum(spec, N), N), sched)
     assert res.converged
     assert float(res.error_estimate) <= sched.tolerance
     assert abs(float(res.value) - math.log(2)) < 1e-10
@@ -757,7 +757,7 @@ def test_adaptive_sum_geometric_log2():
 def test_adaptive_sum_zero_spec():
     spec = FactorSpec((0.0, 0.5), (1, 1))
     sched = TruncationSchedule(tolerance=1e-10)
-    res = adaptive_sum(lambda N: dp_chain_sum(spec, N), sched)
+    res = adaptive_sum(lambda N: (dp_chain_sum(spec, N), N), sched)
     assert res.converged
     assert float(res.value) == 0
 
@@ -765,7 +765,7 @@ def test_adaptive_sum_zero_spec():
 def test_adaptive_sum_mean_kernel_polynomial():
     k = QKernelSpec(Composition((2,)), "MEAN_INF")
     sched = TruncationSchedule(max_n=4096, tolerance=1e-6, extrapolate=True)
-    res = adaptive_sum(lambda N: dp_q_coupled(k, N, exact=False), sched)
+    res = adaptive_sum(lambda N: (dp_q_coupled(k, N, exact=False), N * N), sched)
     assert res.converged
     assert abs(float(res.value) - math.pi ** 2 / 6) < 1e-6
 
@@ -774,19 +774,22 @@ def test_adaptive_sum_not_converged_flag():
     # harmonic-like decay cannot satisfy a geometric test within a tiny budget
     spec = FactorSpec((1.0,), (2,))
     sched = TruncationSchedule(start=4, max_n=64, tolerance=1e-12)
-    res = adaptive_sum(lambda N: dp_chain_sum(spec, N), sched)
+    res = adaptive_sum(lambda N: (dp_chain_sum(spec, N), N), sched)
     assert not res.converged
+    # terms_used sums the work each level returned
+    assert res.terms_used == 4 + 8 + 16 + 32 + 64
 
 
 def test_adaptive_sum_determinism():
     k = QKernelSpec(Composition((2,)), "MEAN_INF")
     sched = TruncationSchedule(max_n=2048, tolerance=1e-6, extrapolate=True)
-    r1 = adaptive_sum(lambda N: dp_q_coupled(k, N, exact=False), sched)
-    r2 = adaptive_sum(lambda N: dp_q_coupled(k, N, exact=False), sched)
+    r1 = adaptive_sum(lambda N: (dp_q_coupled(k, N, exact=False), N * N), sched)
+    r2 = adaptive_sum(lambda N: (dp_q_coupled(k, N, exact=False), N * N), sched)
     assert float(r1.value) == float(r2.value)
     assert r1.terms_used == r2.terms_used
 
 
 def test_schedule_validation():
-    with pytest.raises(DomainError):
-        TruncationSchedule(tolerance=0)
+    for tol in (0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            TruncationSchedule(tolerance=tol)

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystar import chains, polylog
+from polystar import chains, kernel, polylog
 from polystar.chains import FactorSpec, PairingUnavailableError, dp_chain_partials
 from polystar.compositions import Composition, ShapeBlocks, transform_bases
 from polystar.kernel import DomainError
@@ -69,6 +69,32 @@ def test_li_domain():
         polylog.li(0, 0.5)
 
 
+def test_li_rejects_nan():
+    # mpmath never returns for a NaN argument; depth-one star sums go
+    # through the same call
+    with pytest.raises(DomainError):
+        polylog.li(2, math.nan)
+    with pytest.raises(DomainError):
+        polylog.li_star((2,), (math.nan,))
+    with pytest.raises(DomainError):
+        polylog.li_star_diff((2,), (), math.nan, 0.5, 1e-9)
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize("side", (
+    lambda tol: polylog.li_star_diff((1, 1), (0.5,), 0.9, 0.4, tol),
+    lambda tol: polylog.mean_kernel_infinite((2,), tol),
+    lambda tol: polylog.mean_average_infinite((2,), 0.5, tol),
+    lambda tol: polylog.li_identity_sides("INTRO_SERIES", 2, 0.5, 0.5, tol),
+), ids=("li_star_diff", "mean_kernel_infinite", "mean_average_infinite",
+        "li_identity_sides"))
+def test_ladders_reject_non_finite_tolerance(side, tol):
+    # a NaN tolerance never stops a ladder, and an infinite one stops it
+    # at once
+    with pytest.raises(DomainError):
+        side(tol)
+
+
 def test_li_star_examples():
     r = polylog.li_star((2,), (1.0,), 1e-10)
     assert abs(float(r.value) - math.pi ** 2 / 6) < 1e-10
@@ -123,7 +149,7 @@ LADDER_CASES = [
 @pytest.mark.parametrize("case", range(len(LADDER_CASES)))
 def test_star_ladder_matches_fresh_per_level_dp(monkeypatch, case):
     # the resumed ladder gives exactly the result of a fresh DP at every
-    # level, and counts only the columns it computes: N x L in all
+    # level, and returns only the columns it computes: N x L in all
     calls = []
 
     def recording(evaluator, schedule, **kwargs):
@@ -142,9 +168,8 @@ def test_star_ladder_matches_fresh_per_level_dp(monkeypatch, case):
     got = LADDER_CASES[case]()
     (schedule, kwargs), = calls
     spec, = specs
-    kwargs.pop("cost_per_level")
-    want = chains.adaptive_sum(lambda N: float(dp_chain_partials(spec, N)[N]), schedule,
-                               cost_per_level=lambda N: N * spec.length, **kwargs)
+    want = chains.adaptive_sum(lambda N: (float(dp_chain_partials(spec, N)[N]), N * spec.length),
+                               schedule, **kwargs)
     assert (got.value, got.error_estimate, got.truncation_level, got.converged) == \
         (want.value, want.error_estimate, want.truncation_level, want.converged)
     assert got.truncation_level >= 4 * schedule.start
@@ -254,8 +279,11 @@ def test_mean_kernel_ladder_levels_match_the_dp(monkeypatch, parts, closed):
     levels = {}
 
     def recorded(evaluator, schedule, **kwargs):
-        return chains.adaptive_sum(lambda N: levels.setdefault(N, evaluator(N)),
-                                   schedule, **kwargs)
+        def evaluate(N):
+            levels[N], work = evaluator(N)
+            return levels[N], work
+
+        return chains.adaptive_sum(evaluate, schedule, **kwargs)
 
     monkeypatch.setattr(polylog, "adaptive_sum", recorded)
     s = Composition(parts)
@@ -275,6 +303,17 @@ def _scalar_transform_value(s, a, N, p):
     return float(dp_chain_partials(spec, N)[N])
 
 
+def _fresh_values(s, a, N, p):
+    """The MEAN_INF_A integrand at truncation N from fresh node rows."""
+    state = polylog._node_rows(s, a, p)
+    state.extend(N)
+    return state.values()
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 @pytest.mark.parametrize("N", (1, 64, 4096))
 @pytest.mark.parametrize("a", (-1.0, 0.5, 1.0))
 def test_transform_values_match_scalar_integrand(N, a):
@@ -282,71 +321,116 @@ def test_transform_values_match_scalar_integrand(N, a):
     p = np.array([0.0, 0.2, 0.5, 0.9, 1 - 1e-7, 1 - 2e-13, 1 - 5e-14, 0.6])
     for parts in ((2,), (2, 1), (1, 3)):
         s = Composition(parts)
-        got = polylog._transform_values(s, a, N, p, polylog._NodeStates())
+        got = _fresh_values(s, a, N, p)
         want = [_scalar_transform_value(s, a, N, x) for x in p]
-        assert [float(v).hex() for v in got] == [v.hex() for v in want]
-    assert polylog._transform_values(Composition((2,)), a, N, np.array([]),
-                                     polylog._NodeStates()).shape == (0,)
+        assert _hex(got) == _hex(want)
+    assert _fresh_values(Composition((2,)), a, N, np.array([])).shape == (0,)
 
 
-def test_mean_average_resumes_node_rows(monkeypatch):
-    # a short ladder (64..512) at a loose tolerance: the resumed run gives
-    # exactly the result of a fresh DP per node and level, counts the
-    # columns that the gap DP really computes, and keeps only the nodes of
-    # the last level
-    monkeypatch.setattr(polylog, "MEAN_INTEGRAL_MAX_N", 512)
-    s, a, tol = Composition((2, 1)), 0.5, 1e-2
-    real_transform, real_columns = polylog._transform_values, chains._gap_columns
-    calls, computed = [], [0]
+def _check_resumed_ladder(monkeypatch, s, a, tol):
+    """Check :func:`polylog.mean_average_infinite` against the same ladder
+    with fresh rows in every round, and its ``terms_used`` against the
+    row-columns that ``_gap_columns`` computed.  Returns the result, its
+    levels and its quadrature rounds as (N, nodes)."""
+    levels, rounds, computed = [], [], [0]
+    real_columns = chains._gap_columns
 
-    def transform(s_, a_, N, p, nodes):
-        calls.append((N, p.copy(), nodes))
-        return real_transform(s_, a_, N, p, nodes)
+    def ladder(evaluator, schedule, **kwargs):
+        def evaluate(N):
+            levels.append(N)
+            return evaluator(N)
+
+        return chains.adaptive_sum(evaluate, schedule, **kwargs)
+
+    def recorded(f, lo, hi, tol_, **kwargs):
+        def integrand(p):
+            rounds.append((levels[-1], p.copy()))
+            return f(p)
+
+        return kernel.adaptive_quadrature(integrand, lo, hi, tol_, **kwargs)
 
     def columns(B, last, powers, lo, hi, carry):
         computed[0] += len(last) * (hi - lo) * len(powers)
         return real_columns(B, last, powers, lo, hi, carry)
 
-    monkeypatch.setattr(polylog, "_transform_values", transform)
+    monkeypatch.setattr(polylog, "adaptive_sum", ladder)
+    monkeypatch.setattr(polylog, "adaptive_quadrature", recorded)
     monkeypatch.setattr(chains, "_gap_columns", columns)
     got = polylog.mean_average_infinite(s, a, tol)
-    assert got.terms_used == computed[0]
-    fresh_terms = sum(N * s.weight * len(p) for N, p, _ in calls)
-    assert got.terms_used < fresh_terms
-    nodes = calls[-1][2]
-    last = calls[-1][0]
-    visited = {x for N, p, _ in calls if N == last for x in p.tolist()}
-    assert set(nodes.rows) == visited
-    assert all(state.n_done == last for state, _ in nodes.rows.values())
+    got_levels = levels.copy()
+    monkeypatch.setattr(chains, "_gap_columns", real_columns)
 
-    def fresh_transform(s_, a_, N, p, nodes):
-        return real_transform(s_, a_, N, p, polylog._NodeStates())
+    def fresh(f, lo, hi, tol_, **kwargs):
+        N = levels[-1]
 
-    monkeypatch.setattr(polylog, "_transform_values", fresh_transform)
+        def integrand(p):
+            f(p)  # the ladder's own rows still run, so its store stays whole
+            return _fresh_values(s, a, N, p)
+
+        return kernel.adaptive_quadrature(integrand, lo, hi, tol_, **kwargs)
+
+    monkeypatch.setattr(polylog, "adaptive_quadrature", fresh)
     want = polylog.mean_average_infinite(s, a, tol)
-    assert [float(x).hex() for x in (got.value, got.error_estimate)] == \
-        [float(x).hex() for x in (want.value, want.error_estimate)]
+    # bit-identical to fresh rows in every round
+    assert _hex((got.value, got.error_estimate)) == _hex((want.value, want.error_estimate))
     assert (got.truncation_level, got.converged) == (want.truncation_level, want.converged)
-    assert got.truncation_level == last == 512
+    # the ladder counts the columns the gap DP computed, and they are those
+    # of a store that keeps only the last level's nodes: a node that level
+    # visited resumes from its truncation, every other node starts afresh
+    expected, kept, previous = 0, set(), 0
+    for N in got_levels:
+        visited = [x for n, p in rounds if n == N for x in p.tolist()]
+        expected += sum(N - previous if x in kept else N for x in visited) * s.weight
+        kept, previous = set(visited), N
+    assert got.terms_used == computed[0] == expected
+    assert got.terms_used < sum(N * s.weight * len(p) for N, p in rounds)
+    return got, got_levels, rounds
 
 
-def test_node_store_keeps_only_the_last_level():
-    # a level that visits fewer nodes than the one before: its rows resume,
-    # the edge node (5e-14 below p = 1) is stored like any other, and
-    # keep() drops the node the level did not visit
-    s, a = Composition((2, 1)), -1.0
-    p = np.array([0.1, 0.4, 0.7, 1 - 5e-14])
-    nodes = polylog._NodeStates()
-    polylog._transform_values(s, a, 64, p, nodes)
-    assert set(nodes.rows) == set(p.tolist())
-    got = polylog._transform_values(s, a, 128, p[[2, 3, 0]], nodes)
-    want = polylog._transform_values(s, a, 128, p[[2, 3, 0]], polylog._NodeStates())
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    # four fresh rows to 64, then three resumed rows from 64 to 128, each
-    # column over the weight-3 chain
-    assert nodes.terms == 4 * 64 * 3 + 3 * (128 - 64) * 3
-    nodes.keep(128)
-    assert set(nodes.rows) == {0.1, 0.7, 1 - 5e-14}
+def test_mean_average_resumes_node_rows(monkeypatch):
+    # a short ladder (64..512) at a loose tolerance, one quadrature round a
+    # level
+    monkeypatch.setattr(polylog, "MEAN_INTEGRAL_MAX_N", 512)
+    s = Composition((2, 1))
+    got, levels, _ = _check_resumed_ladder(monkeypatch, s, 0.5, 1e-2)
+    assert got.truncation_level == levels[-1] == 512
+
+
+def test_mean_average_resumes_node_rows_across_rounds(monkeypatch):
+    # at tolerance 1e-9 every level bisects: its later rounds take rows of
+    # the previous level and start new nodes, and the level's rounds are
+    # stacked into the store the next level resumes from
+    monkeypatch.setattr(polylog, "MEAN_INTEGRAL_MAX_N", 1024)
+    s = Composition((2, 1))
+    got, levels, rounds = _check_resumed_ladder(monkeypatch, s, 0.5, 1e-9)
+    assert all(sum(n == N for n, _ in rounds) >= 2 for N in levels)
+    assert got.truncation_level == levels[-1] == 1024
+
+
+def test_node_store_keeps_only_the_last_level(monkeypatch):
+    # scripted rounds over the levels 64, 128 and 256: a level that visits
+    # fewer nodes than the one before, a level of two rounds, and a node
+    # (0.4) that skips a level and so starts afresh; the edge node (5e-14
+    # below p = 1) is kept like any other
+    s, a, edge = Composition((2, 1)), -1.0, 1 - 5e-14
+    script = iter([(64, [[0.1, 0.4, 0.7, edge]]),
+                   (128, [[0.7, edge], [0.1, 0.25]]),
+                   (256, [[0.4, 0.25, 0.1]])])
+
+    def quadrature(f, lo, hi, tol, breaks):
+        N, level = next(script)
+        for p in map(np.array, level):
+            assert _hex(f(p)) == _hex(_fresh_values(s, a, N, p))
+        return 0.0
+
+    monkeypatch.setattr(polylog, "adaptive_quadrature", quadrature)
+    monkeypatch.setattr(polylog, "MEAN_INTEGRAL_MAX_N", 256)
+    res = polylog.mean_average_infinite(s, a, 1e-6)
+    assert res.truncation_level == 256
+    # each column over the weight-3 chain: four fresh rows to 64; at 128
+    # three rows resume from 64 and 0.25 starts afresh; at 256 0.25 and 0.1
+    # resume from 128 and 0.4 starts afresh
+    assert res.terms_used == 3 * (4 * 64 + (3 * 64 + 128) + (256 + 2 * 128))
 
 
 @pytest.mark.parametrize("edge", (5e-14, 1e-14, 1.0 - math.nextafter(1.0, 0.0)))
@@ -360,11 +444,10 @@ def test_transform_values_near_p_one_match_the_collapsed_spec(a, N, edge):
         s = Composition(parts)
         collapsed = FactorSpec((1.0,) * (s.depth - 1) + (a,), s.parts)
         want = float(dp_chain_partials(collapsed, N)[N])
-        got = polylog._transform_values(s, a, N, p, polylog._NodeStates())[0]
+        got = _fresh_values(s, a, N, p)[0]
         assert abs(got - want) <= 4 * edge * (1 + abs(want)) + 1e-15
     with pytest.raises(DomainError):
-        polylog._transform_values(Composition((2, 1)), a, N, np.array([0.5, 1.0]),
-                                  polylog._NodeStates())
+        _fresh_values(Composition((2, 1)), a, N, np.array([0.5, 1.0]))
 
 
 def test_mean_lhs_converges_predicate():
