@@ -35,8 +35,8 @@ Three evaluators share the same summand model:
 
 :func:`adaptive_sum` drives any of them over a truncation ladder, with a
 geometric-tail stopping test or window extrapolation for polynomial tails;
-each level's evaluator returns its value and the work it did, and the
-result, float64, counts that work.
+each level returns its value and the work it did, and the float64 result's
+``terms_used`` is the sum of that work.
 """
 
 from __future__ import annotations
