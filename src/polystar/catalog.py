@@ -436,13 +436,15 @@ _register(Identity(
 
 # --- series identities (numeric) -------------------------------------------
 
-def _series(ident, anchor, param_types, constraint, points, sample, shape_key="shape"):
+def _series(ident, anchor, param_types, points, sample, shape_key="shape"):
     """Register a series identity, checked on ``points`` in order.  Its sides
     are ``polylog.li_identity_sides`` at ``params[shape_key]`` (the order of
     ``INTRO_*``, the block shape of ``LI*``), or the closed-form
-    ``polylog.li_example_sides`` of ``LI*_EX``; its domain is the validity
-    region of its constraint."""
+    ``polylog.li_example_sides`` of ``LI*_EX``.  Its kind (MAIN, A1, RED1 or
+    RED2; ``LI*_EX`` is A1) names its constraint in ``polylog``'s one table
+    of series regions, and its domain is that region."""
     example = ident.endswith("_EX")
+    kind = "A1" if example else polylog._SERIES_KIND[ident]
 
     def evaluate(params, tol):
         if example:
@@ -459,17 +461,17 @@ def _series(ident, anchor, param_types, constraint, points, sample, shape_key="s
             return False, "missing parameter p"
         if example:
             return 0 < p < 1, "p must lie in (0,1)"
-        a = as_fraction(params.get("a", 1))
-        return polylog._series_domain(ident, a, as_fraction(p)), "outside validity region"
+        return (polylog._series_domain(ident, params.get("a", 1), p),
+                "outside validity region")
 
     _register(Identity(ident, anchor, "NUMERIC", param_types, evaluate,
                        lambda: ((dict(point), None) for point in points), sample,
-                       domain, constraint_id=constraint))
+                       domain, constraint_id=polylog._SERIES_REGIONS[kind][0]))
 
 
 _series("INTRO_SERIES",
         "Li_s(a) = Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) - Li*_{1..1}(1-p,{1}_(s-1))",
-        {"s": "int", "a": "float", "p": "float"}, "MAIN_AP",
+        {"s": "int", "a": "float", "p": "float"},
         [dict(s=s, a=a, p=p) for s in (2, 3, 4)
          for a, p in ((0.5, 0.5), (-1, 0.5), (1, 0.4))],
         lambda rng: dict(s=rng.randint(2, 4), a=float(_rational(rng, -1, 1)),
@@ -477,85 +479,79 @@ _series("INTRO_SERIES",
         shape_key="s")
 
 _series("INTRO_RED_L", "Li*_{1..1}(1-p,{1}_(s-1)) = -Li_s(1-1/p)",
-        {"s": "int", "p": "float"}, "RED_BOX",
+        {"s": "int", "p": "float"},
         [dict(s=s, p=p) for s in (2, 3, 4) for p in _RED_P],
         lambda rng: dict(s=rng.randint(2, 4), p=0.5 + rng.random() * 0.45),
         shape_key="s")
 
 _series("INTRO_RED_R", "Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) = Li_s(a) - Li_s(1-1/p)",
-        {"s": "int", "a": "float", "p": "float"}, "RED_BOX",
+        {"s": "int", "a": "float", "p": "float"},
         [dict(s=s, a=a, p=p) for s in (2, 3, 4) for a in _RED_A for p in _RED_P],
         lambda rng: dict(s=rng.randint(2, 4), a=rng.uniform(-1, 1 / 3),
                          p=0.5 + rng.random() * 0.45),
         shape_key="s")
 
 
-def _li_entry(ident, family, points, anchor, constraint):
+def _li_entry(ident, family, points, anchor):
     """A block-family identity at every shape of depth, block sizes and
     trailing sizes up to 2, crossed with ``points``; a float parameter per
     key of a point."""
     shapes = _shapes(family, 2, 2, 2)
     _series(ident, anchor, {"shape": "shape", **dict.fromkeys(points[0], "float")},
-            constraint, [dict(shape=shape, **point) for shape in shapes for point in points],
+            [dict(shape=shape, **point) for shape in shapes for point in points],
             lambda rng: dict(shape=rng.choice(shapes), **points[rng.randrange(len(points))]))
 
 
 _li_entry("LI1_MAIN", "A", [dict(a=a, p=p) for a, p in _LI_AP],
           "Li*_s({1}_(d-1),a) equals the main/sub argument-string difference "
-          "of depth-|s| star polylogarithms (trailing-block family)",
-          "MAIN_AP")
+          "of depth-|s| star polylogarithms (trailing-block family)")
 
 _li_entry("LI2_MAIN", "B", [dict(a=a, p=p) for a, p in _LI_AP],
           "Li*_s({1}_(d-1),a) equals the main/sub argument-string difference "
-          "of depth-|s| star polylogarithms (trailing-ones family)",
-          "MAIN_AP")
+          "of depth-|s| star polylogarithms (trailing-ones family)")
 
 _li_entry("LI1_RED1", "A", [dict(p=p) for p in _RED_P],
-          "the a-free depth-|s| string reduces to -Li*_s({1}_(d-1),1-1/p)",
-          "RED_BOX")
+          "the a-free depth-|s| string reduces to -Li*_s({1}_(d-1),1-1/p)")
 
 _li_entry("LI2_RED1", "B", [dict(p=p) for p in _RED_P],
           "the a-free depth-|s| string reduces to -Li*_s({1}_(d-1),1-1/p) "
-          "(trailing-ones family)",
-          "RED_BOX")
+          "(trailing-ones family)")
 
 _li_entry("LI1_RED2", "A", [dict(a=a, p=p) for a in _RED_A for p in _RED_P],
           "the a-dependent depth-|s| string reduces to "
-          "Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p)",
-          "RED_BOX")
+          "Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p)")
 
 _li_entry("LI2_RED2", "B", [dict(a=a, p=p) for a in _RED_A for p in _RED_P],
           "the a-dependent depth-|s| string reduces to "
-          "Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p) (trailing-ones family)",
-          "RED_BOX")
+          "Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p) (trailing-ones family)")
 
 _A1_SHAPES = {family: _shapes(family, 2, 1, 1) for family in "AB"}
 
 _series("LI1_A1",
         "zeta*(s) equals the unit-argument main/sub string difference, "
         "independently of p in (0,1)",
-        {"shape": "shape", "p": "float"}, "A1_P",
+        {"shape": "shape", "p": "float"},
         [dict(shape=shape, p=p) for shape in _A1_SHAPES["A"] for p in _P3],
         lambda rng: dict(shape=rng.choice(_A1_SHAPES["A"]), p=0.2 + rng.random() * 0.6))
 
 _series("LI2_A1",
         "zeta*(s) equals the unit-argument main/sub string difference "
         "(trailing-ones family), independently of p in (0,1)",
-        {"shape": "shape", "p": "float"}, "A1_P",
+        {"shape": "shape", "p": "float"},
         [dict(shape=shape, p=p) for shape in _A1_SHAPES["B"] for p in _P3],
         lambda rng: dict(shape=rng.choice(_A1_SHAPES["B"]), p=0.2 + rng.random() * 0.6))
 
 _series("LI1_EX",
         "(2-4^(1-d)) zeta(2d) = Li*_{1..1}({1-p,1/(1-p)}_d) - "
         "Li*_{1..1}({1-p,1/(1-p)}_(d-1),1-p,1)",
-        {"d": "int", "p": "float"}, "A1_P",
+        {"d": "int", "p": "float"},
         [dict(d=d, p=p) for d in (1, 2) for p in _P3],
         lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 
 _series("LI2_EX",
         "2 zeta(2d+1) = Li*_{1..1}({1-p,1/(1-p)}_d,1) - "
         "Li*_{1..1}({1-p,1/(1-p)}_d,1-p)",
-        {"d": "int", "p": "float"}, "A1_P",
+        {"d": "int", "p": "float"},
         [dict(d=d, p=p) for d in (1, 2) for p in _P3],
         lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -24,7 +23,7 @@ from mpmath import mp
 
 from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_BUDGET,
                      TruncationSchedule, adaptive_sum, dp_q_contributions)
-from .compositions import (Composition, ShapeBlocks, as_composition,
+from .compositions import (Composition, ShapeBlocks, as_composition, as_fraction,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
 from .kernel import (BudgetExceededError, DomainError, EvalResult, adaptive_quadrature,
@@ -143,16 +142,26 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     return adaptive_sum(evaluate, schedule, min_samples=max(7, marginal + 4))
 
 
+def _float_args(xs) -> tuple:
+    """The arguments as floats.  A NaN raises :class:`DomainError` here,
+    before a ladder's pairing check could refuse it as a divergent
+    direction."""
+    xs = tuple(float(x) for x in xs)
+    if any(math.isnan(x) for x in xs):
+        raise DomainError(f"NaN argument in {xs}")
+    return xs
+
+
 def li_star(s, xs, tol=1e-9) -> EvalResult:
     """Star polylogarithm sum over n_1 >= ... >= n_d >= 1 of
     prod x_i^{n_i} / n_i^{s_i}, to absolute tolerance ``tol``.
 
     Queries whose argument-string prefix products leave the unit disc are
-    rejected with :class:`PairingUnavailableError`; provably divergent ones
-    with :class:`DomainError`.
+    rejected with :class:`PairingUnavailableError`; provably divergent ones,
+    and NaN arguments, with :class:`DomainError`.
     """
     s = as_composition(s)
-    xs = tuple(float(x) for x in xs)
+    xs = _float_args(xs)
     if len(xs) != s.depth:
         raise DomainError(f"need {s.depth} arguments, got {len(xs)}")
     check_tolerance(tol)
@@ -174,10 +183,10 @@ def li_star_diff(s, xs, x_hi, x_lo, tol) -> EvalResult:
     at half the cost of two separate ladders.
     """
     s = as_composition(s)
-    xs = tuple(float(x) for x in xs)
+    xs = _float_args(xs)
     if len(xs) != s.depth - 1:
         raise DomainError(f"need {s.depth - 1} leading arguments, got {len(xs)}")
-    x_hi, x_lo = float(x_hi), float(x_lo)
+    x_hi, x_lo = _float_args((x_hi, x_lo))
     if x_hi == x_lo or any(x == 0 for x in xs):
         return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
@@ -279,7 +288,7 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     and level; ``terms_used`` counts the columns computed times |s|.
     """
     s = as_composition(s)
-    a = float(a)
+    (a,) = _float_args((a,))
     kept, row_of = _node_rows(s, a, np.empty(0)), {}  # no rows, at truncation 0
 
     def evaluate(N):
@@ -335,26 +344,35 @@ def mean_lhs_converges(s, a) -> bool:
 # Identity assembly
 # ---------------------------------------------------------------------------
 
-_SERIES_IDS = ("LI1_MAIN", "LI1_A1", "LI1_RED1", "LI1_RED2",
-               "LI2_MAIN", "LI2_A1", "LI2_RED1", "LI2_RED2",
-               "INTRO_SERIES", "INTRO_RED_L", "INTRO_RED_R",
-               "MEAN_INF_A", "MEAN_INF_1")
+# The four side assemblies of the series identities, each with its validity
+# region: the constraint id, and the a at which that region is checked.
+_SERIES_REGIONS = {
+    "MAIN": ("MAIN_AP", lambda a, p: a),
+    "A1": ("A1_P", lambda a, p: 1),
+    "RED1": ("RED_BOX", lambda a, p: 1 - 1 / as_fraction(p)),
+    "RED2": ("RED_BOX", lambda a, p: a),
+}
+# the kind of each series identity; INTRO_* are the one-block LI1 shapes
+_SERIES_KIND = {"INTRO_SERIES": "MAIN", "INTRO_RED_L": "RED1", "INTRO_RED_R": "RED2",
+                **{f"LI{n}_{kind}": kind for n in "12" for kind in _SERIES_REGIONS}}
+_SERIES_IDS = (*_SERIES_KIND, "MEAN_INF_A", "MEAN_INF_1")
 
 
 def _series_domain(identity, a, p):
-    if identity in ("LI1_MAIN", "LI2_MAIN", "INTRO_SERIES"):
-        return domain_check("MAIN_AP", a, p)
-    if identity in ("LI1_A1", "LI2_A1"):
-        return domain_check("A1_P", 1, p)
-    if identity in ("LI1_RED1", "LI2_RED1", "INTRO_RED_L"):
-        return domain_check("RED_BOX", 1 - Fraction(1) / Fraction(p), p)
-    if identity in ("LI1_RED2", "LI2_RED2", "INTRO_RED_R"):
-        return domain_check("RED_BOX", a, p)
-    return True
+    constraint, at = _SERIES_REGIONS[_SERIES_KIND[identity]]
+    return domain_check(constraint, at(a, p), p)
 
 
 def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True):
     """Assemble and evaluate both sides of a series identity.
+
+    ``LI1_*``/``LI2_*`` take a family-A/B :class:`ShapeBlocks`, ``MEAN_INF_*``
+    a composition, and ``INTRO_*`` the order s: they run as ``LI1_*`` at the
+    one-block shape ``A:m=(s-2);u=()``.  A block identity is one of four
+    kinds: MAIN, and A1 (MAIN at a = 1), set Li*_s({1}_(d-1),a) against the
+    main/sub string difference; RED1 the sub string against
+    -Li*_s({1}_(d-1),1-1/p); RED2 the main string against
+    Li*_s({1}_(d-1),a) - Li*_s({1}_(d-1),1-1/p).
 
     Returns ``(lhs, rhs)`` as :class:`EvalResult` values, each evaluated to
     tolerance ``tol / 4`` so a two-sided comparison at ``tol`` is sound.
@@ -394,56 +412,34 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
         if shape.family != want:
             raise DomainError(f"{identity} needs a family-{want} shape")
 
-    if identity in ("LI1_A1", "LI2_A1"):
+    kind = _SERIES_KIND[identity]
+    if kind == "A1":
         a = 1
     if check_domain and not _series_domain(identity, a, p):
         raise DomainError(f"({a}, {p}) outside the validity region of {identity}")
 
     comp = shape_composition(shape)
     ones = Composition((1,) * comp.weight)
-
-    def star(args, tol_):
-        return li_star(ones, args, tol_)
-
-    def depth_side(x_last, tol_):
-        return li_star(comp, (1.0,) * (comp.depth - 1) + (x_last,), tol_)
-
+    leading = (1.0,) * (comp.depth - 1)
     main_args = shape_args(shape, "main", a, p)
     sub_args = shape_args(shape, "sub", a, p)
     # the two strings differ only in their final entry, so their difference
     # collapses to one chain sum with a last-index tail factor
     assert main_args[:-1] == sub_args[:-1]
 
-    def string_diff(tol_):
-        return li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1], tol_)
-
-    if identity == "INTRO_SERIES" or identity in ("LI1_MAIN", "LI2_MAIN"):
-        if identity == "INTRO_SERIES":
-            lhs = li(comp.parts[0], a)
-        else:
-            lhs = depth_side(a, side_tol)
-        return lhs, string_diff(2 * side_tol)
-
-    if identity in ("LI1_A1", "LI2_A1"):
-        lhs = zeta_star(comp, side_tol)
-        return lhs, string_diff(2 * side_tol)
+    if kind in ("MAIN", "A1"):
+        lhs = li_star(comp, leading + (a,), side_tol)
+        return lhs, li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1],
+                                 2 * side_tol)
 
     a_red = 1 - 1 / float(p)
-    if identity in ("INTRO_RED_L", "LI1_RED1", "LI2_RED1"):
-        lhs = star(sub_args, side_tol)
-        if identity == "INTRO_RED_L":
-            inner = li(comp.parts[0], a_red)
-        else:
-            inner = depth_side(a_red, 2 * side_tol)
+    if kind == "RED1":
+        lhs = li_star(ones, sub_args, side_tol)
+        inner = li_star(comp, leading + (a_red,), 2 * side_tol)
         return lhs, replace(inner, value=-inner.value)
 
-    # INTRO_RED_R / LI1_RED2 / LI2_RED2
-    lhs = star(main_args, side_tol)
-    if identity == "INTRO_RED_R":
-        rhs = _li_diff(comp.parts[0], a, a_red)
-    else:
-        rhs = li_star_diff(comp, (1.0,) * (comp.depth - 1), a, a_red, 2 * side_tol)
-    return lhs, rhs
+    lhs = li_star(ones, main_args, side_tol)
+    return lhs, li_star_diff(comp, leading, a, a_red, 2 * side_tol)
 
 
 def li_example_sides(family: str, d: int, p, tol):

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystar import catalog
+from polystar import catalog, polylog
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
                              SingularFitError)
@@ -292,6 +292,23 @@ def test_numeric_sides_are_honest_floats(ident, params):
         assert estimate >= math.ulp(value) / 2
         assert payload[side] == mpmath.nstr(mpmath.mpf(value), 17)
         assert payload[err] == mpmath.nstr(mpmath.mpf(estimate), 17)
+
+
+# each INTRO_* identity is one LI1 kind at the one-block family-A shape
+INTRO_KINDS = {"INTRO_SERIES": "LI1_MAIN", "INTRO_RED_L": "LI1_RED1",
+               "INTRO_RED_R": "LI1_RED2"}
+
+
+@pytest.mark.parametrize("ident, params", [
+    (ident, params) for ident in INTRO_KINDS for params, _ in catalog.default_grid(ident)],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
+def test_intro_sides_are_the_one_block_li1_sides(ident, params):
+    # at a = -1, p = 1/2 the two INTRO_RED_R arguments a and 1 - 1/p are
+    # equal, and both sides take the exact-zero difference
+    s, a, p = params["s"], params.get("a", 1), params["p"]
+    shape = ShapeBlocks("A", (s - 2,), ())
+    assert (polylog.li_identity_sides(ident, s, a, p, 1e-8)
+            == polylog.li_identity_sides(INTRO_KINDS[ident], shape, a, p, 1e-8))
 
 
 def test_side_error_estimates_in_json():

@@ -80,6 +80,26 @@ def test_li_rejects_nan():
         polylog.li_star_diff((2,), (), math.nan, 0.5, 1e-9)
 
 
+@pytest.mark.parametrize("call", (
+    lambda: polylog.li_star((2,), (math.nan,)),
+    lambda: polylog.li_star((2, 1), (math.nan, 0.5)),
+    lambda: polylog.li_star_diff((1, 1), (math.nan,), 0.5, 0.25, 1e-8),
+    lambda: polylog.li_star_diff((1, 1), (0.5,), math.nan, 0.25, 1e-8),
+    lambda: polylog.li_star_diff((1, 1), (0.5,), 0.5, math.nan, 1e-8),
+    lambda: polylog.mean_average_infinite((2,), math.nan, 1e-6),
+), ids=("li_star-depth1", "li_star", "li_star_diff-xs", "li_star_diff-x_hi",
+        "li_star_diff-x_lo", "mean_average_infinite"))
+def test_nan_arguments_raise_domain_error_before_any_ladder(monkeypatch, call):
+    # a NaN prefix product would otherwise be refused as a pairing failure
+    def ladder(*args, **kwargs):
+        raise AssertionError("a ladder ran on a NaN argument")
+
+    for name in ("_star_ladder", "_node_rows", "adaptive_sum"):
+        monkeypatch.setattr(polylog, name, ladder)
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize("tol", (math.nan, math.inf), ids=("nan", "inf"))
 @pytest.mark.parametrize("side", (
     lambda tol: polylog.li_star_diff((1, 1), (0.5,), 0.9, 0.4, tol),
