@@ -92,13 +92,6 @@ class FactorSpec:
         scalars = list(self.bases) + (list(self.tail) if self.tail else [])
         return all(isinstance(b, (int, Fraction)) for b in scalars)
 
-    def expanded(self):
-        """Split the tail difference into two plain specs (hi, lo)."""
-        if self.tail is None:
-            return (self,)
-        head, last = self.bases[:-1], self.bases[-1]
-        return tuple(FactorSpec(head + (last * t,), self.powers) for t in self.tail)
-
 
 @dataclass(frozen=True)
 class QKernelSpec:

@@ -194,13 +194,8 @@ def cmd_verify(args):
     if args.all:
         ids = [d.id for d in catalog.list_identities()]
     if not ids:
-        print("error: give identity ids or --all", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        entries = [catalog.get_entry(i) for i in ids]
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("give identity ids or --all")
+    entries = [catalog.get_entry(i) for i in ids]
 
     tasks = []
     for entry in entries:
@@ -252,14 +247,10 @@ def cmd_verify(args):
 
 def cmd_fuzz(args):
     run = _resolve_run_config(args)
-    try:
-        if catalog.get_entry(args.id).mode != "EXACT":
-            chains.load_lfilter()
-        reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
-                               outside=args.outside)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if catalog.get_entry(args.id).mode != "EXACT":
+        chains.load_lfilter()
+    reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
+                           outside=args.outside)
     fails = 0
     ncs = 0
     for report in reports:

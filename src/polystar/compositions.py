@@ -15,13 +15,17 @@ from .kernel import DomainError
 
 
 def as_fraction(x):
-    """Exact coercion: int/Fraction pass through, floats convert exactly."""
+    """Exact coercion: int/Fraction pass through, finite floats convert
+    exactly; a NaN or infinite float raises :class:`DomainError`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"expected a finite scalar, got {x}") from exc
     raise DomainError(f"expected a rational-representable scalar, got {type(x)!r}")
 
 

@@ -70,69 +70,44 @@ def li(s: int, x) -> EvalResult:
 # Multi-dimensional star sums
 # ---------------------------------------------------------------------------
 
-def _decay_converges(B, powers) -> bool:
-    """Conservative convergence test for the chain sum with the given
-    prefix products ``B`` of its bases, all in the unit disc, and
-    denominator powers.
-
-    Walks the inner-to-outer DP symbolically, tracking whether each layer
-    decays geometrically or like m^-alpha (log factors ignored; they never
-    flip strict comparisons used here).
-    """
-    L = len(B)
-    # state: ("geo", rho) or ("poly", alpha, alternating)
-    bL = B[-1]
-    if abs(bL) < 1 - _MARGINAL_EPS:
-        state = ("geo", abs(bL), False)
-    else:
-        state = ("poly", float(powers[-1]), bL < 0)
-    for i in range(L - 2, -1, -1):
-        b = B[i]
-        s_i = float(powers[i])
-        kind, val, alt = state
-        if abs(b) < 1 - _MARGINAL_EPS:
-            if kind == "geo":
-                state = ("geo", max(val, abs(b)), False)
-            else:
-                state = ("poly", val + s_i, alt)
-        else:
-            neg = b < 0
-            if kind == "geo":
-                state = ("poly", s_i, neg)
-            elif neg:
-                state = ("poly", val + s_i, True)
-            else:
-                if val > 1 + _MARGINAL_EPS or (alt and val > _MARGINAL_EPS):
-                    state = ("poly", s_i, False)
-                else:
-                    state = ("poly", s_i - (1 - val), False)
-    kind, val, alt = state
-    if kind == "geo":
-        return True
-    return val > 1 + 1e-9 or (alt and val > 1e-9)
-
-
 def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
-    """Truncation ladder for a validated chain-sum spec (possibly with a
-    last-index tail difference).  Its :class:`GapState` refuses a run whose
-    prefix products leave the unit disc."""
-    # one DP resumed across the levels: each level computes only its new
-    # columns, and that is the work it returns
+    """Truncation ladder for a validated chain-sum spec of depth L >= 2
+    (possibly with a last-index tail difference).  Its :class:`GapState`
+    refuses a run whose prefix products B_j = x_1...x_j leave the unit disc;
+    of the rest, a spec with s_1 = 1 and x_1 at +1 (within
+    ``_MARGINAL_EPS``) is refused as divergent.
+
+    That one test decides convergence, because every power is >= 1 (the
+    callers pass composition parts) and |B_j| <= 1.  The summand is
+    B_1^(n_1-n_2) ... B_L^(n_L) / (n_1^s_1 ... n_L^s_L), so for a fixed n_1
+    the inner layers of each run sum to at most H_(n_1)^(L-1) in absolute
+    value: with s_1 >= 2 the sum converges absolutely.  With s_1 = 1 and
+    |B_1| < 1 the sum of |B_1|^(n_1-n_2) / n_1 over n_1 >= n_2 is O(1/n_2),
+    and with B_1 at -1 the alternating sum over n_1 is at most 1/n_2 and
+    converges, so the sum converges like one of depth L-1 with s_2 raised
+    by one.  With s_1 = 1 and B_1 at +1 the inner layers tend to the star
+    sum at (x_2, ..., x_L), and their sum against 1/n_1 diverges (unless
+    that limit is 0; the test refuses the whole line).  This is the
+    condition (s_1, x_1) != (1, 1) of Borwein, Bradley, Broadhurst and
+    Lisonek (Trans. AMS 353, 2001).  Both runs of a tail share x_1.
+    """
+    # the pairing check comes first: an unpaired divergent spec is refused
+    # as unpaired
     state = GapState.of_spec(spec)
-    worst = 0.0
-    marginal = 0
-    for run, last in zip(spec.expanded(), state.last[0].tolist()):
-        B = state.B[0].tolist() + [last]
-        if not _decay_converges(B, run.powers):
-            raise DomainError(f"chain sum for {run} diverges")
-        worst = max(worst, max(abs(b) for b in B))
-        # only prefix products near +1 stack logarithms into the tail;
-        # alternating (near -1) directions give bounded inner sums
-        marginal = max(marginal, sum(1 for b in B if b >= 1 - PAIRING_SLACK))
+    if spec.powers[0] == 1 and spec.bases[0] >= 1 - _MARGINAL_EPS:
+        raise DomainError(f"chain sum for {spec} diverges")
+    inner, last = state.B[0].tolist(), state.last[0].tolist()
+    worst = max(abs(b) for b in inner + last)
+    # only prefix products near +1 stack logarithms into the tail;
+    # alternating (near -1) directions give bounded inner sums
+    marginal = (sum(1 for b in inner if b >= 1 - PAIRING_SLACK)
+                + any(b >= 1 - PAIRING_SLACK for b in last))
     polynomial = worst >= 0.95
     schedule = TruncationSchedule(max_n=POLY_MAX_N if polynomial else GEO_MAX_N,
                                   tolerance=tol, extrapolate=polynomial)
 
+    # one DP resumed across the levels: each level computes only its new
+    # columns, and that is the work it returns
     def evaluate(N):
         columns = state.extend(N).shape[-1]
         return float(state.values()[0]), columns * spec.length
@@ -143,12 +118,12 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
 
 
 def _float_args(xs) -> tuple:
-    """The arguments as floats.  A NaN raises :class:`DomainError` here,
-    before a ladder's pairing check could refuse it as a divergent
-    direction."""
+    """The arguments as floats.  A NaN or infinite one raises
+    :class:`DomainError` here, before a zero shortcut could return 0 for it
+    or a ladder's pairing check could refuse it as a divergent direction."""
     xs = tuple(float(x) for x in xs)
-    if any(math.isnan(x) for x in xs):
-        raise DomainError(f"NaN argument in {xs}")
+    if not all(math.isfinite(x) for x in xs):
+        raise DomainError(f"non-finite argument in {xs}")
     return xs
 
 
@@ -157,8 +132,9 @@ def li_star(s, xs, tol=1e-9) -> EvalResult:
     prod x_i^{n_i} / n_i^{s_i}, to absolute tolerance ``tol``.
 
     Queries whose argument-string prefix products leave the unit disc are
-    rejected with :class:`PairingUnavailableError`; provably divergent ones,
-    and NaN arguments, with :class:`DomainError`.
+    rejected with :class:`PairingUnavailableError`; those with
+    (s_1, x_1) = (1, 1), which diverge, and NaN or infinite arguments, with
+    :class:`DomainError`.
     """
     s = as_composition(s)
     xs = _float_args(xs)

@@ -81,6 +81,13 @@ def test_verify_unknown_identity():
         catalog.verify("NOT_AN_ID", {})
 
 
+@pytest.mark.parametrize("a", (math.nan, math.inf), ids=("nan", "inf"))
+def test_verify_refuses_non_finite_parameter_in_domain_check(a):
+    # the region test coerces a to a Fraction, which has no NaN or infinity
+    with pytest.raises(DomainError):
+        catalog.verify("INTRO_SERIES", {"s": 2, "a": a, "p": 0.5})
+
+
 def test_report_json_roundtrip():
     r = catalog.verify("MAIN_TRANSFORM", dict(n=2, s=Composition((1, 1)), a=F(1), p=F(1, 3)))
     payload = json.loads(json.dumps(r.to_json_dict()))

@@ -228,7 +228,9 @@ def _one_spec_gap_terms(B, powers, N, low=None):
 def _one_spec_float_partials(spec, N):
     """The float DP one spec per call (see ``_one_spec_gap_terms``): a
     tail's two runs share the inner layers and differ in the last."""
-    hi, *lo = (np.cumprod([float(b) for b in run.bases]) for run in spec.expanded())
+    head, last = spec.bases[:-1], spec.bases[-1]
+    runs = [head + (last * t,) for t in spec.tail] if spec.tail else [spec.bases]
+    hi, *lo = (np.cumprod([float(b) for b in run]) for run in runs)
     totals = np.zeros(N + 1)
     totals[1:] = np.cumsum(_one_spec_gap_terms(hi, spec.powers, N,
                                                lo[0][-1] if lo else None))

@@ -142,10 +142,13 @@ def test_verify_missing_param_is_usage_error(capsys):
     (["eval", "mhsv", "--k", "2", "--s", "2,1", "--tol", "1e-8"], None),
     (["eval", "mneimneh", "--n", "3", "--s", "2", "--p", "1/2", "--tol", "1e-8"], None),
     (["eval", "mean", "--n", "3", "--s", "2", "--tol", "1e-8"], None),
+    (["verify"], None),
+    (["verify", "NO_SUCH_ID"], None),
+    (["fuzz", "NO_SUCH_ID"], None),
 ], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "missing-config",
         "jobs-0", "jobs-negative", "config-jobs-0", "config-seed", "tol-nan", "tol-inf",
         "tol-0", "config-tol-nan", "eval-li-tol", "eval-mhsv-tol", "eval-mneimneh-tol",
-        "eval-mean-tol"])
+        "eval-mean-tol", "verify-no-ids", "verify-unknown-id", "fuzz-unknown-id"])
 def test_malformed_input_is_one_usage_error_line(tmp_path, capsys, argv, config):
     # config None: no --config, False: a --config file that does not exist
     if config is not None:

@@ -1,11 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polystar.compositions import (Composition, IndexChain, ShapeBlocks,
-                                   chain_q_signs, domain_check, q_of,
+                                   as_fraction, chain_q_signs, domain_check, q_of,
                                    shape_args, shape_composition,
                                    transform_bases)
 from polystar.kernel import DomainError
@@ -192,3 +193,12 @@ def test_domain_check_red_box():
 def test_domain_check_unknown_id():
     with pytest.raises(DomainError):
         domain_check("NO_SUCH", 0, 0)
+
+
+@pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+def test_non_finite_float_is_a_domain_error(x):
+    # Fraction() raises ValueError or OverflowError for these
+    with pytest.raises(DomainError):
+        as_fraction(x)
+    with pytest.raises(DomainError):
+        domain_check("MAIN_AP", x, Fraction(1, 2))

@@ -87,16 +87,45 @@ def test_li_rejects_nan():
     lambda: polylog.li_star_diff((1, 1), (0.5,), math.nan, 0.25, 1e-8),
     lambda: polylog.li_star_diff((1, 1), (0.5,), 0.5, math.nan, 1e-8),
     lambda: polylog.mean_average_infinite((2,), math.nan, 1e-6),
+    lambda: polylog.li_star((1, 1), (0.0, math.inf)),
+    lambda: polylog.li_star_diff((1, 1), (0.5,), math.inf, math.inf, 1e-8),
+    lambda: polylog.li_star((2, 1), (math.inf, 0.5)),
+    lambda: polylog.mean_average_infinite((2,), math.inf, 1e-6),
 ), ids=("li_star-depth1", "li_star", "li_star_diff-xs", "li_star_diff-x_hi",
-        "li_star_diff-x_lo", "mean_average_infinite"))
+        "li_star_diff-x_lo", "mean_average_infinite", "li_star-inf-zero",
+        "li_star_diff-inf-equal", "li_star-inf", "mean_average_infinite-inf"))
 def test_nan_arguments_raise_domain_error_before_any_ladder(monkeypatch, call):
-    # a NaN prefix product would otherwise be refused as a pairing failure
+    # a NaN or infinite prefix product would otherwise be refused as a
+    # pairing failure, and an infinite argument beside a zero one, or as
+    # both ends of a difference, would take an exact-zero shortcut
     def ladder(*args, **kwargs):
-        raise AssertionError("a ladder ran on a NaN argument")
+        raise AssertionError("a ladder ran on a non-finite argument")
 
     for name in ("_star_ladder", "_node_rows", "adaptive_sum"):
         monkeypatch.setattr(polylog, name, ladder)
     with pytest.raises(DomainError):
+        call()
+
+
+class _LadderReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("call, diverges", (
+    (lambda: polylog.li_star((1, 1), (1 - 1e-13, 0.5)), True),
+    (lambda: polylog.li_star_diff((1, 2), (1.0,), 1.0, 0.5, 1e-8), True),
+    (lambda: polylog.li_star((1, 1), (-1.0, 0.5)), False),
+    (lambda: polylog.li_star((1, 1), (1 - 1e-11, 0.9)), False),
+    (lambda: polylog.li_star((2, 1), (1.0, 1.0)), False),
+), ids=("s1=1-x1-marginal", "diff-s1=1-x1=1", "x1=-1", "x1-below-margin", "s1=2-x1=1"))
+def test_divergence_criterion_at_its_margins(monkeypatch, call, diverges):
+    # (s_1, x_1) = (1, 1), with x_1 within 1e-12 of 1, is refused before
+    # any ladder level runs; every other paired spec reaches the ladder
+    def ladder(*args, **kwargs):
+        raise _LadderReached
+
+    monkeypatch.setattr(polylog, "adaptive_sum", ladder)
+    with pytest.raises(DomainError if diverges else _LadderReached):
         call()
 
 
