@@ -57,20 +57,15 @@ class IdentityReport:
     abs_diff: object = None
     rel_diff: float = None
     tolerance: float = None
-    passed: bool = None
-    skipped: bool = False
-    skip_reason: str = None
-    converged: bool = True
+    status: str = None  # pass | fail | skip | not_converged
+    reason: str = None  # why a report is a skip or not_converged
     cost: dict = field(default_factory=dict)
     anchor: str = ""
 
     @property
-    def status(self):
-        if self.skipped:
-            return "skip"
-        if not self.converged:
-            return "not_converged"
-        return "pass" if self.passed else "fail"
+    def passed(self):
+        """None for a skip, else whether the report is a pass."""
+        return None if self.status == "skip" else self.status == "pass"
 
     def _fmt(self, v):
         if v is None:
@@ -95,7 +90,7 @@ class IdentityReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
             "status": self.status,
-            "reason": self.skip_reason,
+            "reason": self.reason,
             "anchor": self.anchor,
             "cost": self.cost,
         }
@@ -452,16 +447,11 @@ def _series(ident, anchor, param_types, points, sample, shape_key="shape"):
             return polylog.li_example_sides(family, params["d"], params["p"], tol)
         # verify has gated the domain already, or was told not to
         return polylog.li_identity_sides(
-            ident, params.get(shape_key), params.get("a", 1), params.get("p"),
+            ident, params[shape_key], params.get("a", 1), params["p"],
             tol, check_domain=False)
 
     def domain(params):
-        p = params.get("p")
-        if p is None:
-            return False, "missing parameter p"
-        if example:
-            return 0 < p < 1, "p must lie in (0,1)"
-        return (polylog._series_domain(ident, params.get("a", 1), p),
+        return (polylog._series_domain(kind, params.get("a", 1), params["p"]),
                 "outside validity region")
 
     _register(Identity(ident, anchor, "NUMERIC", param_types, evaluate,
@@ -630,17 +620,6 @@ def default_grid(identity_id):
     return get_entry(identity_id).grid()
 
 
-def _diffs(lhs, rhs, mode):
-    if mode == "EXACT":
-        if lhs == rhs:
-            return Fraction(0), 0.0
-        diff = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), Fraction(1))
-        return diff, float(diff / scale)
-    diff = abs(lhs.value - rhs.value)
-    return diff, diff / max(abs(lhs.value), abs(rhs.value), 1.0)
-
-
 def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     """Evaluate one identity instance and compare its sides.
 
@@ -648,65 +627,64 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     ``outside=True``, in which case the evaluation is attempted anyway and a
     rejection or divergence is reported as ``not_converged``.  An evaluation
     that runs out of budget or whose window fit is singular is reported as
-    ``not_converged`` too, with the exception named in ``skip_reason``, and
-    so is a ladder side that ended unconverged, named in ``skip_reason``
-    with its truncation level and error estimate.
-    Mathematical failure never raises; it returns ``passed=False``.  A
-    ``tol`` that is not finite and > 0 raises :class:`DomainError`.
+    ``not_converged`` too, with the exception named in ``reason``, and so is
+    a ladder side that ended unconverged, named in ``reason`` with its
+    truncation level and error estimate.
+    Mathematical failure never raises; it returns status ``fail``.  A
+    declared parameter missing from ``params``, or a ``tol`` that is not
+    finite and > 0, raises :class:`DomainError`.
     """
     entry = get_entry(identity_id)
     params = dict(params or {})
+    if entry.param_types.keys() - params.keys():
+        missing = [key for key in entry.param_types if key not in params]
+        raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
+                          f"for {entry.id}")
     if tol is None:
         tol = entry.default_tol
     check_tolerance(tol)
-    report = IdentityReport(id=entry.id, params=dict(params), mode=entry.mode,
+    report = IdentityReport(id=entry.id, params=params, mode=entry.mode,
                             anchor=entry.anchor,
                             tolerance=None if entry.mode == "EXACT" else tol)
     if entry.domain is not None:
         ok, reason = entry.domain(params)
         if not ok and not outside:
-            report.skipped = True
-            report.skip_reason = reason
+            report.status, report.reason = "skip", reason
             return report
     start = time.perf_counter()
-
-    def not_converged(reason):
-        report.passed = False
-        report.converged = False
-        report.skip_reason = reason
-        report.cost = {"wall_ms": round((time.perf_counter() - start) * 1e3, 3)}
-        return report
-
     try:
         lhs, rhs = entry.evaluate(params, tol)
     except (PairingUnavailableError, DomainError) as exc:
-        if outside:
-            return not_converged(f"evaluation rejected: {exc}")
-        raise
+        if not outside:
+            raise
+        report.reason = f"evaluation rejected: {exc}"
     except (NonConvergenceError, BudgetExceededError, SingularFitError) as exc:
-        return not_converged(f"{type(exc).__name__}: {exc}")
-    wall_ms = (time.perf_counter() - start) * 1e3
-    report.lhs = lhs.value if isinstance(lhs, EvalResult) else lhs
-    report.rhs = rhs.value if isinstance(rhs, EvalResult) else rhs
-    report.err_lhs = lhs.error_estimate if isinstance(lhs, EvalResult) else None
-    report.err_rhs = rhs.error_estimate if isinstance(rhs, EvalResult) else None
-    report.abs_diff, report.rel_diff = _diffs(lhs, rhs, entry.mode)
-    cost = {"wall_ms": round(wall_ms, 3)}
-    if isinstance(lhs, EvalResult):
-        cost["terms_lhs"] = lhs.terms_used
-    if isinstance(rhs, EvalResult):
-        cost["terms_rhs"] = rhs.terms_used
-    report.cost = cost
+        report.reason = f"{type(exc).__name__}: {exc}"
+    report.cost = {"wall_ms": round((time.perf_counter() - start) * 1e3, 3)}
+    if report.reason is not None:
+        report.status = "not_converged"
+        return report
     if entry.mode == "EXACT":
-        report.passed = (lhs == rhs)
+        report.lhs, report.rhs = lhs, rhs
+        if lhs == rhs:
+            report.status, report.abs_diff, report.rel_diff = "pass", Fraction(0), 0.0
+        else:
+            report.status, report.abs_diff = "fail", abs(lhs - rhs)
+            report.rel_diff = float(report.abs_diff / max(abs(lhs), abs(rhs), Fraction(1)))
+        return report
+    # a NUMERIC or QUADRATURE side is an EvalResult
+    report.lhs, report.rhs = lhs.value, rhs.value
+    report.err_lhs, report.err_rhs = lhs.error_estimate, rhs.error_estimate
+    report.cost.update(terms_lhs=lhs.terms_used, terms_rhs=rhs.terms_used)
+    diff = report.abs_diff = abs(lhs.value - rhs.value)
+    report.rel_diff = diff / max(abs(lhs.value), abs(rhs.value), 1.0)
+    stuck = [f"{side} did not converge: ladder ended at truncation_level "
+             f"{r.truncation_level} with error estimate {r.error_estimate:.3g}"
+             for side, r in (("lhs", lhs), ("rhs", rhs)) if not r.converged]
+    if stuck:
+        report.status, report.reason = "not_converged", "; ".join(stuck)
     else:
-        stuck = [f"{side} did not converge: ladder ended at truncation_level "
-                 f"{r.truncation_level} with error estimate {r.error_estimate:.3g}"
-                 for side, r in (("lhs", lhs), ("rhs", rhs))
-                 if isinstance(r, EvalResult) and not r.converged]
-        report.converged = not stuck
-        report.skip_reason = "; ".join(stuck) or None
-        report.passed = bool(not stuck and report.abs_diff <= tol)
+        report.status = "pass" if diff <= tol else "fail"
     return report
 
 

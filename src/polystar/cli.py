@@ -99,10 +99,6 @@ def _parse_params(entry, pairs):
             raise DomainError(f"unknown parameter {key!r} for {entry.id}")
         params[key] = _parse(_PARAM_PARSERS.get(types[key], str), text,
                              f"parameter {key}")
-    missing = [key for key in types if key not in params]
-    if missing:
-        raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
-                          f"for {entry.id}")
     return params
 
 
@@ -138,35 +134,29 @@ def cmd_eval(args):
     def rational(name):
         return _parse(Fraction, getattr(args, name), f"--{name}")
 
+    res = None
     if kind == "mhsv":
-        value = exact.mhsv(required("k"), Composition.parse(args.s), rational("a"))
-        print(value)
+        print(exact.mhsv(required("k"), Composition.parse(args.s), rational("a")))
     elif kind == "mneimneh":
-        value = exact.mneimneh_lhs(required("n"), Composition.parse(args.s),
-                                   rational("a"), rational("p"))
-        print(value)
+        print(exact.mneimneh_lhs(required("n"), Composition.parse(args.s),
+                                 rational("a"), rational("p")))
     elif kind == "li":
         res = polylog.li(_parse(int, args.s, "--s"),
                          _parse(_PARAM_PARSERS["float"], args.x, "--x"))
-        print(_fmt_numeric(res))
     elif kind == "listar":
         xs = _parse(lambda t: tuple(float(Fraction(v)) for v in t.split(",")),
                     args.x, "--x")
         res = polylog.li_star(Composition.parse(args.s), xs, tol)
-        print(_fmt_numeric(res))
-        if not res.converged:
-            return EXIT_NOT_CONVERGED
     elif kind == "zetastar":
         res = polylog.zeta_star(Composition.parse(args.s), tol)
-        print(_fmt_numeric(res))
-        if not res.converged:
-            return EXIT_NOT_CONVERGED
     elif kind == "mean":
-        lhs = exact.mean_lhs(required("n"), Composition.parse(args.s), rational("a"))
-        print(lhs)
+        print(exact.mean_lhs(required("n"), Composition.parse(args.s), rational("a")))
     else:
         raise DomainError(f"unknown eval kind {kind!r}")
-    return EXIT_OK
+    if res is None:
+        return EXIT_OK
+    print(_fmt_numeric(res))
+    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 
 def _verify_task(task):
@@ -179,12 +169,27 @@ def _report_key(report):
                                   sort_keys=True))
 
 
-def _report_line(report):
-    """The text line of a report: status, id, params, then |diff| and the
-    reason when the report has them."""
-    return (f"{report.status.upper():14s} {report.id} {report.params}"
-            + ("" if report.abs_diff is None else f" |diff|={report.abs_diff}")
-            + ("" if report.skip_reason is None else f" ({report.skip_reason})"))
+def _print_reports(reports, as_json, verbose, summary):
+    """Print each report: its JSON object with ``as_json``; else the text
+    line (status, id, params, then |diff| and the reason when the report has
+    them) of each report that did not pass, or of every report with
+    ``verbose``, and then ``summary`` filled in with the count of each status
+    and the ``total``.  Return the exit code: a fail gives 1, else a
+    not_converged gives 3, else 0."""
+    counts = dict.fromkeys(("pass", "fail", "skip", "not_converged"), 0)
+    for report in reports:
+        counts[report.status] += 1
+        if as_json:
+            print(json.dumps(report.to_json_dict()))
+        elif report.status != "pass" or verbose:
+            print(f"{report.status.upper():14s} {report.id} {report.params}"
+                  + ("" if report.abs_diff is None else f" |diff|={report.abs_diff}")
+                  + ("" if report.reason is None else f" ({report.reason})"))
+    if not as_json:
+        print(summary.format(total=len(reports), **counts))
+    if counts["fail"]:
+        return EXIT_FAIL
+    return EXIT_NOT_CONVERGED if counts["not_converged"] else EXIT_OK
 
 
 def cmd_verify(args):
@@ -227,22 +232,9 @@ def cmd_verify(args):
         reports = [_verify_task(t) for t in tasks]
     reports.sort(key=_report_key)
 
-    counts = {"pass": 0, "fail": 0, "skip": 0, "not_converged": 0}
-    for report in reports:
-        counts[report.status] += 1
-        if args.json:
-            print(json.dumps(report.to_json_dict()))
-        elif report.status != "pass" or args.verbose:
-            print(_report_line(report))
-    if not args.json:
-        print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['skip']} skipped, {counts['not_converged']} not converged "
-              f"({len(reports)} total)")
-    if counts["fail"]:
-        return EXIT_FAIL
-    if counts["not_converged"]:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _print_reports(reports, args.json, args.verbose,
+                          "summary: {pass} pass, {fail} fail, {skip} skipped, "
+                          "{not_converged} not converged ({total} total)")
 
 
 def cmd_fuzz(args):
@@ -251,22 +243,8 @@ def cmd_fuzz(args):
         chains.load_lfilter()
     reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
                            outside=args.outside)
-    fails = 0
-    ncs = 0
-    for report in reports:
-        if args.json:
-            print(json.dumps(report.to_json_dict()))
-        elif report.status != "pass":
-            print(_report_line(report))
-        fails += report.status == "fail"
-        ncs += report.status == "not_converged"
-    if not args.json:
-        print(f"fuzz {args.id}: {len(reports) - fails - ncs}/{len(reports)} pass")
-    if fails:
-        return EXIT_FAIL
-    if ncs:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _print_reports(reports, args.json, False,
+                          f"fuzz {args.id}: {{pass}}/{{total}} pass")
 
 
 def build_parser():

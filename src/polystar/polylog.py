@@ -334,8 +334,8 @@ _SERIES_KIND = {"INTRO_SERIES": "MAIN", "INTRO_RED_L": "RED1", "INTRO_RED_R": "R
 _SERIES_IDS = (*_SERIES_KIND, "MEAN_INF_A", "MEAN_INF_1")
 
 
-def _series_domain(identity, a, p):
-    constraint, at = _SERIES_REGIONS[_SERIES_KIND[identity]]
+def _series_domain(kind, a, p):
+    constraint, at = _SERIES_REGIONS[kind]
     return domain_check(constraint, at(a, p), p)
 
 
@@ -391,7 +391,7 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
     kind = _SERIES_KIND[identity]
     if kind == "A1":
         a = 1
-    if check_domain and not _series_domain(identity, a, p):
+    if check_domain and not _series_domain(kind, a, p):
         raise DomainError(f"({a}, {p}) outside the validity region of {identity}")
 
     comp = shape_composition(shape)

@@ -88,6 +88,25 @@ def test_verify_refuses_non_finite_parameter_in_domain_check(a):
         catalog.verify("INTRO_SERIES", {"s": 2, "a": a, "p": 0.5})
 
 
+@pytest.mark.parametrize("ident, key", [(entry.id, key) for entry in catalog.list_identities()
+                                        for key in entry.param_types])
+def test_verify_refuses_a_missing_parameter(ident, key):
+    # no identity defaults a declared parameter, and none reaches its domain
+    # check or its sides without one
+    params, tol = next(iter(catalog.default_grid(ident)))
+    params = {k: v for k, v in params.items() if k != key}
+    with pytest.raises(DomainError, match=f"^missing parameter '{key}' for {ident}$"):
+        catalog.verify(ident, params, tol)
+
+
+@pytest.mark.parametrize("ident", ("LI1_EX", "LI2_EX"))
+def test_example_ids_gate_on_the_a1_region(ident):
+    r = catalog.verify(ident, dict(d=1, p=1.5))
+    assert (r.status, r.reason) == ("skip", "outside validity region")
+    with pytest.raises(DomainError):
+        catalog.verify(ident, dict(d=1, p=math.nan))
+
+
 def test_report_json_roundtrip():
     r = catalog.verify("MAIN_TRANSFORM", dict(n=2, s=Composition((1, 1)), a=F(1), p=F(1, 3)))
     payload = json.loads(json.dumps(r.to_json_dict()))
@@ -147,7 +166,7 @@ def test_fuzz_requires_trials():
 def test_fuzz_in_domain_never_skips():
     for ident in ("GENCEV_D1", "PAN_XU", "INTRO_SERIES"):
         reports = catalog.fuzz(ident, 3, 8)
-        assert all(not r.skipped for r in reports)
+        assert all(r.status != "skip" for r in reports)
 
 
 def test_intro_series_fuzz_reaches_the_grid_side_of_p_1():
@@ -165,7 +184,7 @@ def test_outside_mode_reports_failure_without_abort():
     # divergent series outside the validity region: a failure, not an error
     r = catalog.verify("INTRO_SERIES", dict(s=2, a=-1.0, p=1.5), 1e-8, outside=True)
     assert r.passed is False
-    assert r.skip_reason and "rejected" in r.skip_reason
+    assert r.reason and "rejected" in r.reason
 
 
 @pytest.mark.parametrize("exc_type", [NonConvergenceError, BudgetExceededError,
@@ -178,9 +197,9 @@ def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
     r = catalog.verify("AUX1", dict(n=2, a=F(1), x=F(1, 2)))
     assert r.status == "not_converged"
     assert r.passed is False
-    assert r.skip_reason == f"{exc_type.__name__}: out of budget"
+    assert r.reason == f"{exc_type.__name__}: out of budget"
     assert "wall_ms" in r.cost
-    assert r.to_json_dict()["reason"] == r.skip_reason
+    assert r.to_json_dict()["reason"] == r.reason
 
 
 def test_zero_division_still_raises(monkeypatch):
@@ -215,22 +234,22 @@ def test_unconverged_ladder_reason_names_its_side(monkeypatch):
     monkeypatch.setattr(catalog.polylog, "Q_MAX_N", 2048)
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
     assert r.status == "not_converged"
-    assert r.skip_reason == ("rhs did not converge: ladder ended at truncation_level "
+    assert r.reason == ("rhs did not converge: ladder ended at truncation_level "
                              f"2048 with error estimate {r.err_rhs:.3g}")
-    assert json.loads(json.dumps(r.to_json_dict()))["reason"] == r.skip_reason
+    assert json.loads(json.dumps(r.to_json_dict()))["reason"] == r.reason
 
 
 def test_q_state_budget_reaches_the_seventh_level_up_to_weight_11(monkeypatch):
     # weight 9 reaches N = 4,096 and passes; weight 12 would need more than
     # Q_STATE_BUDGET at N = 4,096, so its ladder refuses before its one sweep
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
-    assert r.status == "pass" and r.skip_reason is None
+    assert r.status == "pass" and r.reason is None
     sweeps = []
     monkeypatch.setattr(catalog.polylog, "dp_q_contributions",
                         lambda *args, **kw: sweeps.append(args))
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3, 3))))
     assert r.status == "not_converged" and sweeps == []
-    assert r.skip_reason == ("BudgetExceededError: the ladder of weight 12 needs "
+    assert r.reason == ("BudgetExceededError: the ladder of weight 12 needs "
                              "N = 4096, 201326592 cell updates, over budget 200000000")
 
 

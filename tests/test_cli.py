@@ -337,3 +337,55 @@ def test_package_exports_resolve():
     names = polystar.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(polystar, name)] == []
+
+
+def _status_report(ident, status):
+    return catalog.IdentityReport(
+        id=ident, params={"n": 3, "d": 1}, mode="EXACT", status=status,
+        reason={"skip": "a domain", "not_converged": "a ladder"}.get(status),
+        abs_diff=None if status in ("skip", "not_converged") else 0)
+
+
+# one identity per status, every one with parameters n and d
+_STATUS_IDS = {"pass": "DILCHER_A2", "fail": "DILCHER_CLASSIC", "skip": "MEAN_EX1",
+               "not_converged": "ODD_BINOM"}
+_STATUS_LINES = {
+    "pass": "PASS           DILCHER_A2 {'n': 3, 'd': 1} |diff|=0",
+    "fail": "FAIL           DILCHER_CLASSIC {'n': 3, 'd': 1} |diff|=0",
+    "skip": "SKIP           MEAN_EX1 {'n': 3, 'd': 1} (a domain)",
+    "not_converged": "NOT_CONVERGED  ODD_BINOM {'n': 3, 'd': 1} (a ladder)",
+}
+
+
+@pytest.mark.parametrize("statuses, code", [
+    (("pass", "fail", "skip", "not_converged"), cli.EXIT_FAIL),
+    (("pass", "fail"), cli.EXIT_FAIL),
+    (("pass", "skip", "not_converged"), cli.EXIT_NOT_CONVERGED),
+    (("pass", "skip"), cli.EXIT_OK),
+], ids=["all", "fail", "not_converged", "pass-skip"])
+def test_statuses_map_to_one_output_and_exit_code(monkeypatch, capsys, statuses, code):
+    # verify and fuzz print a report and choose their exit code by its status
+    # alone: a fail gives 1 over a not_converged's 3 over 0
+    reports = [_status_report(_STATUS_IDS[status], status) for status in statuses]
+    monkeypatch.setattr(catalog, "verify", lambda ident, *args, **kw: next(
+        r for r in reports if r.id == ident))
+    monkeypatch.setattr(catalog, "fuzz", lambda *args, **kw: reports)
+    lines = [_STATUS_LINES[status] for status in statuses]
+    count = {status: statuses.count(status) for status in _STATUS_IDS}
+    summary = (f"summary: {count['pass']} pass, {count['fail']} fail, {count['skip']} "
+               f"skipped, {count['not_converged']} not converged ({len(statuses)} total)")
+    verify = ["verify", *(r.id for r in reports), "--param", "n=3", "--param", "d=1"]
+
+    assert main(verify + ["--verbose"]) == code
+    assert capsys.readouterr().out.splitlines() == lines + [summary]
+    assert main(verify) == code
+    assert capsys.readouterr().out.splitlines() == lines[1:] + [summary]
+    assert main(["fuzz", "DILCHER_CLASSIC", "--trials", str(len(reports))]) == code
+    assert capsys.readouterr().out.splitlines() == \
+        lines[1:] + [f"fuzz DILCHER_CLASSIC: 1/{len(statuses)} pass"]
+    for argv in (verify, ["fuzz", "DILCHER_CLASSIC"]):
+        assert main(argv + ["--json"]) == code
+        payload = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(r["status"], r["pass"]) for r in payload] == \
+            [(status, {"pass": True, "skip": None}.get(status, False))
+             for status in statuses]
