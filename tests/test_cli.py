@@ -343,7 +343,7 @@ def _status_report(ident, status):
     return catalog.IdentityReport(
         id=ident, params={"n": 3, "d": 1}, mode="EXACT", status=status,
         reason={"skip": "a domain", "not_converged": "a ladder"}.get(status),
-        abs_diff=None if status in ("skip", "not_converged") else 0)
+        abs_diff={"pass": 0, "fail": 1}.get(status))
 
 
 # one identity per status, every one with parameters n and d
@@ -351,7 +351,7 @@ _STATUS_IDS = {"pass": "DILCHER_A2", "fail": "DILCHER_CLASSIC", "skip": "MEAN_EX
                "not_converged": "ODD_BINOM"}
 _STATUS_LINES = {
     "pass": "PASS           DILCHER_A2 {'n': 3, 'd': 1} |diff|=0",
-    "fail": "FAIL           DILCHER_CLASSIC {'n': 3, 'd': 1} |diff|=0",
+    "fail": "FAIL           DILCHER_CLASSIC {'n': 3, 'd': 1} |diff|=1",
     "skip": "SKIP           MEAN_EX1 {'n': 3, 'd': 1} (a domain)",
     "not_converged": "NOT_CONVERGED  ODD_BINOM {'n': 3, 'd': 1} (a ladder)",
 }
