@@ -5,8 +5,8 @@ identities."""
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
                      NonConvergenceError, SingularFitError, adaptive_quadrature,
                      binom_ratio_sum, binomial)
-from .compositions import (Composition, IndexChain, ShapeBlocks, domain_check,
-                           q_of, shape_args, shape_composition)
+from .compositions import (Composition, ShapeBlocks, domain_check, q_of,
+                           shape_args, shape_composition)
 from .exact import (aux_rhs, dilcher_classic, dilcher_plus, gen_harmonic,
                     main_rhs, mean_example1_rhs, mean_lhs, mean_rhs, mhsv,
                     mneimneh_lhs, odd_binom_sum, pan_xu_check)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError", "Composition", "DomainError", "EvalResult",
-    "FactorSpec", "IdentityReport", "IndexChain", "NonConvergenceError",
+    "FactorSpec", "IdentityReport", "NonConvergenceError",
     "PairingUnavailableError", "QKernelSpec", "ShapeBlocks",
     "SingularFitError", "TruncationSchedule", "adaptive_quadrature",
     "adaptive_sum", "aux_rhs", "binom_ratio_sum", "binomial",

@@ -44,6 +44,13 @@ class Identity:
         if self.mode not in ("EXACT", "NUMERIC", "QUADRATURE"):
             raise DomainError(f"bad mode {self.mode!r}")
 
+    def check_params(self, params):
+        """Raise :class:`DomainError` naming each declared parameter not in ``params``."""
+        missing = [key for key in self.param_types if key not in params]
+        if missing:
+            raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
+                              f"for {self.id}")
+
 
 @dataclass
 class IdentityReport:
@@ -329,7 +336,7 @@ def _aux(ident, anchor):
     _register(Identity(
         ident, anchor, "QUADRATURE", {"n": "int", "a": "rational", "x": "rational"},
         evaluate,
-        lambda: iter(_AUX_GRID),
+        lambda: ((dict(point), tol) for point, tol in _AUX_GRID),
         sample=lambda rng: dict(n=rng.randint(1, 6), a=_rational(rng, 0, 2),
                                 x=_rational(rng, -1, 1)),
         default_tol=1e-10,
@@ -636,10 +643,7 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     """
     entry = get_entry(identity_id)
     params = dict(params or {})
-    if entry.param_types.keys() - params.keys():
-        missing = [key for key in entry.param_types if key not in params]
-        raise DomainError(f"missing parameter {', '.join(map(repr, missing))} "
-                          f"for {entry.id}")
+    entry.check_params(params)
     if tol is None:
         tol = entry.default_tol
     check_tolerance(tol)

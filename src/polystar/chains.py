@@ -99,7 +99,10 @@ class QKernelSpec:
 
     ``MEAN_FULL`` sums over chains of length |s|+1 with the binomial-ratio
     kernel and weight a^{n_{|s|+1}}; ``MEAN_INF`` sums over chains of length
-    |s| with kernel 1/((Q+1)(Q+n_{|s|}+1)) and no 1/n_{|s|} factor.
+    |s| with kernel 1/((Q+1)(Q+n_{|s|}+1)) and no 1/n_{|s|} factor.  The
+    scalar ``a`` picks the arithmetic, as a :class:`FactorSpec`'s do: an int
+    or ``Fraction`` sums exactly, a float in float64 (``MEAN_INF`` only;
+    ``MEAN_FULL`` refuses a float ``a`` with :class:`DomainError`).
     """
 
     s: Composition
@@ -110,28 +113,31 @@ class QKernelSpec:
         object.__setattr__(self, "s", as_composition(self.s))
         if self.kind not in ("MEAN_FULL", "MEAN_INF"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "MEAN_FULL" and not isinstance(self.a, (int, Fraction)):
+            raise DomainError(f"MEAN_FULL needs an exact a, got {self.a!r}")
 
     @property
     def chain_length(self):
         return self.s.weight + (1 if self.kind == "MEAN_FULL" else 0)
 
 
+# the first truncation of every ladder
+LADDER_START = 64
+
+
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """The truncation ladder start, 2 start, 4 start, ... up to ``max_n``."""
+    """The truncation ladder LADDER_START, 2 LADDER_START, ... up to ``max_n``."""
 
-    start: int = 64
     max_n: int = 2 ** 20
     tolerance: float = 1e-8
     extrapolate: bool = False
 
     def __post_init__(self):
-        if self.start < 1:
-            raise DomainError("invalid truncation schedule")
         check_tolerance(self.tolerance)
 
     def levels(self):
-        n = self.start
+        n = LADDER_START
         while n <= self.max_n:
             yield n
             n *= 2
@@ -497,7 +503,7 @@ def _q_seed(kernel: QKernelSpec, N: int, exact: bool):
     """``seed(m, lo, hi)``, the kernel over its value m, K(m, q)/m for q =
     lo..hi, and the denominator of exact seeds: ``MEAN_INF``'s r[q] r[q+m],
     r[k] = 1/(k+1) (exact over lcm(1..N+1), as q + m <= N on every read),
-    or the table of :func:`_mean_full_kernel` over m."""
+    or the exact table of :func:`_mean_full_kernel` over m."""
     if kernel.kind == "MEAN_INF":
         if exact:
             lcm = math.lcm(*range(1, N + 2))
@@ -506,11 +512,8 @@ def _q_seed(kernel: QKernelSpec, N: int, exact: bool):
             r, den = 1.0 / np.arange(1, N + 2), 1
         return (lambda m, lo, hi: r[lo:hi + 1] * r[lo + m:hi + m + 1]), den
     K, den = _mean_full_kernel(kernel.a, N)
-    if exact:
-        lcm = math.lcm(*range(1, N + 1))
-        return (lambda m, lo, hi: K[m - 1, lo:hi + 1] * (lcm // m)), den * lcm
-    K = (K / den).astype(np.float64)
-    return (lambda m, lo, hi: K[m - 1, lo:hi + 1] / m), 1
+    lcm = math.lcm(*range(1, N + 1))
+    return (lambda m, lo, hi: K[m - 1, lo:hi + 1] * (lcm // m)), den * lcm
 
 
 def _q_live_ranges(signs):
@@ -534,7 +537,7 @@ def _q_live_ranges(signs):
     return ranges
 
 
-def dp_q_contributions(kernel: QKernelSpec, N: int, exact=None):
+def dp_q_contributions(kernel: QKernelSpec, N: int):
     """The Q-coupled chain sum split by its first index, from one ascending
     sweep.  Returns (c, den, cells): ``c[n]`` sums the chains with n_1 = n
     (``c[0]`` = 0), so ``np.cumsum(c)[n]`` is the truncation at n_1 <= n for
@@ -567,8 +570,7 @@ def dp_q_contributions(kernel: QKernelSpec, N: int, exact=None):
     if n_cells > Q_STATE_BUDGET:
         raise BudgetExceededError(
             f"Q-coupled DP needs ~{n_cells} cell updates, over budget {Q_STATE_BUDGET}")
-    if exact is None:
-        exact = isinstance(kernel.a, (int, Fraction))
+    exact = isinstance(kernel.a, (int, Fraction))
     signs = chain_q_signs(kernel.s)
     last = len(signs) - 1
     seed, den = _q_seed(kernel, N, exact)
@@ -603,12 +605,13 @@ def dp_q_contributions(kernel: QKernelSpec, N: int, exact=None):
     return c, den, cells
 
 
-def dp_q_coupled(kernel: QKernelSpec, N: int, exact=None):
+def dp_q_coupled(kernel: QKernelSpec, N: int):
     """Q-coupled chain sum truncated at n_1 <= N: the last running sum of
     :func:`dp_q_contributions`, in ascending n_1 as a ladder reads it.
-    Exact kernels build one Fraction, for the total; ``exact=False`` gives
-    a float."""
-    c, den, _ = dp_q_contributions(kernel, N, exact)
+    The kernel's ``a`` picks the arithmetic: an int or ``Fraction`` builds
+    one Fraction, for the total, a float (``MEAN_INF`` only) gives a
+    float."""
+    c, den, _ = dp_q_contributions(kernel, N)
     total = np.cumsum(c)[-1]
     if c.dtype == object:
         return Fraction(total, den)

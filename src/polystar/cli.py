@@ -207,6 +207,7 @@ def cmd_verify(args):
         ident = entry.id
         if args.param:
             params = _parse_params(entry, args.param)
+            entry.check_params(params)
             tasks.append((ident, params, tol_override, args.outside))
         else:
             for params, grid_tol in entry.grid():

@@ -79,12 +79,6 @@ class Composition:
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
 
 def as_composition(s) -> Composition:
     if isinstance(s, Composition):
@@ -150,29 +144,6 @@ class ShapeBlocks:
         return f"{self.family}:m={','.join(map(str, self.m))};u={','.join(map(str, self.u))}"
 
 
-@dataclass(frozen=True)
-class IndexChain:
-    """Nonincreasing chain of positive summation indices."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(v) for v in self.indices)
-        if not idx:
-            raise DomainError("chain must be nonempty")
-        if any(v < 1 for v in idx):
-            raise DomainError("chain indices must be >= 1")
-        if any(idx[i] < idx[i + 1] for i in range(len(idx) - 1)):
-            raise DomainError(f"chain must be nonincreasing, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-
 def shape_composition(shape: ShapeBlocks) -> Composition:
     """Composition generated by a block description."""
     parts = []
@@ -191,12 +162,11 @@ def shape_composition(shape: ShapeBlocks) -> Composition:
 def q_of(s, chain) -> int:
     """Chain statistic Q(s) = sum over blocks of (first index - last index)."""
     s = as_composition(s)
-    if isinstance(chain, IndexChain):
-        idx = chain.indices
-    else:
-        idx = IndexChain(tuple(chain)).indices
+    idx = tuple(int(v) for v in chain)
     if len(idx) != s.weight:
         raise DomainError(f"chain length {len(idx)} != composition weight {s.weight}")
+    if min(idx) < 1 or any(x < y for x, y in zip(idx, idx[1:])):
+        raise DomainError(f"chain must be nonincreasing with indices >= 1, got {idx}")
     total = 0
     for start, end in s.block_bounds():
         total += idx[start - 1] - idx[end - 1]

@@ -75,9 +75,6 @@ class EvalResult:
     truncation_level: int
     converged: bool
 
-    def __float__(self):
-        return float(self.value)
-
     @classmethod
     def rounded(cls, value, err=0.0, terms=1, level=1):
         """A converged result for a value computed in mpmath or exactly:

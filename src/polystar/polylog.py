@@ -21,8 +21,8 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .chains import (PAIRING_SLACK, FactorSpec, GapState, QKernelSpec, Q_STATE_BUDGET,
-                     TruncationSchedule, adaptive_sum, dp_q_contributions)
+from .chains import (LADDER_START, PAIRING_SLACK, FactorSpec, GapState, QKernelSpec,
+                     Q_STATE_BUDGET, TruncationSchedule, adaptive_sum, dp_q_contributions)
 from .compositions import (Composition, ShapeBlocks, as_composition, as_fraction,
                            domain_check, shape_args, shape_composition,
                            transform_bases)
@@ -217,19 +217,19 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
     sweep's steps it adds.  A weight whose sweep would exceed
     ``Q_STATE_BUDGET`` raises :class:`BudgetExceededError` before it runs."""
     s = as_composition(s)
-    kernel = QKernelSpec(s, "MEAN_INF")
+    kernel = QKernelSpec(s, "MEAN_INF", 1.0)
     if Q_MAX_N ** 2 * s.weight > Q_STATE_BUDGET:
         raise BudgetExceededError(
             f"the ladder of weight {s.weight} needs N = {Q_MAX_N}, "
             f"{Q_MAX_N ** 2 * s.weight} cell updates, over budget {Q_STATE_BUDGET}")
     schedule = TruncationSchedule(max_n=Q_MAX_N, tolerance=tol, extrapolate=True)
-    c, _, cells = dp_q_contributions(kernel, Q_MAX_N, exact=False)
+    c, _, cells = dp_q_contributions(kernel, Q_MAX_N)
     partials, work = np.cumsum(c), np.cumsum(cells)
 
     def evaluate(N):
-        # the levels double from the schedule's start: this one adds the
+        # the levels double from the ladder's start: this one adds the
         # steps past the previous level
-        previous = N // 2 if N > schedule.start else 0
+        previous = N // 2 if N > LADDER_START else 0
         return float(partials[N]), int(work[N] - work[previous])
 
     return adaptive_sum(evaluate, schedule)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from polystar import catalog, polylog
+from polystar.chains import PairingUnavailableError
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
                              SingularFitError)
@@ -200,6 +201,37 @@ def test_budget_exceptions_report_not_converged(monkeypatch, exc_type):
     assert r.reason == f"{exc_type.__name__}: out of budget"
     assert "wall_ms" in r.cost
     assert r.to_json_dict()["reason"] == r.reason
+
+
+def test_exact_sides_that_differ_report_fail(monkeypatch):
+    monkeypatch.setattr(catalog.get_entry("MEAN_SUM_HK"), "evaluate",
+                        lambda params, tol: (F(1), F(3, 2)))
+    r = catalog.verify("MEAN_SUM_HK", dict(n=3))
+    assert (r.status, r.passed, r.reason) == ("fail", False, None)
+    assert (r.lhs, r.rhs, r.abs_diff) == (F(1), F(3, 2), F(1, 2))
+    assert r.rel_diff == 1 / 3
+
+
+def test_refused_evaluation_raises_unless_outside(monkeypatch):
+    def evaluate(params, tol):
+        raise PairingUnavailableError("unpaired")
+
+    monkeypatch.setattr(catalog.get_entry("AUX1"), "evaluate", evaluate)
+    with pytest.raises(PairingUnavailableError, match="^unpaired$"):
+        catalog.verify("AUX1", dict(n=2, a=F(1), x=F(1, 2)))
+    r = catalog.verify("AUX1", dict(n=2, a=F(1), x=F(1, 2)), outside=True)
+    assert (r.status, r.reason) == ("not_converged", "evaluation rejected: unpaired")
+
+
+def test_aux_grids_hand_out_fresh_points():
+    # a caller that edits a grid point edits only its own copy
+    first = next(iter(catalog.default_grid("AUX1")))[0]
+    want = {ident: list(catalog.default_grid(ident)) for ident in ("AUX1", "AUX2")}
+    first["n"] = 99
+    del first["a"]
+    for ident in ("AUX1", "AUX2"):
+        assert list(catalog.default_grid(ident)) == want[ident]
+        assert next(iter(catalog.default_grid(ident)))[0] == dict(n=1, a=F(1, 2), x=F(-1, 2))
 
 
 def test_zero_division_still_raises(monkeypatch):

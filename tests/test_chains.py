@@ -547,39 +547,37 @@ def test_q_coupled_matches_enumeration():
 
 
 def test_q_coupled_float_matches_exact():
-    # the float sweep updates each pass's live range only and takes the
-    # MEAN_INF kernel from reciprocals; up to N = 128 it stays at the
-    # rounding level
+    # a float a runs the float sweep, which updates each pass's live range
+    # only and takes the MEAN_INF kernel from reciprocals; up to N = 128 it
+    # stays at the rounding level of the exact sweep at a = 1
     for parts in Q_COMPOSITIONS:
-        for kind, a, sizes in (("MEAN_INF", F(1), (5, 17, 64, 128)),
-                               ("MEAN_FULL", F(1, 2), (4, 9)),
-                               ("MEAN_FULL", F(-1), (9,))):
-            k = QKernelSpec(Composition(parts), kind, a)
-            for N in sizes:
-                value = dp_q_coupled(k, N, exact=False)
-                assert type(value) is float
-                want = dp_q_coupled(k, N)
-                assert abs(value - want) <= 1e-14 * (1 + abs(want))
-    # a float weight selects the float table by default
-    k = QKernelSpec(Composition((2, 1)), "MEAN_FULL", 0.5)
-    assert type(dp_q_coupled(k, 4)) is float
+        s = Composition(parts)
+        for N in (5, 17, 64, 128):
+            value = dp_q_coupled(QKernelSpec(s, "MEAN_INF", 1.0), N)
+            assert type(value) is float
+            want = dp_q_coupled(QKernelSpec(s, "MEAN_INF", F(1)), N)
+            assert abs(value - want) <= 1e-14 * (1 + abs(want))
 
 
-def _cumsum_q_tables(s, N, exact):
+def test_mean_full_refuses_a_float_a():
+    # the MEAN_FULL kernel table is exact only
+    for a in (0.5, 1.0):
+        with pytest.raises(DomainError):
+            QKernelSpec(Composition((2, 1)), "MEAN_FULL", a)
+    assert type(dp_q_coupled(QKernelSpec(Composition((2, 1)), "MEAN_FULL", 1), 4)) is F
+
+
+def _cumsum_q_tables(s, N):
     """The descending Q tables by whole-table axis-0 suffix sums, the
     reference the sweep must match: returns (accs, W), where W[m - 1, q] is
     the sum of 1/(n_1 ... n_|s|) over the chains N >= n_1 >= ... >= n_|s| =
     m with statistic Q = q, and accs[i] (i >= 1; accs[0] is None) is the
     suffix sum over n_i >= m of pass i-1's table, by m and the partial Q of
-    n_1..n_i.  Exact tables hold integer numerators over lcm(1..N)^|s|."""
+    n_1..n_i.  The tables hold integer numerators over lcm(1..N)^|s|."""
     signs = chain_q_signs(s)
-    if exact:
-        lcm = math.lcm(*range(1, N + 1))
-        W = np.zeros((N, N + 1), dtype=object)
-        inv = np.array([lcm // m for m in range(1, N + 1)], dtype=object)
-    else:
-        W = np.zeros((N, N + 1))
-        inv = 1.0 / np.arange(1, N + 1)
+    lcm = math.lcm(*range(1, N + 1))
+    W = np.zeros((N, N + 1), dtype=object)
+    inv = np.array([lcm // m for m in range(1, N + 1)], dtype=object)
     rows = np.arange(N)
     W[rows, rows + 1 if signs[0] > 0 else 0] = inv
     accs = [None]
@@ -611,11 +609,11 @@ def _fold_kernel(kind, a, N):
                      for m in range(1, N + 1)], dtype=object), lcm * lcm
 
 
-def _contributions(kernel, N, exact):
+def _contributions(kernel, N):
     """The sweep's contribution of each first index n_1 = 1..N, as Fractions
-    for exact sweeps."""
-    c, den, _ = dp_q_contributions(kernel, N, exact)
-    return [F(int(x), den) for x in c[1:]] if exact else c[1:]
+    for exact kernels."""
+    c, den, _ = dp_q_contributions(kernel, N)
+    return [F(int(x), den) for x in c[1:]] if c.dtype == object else c[1:]
 
 
 def _table_fold(kernel, W, N):
@@ -628,21 +626,21 @@ def _table_fold(kernel, W, N):
 @pytest.mark.parametrize("parts", ((2,), (3,), (2, 2), (1, 2, 1), (4,), (2, 1)))
 def test_q_table_row_pass_matches_cumsum(parts):
     # exact: every truncation n <= 12, the running sum of the contributions,
-    # is the fold of the descending table at n; float: each contribution is
-    # a sum of positive terms and each cell of a pass a sum of at most N of
-    # them, so the analysis allows |s| N eps relative, and N eps holds (the
-    # worst at N = 300 is about 7 eps; the float MEAN_FULL table, which only
-    # tests use, is checked at N = 60)
+    # is the fold of the descending table at n; float (MEAN_INF at a = 1.0):
+    # each contribution is a sum of positive terms and each cell of a pass a
+    # sum of at most N of them, so the analysis allows |s| N eps relative,
+    # and N eps holds (the worst at N = 300 is about 7 eps)
     s = Composition(parts)
-    for kind, a, N in (("MEAN_INF", F(1), 300), ("MEAN_FULL", F(1, 2), 60)):
+    for kind, a in (("MEAN_INF", F(1)), ("MEAN_FULL", F(1, 2))):
         k = QKernelSpec(s, kind, a)
-        c = _contributions(k, 12, exact=True)
+        c = _contributions(k, 12)
         for n in range(1, 13):
-            assert sum(c[:n]) == _table_fold(k, _cumsum_q_tables(s, n, exact=True)[1], n)
-        got = _contributions(k, N, exact=False)
-        want = np.array([float(x) for x in _contributions(k, N, exact=True)])
-        assert (want > 0).all()
-        assert (np.abs(got - want) <= N * np.finfo(float).eps * want).all()
+            assert sum(c[:n]) == _table_fold(k, _cumsum_q_tables(s, n)[1], n)
+    N = 300
+    got = _contributions(QKernelSpec(s, "MEAN_INF", 1.0), N)
+    want = np.array([float(x) for x in _contributions(QKernelSpec(s, "MEAN_INF", F(1)), N)])
+    assert (want > 0).all()
+    assert (np.abs(got - want) <= N * np.finfo(float).eps * want).all()
 
 
 def test_q_sweep_last_range_never_drops_a_cell():
@@ -658,7 +656,7 @@ def test_q_sweep_last_range_never_drops_a_cell():
         signs = chain_q_signs(s)
         previous = {}
         for N in (1, 2, 3, 7, 40):
-            accs, W = _cumsum_q_tables(s, N, exact=True)
+            accs, W = _cumsum_q_tables(s, N)
             ranges = chains._q_live_ranges(signs)
             for i in range(1, len(signs)):
                 lo_m, hi_n, hi_m = ranges[i]
@@ -668,7 +666,7 @@ def test_q_sweep_last_range_never_drops_a_cell():
                 passes += 1
             for kind, a in kernels:
                 k = QKernelSpec(s, kind, a)
-                c, den, _ = dp_q_contributions(k, N, exact=True)
+                c, den, _ = dp_q_contributions(k, N)
                 total = F(int(c.sum()), den)
                 c = [F(int(x), den) for x in c[1:]]
                 before = previous.get((kind, a), [])
@@ -686,19 +684,19 @@ def test_q_sweep_at_n_gives_the_lower_truncations_bit_for_bit():
     # the ranges at N' < N lie inside those at N and every update is
     # elementwise, so the sweep at N repeats the sweep at N' on its cells
     for parts in Q_COMPOSITIONS:
-        k = QKernelSpec(Composition(parts), "MEAN_INF")
-        big = np.cumsum(dp_q_contributions(k, 300, exact=False)[0])
+        k = QKernelSpec(Composition(parts), "MEAN_INF", 1.0)
+        big = np.cumsum(dp_q_contributions(k, 300)[0])
         for N in (1, 7, 64, 299):
-            assert _bits(big[N]) == _bits(dp_q_coupled(k, N, exact=False))
+            assert _bits(big[N]) == _bits(dp_q_coupled(k, N))
 
 
 def test_q_sweep_memory_is_linear_in_n():
     # an N x (N+1) float64 table at N = 2,048 is 32 MiB; the sweep holds a
     # few rows of N+1 cells per chain index
-    k = QKernelSpec(Composition((2, 2)), "MEAN_INF")
+    k = QKernelSpec(Composition((2, 2)), "MEAN_INF", 1.0)
     tracemalloc.start()
     try:
-        dp_q_coupled(k, 2048, exact=False)
+        dp_q_coupled(k, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -708,7 +706,7 @@ def test_q_sweep_memory_is_linear_in_n():
 def _term_ratio_fold(kernel, N):
     """The MEAN_FULL fold cell by cell, each kernel sum rebuilt from the
     ratio of consecutive terms: the reference of the recurrence table."""
-    W = _cumsum_q_tables(kernel.s, N, exact=True)[1]
+    W = _cumsum_q_tables(kernel.s, N)[1]
     W = W * F(1, math.lcm(*range(1, N + 1)) ** kernel.s.weight)
     a = F(kernel.a)
     total = F(0)
@@ -730,7 +728,6 @@ def test_mean_full_fold_matches_term_ratio(a):
             got = dp_q_coupled(k, N)
             assert type(got) is F
             assert got == _term_ratio_fold(k, N)
-        assert abs(dp_q_coupled(k, 12, exact=False) - float(got)) <= 1e-12 * (1 + abs(got))
 
 
 def test_q_coupled_mean_rhs_consistency():
@@ -765,9 +762,9 @@ def test_adaptive_sum_zero_spec():
 
 
 def test_adaptive_sum_mean_kernel_polynomial():
-    k = QKernelSpec(Composition((2,)), "MEAN_INF")
+    k = QKernelSpec(Composition((2,)), "MEAN_INF", 1.0)
     sched = TruncationSchedule(max_n=4096, tolerance=1e-6, extrapolate=True)
-    res = adaptive_sum(lambda N: (dp_q_coupled(k, N, exact=False), N * N), sched)
+    res = adaptive_sum(lambda N: (dp_q_coupled(k, N), N * N), sched)
     assert res.converged
     assert abs(float(res.value) - math.pi ** 2 / 6) < 1e-6
 
@@ -775,18 +772,18 @@ def test_adaptive_sum_mean_kernel_polynomial():
 def test_adaptive_sum_not_converged_flag():
     # harmonic-like decay cannot satisfy a geometric test within a tiny budget
     spec = FactorSpec((1.0,), (2,))
-    sched = TruncationSchedule(start=4, max_n=64, tolerance=1e-12)
+    sched = TruncationSchedule(max_n=1024, tolerance=1e-12)
     res = adaptive_sum(lambda N: (dp_chain_sum(spec, N), N), sched)
     assert not res.converged
     # terms_used sums the work each level returned
-    assert res.terms_used == 4 + 8 + 16 + 32 + 64
+    assert res.terms_used == 64 + 128 + 256 + 512 + 1024
 
 
 def test_adaptive_sum_determinism():
-    k = QKernelSpec(Composition((2,)), "MEAN_INF")
+    k = QKernelSpec(Composition((2,)), "MEAN_INF", 1.0)
     sched = TruncationSchedule(max_n=2048, tolerance=1e-6, extrapolate=True)
-    r1 = adaptive_sum(lambda N: (dp_q_coupled(k, N, exact=False), N * N), sched)
-    r2 = adaptive_sum(lambda N: (dp_q_coupled(k, N, exact=False), N * N), sched)
+    r1 = adaptive_sum(lambda N: (dp_q_coupled(k, N), N * N), sched)
+    r2 = adaptive_sum(lambda N: (dp_q_coupled(k, N), N * N), sched)
     assert float(r1.value) == float(r2.value)
     assert r1.terms_used == r2.terms_used
 

@@ -124,6 +124,20 @@ def test_verify_missing_param_is_usage_error(capsys):
     assert "missing parameter 'a'" in capsys.readouterr().err
 
 
+def test_verify_missing_param_of_a_later_id_fails_before_any_work(monkeypatch, capsys):
+    # every id's parameters are checked while the tasks are built, before
+    # SciPy is loaded, the pool starts or the first instance runs
+    def refuse(*args, **kw):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(catalog, "verify", refuse)
+    monkeypatch.setattr(chains, "load_lfilter", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    argv = ["verify", "MEAN_SUM_HK", "DILCHER_A2", "--param", "n=3", "--jobs", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: missing parameter 'd' for DILCHER_A2\n")
+
+
 @pytest.mark.parametrize("argv, config", [
     (["verify", "MEAN_SUM_HK", "--param", "n=abc"], None),
     (["eval", "li", "--s", "2", "--x", "abc"], None),

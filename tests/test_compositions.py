@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polystar.compositions import (Composition, IndexChain, ShapeBlocks,
+from polystar.compositions import (Composition, ShapeBlocks,
                                    as_fraction, chain_q_signs, domain_check, q_of,
                                    shape_args, shape_composition,
                                    transform_bases)
@@ -96,10 +96,11 @@ def test_q_of_length_mismatch():
 
 
 def test_chain_validation():
+    # q_of takes only nonincreasing chains of indices >= 1
     with pytest.raises(DomainError):
-        IndexChain((1, 2))
+        q_of((2,), (1, 2))
     with pytest.raises(DomainError):
-        IndexChain((2, 0))
+        q_of((2,), (2, 0))
 
 
 def test_chain_q_signs():

@@ -221,7 +221,7 @@ def test_star_ladder_matches_fresh_per_level_dp(monkeypatch, case):
                                schedule, **kwargs)
     assert (got.value, got.error_estimate, got.truncation_level, got.converged) == \
         (want.value, want.error_estimate, want.truncation_level, want.converged)
-    assert got.truncation_level >= 4 * schedule.start
+    assert got.truncation_level >= 4 * chains.LADDER_START
     assert got.terms_used == got.truncation_level * spec.length
 
 
@@ -302,9 +302,9 @@ def test_mean_kernel_terms_count_q_dp_cells(monkeypatch):
     # steps made them
     sweeps = []
 
-    def counted(kernel, N, exact=None):
+    def counted(kernel, N):
         sweeps.append(N)
-        return chains.dp_q_contributions(kernel, N, exact)
+        return chains.dp_q_contributions(kernel, N)
 
     monkeypatch.setattr(polylog, "dp_q_contributions", counted)
     monkeypatch.setattr(polylog, "Q_MAX_N", 256)
@@ -312,7 +312,7 @@ def test_mean_kernel_terms_count_q_dp_cells(monkeypatch):
     res = polylog.mean_kernel_infinite(s, 1e-6)
     assert res.truncation_level == 256  # the ladder read 64, 128, 256
     assert sweeps == [256]
-    _, _, cells = chains.dp_q_contributions(chains.QKernelSpec(s, "MEAN_INF"), 256, False)
+    _, _, cells = chains.dp_q_contributions(chains.QKernelSpec(s, "MEAN_INF", 1.0), 256)
     assert res.terms_used == sum(cells)
     # (2,) at N = 64: c(m) read at each step m, one accumulator over [m, 64]
     monkeypatch.setattr(polylog, "Q_MAX_N", 64)
@@ -338,9 +338,9 @@ def test_mean_kernel_ladder_levels_match_the_dp(monkeypatch, parts, closed):
     s = Composition(parts)
     res = polylog.mean_kernel_infinite(s, 1e-6)
     assert sorted(levels) == [64 * 2 ** k for k in range(7)]
-    kernel = chains.QKernelSpec(s, "MEAN_INF")
+    kernel = chains.QKernelSpec(s, "MEAN_INF", 1.0)
     for N, value in levels.items():
-        want = chains.dp_q_coupled(kernel, N, exact=False)
+        want = chains.dp_q_coupled(kernel, N)
         assert abs(value - want) <= 1e-13 * want
     assert res.converged and abs(res.value - float(closed())) <= 1e-6
 
