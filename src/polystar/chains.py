@@ -99,10 +99,12 @@ class QKernelSpec:
 
     ``MEAN_FULL`` sums over chains of length |s|+1 with the binomial-ratio
     kernel and weight a^{n_{|s|+1}}; ``MEAN_INF`` sums over chains of length
-    |s| with kernel 1/((Q+1)(Q+n_{|s|}+1)) and no 1/n_{|s|} factor.  The
-    scalar ``a`` picks the arithmetic, as a :class:`FactorSpec`'s do: an int
-    or ``Fraction`` sums exactly, a float in float64 (``MEAN_INF`` only;
-    ``MEAN_FULL`` refuses a float ``a`` with :class:`DomainError`).
+    |s| with kernel 1/((Q+1)(Q+n_{|s|}+1)) and no 1/n_{|s|} factor, so it
+    has no weight: it refuses any ``a`` other than 1 with
+    :class:`DomainError`.  The scalar ``a`` picks the arithmetic, as a
+    :class:`FactorSpec`'s do: an int or ``Fraction`` sums exactly, a float
+    in float64 (``MEAN_INF`` only; ``MEAN_FULL`` refuses a float ``a`` with
+    :class:`DomainError`).
     """
 
     s: Composition
@@ -115,6 +117,8 @@ class QKernelSpec:
             raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "MEAN_FULL" and not isinstance(self.a, (int, Fraction)):
             raise DomainError(f"MEAN_FULL needs an exact a, got {self.a!r}")
+        if self.kind == "MEAN_INF" and self.a != 1:
+            raise DomainError(f"MEAN_INF has no weight: a must be 1, got {self.a!r}")
 
     @property
     def chain_length(self):
@@ -141,6 +145,17 @@ class TruncationSchedule:
         while n <= self.max_n:
             yield n
             n *= 2
+
+    def first_stop(self, min_samples=7):
+        """The first level at which :func:`adaptive_sum` can return, given
+        its ``min_samples``: the third level for the geometric test (a hit
+        at the second level, then its safety level), else the
+        ``min_samples``-th, and never below the fourth that
+        :func:`best_extrapolant` needs; the last level when the ladder is
+        shorter, where it returns unconverged."""
+        levels = list(self.levels())
+        k = max(min_samples, 4) if self.extrapolate else 3
+        return levels[min(k, len(levels)) - 1]
 
 
 def _walk_chains(N: int, L: int, root, step, budget=NAIVE_CHAIN_BUDGET):

@@ -207,6 +207,19 @@ BASIS_LOG_FIRST = tuple(_basis_term(l, i) for l, i in
                         ((0, 1), (1, 1), (2, 1), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2)))
 
 
+@functools.cache
+def _design_matrix(levels, n_terms, basis):
+    """The read-only window matrix of the fit at the tuple ``levels``: row
+    [1, basis_0(N), ..., basis_(n_terms-1)(N)] per level.  Every ladder
+    runs 64, 128, ..., so the fits of all ladders share a few of these:
+    :func:`best_extrapolant` fits, per basis, two trailing windows at each
+    level from the fourth on and one at the third, which is at most 38
+    matrices over ladders of up to 12 levels (``POLY_MAX_N``'s)."""
+    A = np.array([[1.0] + [fn(N) for fn in basis[:n_terms]] for N in levels])
+    A.flags.writeable = False
+    return A
+
+
 def _window_limit(levels, values, n_terms, basis):
     """Fit value ~ c0 + sum c_t * basis_t(N), t < ``n_terms``, on the
     trailing window.
@@ -217,9 +230,9 @@ def _window_limit(levels, values, n_terms, basis):
     when the matrix is singular or the limit is not finite.
     """
     k = n_terms + 1
-    levels = levels[-k:]
+    levels = tuple(levels[-k:])
     values = [float(v) for v in values[-k:]]
-    A = np.array([[1.0] + [fn(N) for fn in basis[:n_terms]] for N in levels])
+    A = _design_matrix(levels, n_terms, basis)
     try:
         c0 = float(np.linalg.solve(A, np.array(values) - values[-1])[0])
     except np.linalg.LinAlgError as exc:

@@ -90,6 +90,14 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     that limit is 0; the test refuses the whole line).  This is the
     condition (s_1, x_1) != (1, 1) of Borwein, Bradley, Broadhurst and
     Lisonek (Trans. AMS 353, 2001).  Both runs of a tail share x_1.
+
+    The ladder resumes one state across its levels.  It cannot stop before
+    its schedule's first stop level (:meth:`TruncationSchedule.first_stop`,
+    clamped to the last level), so its first level extends the state to
+    that level in one pass and counts every column as its work; the levels
+    below read their values from the kept cumulative columns and count 0,
+    and a later level extends only past them.  Values and ``terms_used``
+    are those of one extension per level, bit for bit.
     """
     # the pairing check comes first: an unpaired divergent spec is refused
     # as unpaired
@@ -105,16 +113,21 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     polynomial = worst >= 0.95
     schedule = TruncationSchedule(max_n=POLY_MAX_N if polynomial else GEO_MAX_N,
                                   tolerance=tol, extrapolate=polynomial)
-
-    # one DP resumed across the levels: each level computes only its new
-    # columns, and that is the work it returns
-    def evaluate(N):
-        columns = state.extend(N).shape[-1]
-        return float(state.values()[0]), columns * spec.length
-
     # every marginal prefix direction can raise the log degree of the tail;
     # demand enough ladder samples for the model to cover it
-    return adaptive_sum(evaluate, schedule, min_samples=max(7, marginal + 4))
+    min_samples = max(7, marginal + 4)
+    first = schedule.first_stop(min_samples)
+    lo, kept = 0, None  # the cumulative values at n_1 = lo+1..state.n_done
+
+    def evaluate(N):
+        nonlocal lo, kept
+        work = 0
+        if N > state.n_done:
+            lo, kept = state.n_done, state.extend(max(N, first))[0]
+            work = len(kept) * spec.length
+        return float(kept[N - lo - 1]), work
+
+    return adaptive_sum(evaluate, schedule, min_samples=min_samples)
 
 
 def _float_args(xs) -> tuple:

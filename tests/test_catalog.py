@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystar import catalog, polylog
+from polystar import catalog, kernel, polylog
 from polystar.chains import PairingUnavailableError
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
@@ -470,3 +470,15 @@ CATALOG_PIN = {
 
 def test_catalog_fields_grids_and_samples_are_pinned():
     assert _catalog_fingerprints() == CATALOG_PIN
+
+
+def test_window_matrix_cache_stays_bounded_over_the_series_grids():
+    # every ladder runs 64, 128, ... to at most POLY_MAX_N, 12 levels, so
+    # its window fits share at most 38 design matrices (test_kernel)
+    kernel._design_matrix.cache_clear()
+    series = [i for i in sorted(EXPECTED_IDS) if i.startswith(("INTRO_", "LI1_", "LI2_"))]
+    assert len(series) == 13
+    for ident in series:
+        for params, tol in catalog.default_grid(ident):
+            assert catalog.verify(ident, params, tol).status == "pass"
+    assert 0 < kernel._design_matrix.cache_info().currsize <= 38

@@ -792,3 +792,30 @@ def test_schedule_validation():
     for tol in (0, math.nan, math.inf):
         with pytest.raises(DomainError):
             TruncationSchedule(tolerance=tol)
+
+
+@pytest.mark.parametrize("extrapolate", (False, True))
+@pytest.mark.parametrize("max_n", (64, 128, 256, 1024, 4096, 2 ** 17))
+@pytest.mark.parametrize("min_samples", (1, 3, 4, 7, 9, 13))
+def test_first_stop_is_where_adaptive_sum_first_returns(extrapolate, max_n, min_samples):
+    # on a constant sequence every stop test passes as soon as it may run,
+    # so adaptive_sum returns at the first level where one can
+    asked = []
+
+    def constant(N):
+        asked.append(N)
+        return 0.5, 1
+
+    schedule = TruncationSchedule(max_n=max_n, tolerance=1e-8, extrapolate=extrapolate)
+    got = adaptive_sum(constant, schedule, min_samples=min_samples)
+    assert got.truncation_level == asked[-1] == schedule.first_stop(min_samples)
+
+
+def test_mean_inf_refuses_a_weight():
+    for a in (F(1, 2), 7.0, F(-1), float("nan")):
+        with pytest.raises(DomainError):
+            QKernelSpec(Composition((2,)), "MEAN_INF", a)
+    for a in (1, F(1), 1.0):
+        assert QKernelSpec(Composition((2,)), "MEAN_INF", a).a == 1
+    assert type(dp_q_coupled(QKernelSpec(Composition((2,)), "MEAN_INF", 1.0), 2)) is float
+    assert dp_q_coupled(QKernelSpec(Composition((2,)), "MEAN_INF", F(1)), 2) == F(3, 4)

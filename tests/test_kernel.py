@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polystar.kernel import (_GL_ORDERS, BASIS_LOG_FIRST, BASIS_POWER_FIRST,
+from polystar.kernel import (_GL_ORDERS, BASIS_LOG_FIRST, BASIS_POWER_FIRST, _design_matrix,
                              DomainError, NonConvergenceError, SingularFitError,
                              _window_limit, adaptive_quadrature,
                              best_extrapolant, binom_ratio_sum, binomial)
@@ -337,3 +337,37 @@ def test_singular_window_fit():
         _window_limit(levels, values, 4, BASIS_POWER_FIRST)
     assert issubclass(SingularFitError, ZeroDivisionError)
     assert best_extrapolant(levels, values) is None
+
+
+LADDER_LEVELS = [64 * 2 ** j for j in range(12)]  # 64 .. POLY_MAX_N
+
+
+def test_window_matrix_is_cached_and_read_only():
+    A = _design_matrix(tuple(LADDER_LEVELS[:4]), 3, BASIS_POWER_FIRST)
+    assert _design_matrix(tuple(LADDER_LEVELS[:4]), 3, BASIS_POWER_FIRST) is A
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[0, 1] = 2.0
+
+
+@pytest.mark.parametrize("basis", [BASIS_LOG_FIRST, BASIS_POWER_FIRST],
+                         ids=["log_first", "power_first"])
+def test_window_fit_is_bit_identical_to_a_fresh_matrix(basis):
+    values = [1.2 + 0.7 / N - 3.1 * math.log(N) / N + math.sin(N) / N ** 2
+              for N in LADDER_LEVELS]
+    for n_terms in range(1, len(basis) + 1):
+        for end in range(n_terms + 1, len(LADDER_LEVELS) + 1):
+            levels, v = LADDER_LEVELS[end - n_terms - 1:end], values[end - n_terms - 1:end]
+            A = np.array([[1.0] + [fn(N) for fn in basis[:n_terms]] for N in levels])
+            want = float(np.linalg.solve(A, np.array(v) - v[-1])[0]) + v[-1]
+            got = _window_limit(LADDER_LEVELS[:end], values[:end], n_terms, basis)
+            assert got.hex() == want.hex(), (n_terms, end)
+
+
+def test_window_matrices_of_a_full_ladder_number_38():
+    # per basis, two trailing windows at each of the nine levels from the
+    # fourth on and one at the third: the bound the cache's docstring states
+    _design_matrix.cache_clear()
+    for end in range(1, len(LADDER_LEVELS) + 1):
+        best_extrapolant(LADDER_LEVELS[:end], [1.0 + 1.0 / N for N in LADDER_LEVELS[:end]])
+    assert _design_matrix.cache_info().currsize == 38

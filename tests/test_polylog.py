@@ -225,6 +225,46 @@ def test_star_ladder_matches_fresh_per_level_dp(monkeypatch, case):
     assert got.terms_used == got.truncation_level * spec.length
 
 
+def _gap_column_calls(monkeypatch):
+    """The truncation of every ``_gap_columns`` call from now on."""
+    calls = []
+    real = chains._gap_columns
+
+    def recording(B, last, powers, lo, hi, carry):
+        calls.append(hi)
+        return real(B, last, powers, lo, hi, carry)
+
+    monkeypatch.setattr(chains, "_gap_columns", recording)
+    return calls
+
+
+@pytest.mark.parametrize("ladder, stop", [
+    (lambda: polylog.zeta_star((2, 1), 1e-8), 4096),                # polynomial
+    (lambda: polylog.li_star((2, 1), (0.5, 0.9), 1e-10), 256),      # geometric
+])
+def test_star_ladder_computes_up_to_its_first_stop_in_one_pass(monkeypatch, ladder, stop):
+    # the ladder cannot stop before its first stop level, so it extends its
+    # state once, to that level, and reads the levels below from the columns
+    calls = _gap_column_calls(monkeypatch)
+    got = ladder()
+    assert (got.truncation_level, got.converged) == (stop, True)
+    assert calls == [stop]
+    assert got.terms_used == stop * 2
+
+
+def test_star_ladder_first_stop_is_clamped_to_the_last_level(monkeypatch):
+    # nine marginal directions ask for 13 samples, one more level than
+    # POLY_MAX_N allows: the first pass stops at POLY_MAX_N, the ladder ends
+    # unconverged there, and the result is bit for bit the one of a fresh
+    # DP per level
+    calls = _gap_column_calls(monkeypatch)
+    got = polylog.zeta_star((2,) + (1,) * 8, 1e-6)
+    assert calls == [polylog.POLY_MAX_N]
+    assert got == kernel.EvalResult(float.fromhex("0x1.1ff0ac988724fp+3"),
+                                    float.fromhex("0x1.1ee35da1a0000p-7"),
+                                    131072 * 9, 131072, False)
+
+
 def test_zeta_star_values():
     r = polylog.zeta_star((2,), 1e-10)
     assert abs(float(r.value) - math.pi ** 2 / 6) < 1e-10
