@@ -5,24 +5,35 @@ deterministic fuzzing.
 Exact identities compare with ``==`` on rationals; numeric ones compare
 ``|lhs - rhs|`` against a tolerance after evaluating both sides to a quarter
 of it; quadrature ones integrate one side numerically against an exact sum.
+
+The registry, its domains, grids and samplers are pure Python.  The modules
+that evaluate sides (``exact``, ``polylog`` and numpy) are imported inside
+the evaluate callables, at an identity's first evaluation; ``exact`` and
+``polylog`` stay reachable as attributes of this module.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import exact, polylog
-from .chains import PairingUnavailableError
-from .compositions import Composition, ShapeBlocks, as_composition, as_fraction
+from .compositions import (SERIES_KIND, SERIES_REGIONS, Composition, ShapeBlocks,
+                           as_composition, as_fraction, mean_lhs_converges,
+                           series_domain)
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
-                     NonConvergenceError, SingularFitError, adaptive_quadrature,
-                     binom_ratio_sum, check_tolerance, fmt)
+                     NonConvergenceError, PairingUnavailableError, SingularFitError,
+                     adaptive_quadrature, binom_ratio_sum, check_tolerance, fmt)
+
+
+def __getattr__(name):
+    # the evaluating modules, imported on first use (PEP 562)
+    if name in ("exact", "polylog"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -178,8 +189,17 @@ def _register(identity):
 
 
 def _exact_pair(fn):
+    """The evaluate callable of an EXACT identity: ``fn(exact, params)``.
+    It imports ``exact`` at its first call and keeps it: an EXACT instance
+    takes tens of microseconds, and an import statement per call costs
+    about one of them."""
+    exact = None
+
     def evaluate(params, tol):
-        return fn(params)
+        nonlocal exact
+        if exact is None:
+            from . import exact
+        return fn(exact, params)
     return evaluate
 
 
@@ -189,8 +209,8 @@ _register(Identity(
     "MNEIMNEH_ORIG",
     "sum_{k<=n} C(n,k) p^k (1-p)^(n-k) H_k = sum_{k<=n} (1-(1-p)^k)/k",
     "EXACT", {"n": "int", "p": "rational"},
-    _exact_pair(lambda pr: (exact.mneimneh_lhs(pr["n"], (1,), 1, pr["p"]),
-                            exact.classic_binomial_rhs(pr["n"], pr["p"]))),
+    _exact_pair(lambda exact, pr: (exact.mneimneh_lhs(pr["n"], (1,), 1, pr["p"]),
+                                   exact.classic_binomial_rhs(pr["n"], pr["p"]))),
     lambda: ((dict(n=n, p=p), None) for n in range(1, 11)
              for p in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))),
     sample=lambda rng: dict(n=rng.randint(1, 15), p=_rational(rng, 0, 1)),
@@ -201,8 +221,8 @@ _register(Identity(
     "weighted average of order-s harmonic numbers equals the depth-1 "
     "chain transform with factor (1-p)^(n_1) ((1+ap/(1-p))^(n_s) - 1)",
     "EXACT", {"n": "int", "s": "int", "a": "rational", "p": "rational"},
-    _exact_pair(lambda pr: (exact.mneimneh_lhs(pr["n"], (pr["s"],), pr["a"], pr["p"]),
-                            exact.depth1_rhs(pr["n"], pr["s"], pr["a"], pr["p"]))),
+    _exact_pair(lambda exact, pr: (exact.mneimneh_lhs(pr["n"], (pr["s"],), pr["a"], pr["p"]),
+                                   exact.depth1_rhs(pr["n"], pr["s"], pr["a"], pr["p"]))),
     lambda: ((dict(n=n, s=s, a=a, p=p), None)
              for n in range(1, 9) for s in range(1, 5)
              for a in (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -218,8 +238,8 @@ _register(Identity(
     "sum_{k<=n} C(n,k) p^k (1-p)^(n-k) zeta*_k(s;a) equals the chain sum of "
     "(1-p)^Q(s) [(1-p+ap)^(n_|s|) - (1-p)^(n_|s|)] / (n_1...n_|s|)",
     "EXACT", {"n": "int", "s": "composition", "a": "rational", "p": "rational"},
-    _exact_pair(lambda pr: (exact.mneimneh_lhs(pr["n"], pr["s"], pr["a"], pr["p"]),
-                            exact.main_rhs(pr["n"], pr["s"], pr["a"], pr["p"]))),
+    _exact_pair(lambda exact, pr: (exact.mneimneh_lhs(pr["n"], pr["s"], pr["a"], pr["p"]),
+                                   exact.main_rhs(pr["n"], pr["s"], pr["a"], pr["p"]))),
     lambda: ((dict(n=n, s=s, a=a, p=p), None)
              for s in _all_compositions(4) for n in range(1, 11)
              for a in _A_GRID for p in _P_GRID),
@@ -233,7 +253,7 @@ _register(Identity(
     "sum_k C(n,k) sum_{j<=k} [sum_{i<=j} (-1)^(i-1)/i^2]/j^3 = "
     "sum over 5-chains of 2^(n-n_1+n_3-n_4)/(n_1...n_5)",
     "EXACT", {"n": "int"},
-    _exact_pair(lambda pr: exact.power_weight_example_sides(pr["n"])),
+    _exact_pair(lambda exact, pr: exact.power_weight_example_sides(pr["n"])),
     lambda: ((dict(n=n), None) for n in range(1, 9)),
     sample=lambda rng: dict(n=rng.randint(1, 8)),
 ))
@@ -243,8 +263,8 @@ _register(Identity(
     "for s = {1}_d the chain transform collapses to "
     "sum [(1-p+ap)^(n_d) - (1-p)^(n_d)]/(n_1...n_d)",
     "EXACT", {"n": "int", "d": "int", "a": "rational", "p": "rational"},
-    _exact_pair(lambda pr: (exact.main_rhs(pr["n"], (1,) * pr["d"], pr["a"], pr["p"]),
-                            exact.ones_rhs(pr["n"], pr["d"], pr["a"], pr["p"]))),
+    _exact_pair(lambda exact, pr: (exact.main_rhs(pr["n"], (1,) * pr["d"], pr["a"], pr["p"]),
+                                   exact.ones_rhs(pr["n"], pr["d"], pr["a"], pr["p"]))),
     lambda: ((dict(n=n, d=d, a=a, p=p), None)
              for d in range(1, 5) for n in range(1, 11)
              for a in (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -258,7 +278,7 @@ _register(Identity(
     "DILCHER_PLUS",
     "sum_{k<=n} C(n,k) (-1)^k zeta*_k({1}_d;a) = ((1-a)^n - 1)/n^d",
     "EXACT", {"n": "int", "d": "int", "a": "rational"},
-    _exact_pair(lambda pr: exact.dilcher_plus(pr["n"], pr["d"], pr["a"])),
+    _exact_pair(lambda exact, pr: exact.dilcher_plus(pr["n"], pr["d"], pr["a"])),
     lambda: ((dict(n=n, d=d, a=a), None)
              for n in range(1, 26) for d in range(1, 6) for a in _DILCHER_A),
     sample=lambda rng: dict(n=rng.randint(1, 20), d=rng.randint(1, 4),
@@ -269,7 +289,7 @@ _register(Identity(
     "DILCHER_A2",
     "sum_{k<=n} C(n,k) (-1)^(k-1) zeta*_k({1}_d;2) = 0 (n even) or 2/n^d (n odd)",
     "EXACT", {"n": "int", "d": "int"},
-    _exact_pair(lambda pr: exact.signed_ones_cases(pr["n"], pr["d"])),
+    _exact_pair(lambda exact, pr: exact.signed_ones_cases(pr["n"], pr["d"])),
     lambda: ((dict(n=n, d=d), None) for n in range(1, 26) for d in range(1, 6)),
     sample=lambda rng: dict(n=rng.randint(1, 25), d=rng.randint(1, 5)),
 ))
@@ -278,7 +298,7 @@ _register(Identity(
     "ODD_BINOM",
     "sum_{k<=floor((n+1)/2)} C(n,2k-1)/(2k-1)^d = zeta*_n({1}_d;2)/2",
     "EXACT", {"n": "int", "d": "int"},
-    _exact_pair(lambda pr: exact.odd_binom_sum(pr["n"], pr["d"])),
+    _exact_pair(lambda exact, pr: exact.odd_binom_sum(pr["n"], pr["d"])),
     lambda: ((dict(n=n, d=d), None) for n in range(1, 26) for d in range(1, 6)),
     sample=lambda rng: dict(n=rng.randint(1, 25), d=rng.randint(1, 5)),
 ))
@@ -287,7 +307,7 @@ _register(Identity(
     "DILCHER_CLASSIC",
     "sum_{k<=n} C(n,k) (-1)^(k-1)/k^d = zeta*_n({1}_d)",
     "EXACT", {"n": "int", "d": "int"},
-    _exact_pair(lambda pr: exact.dilcher_classic(pr["n"], pr["d"])),
+    _exact_pair(lambda exact, pr: exact.dilcher_classic(pr["n"], pr["d"])),
     lambda: ((dict(n=n, d=d), None) for n in range(1, 26) for d in range(1, 6)),
     sample=lambda rng: dict(n=rng.randint(1, 25), d=rng.randint(1, 5)),
 ))
@@ -297,9 +317,9 @@ _register(Identity(
     "the chain transform is 0 at p=0 and zeta*_n(s;a) at p=1 "
     "(0^0 = 1 convention)",
     "EXACT", {"n": "int", "s": "composition", "a": "rational", "p": "rational"},
-    _exact_pair(lambda pr: (exact.main_rhs(pr["n"], pr["s"], pr["a"], pr["p"]),
-                            Fraction(0) if pr["p"] == 0
-                            else exact.mhsv(pr["n"], pr["s"], pr["a"]))),
+    _exact_pair(lambda exact, pr: (exact.main_rhs(pr["n"], pr["s"], pr["a"], pr["p"]),
+                                   Fraction(0) if pr["p"] == 0
+                                   else exact.mhsv(pr["n"], pr["s"], pr["a"]))),
     lambda: ((dict(n=n, s=s, a=a, p=p), None)
              for s in _all_compositions(4) for n in range(1, 11)
              for a in _A_GRID for p in (Fraction(0), Fraction(1))),
@@ -319,6 +339,10 @@ def _aux(ident, anchor):
     variant = ident.lower()
 
     def evaluate(params, tol):
+        import numpy as np
+
+        from . import exact
+
         n, a, x = params["n"], as_fraction(params["a"]), as_fraction(params["x"])
         xf = float(x)
 
@@ -381,8 +405,8 @@ _register(Identity(
     "(x+y)^n times the chain transform at a=1, p=x/(x+y)",
     "EXACT", {"n": "int", "r": "int", "u": "intlist", "m": "intlist",
               "x": "rational", "y": "rational"},
-    _exact_pair(lambda pr: exact.pan_xu_check(pr["n"], pr["r"], pr["u"], pr["m"],
-                                              pr["x"], pr["y"])),
+    _exact_pair(lambda exact, pr: exact.pan_xu_check(pr["n"], pr["r"], pr["u"], pr["m"],
+                                                     pr["x"], pr["y"])),
     _pan_xu_grids,
     sample=_pan_xu_sample,
     domain=lambda pr: (as_fraction(pr["x"]) + as_fraction(pr["y"]) != 0,
@@ -395,8 +419,8 @@ _register(Identity(
     "(1/(n+1)) sum_{k<=n} zeta*_k(s;a) equals the (|s|+1)-chain sum with the "
     "binomial-ratio kernel C(n_|s|,n_(|s|+1))/C(Q+n_|s|,n_(|s|+1))",
     "EXACT", {"n": "int", "s": "composition", "a": "rational"},
-    _exact_pair(lambda pr: (exact.mean_lhs(pr["n"], pr["s"], pr["a"]),
-                            exact.mean_rhs(pr["n"], pr["s"], pr["a"]))),
+    _exact_pair(lambda exact, pr: (exact.mean_lhs(pr["n"], pr["s"], pr["a"]),
+                                   exact.mean_rhs(pr["n"], pr["s"], pr["a"]))),
     lambda: ((dict(n=n, s=s, a=a), None)
              for s in _all_compositions(4) for n in range(1, 13)
              for a in (Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2))),
@@ -409,8 +433,8 @@ _register(Identity(
     "(1/(n+1)) sum_{k<=n} zeta*_k({1}_d) = "
     "sum over d-chains of 1/(n_1...n_(d-1)(n_d+1))",
     "EXACT", {"n": "int", "d": "int"},
-    _exact_pair(lambda pr: (exact.mean_lhs(pr["n"], (1,) * pr["d"], 1),
-                            exact.mean_example1_rhs(pr["n"], pr["d"]))),
+    _exact_pair(lambda exact, pr: (exact.mean_lhs(pr["n"], (1,) * pr["d"], 1),
+                                   exact.mean_example1_rhs(pr["n"], pr["d"]))),
     lambda: ((dict(n=n, d=d), None) for d in range(1, 5) for n in range(1, 13)),
     sample=lambda rng: dict(n=rng.randint(1, 12), d=rng.randint(1, 4)),
 ))
@@ -419,7 +443,7 @@ _register(Identity(
     "MEAN_SUM_HK",
     "sum_{k<=n} H_k = (n+1)(H_(n+1) - 1)",
     "EXACT", {"n": "int"},
-    _exact_pair(lambda pr: exact.mean_sum_hk_sides(pr["n"])),
+    _exact_pair(lambda exact, pr: exact.mean_sum_hk_sides(pr["n"])),
     lambda: ((dict(n=n), None) for n in range(1, 51)),
     sample=lambda rng: dict(n=rng.randint(1, 60)),
 ))
@@ -428,8 +452,8 @@ _register(Identity(
     "BINOM_RATIO",
     "sum_{k<=m} C(m,k)/C(n,k) = m/(n+1-m)",
     "EXACT", {"m": "int", "n": "int"},
-    _exact_pair(lambda pr: (binom_ratio_sum(pr["m"], pr["n"]),
-                            Fraction(pr["m"], pr["n"] + 1 - pr["m"]))),
+    _exact_pair(lambda exact, pr: (binom_ratio_sum(pr["m"], pr["n"]),
+                                   Fraction(pr["m"], pr["n"] + 1 - pr["m"]))),
     lambda: ((dict(m=m, n=n), None) for n in range(1, 26) for m in range(1, n + 1)),
     sample=lambda rng: (lambda n: dict(m=rng.randint(1, n), n=n))(rng.randint(1, 60)),
     domain=lambda pr: (1 <= pr["m"] <= pr["n"], "need 1 <= m <= n"),
@@ -443,12 +467,14 @@ def _series(ident, anchor, param_types, points, sample, shape_key="shape"):
     are ``polylog.li_identity_sides`` at ``params[shape_key]`` (the order of
     ``INTRO_*``, the block shape of ``LI*``), or the closed-form
     ``polylog.li_example_sides`` of ``LI*_EX``.  Its kind (MAIN, A1, RED1 or
-    RED2; ``LI*_EX`` is A1) names its constraint in ``polylog``'s one table
-    of series regions, and its domain is that region."""
+    RED2; ``LI*_EX`` is A1) names its constraint in the one table of series
+    regions, ``compositions.SERIES_REGIONS``, and its domain is that region."""
     example = ident.endswith("_EX")
-    kind = "A1" if example else polylog._SERIES_KIND[ident]
+    kind = "A1" if example else SERIES_KIND[ident]
 
     def evaluate(params, tol):
+        from . import polylog
+
         if example:
             family = "A" if ident.startswith("LI1") else "B"
             return polylog.li_example_sides(family, params["d"], params["p"], tol)
@@ -458,12 +484,12 @@ def _series(ident, anchor, param_types, points, sample, shape_key="shape"):
             tol, check_domain=False)
 
     def domain(params):
-        return (polylog._series_domain(kind, params.get("a", 1), params["p"]),
+        return (series_domain(kind, params.get("a", 1), params["p"]),
                 "outside validity region")
 
     _register(Identity(ident, anchor, "NUMERIC", param_types, evaluate,
                        lambda: ((dict(point), None) for point in points), sample,
-                       domain, constraint_id=polylog._SERIES_REGIONS[kind][0]))
+                       domain, constraint_id=SERIES_REGIONS[kind][0]))
 
 
 _series("INTRO_SERIES",
@@ -552,12 +578,23 @@ _series("LI2_EX",
         [dict(d=d, p=p) for d in (1, 2) for p in _P3],
         lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 
+
+def _mean_inf_sides(ident):
+    """The evaluate callable of ``MEAN_INF_A`` or ``MEAN_INF_1``; verify has
+    gated the domain already, or was told not to."""
+    def evaluate(params, tol):
+        from . import polylog
+
+        return polylog.li_identity_sides(ident, params["s"], params.get("a", 1), None,
+                                         tol, check_domain=False)
+    return evaluate
+
+
 _register(Identity(
     "MEAN_INF_A",
     "Li*_s({1}_(d-1),a) equals the infinite binomial-ratio mean kernel sum",
     "NUMERIC", {"s": "composition", "a": "float"},
-    lambda pr, tol: polylog.li_identity_sides("MEAN_INF_A", pr["s"], pr["a"], None, tol,
-                                              check_domain=False),
+    _mean_inf_sides("MEAN_INF_A"),
     lambda: ((dict(s=s, a=a), None)
              for s, alist in ((Composition((2,)), (1, 0.5, -1)),
                               (Composition((1, 1)), (0.5,)),
@@ -565,7 +602,7 @@ _register(Identity(
              for a in alist),
     sample=lambda rng: dict(s=rng.choice((Composition((2,)), Composition((2, 1)))),
                             a=float(_rational(rng, -1, 1))),
-    domain=lambda pr: (polylog.mean_lhs_converges(pr["s"], pr["a"]),
+    domain=lambda pr: (mean_lhs_converges(pr["s"], pr["a"]),
                        "left side diverges"),
     default_tol=1e-6,
 ))
@@ -574,7 +611,7 @@ _register(Identity(
     "MEAN_INF_1",
     "zeta*(s) = sum over |s|-chains of 1/((Q+1)(Q+n_|s|+1) n_1...n_(|s|-1))",
     "NUMERIC", {"s": "composition"},
-    lambda pr, tol: polylog.li_identity_sides("MEAN_INF_1", pr["s"], 1, None, tol),
+    _mean_inf_sides("MEAN_INF_1"),
     lambda: iter(((dict(s=Composition((2,))), 1e-6),
                   (dict(s=Composition((3,))), 1e-6),
                   (dict(s=Composition((2, 2))), 1e-5))),
@@ -586,6 +623,8 @@ _register(Identity(
 
 
 def _mean_ex2_eval(params, tol):
+    from . import polylog
+
     d = params["d"]
     s = Composition((2,) * d)
     lhs = polylog.mean_kernel_infinite(s, tol / 4)

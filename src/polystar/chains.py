@@ -52,15 +52,12 @@ import numpy as np
 
 from .compositions import Composition, as_composition, chain_q_signs
 from .kernel import (BudgetExceededError, DomainError, EvalResult,
-                     best_extrapolant, binomial, check_tolerance)
+                     PairingUnavailableError, best_extrapolant, binomial,
+                     check_tolerance)
 
 NAIVE_CHAIN_BUDGET = 10 ** 7
 Q_STATE_BUDGET = 2 * 10 ** 8
 PAIRING_SLACK = 1e-9
-
-
-class PairingUnavailableError(RuntimeError):
-    """An interior base > 1 cannot be paired into bounded prefix products."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@ quantities, run the verification suite and fuzz identities.
 
 Exit codes: 0 success (passes and skips only), 1 identity failure, 2 usage
 error, 3 convergence failure.
+
+Only the commands that evaluate import the evaluating modules (and with
+them numpy, mpmath and SciPy's recurrence core); ``list``, ``--help`` and a
+usage error found while parsing load none of them.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from . import catalog, chains, exact, polylog
-from .chains import PairingUnavailableError
+from . import catalog
 from .compositions import Composition, ShapeBlocks
-from .kernel import DomainError, EvalResult, check_tolerance, fmt
+from .kernel import (DomainError, EvalResult, PairingUnavailableError, check_tolerance,
+                     fmt)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -119,6 +123,8 @@ def cmd_list(args):
 
 
 def cmd_eval(args):
+    from . import exact, polylog
+
     kind = args.kind
     if args.tol is not None and kind not in ("listar", "zetastar"):
         raise DomainError(f"eval {kind} takes no --tol")
@@ -157,6 +163,20 @@ def cmd_eval(args):
         return EXIT_OK
     print(_fmt_numeric(res))
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+
+
+def _load_evaluators(entries):
+    """Import what evaluating ``entries`` needs, before the first task: so
+    no instance's wall_ms books an import, and forked workers share the
+    parent's pages.  That is ``exact`` (and numpy, through ``chains``) for
+    any identity, and ``polylog`` (mpmath) with SciPy's recurrence core for
+    one that is not EXACT; a run of EXACT identities loads neither."""
+    from . import chains, exact  # noqa: F401
+
+    if any(entry.mode != "EXACT" for entry in entries):
+        from . import polylog  # noqa: F401
+
+        chains.load_lfilter()
 
 
 def _verify_task(task):
@@ -214,10 +234,7 @@ def cmd_verify(args):
                 tol = tol_override if tol_override is not None else grid_tol
                 tasks.append((ident, params, tol, args.outside))
 
-    # load SciPy before the first task, so no instance's wall_ms books the
-    # import and forked workers share its pages
-    if any(entry.mode != "EXACT" for entry in entries):
-        chains.load_lfilter()
+    _load_evaluators(entries)
     if jobs > 1:
         exact_ids = {entry.id for entry in entries if entry.mode == "EXACT"}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -240,8 +257,7 @@ def cmd_verify(args):
 
 def cmd_fuzz(args):
     run = _resolve_run_config(args)
-    if catalog.get_entry(args.id).mode != "EXACT":
-        chains.load_lfilter()
+    _load_evaluators([catalog.get_entry(args.id)])
     reports = catalog.fuzz(args.id, run["seed"], args.trials, run["tol"],
                            outside=args.outside)
     return _print_reports(reports, args.json, False,

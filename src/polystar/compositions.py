@@ -243,3 +243,40 @@ def domain_check(constraint_id: str, a, p) -> bool:
         in_box = (-1 <= a <= Fraction(1, 3)) and (Fraction(1, 2) <= p <= Fraction(3, 2))
         return in_box and p != 1 and domain_check("MAIN_AP", a, p)
     raise DomainError(f"unknown constraint id {constraint_id!r}")
+
+
+def mean_lhs_converges(s, a) -> bool:
+    """Whether the depth-d star polylogarithm with arguments (1,...,1,a)
+    converges: a leading part >= 2, or the single-part depth-one case with
+    |a| <= 1, a != 1."""
+    s = as_composition(s)
+    a = float(a)
+    if abs(a) > 1:
+        return False
+    if s.parts[0] >= 2:
+        return True
+    return s.depth == 1 and a != 1
+
+
+# The four side assemblies of the series identities (see
+# ``polylog.li_identity_sides``), each with its validity region: the
+# constraint id, and the region as a predicate of (a, p).  RED1 checks
+# RED_BOX at a = 1 - 1/p.  For 1/2 <= p <= 3/2 that a runs from -1 to 1/3,
+# and |1 - 1/p| <= min(1, 2/p - 1) reduces to 1/2 <= p <= 3/2, so the
+# region is that interval without p = 1; written so, it needs no 1/p, and
+# p = 0 is outside it.
+SERIES_REGIONS = {
+    "MAIN": ("MAIN_AP", lambda a, p: domain_check("MAIN_AP", a, p)),
+    "A1": ("A1_P", lambda a, p: domain_check("A1_P", 1, p)),
+    "RED1": ("RED_BOX", lambda a, p: (Fraction(1, 2) <= as_fraction(p) <= Fraction(3, 2)
+                                      and p != 1)),
+    "RED2": ("RED_BOX", lambda a, p: domain_check("RED_BOX", a, p)),
+}
+# the kind of each series identity; INTRO_* are the one-block LI1 shapes
+SERIES_KIND = {"INTRO_SERIES": "MAIN", "INTRO_RED_L": "RED1", "INTRO_RED_R": "RED2",
+               **{f"LI{n}_{kind}": kind for n in "12" for kind in SERIES_REGIONS}}
+
+
+def series_domain(kind, a, p) -> bool:
+    """True iff (a, p) lies in the validity region of the series ``kind``."""
+    return SERIES_REGIONS[kind][1](a, p)

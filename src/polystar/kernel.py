@@ -14,6 +14,12 @@ Two scalar kernels coexist throughout the package:
 
 Ladder values are float64 truncations, so the window fit behind sequence
 extrapolation is a float64 solve too, centred on the window's last value.
+
+Every module of the package imports this one, for its exceptions, so it
+imports numpy and mpmath only inside the functions that use them:
+:func:`fmt`, the quadrature and the window fit.  A command that evaluates
+nothing in floats (``list``, ``--help``, a usage error, the registry and
+its grids) loads neither library.
 """
 
 from __future__ import annotations
@@ -24,9 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
-import numpy as np
-
 QUADRATURE_PANEL_BUDGET = 2 ** 20
 # the orders of the Gauss-Legendre pair: the accepted rule, then its check
 _GL_ORDERS = (12, 6)
@@ -34,6 +37,10 @@ _GL_ORDERS = (12, 6)
 
 class DomainError(ValueError):
     """Arguments outside an operation's stated domain."""
+
+
+class PairingUnavailableError(RuntimeError):
+    """An interior base > 1 cannot be paired into bounded prefix products."""
 
 
 def check_tolerance(tol):
@@ -57,6 +64,8 @@ class SingularFitError(ZeroDivisionError):
 
 def fmt(v, digits=17):
     """A float printed to ``digits`` significant digits."""
+    import mpmath
+
     return mpmath.nstr(mpmath.mpf(v), digits)
 
 
@@ -115,6 +124,8 @@ def binom_ratio_sum(m: int, n: int) -> Fraction:
 def _gl_pair():
     """The 12-point and the 6-point Gauss-Legendre rules on [-1, 1]: their
     nodes as one array (the 12 first) and the weights of each."""
+    import numpy as np
+
     (x12, w12), (x6, w6) = (np.polynomial.legendre.leggauss(n) for n in _GL_ORDERS)
     return np.concatenate([x12, x6]), w12, w6
 
@@ -140,6 +151,8 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
     endpoint, the order of a depth-first walk that refines the right half
     first.  Returns a float.
     """
+    import numpy as np
+
     check_tolerance(tol)
     nodes, w12, w6 = _gl_pair()
     lo_, hi_ = float(lo), float(hi)
@@ -215,6 +228,8 @@ def _design_matrix(levels, n_terms, basis):
     :func:`best_extrapolant` fits, per basis, two trailing windows at each
     level from the fourth on and one at the third, which is at most 38
     matrices over ladders of up to 12 levels (``POLY_MAX_N``'s)."""
+    import numpy as np
+
     A = np.array([[1.0] + [fn(N) for fn in basis[:n_terms]] for N in levels])
     A.flags.writeable = False
     return A
@@ -229,6 +244,8 @@ def _window_limit(levels, values, n_terms, basis):
     limit never passes through the solve.  Raises :class:`SingularFitError`
     when the matrix is singular or the limit is not finite.
     """
+    import numpy as np
+
     k = n_terms + 1
     levels = tuple(levels[-k:])
     values = [float(v) for v in values[-k:]]

@@ -23,9 +23,9 @@ from mpmath import mp
 
 from .chains import (LADDER_START, PAIRING_SLACK, FactorSpec, GapState, QKernelSpec,
                      Q_STATE_BUDGET, TruncationSchedule, adaptive_sum, dp_q_contributions)
-from .compositions import (Composition, ShapeBlocks, as_composition, as_fraction,
-                           domain_check, shape_args, shape_composition,
-                           transform_bases)
+from .compositions import (SERIES_KIND, Composition, ShapeBlocks, as_composition,
+                           mean_lhs_converges, series_domain, shape_args,
+                           shape_composition, transform_bases)
 from .kernel import (BudgetExceededError, DomainError, EvalResult, adaptive_quadrature,
                      check_tolerance)
 
@@ -316,40 +316,11 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     return adaptive_sum(evaluate, schedule)
 
 
-def mean_lhs_converges(s, a) -> bool:
-    """Whether the depth-d star polylogarithm with arguments (1,...,1,a)
-    converges: a leading part >= 2, or the single-part depth-one case with
-    |a| <= 1, a != 1."""
-    s = as_composition(s)
-    a = float(a)
-    if abs(a) > 1:
-        return False
-    if s.parts[0] >= 2:
-        return True
-    return s.depth == 1 and a != 1
-
-
 # ---------------------------------------------------------------------------
 # Identity assembly
 # ---------------------------------------------------------------------------
 
-# The four side assemblies of the series identities, each with its validity
-# region: the constraint id, and the a at which that region is checked.
-_SERIES_REGIONS = {
-    "MAIN": ("MAIN_AP", lambda a, p: a),
-    "A1": ("A1_P", lambda a, p: 1),
-    "RED1": ("RED_BOX", lambda a, p: 1 - 1 / as_fraction(p)),
-    "RED2": ("RED_BOX", lambda a, p: a),
-}
-# the kind of each series identity; INTRO_* are the one-block LI1 shapes
-_SERIES_KIND = {"INTRO_SERIES": "MAIN", "INTRO_RED_L": "RED1", "INTRO_RED_R": "RED2",
-                **{f"LI{n}_{kind}": kind for n in "12" for kind in _SERIES_REGIONS}}
-_SERIES_IDS = (*_SERIES_KIND, "MEAN_INF_A", "MEAN_INF_1")
-
-
-def _series_domain(kind, a, p):
-    constraint, at = _SERIES_REGIONS[kind]
-    return domain_check(constraint, at(a, p), p)
+_SERIES_IDS = (*SERIES_KIND, "MEAN_INF_A", "MEAN_INF_1")
 
 
 def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True):
@@ -401,10 +372,12 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
         if shape.family != want:
             raise DomainError(f"{identity} needs a family-{want} shape")
 
-    kind = _SERIES_KIND[identity]
+    kind = SERIES_KIND[identity]
     if kind == "A1":
         a = 1
-    if check_domain and not _series_domain(kind, a, p):
+    if kind in ("RED1", "RED2") and p == 0:
+        raise DomainError(f"{identity} needs p != 0: its argument 1 - 1/p is undefined")
+    if check_domain and not series_domain(kind, a, p):
         raise DomainError(f"({a}, {p}) outside the validity region of {identity}")
 
     comp = shape_composition(shape)

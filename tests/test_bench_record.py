@@ -117,17 +117,18 @@ def test_cold_start_samples_the_two_sides_in_turn(monkeypatch):
     def timed(cmd, tree, stdout=None):
         command = cmd[3]
         order.append((command, tree))
-        wall = {"list": 1.0, "eval": 3.0}[command] + (tree == "c")
-        return wall, SimpleNamespace(returncode=0)
+        wall = {"list": 1.0, "--help": 3.0, "verify": 5.0, "eval": 7.0}[command]
+        return wall + (tree == "c"), SimpleNamespace(returncode=0)
 
     monkeypatch.setattr(bench_record, "timed", timed)
     got = bench_record.cold_start({"parent": "p", "change": "c"})
     n = bench_record.COLD_START_SAMPLES
-    assert order == [("list", "p"), ("list", "c"), ("eval", "p"), ("eval", "c")] * n
-    assert got == {"list": {"parent": {"median_s": 1.0, "runs": [1.0] * n},
-                            "change": {"median_s": 2.0, "runs": [2.0] * n}},
-                   "eval_zetastar": {"parent": {"median_s": 3.0, "runs": [3.0] * n},
-                                     "change": {"median_s": 4.0, "runs": [4.0] * n}}}
+    assert order == [(command, tree) for command in ("list", "--help", "verify", "eval")
+                     for tree in "pc"] * n
+    assert got == {name: {"parent": {"median_s": wall, "runs": [wall] * n},
+                          "change": {"median_s": wall + 1, "runs": [wall + 1.0] * n}}
+                   for name, wall in (("list", 1.0), ("help", 3.0), ("verify_exact", 5.0),
+                                      ("eval_zetastar", 7.0))}
 
 
 def test_verify_all_records_the_peak_rss_of_each_run(monkeypatch, tmp_path):

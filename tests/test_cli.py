@@ -259,6 +259,85 @@ def test_scipy_is_loaded_at_the_first_float_gap_dp():
     assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True] False"
 
 
+EVALUATORS = ("exact", "polylog")
+
+
+def _evaluators_loaded():
+    return {name for name in EVALUATORS if f"polystar.{name}" in sys.modules}
+
+
+@pytest.fixture
+def unloaded_evaluators(monkeypatch):
+    """The session has imported the evaluating modules already: take them
+    out of ``sys.modules`` and the package for one test, so that a command
+    imports them afresh (the originals are put back after it)."""
+    for name in EVALUATORS:
+        monkeypatch.delitem(sys.modules, f"polystar.{name}")
+        monkeypatch.delattr(polystar, name)
+    assert _evaluators_loaded() == set()
+
+
+def test_commands_load_numpy_mpmath_and_scipy_only_where_they_evaluate():
+    # a fresh process: the test session has imported all three already
+    script = """if True:
+        import contextlib, io, sys
+        LIBS = ("numpy", "mpmath", "scipy")
+        def loaded():
+            return "".join("y" if lib in sys.modules else "n" for lib in LIBS)
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return cli.main(argv)
+                except SystemExit as exc:
+                    return exc.code
+        import polystar
+        from polystar import catalog, cli
+        for entry in catalog.list_identities():
+            list(catalog.default_grid(entry.id))
+        steps = [loaded()]
+        codes = [run(["list"]), run(["--help"]), run(["verify", "NO_SUCH_ID"])]
+        steps.append(loaded())
+        codes.append(run(["verify", "MN1", "--param", "n=3", "--param", "d=2",
+                          "--param", "a=1/2", "--param", "p=1/3"]))
+        steps.append(loaded())
+        codes.append(run(["eval", "zetastar", "--s", "2,2", "--tol", "1e-8"]))
+        steps.append(loaded())
+        print(codes, steps)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # numpy, mpmath, SciPy after: the registry and its grids; list, --help
+    # and a usage error; an EXACT verify; eval zetastar
+    assert proc.stdout.split("\n")[-2] == "[0, 0, 2, 0, 0] ['nnn', 'nnn', 'ynn', 'yyy']"
+
+
+def test_the_package_api_resolves_lazily():
+    # a fresh process: importing the package loads none of its modules
+    script = """if True:
+        import sys
+        import polystar
+        loaded = sorted(m for m in sys.modules if m.startswith("polystar."))
+        names = polystar.__all__
+        same = [name for name in names if getattr(polystar, name) is
+                getattr(sys.modules[getattr(polystar, name).__module__], name)]
+        star = {}
+        exec("from polystar import *", star)
+        from polystar import chains, kernel
+        try:
+            polystar.no_such_name
+            unknown = "resolved"
+        except AttributeError as exc:
+            unknown = str(exc)
+        print(loaded, len(names), len(same), sorted(set(names) - set(star)),
+              chains.PairingUnavailableError is kernel.PairingUnavailableError, unknown)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("[] 44 44 [] True "
+                                   "module 'polystar' has no attribute 'no_such_name'")
+
+
 @pytest.mark.parametrize("argv, preloaded, maps", [
     (["verify", "LI1_EX", "--param", "d=2", "--param", "p=0.5"], True,
      [(["LI1_EX"], 1), ([], 8)]),
@@ -266,12 +345,14 @@ def test_scipy_is_loaded_at_the_first_float_gap_dp():
       "--param", "p=1/3"], False, [([], 1), (["MN1"], 8)]),
     (["verify", "EX_FIRST", "LI1_EX"], True, [(["LI1_EX"] * 6, 1), (["EX_FIRST"] * 8, 8)]),
 ], ids=["numeric", "exact", "mixed"])
-def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, preloaded, maps):
-    # the forked workers share the parent's SciPy pages only when it was
-    # loaded before the pool started; a run of EXACT identities never loads
-    # it.  The non-EXACT tasks are mapped first, one per chunk, and the
-    # EXACT ones in chunks of eight, in the same pool
-    events, mapped = [], []
+def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, unloaded_evaluators,
+                                                 argv, preloaded, maps):
+    # the forked workers share the parent's SciPy pages, and its evaluating
+    # modules, only when they were loaded before the pool started; a run of
+    # EXACT identities never loads SciPy or polylog.  The non-EXACT tasks
+    # are mapped first, one per chunk, and the EXACT ones in chunks of
+    # eight, in the same pool
+    events, mapped, at_fork = [], [], []
     load = chains.load_lfilter
 
     def recording_load():
@@ -281,6 +362,7 @@ def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, prel
     class RecordingPool:
         def __init__(self, max_workers):
             events.append("pool")
+            at_fork.append(_evaluators_loaded())
 
         def __enter__(self):
             return self
@@ -296,6 +378,7 @@ def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, prel
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert main(argv + ["--jobs", "2"]) == 0
     assert events[:2] == (["load", "pool"] if preloaded else ["pool"])
+    assert at_fork == [{"exact", "polylog"} if preloaded else {"exact"}]
     assert mapped == maps
 
 
@@ -305,11 +388,11 @@ def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, argv, prel
     (["fuzz", "LI1_EX", "--trials", "1"], True),
     (["fuzz", "DILCHER_CLASSIC", "--trials", "1"], False),
 ], ids=["verify-numeric", "verify-exact", "fuzz-numeric", "fuzz-exact"])
-def test_serial_run_loads_scipy_before_the_first_instance(monkeypatch, capsys, argv,
-                                                         preloaded):
-    # the import is not booked in the first float instance's wall_ms; a run
-    # of EXACT identities never loads it
-    events = []
+def test_serial_run_loads_scipy_before_the_first_instance(monkeypatch, capsys,
+                                                         unloaded_evaluators, argv, preloaded):
+    # no import is booked in the first instance's wall_ms; a run of EXACT
+    # identities never loads SciPy or polylog
+    events, at_first = [], []
     load, verify = chains.load_lfilter, catalog.verify
 
     def recording_load():
@@ -318,6 +401,7 @@ def test_serial_run_loads_scipy_before_the_first_instance(monkeypatch, capsys, a
 
     def recording_verify(*args, **kw):
         events.append("verify")
+        at_first.append(_evaluators_loaded())
         return verify(*args, **kw)
 
     monkeypatch.setattr(chains, "load_lfilter", recording_load)
@@ -325,12 +409,47 @@ def test_serial_run_loads_scipy_before_the_first_instance(monkeypatch, capsys, a
     assert main(argv) == 0
     assert events[0] == ("load" if preloaded else "verify")
     assert ("load" in events) == preloaded
+    assert at_first[0] == ({"exact", "polylog"} if preloaded else {"exact"})
 
 
 def test_parallel_verify_subprocess():
     proc = run_cli(["verify", "MEAN_EX1", "--jobs", "2"])
     assert proc.returncode == 0
     assert "48 pass" in proc.stdout
+
+
+# the six reduced identities at p = 0, where their argument 1 - 1/p is
+# undefined: RED1 (INTRO_RED_L, LI*_RED1) and RED2 (INTRO_RED_R, LI*_RED2)
+RED_AT_P0 = {
+    "INTRO_RED_L": ["s=2"],
+    "LI1_RED1": ["shape=A:m=0;u="],
+    "LI2_RED1": ["shape=B:m=0;u=1"],
+    "INTRO_RED_R": ["s=2", "a=0"],
+    "LI1_RED2": ["shape=A:m=0;u=", "a=0"],
+    "LI2_RED2": ["shape=B:m=0;u=1", "a=0"],
+}
+
+
+@pytest.mark.parametrize("outside", (False, True), ids=("in-domain", "outside"))
+@pytest.mark.parametrize("ident", RED_AT_P0)
+def test_reduced_identities_at_p_zero_skip_or_are_rejected(capsys, ident, outside):
+    # p = 0 is outside every RED region, and the sides refuse it with a
+    # DomainError: a skip (exit 0), or under --outside an evaluation
+    # rejected (exit 3); never a traceback
+    pairs = RED_AT_P0[ident] + ["p=0"]
+    entry = catalog.get_entry(ident)
+    params = cli._parse_params(entry, pairs)
+    report = catalog.verify(ident, params, outside=outside)
+    if outside:
+        assert report.status == "not_converged"
+        assert report.reason == (f"evaluation rejected: {ident} needs p != 0: "
+                                 "its argument 1 - 1/p is undefined")
+    else:
+        assert (report.status, report.reason) == ("skip", "outside validity region")
+    argv = ["verify", ident] + [arg for pair in pairs for arg in ("--param", pair)]
+    assert main(argv + ["--outside"] * outside) == (3 if outside else 0)
+    out = capsys.readouterr().out
+    assert out.startswith("NOT_CONVERGED " if outside else "SKIP ")
 
 
 def test_exit_code_failure_subprocess():

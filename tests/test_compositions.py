@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from polystar.compositions import (Composition, ShapeBlocks,
                                    as_fraction, chain_q_signs, domain_check, q_of,
-                                   shape_args, shape_composition,
+                                   series_domain, shape_args, shape_composition,
                                    transform_bases)
 from polystar.kernel import DomainError
 
@@ -189,6 +189,17 @@ def test_domain_check_red_box():
     assert domain_check("RED_BOX", 0, Fraction(1, 2))
     assert domain_check("RED_BOX", Fraction(1, 4), Fraction(3, 4))
     assert not domain_check("RED_BOX", 1, Fraction(1, 2))  # a outside the box
+
+
+def test_red1_region_is_red_box_at_one_minus_one_over_p():
+    # RED1 is written without 1/p; off p = 0 it is the RED_BOX test at
+    # a = 1 - 1/p, and p = 0 is outside it
+    ps = sorted({Fraction(k, d) for d in (1, 2, 3, 4, 7, 12) for k in range(-3 * d, 3 * d + 1)}
+                | {0.5, 0.75, 1.5, 1.5000000000000002, 0.49999999999999994})
+    for p in ps:
+        want = p != 0 and domain_check("RED_BOX", 1 - 1 / as_fraction(p), p)
+        assert series_domain("RED1", 7, p) == want, p
+    assert not series_domain("RED1", 0, 0) and not series_domain("RED1", 0, 0.0)
 
 
 def test_domain_check_unknown_id():

@@ -19,9 +19,11 @@ each side runs the committed files only.  The file records:
   (:func:`diff_reports`), and ``wall_ms_by_identity``: each serial run's
   ``cost.wall_ms`` summed by identity, the median over the samples;
 * the wall time and the summary line of the Tier-1 suite;
-* the cold start of ``python -m polystar list``, which runs no float DP,
-  and of ``python -m polystar eval zetastar --s 2,2 --tol 1e-8``, which
-  does (median of 5 each, the two sides sampled in turn);
+* the cold start of four ``python -m polystar`` commands (median of 5
+  each, the two sides sampled in turn): ``list`` and ``--help``, which
+  evaluate nothing; an EXACT ``verify PAN_XU --param ...``, which loads
+  numpy but neither mpmath nor SciPy; and ``eval zetastar --s 2,2 --tol
+  1e-8``, which loads all three and runs a float DP;
 * ``src_lines``, the line count of ``src/polystar/*.py`` in each tree, and
   ``module_lines``, the count of each of those modules by file name;
 * ``nproc`` and the Python, numpy and SciPy versions.
@@ -49,6 +51,10 @@ WORKLOADS = ("exact_grids", "series_ladders", "mean_kernels", "cli_pool")
 COLD_START_SAMPLES = 5
 COLD_START_COMMANDS = {
     "list": ["list"],
+    "help": ["--help"],
+    "verify_exact": ["verify", "PAN_XU", "--param", "n=6", "--param", "r=1",
+                     "--param", "u=1,0", "--param", "m=1", "--param", "x=2",
+                     "--param", "y=1"],
     "eval_zetastar": ["eval", "zetastar", "--s", "2,2", "--tol", "1e-8"],
 }
 VERIFY_ALL_SAMPLES = 3
