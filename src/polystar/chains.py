@@ -10,9 +10,10 @@ Three evaluators share the same summand model:
   specs run the ring-generic recurrence on integer numerators over one
   common denominator and build one Fraction for the truncation read; float
   specs run the gap-form DP, one code path for every caller: a
-  :class:`GapState` holds R rows, one recurrence call per inner layer each
-  (a tail's last layer takes the difference of its two runs' powers), and
-  is resumable, so a
+  :class:`GapState` holds R rows and runs each step over the whole batch
+  (the last layer's powers read from two pow tables, a tail's last layer
+  taking the difference of its two runs' powers, each inner layer one
+  first-order recurrence along every row), and is resumable, so a
   truncation ladder extends one state level by level and computes each
   column once, bit-identical to a fresh DP per level (a state of many
   specs with shared powers, one row each, is bit-identical to one spec per
@@ -251,6 +252,10 @@ def _chain_partials(columns):
 
 # float64 cells per row-batched gap DP pass (8 MiB)
 _BATCH_CELLS = 2 ** 20
+# float64 cells of each chunk of a pass's powers (64 KiB)
+_CHUNK_CELLS = 2 ** 13
+# b^j is read as b^(K q) * b^r, j = K q + r, from two pow tables
+_POWER_BLOCK = 64
 # |b|^j < 2^-1100 rounds to exactly 0 in float64, far below the smallest
 # subnormal 2^-1074
 _UNDERFLOW_LOG2 = 1100
@@ -258,11 +263,102 @@ _UNDERFLOW_LOG2 = 1100
 
 def _underflow_index(b, N):
     """How many of b^1..b^N can be nonzero in float64 (all N unless
-    0 < |b| < 1)."""
-    mag = abs(float(b))
-    if not 0.0 < mag < 1.0:
-        return N
-    return min(N, math.ceil(_UNDERFLOW_LOG2 / -math.log2(mag)))
+    0 < |b| < 1), elementwise over an array of bases, as floats."""
+    with np.errstate(divide="ignore"):
+        cut = np.ceil(-_UNDERFLOW_LOG2 / np.log2(np.abs(b)))
+    # |b| >= 1 gives a cut <= 0 or -inf, and b = 0 gives 0
+    return np.where(cut > 0, np.minimum(cut, N), N)
+
+
+def _power_table(b, exponents, rows_inner):
+    """b[r]^e for the float64 exponents e as an R x len(e) array, each entry
+    one pow call; with ``rows_inner`` its rows are contiguous
+    (column-major)."""
+    return np.power(b, exponents[:, None]).T if rows_inner else np.power(b[:, None], exponents)
+
+
+def _block_powers(b, lo, hi, out=None, low=None):
+    """Row r of the R x (hi - lo) result is b[r]^j for j = lo+1..hi.
+
+    Each power is b^(K q) * b^r for j = K q + r, K = ``_POWER_BLOCK``, read
+    from two pow tables per base, so a range of n powers costs
+    O(n / K + K) pow calls, not n.  The tables are aligned to absolute j:
+    a power depends only on (b, j), never on the range it is computed in.
+    Each table entry is within half an ulp and the product rounds once
+    more, so a normal result is within about 1.5 ulp of b^j (a single pow
+    call: 0.5), and exact wherever the tables are (b = 0, +-1, 2^-k).
+    Writes into ``out`` when given, a 2-D view whose rows or columns are
+    contiguous, and reads the residue table b^0..b^(K-1) from ``low`` when
+    given (laid out like ``out``).
+    """
+    K = _POWER_BLOCK
+    n = hi - lo
+    b = np.asarray(b, dtype=np.float64)
+    if out is None:
+        out = np.empty((len(b), n))
+    rows_inner = out.strides[0] < out.strides[1]
+    q0, q1 = (lo + 1) // K, hi // K
+    high = _power_table(b, np.arange(q0 * K, q1 * K + 1, K, dtype=np.float64), rows_inner)
+    if low is None:
+        low = _power_table(b, np.arange(K, dtype=np.float64), rows_inner)
+    # the rest of block q0, then whole blocks, then the start of block q1
+    c, r0 = 0, (lo + 1) % K
+    if r0:
+        c = min(K - r0, n)
+        np.multiply(high[:, :1], low[:, r0:r0 + c], out=out[:, :c])
+    whole = (n - c) // K
+    if whole:
+        q = (lo + 1 + c) // K - q0
+        blocks = out[:, c:c + whole * K].reshape(len(out), whole, K)
+        np.multiply(high[:, q:q + whole, None], low[:, None, :], out=blocks)
+        c += whole * K
+    if c < n:
+        np.multiply(high[:, -1:], low[:, :n - c], out=out[:, c:])
+    return out
+
+
+def _power_columns(D, last, j):
+    """Fill the R x n array ``D`` with last[r, 0]^j, less last[r, 1]^j for
+    a tail, at the n consecutive values ``j``, by :func:`_block_powers` in
+    chunks of rows and of columns aligned to absolute j.  A row-major ``D``
+    goes in chunks of whole rows, or of ``_CHUNK_CELLS`` columns of a
+    longer row; a column-major one in chunks of ``_CHUNK_CELLS`` / K rows
+    by one block of K columns, so every product runs along the contiguous
+    axis.  Each power past its base's underflow index
+    (:func:`_underflow_index`) is +0: a run's chunk computes no power past
+    its bases' largest index, and one mask per chunk zeroes the rest.  A
+    chunk's residue table, its block table and a tail's second run are
+    the only temporaries, each of about ``_CHUNK_CELLS`` cells or fewer.
+    """
+    R, n = D.shape
+    K, lo = _POWER_BLOCK, int(j[0]) - 1
+    rows_inner = not D.flags.c_contiguous
+    width = K if rows_inner else min(n, _CHUNK_CELLS)
+    step = _CHUNK_CELLS // K if rows_inner else max(1, _CHUNK_CELLS // width)
+    # window edges at the multiples of width in absolute j
+    edges = [0, *(range(-(lo + 1) % width or width, n, width) if n > width else ()), n]
+    cut = _underflow_index(last, lo + n)
+    spare = np.empty(step * width)  # a tail's second run
+    residues = np.arange(K, dtype=np.float64)
+    for r in range(0, R, step):
+        for run in range(last.shape[1]):
+            b, b_cut = last[r:r + step, run], cut[r:r + step, run, None]
+            # from column stop on, every power of the chunk is 0
+            first_cut, stop = b_cut.min(), int(b_cut.max()) - lo
+            low = _power_table(b, residues, rows_inner) if stop > 0 else None
+            for c0, c1 in zip(edges, edges[1:]):
+                out, c2 = D[r:r + step, c0:c1], min(c1, stop)
+                if run == 0 and c2 < c1:
+                    out[:, max(c2 - c0, 0):] = 0.0
+                if c2 <= c0:
+                    continue
+                powers = out[:, :c2 - c0] if run == 0 else spare[:len(b) * (c2 - c0)].reshape(
+                    (len(b), c2 - c0), order="F" if rows_inner else "C")
+                _block_powers(b, lo + c0, lo + c2, powers, low)
+                if first_cut < lo + c2:
+                    np.copyto(powers, 0.0, where=j[c0:c2] > b_cut)
+                if run:
+                    out[:, :c2 - c0] -= powers
 
 
 @functools.cache
@@ -294,6 +390,9 @@ def load_lfilter():
 
 # the numerator of every recurrence y[n] = x[n] + B y[n-1]
 _ONE = np.ones(1)
+# from this many rows up, one recurrence step over all rows per column
+# costs less than one recurrence call per row at every width
+_SWEEP_ROWS = 256
 
 
 def _gap_columns(B, last, powers, lo, hi, carry):
@@ -308,33 +407,61 @@ def _gap_columns(B, last, powers, lo, hi, carry):
     (last[r, 0]^{n_L} - last[r, 1]^{n_L}) / n_L^{powers[L-1]} (the second
     power only for a tail).
 
-    ``carry[r, i]`` is inner layer i's recurrence output at n = lo, before
-    its division by j^s; it is folded into the first new column (the same
-    rounding as the recurrence's own x + B y) and updated, so the columns
-    continue a DP that stopped at lo bit for bit.  Each power b^j is
-    computed only up to the index past which it is exactly 0 in float64,
-    j^s once per call for all rows, and each inner layer is one first-order
-    recurrence per row.
+    The whole batch goes through each step at once.  The powers b^j come
+    from :func:`_power_columns`, by the blocked rule of
+    :func:`_block_powers` (a power depends only on (b, j), so where a call
+    starts changes no bit), and each j^s is computed once per distinct
+    power per call.  ``carry[r, i]`` is inner layer i's recurrence output
+    at n = lo, before its division by j^s; it is folded into the first new
+    column (the same rounding as the recurrence's own x + B y) and updated,
+    so the columns continue a DP that stopped at lo bit for bit.  An inner
+    layer is the recurrence y = x + B y along each row.  With more rows
+    than new columns, or at least ``_SWEEP_ROWS`` rows, the result is
+    column-major and one step per column covers every row; otherwise each
+    row is one ``_linear_filter`` call.  Both round the product and then
+    the sum once, so the orientation, chosen by the batch's shape, changes
+    no bit.  Besides the result, a call holds j, the j^s a later layer
+    needs, one row of recurrence output on the per-row path, and power
+    chunks of about ``_CHUNK_CELLS`` cells.
     """
     lfilter = load_lfilter()
+    R, n = len(last), hi - lo
+    sweep = R > n or R >= _SWEEP_ROWS
     j = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    D = np.zeros((len(last), hi - lo))
+    D = np.empty((R, n), order="F" if sweep else "C")
+    scales = {}
+
+    def divide(i):
+        # divide by j^s, never multiply by its reciprocal (one ulp apart);
+        # j^0 and j^1 need no pow, and j^s is kept while a later layer needs it
+        s = powers[i]
+        if s == 0:
+            return
+        scale = j if s == 1 else scales.pop(s, None)
+        if scale is None:
+            scale = j ** np.float64(s)
+        np.divide(D, scale, out=D)
+        if s > 1 and s in powers[:i]:
+            scales[s] = scale
+
     with np.errstate(under="ignore"):
-        for (r, run), b in np.ndenumerate(last):
-            m = _underflow_index(b, hi) - lo
-            if m > 0 and run:  # a tail's second run, subtracted
-                D[r, :m] -= np.power(b, j[:m])
-            elif m > 0:
-                np.power(b, j[:m], out=D[r, :m])
-        # divide by j^s, never multiply by its reciprocal (one ulp apart)
-        D /= j ** np.float64(powers[-1])
+        _power_columns(D, last, j)
+        divide(len(powers) - 1)
         for i in range(B.shape[1] - 1, -1, -1):
-            for r, x in enumerate(D):
-                if lo:
-                    x[0] += B[r, i] * carry[r, i]
-                D[r] = lfilter(_ONE, np.array([1.0, -B[r, i]]), x, -1)
-                carry[r, i] = D[r, -1]
-            D /= j ** np.float64(powers[i])
+            b = B[:, i]
+            if lo:
+                D[:, 0] += b * carry[:, i]
+            if sweep:
+                step, prev = np.empty(R), D[:, 0]
+                for c in range(1, n):
+                    col = D[:, c]
+                    col += np.multiply(b, prev, out=step)
+                    prev = col
+            else:
+                for r, x in enumerate(D):
+                    D[r] = lfilter(_ONE, np.array([1.0, -b[r]]), x, -1)
+            carry[:, i] = D[:, -1]
+            divide(i)
     return D
 
 
@@ -354,10 +481,12 @@ class GapState:
     The state holds the prefix products, each inner layer's carry, the
     running cumulative totals and ``n_done``, the truncation reached, so
     :meth:`extend` and :meth:`advance` compute only the new columns.  The
-    gap DP is causal and its rows are independent: extending level by
-    level is bit-identical to one extension from a fresh state, and so is a
-    row that was taken out (:meth:`take`), extended on its own and stacked
-    with other rows of the same truncation (:meth:`stack`).
+    gap DP is causal and its rows are independent, a power depends only on
+    its base and index (:func:`_block_powers`), and the two orientations of
+    the recurrence round alike: extending level by level is bit-identical
+    to one extension from a fresh state, and so is a row that was taken out
+    (:meth:`take`), extended on its own and stacked with other rows of the
+    same truncation (:meth:`stack`), whatever the widths and batch sizes.
     """
 
     _ROW_FIELDS = ("B", "last", "carry", "totals")

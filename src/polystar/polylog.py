@@ -26,8 +26,8 @@ from .chains import (LADDER_START, PAIRING_SLACK, FactorSpec, GapState, QKernelS
 from .compositions import (SERIES_KIND, Composition, ShapeBlocks, as_composition,
                            mean_lhs_converges, series_domain, shape_args,
                            shape_composition, transform_bases)
-from .kernel import (BudgetExceededError, DomainError, EvalResult, adaptive_quadrature,
-                     check_tolerance)
+from .kernel import (BudgetExceededError, DomainError, EvalResult, NonConvergenceError,
+                     adaptive_quadrature, check_tolerance)
 
 _MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
@@ -337,7 +337,10 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
     Returns ``(lhs, rhs)`` as :class:`EvalResult` values, each evaluated to
     tolerance ``tol / 4`` so a two-sided comparison at ``tol`` is sound.
     Raises :class:`DomainError` when the parameters violate the identity's
-    validity region (unless ``check_domain=False``).
+    validity region (unless ``check_domain=False``), and
+    :class:`NonConvergenceError` when a MAIN or A1 rhs's last main and sub
+    arguments differ exactly (a p != 0) but round to one float64, whose
+    difference the float sides would read as an exact zero.
     """
     if identity not in _SERIES_IDS:
         raise DomainError(f"unknown series identity {identity!r}")
@@ -390,6 +393,14 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
     assert main_args[:-1] == sub_args[:-1]
 
     if kind in ("MAIN", "A1"):
+        hi, lo = main_args[-1], sub_args[-1]
+        if hi != lo and float(hi) == float(lo):
+            # the exact difference is a p times the last base; the float
+            # sides would take it for an exact zero
+            raise NonConvergenceError(
+                f"float64 rounding collapses the rhs difference: the last main and "
+                f"sub arguments differ by {float(hi - lo):.3g} but both round to "
+                f"{float(lo)!r}")
         lhs = li_star(comp, leading + (a,), side_tol)
         return lhs, li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1],
                                  2 * side_tol)

@@ -132,8 +132,9 @@ def test_cold_start_samples_the_two_sides_in_turn(monkeypatch):
 
 
 def test_verify_all_records_the_peak_rss_of_each_run(monkeypatch, tmp_path):
-    # per sample: parent serial, change serial, parent --jobs 2, change --jobs 2
-    peaks = iter([250.0, 120.0, 215.0, 110.0, 247.0, 121.0, 216.0, 111.0,
+    # per sample: serial then --jobs 2, parent first in samples 0 and 2 and
+    # change first in sample 1
+    peaks = iter([250.0, 120.0, 215.0, 110.0, 121.0, 247.0, 111.0, 216.0,
                   249.0, 119.0, 214.0, 109.0])
 
     def timed(cmd, tree, stdout=None):
@@ -141,6 +142,7 @@ def test_verify_all_records_the_peak_rss_of_each_run(monkeypatch, tmp_path):
             stdout.write(json.dumps({"id": "X", "params": {}, "cost": {}}) + "\n")
         return 1.0, SimpleNamespace(returncode=0, peak_rss_mb=next(peaks))
 
+    monkeypatch.setattr(bench_record, "VERIFY_ALL_SAMPLES", 3)
     monkeypatch.setattr(bench_record, "timed", timed)
     out, _ = bench_record.verify_all({"parent": "p", "change": "c"}, str(tmp_path))
     parent, change = out["parent"], out["change"]
@@ -188,8 +190,9 @@ def test_wall_ms_by_identity_sums_the_serial_reports():
 
 def test_verify_all_samples_the_two_sides_in_turn(monkeypatch, tmp_path):
     order = []
-    # per sample: parent serial, change serial, parent --jobs 2, change --jobs 2
-    walls = iter([3.0, 30.0, 2.0, 20.0, 1.0, 10.0, 5.0, 50.0, 2.5, 25.0, 1.5, 15.0])
+    # per sample: serial then --jobs 2, parent first in samples 0 and 2 and
+    # change first in sample 1
+    walls = iter([3.0, 30.0, 2.0, 20.0, 10.0, 1.0, 50.0, 5.0, 2.5, 25.0, 1.5, 15.0])
 
     def timed(cmd, tree, stdout=None):
         jobs = "--jobs" in cmd
@@ -203,10 +206,13 @@ def test_verify_all_samples_the_two_sides_in_turn(monkeypatch, tmp_path):
                                                   "terms_lhs": terms}}) + "\n")
         return next(walls), SimpleNamespace(returncode=0, peak_rss_mb=100.0)
 
+    monkeypatch.setattr(bench_record, "VERIFY_ALL_SAMPLES", 3)
     monkeypatch.setattr(bench_record, "timed", timed)
     out, reports = bench_record.verify_all({"parent": "p", "change": "c"}, str(tmp_path))
     n = bench_record.VERIFY_ALL_SAMPLES
-    assert order == [("p", False), ("c", False), ("p", True), ("c", True)] * n
+    parent_first = [("p", False), ("c", False), ("p", True), ("c", True)]
+    change_first = [("c", False), ("p", False), ("c", True), ("p", True)]
+    assert order == parent_first + change_first + parent_first
     parent, change = out["parent"], out["change"]
     assert (parent["serial_s_runs"], parent["serial_s"]) == ([3.0, 1.0, 2.5], 2.5)
     assert (parent["jobs2_s_runs"], parent["jobs2_s"]) == ([2.0, 5.0, 1.5], 2.0)

@@ -15,7 +15,7 @@ from scipy.signal import lfilter
 from polystar import chains, exact
 from polystar.catalog import _all_compositions
 from polystar.chains import (FactorSpec, GapState, PairingUnavailableError, QKernelSpec,
-                             TruncationSchedule, _gap_columns,
+                             TruncationSchedule, _block_powers, _gap_columns,
                              _walk_chains, adaptive_sum, dp_chain_partials, dp_chain_sum,
                              dp_q_contributions, dp_q_coupled, dp_q_naive,
                              naive_chain_sum)
@@ -210,14 +210,16 @@ def test_dp_partials_are_prefixes():
 
 def _one_spec_gap_terms(B, powers, N, low=None):
     """Outer-layer gap-form terms of one spec with a full-length B_L^j, less
-    a tail's full-length low^j, and j^s recomputed: the reference the
-    row-batched DP must match."""
+    a tail's full-length low^j, each power by the DP's blocked rule
+    (``_block_powers``, whose accuracy ``test_block_powers_are_within_two_ulp``
+    pins), and j^s recomputed: the reference the row-batched DP must
+    match."""
     j = np.arange(1, N + 1, dtype=np.float64)
     powers = np.array(powers, dtype=np.float64)
     with np.errstate(under="ignore"):
-        D = np.power(B[-1], j)
+        D = _block_powers([B[-1]], 0, N)[0]
         if low is not None:
-            D = D - np.power(low, j)
+            D = D - _block_powers([low], 0, N)[0]
         D = D / j ** powers[-1]
         for i in range(len(B) - 2, -1, -1):
             C = lfilter([1.0], [1.0, -B[i]], D)
@@ -510,6 +512,123 @@ def test_taken_rows_resume_and_stack_bit_identically(monkeypatch):
     _assert_same_state(chunked, fresh)
     chunked.advance(10)
     _assert_same_state(chunked, fresh)
+
+
+@pytest.mark.parametrize("b", (0.7, -0.9995, 0.999999, -1.0, 1.0, 0.5))
+def test_block_powers_are_within_two_ulp(b):
+    # b^(64q) * b^r against the exact power, at the block edges and at
+    # seeded j up to 2^14, wherever the exact power is a normal float
+    N = 2 ** 14
+    got = _block_powers([b], 0, N)[0]
+    rng = random.Random(f"block-powers:{b}")
+    js = {1, 2, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, N - 1, N}
+    js |= {rng.randint(1, N) for _ in range(10)}
+    num, den = b.as_integer_ratio()
+    for j in sorted(js):
+        # integer cross-multiplication: a Fraction would reduce by a gcd of
+        # numbers of up to 870,000 bits
+        want_num, want_den = num ** j, den ** j
+        near = want_num / want_den  # correctly rounded
+        if abs(near) < sys.float_info.min:
+            continue
+        got_num, got_den = float(got[j - 1]).as_integer_ratio()
+        ulp_num, ulp_den = math.ulp(near).as_integer_ratio()
+        err = abs(got_num * want_den - want_num * got_den)
+        assert err * ulp_den <= 2 * ulp_num * got_den * want_den, (b, j)
+        if b in (1.0, -1.0, 0.5):
+            assert err == 0, (b, j)
+    # a power depends only on (b, j), not on the range it is computed in
+    for lo, hi in ((0, 1), (5, 70), (63, 64), (100, 5000), (N - 3, N)):
+        assert np.array_equal(_bits(_block_powers([b], lo, hi)[0]), _bits(got[lo:hi]))
+
+
+def _kernel_rows(R, seed):
+    """R paired tail rows of depth 3: bases of either sign in [-1, 1], rows
+    with bases of +-1, and a base of 1e-3 whose powers underflow, in an inner
+    layer, in the last layer and in a tail run."""
+    rng = np.random.default_rng(seed)
+    bases = rng.uniform(-1.0, 1.0, (R, 3))
+    alpha, gamma = rng.uniform(-1.0, 1.0, R), rng.uniform(-1.0, 1.0, R)
+    bases[0], bases[1], bases[2], bases[3] = (1, -1, 1), (-1, 1, -1), (1, 1e-3, 1), (0.5, 1, 1e-3)
+    alpha[:4], gamma[:4] = (1.0, -1.0, 1e-3, 1.0), (-1.0, 1.0, 0.9, 1e-3)
+    return bases, (alpha, gamma)
+
+
+# batches with more rows than the sweep threshold, and fewer rows than most
+# of their extensions add columns
+KERNEL_BATCHES = (300, 40)
+
+
+@pytest.mark.parametrize("R", KERNEL_BATCHES)
+def test_gap_dp_extends_and_splits_bit_identically(R):
+    # levels that add 16, 48, 36, 900 and 2000 columns: a batch of 40 rows
+    # sweeps the first and calls the recurrence per row for the rest
+    bases, tail = _kernel_rows(R, R)
+    levels = (16, 64, 100, 1000, 3000)
+    once = GapState.of_rows(bases, (1, 2, 1), tail)
+    columns = once.extend(levels[-1])
+    stepped = GapState.of_rows(bases, (1, 2, 1), tail)
+    for N in levels:
+        lo = stepped.n_done
+        assert np.array_equal(_bits(stepped.extend(N)), _bits(columns[:, lo:N]))
+    _assert_same_state(stepped, once)
+    # odd and even rows taken apart, extended to different levels, stacked
+    split = GapState.of_rows(bases, (1, 2, 1), tail)
+    split.extend(levels[0])
+    odd, even = split.take(slice(1, None, 2)), split.take(slice(0, None, 2))
+    odd.extend(levels[2])
+    even.extend(levels[3])
+    odd.extend(levels[3])
+    both = GapState.stack([even, odd])
+    both.extend(levels[-1])
+    order = np.r_[0:R:2, 1:R:2]
+    _assert_same_state(both, once.take(order))
+
+
+@pytest.mark.parametrize("R, N", ((300, 200), (40, 30)))
+def test_column_sweep_matches_the_per_row_recurrence(monkeypatch, R, N):
+    # the whole batch has more rows than new columns, so it sweeps; each row
+    # alone has fewer, so it calls the recurrence core
+    calls = []
+    core = chains.load_lfilter()
+
+    def counting():
+        def run(*args):
+            calls.append(1)
+            return core(*args)
+        return run
+
+    monkeypatch.setattr(chains, "load_lfilter", counting)
+    bases, tail = _kernel_rows(R, 7 + R)
+    batch = GapState.of_rows(bases, (2, 1, 1), tail)
+    for lo, hi in ((0, N), (N, 2 * N)):
+        before = len(calls)
+        block = batch.extend(hi)
+        assert len(calls) == before
+        for r in range(R):
+            row = GapState.of_rows(bases[r:r + 1], (2, 1, 1), (tail[0][r:r + 1], tail[1][r:r + 1]))
+            want = row.extend(hi)[0, lo:]
+            assert np.array_equal(_bits(block[r]), _bits(want)), r
+        assert len(calls) > before
+
+
+@pytest.mark.parametrize("R, N", ((486, 2048), (200, 4096)))
+def test_gap_dp_allocates_no_second_full_size_array(R, N):
+    # besides its R x N columns, an extension holds j and j^s, one row of
+    # recurrence output and chunks of about 2^13 cells
+    p = np.linspace(0.0, 0.99, R)
+    state = GapState.of_rows(np.array([transform_bases((2, 1), x) for x in p]), (1, 1, 1),
+                             (1.0 - p + 0.5 * p, 1.0 - p))
+    state.extend(N // 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        state.extend(N + N // 2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    columns = R * N * 8
+    assert columns <= peak < 1.25 * columns, peak / columns
 
 
 def test_monotone_convergence_nonnegative():

@@ -452,6 +452,42 @@ def test_reduced_identities_at_p_zero_skip_or_are_rejected(capsys, ident, outsid
     assert out.startswith("NOT_CONVERGED " if outside else "SKIP ")
 
 
+# in-domain points whose rhs difference a p is lost when 1 - p + a p and
+# 1 - p round to one float64
+COLLAPSED = {
+    "INTRO_SERIES": ["s=2", "a=1", "p=1e-30"],
+    "LI1_EX": ["d=2", "p=1e-30"],
+    "LI1_MAIN": ["shape=A:m=0;u=", "a=-1", "p=1e-30"],
+    "LI2_A1": ["shape=B:m=0;u=1", "p=1e-17"],
+}
+
+
+@pytest.mark.parametrize("ident", COLLAPSED)
+def test_a_collapsed_rhs_difference_is_not_converged(capsys, ident):
+    # the float sides would read the lost difference as an exact zero and
+    # report a fail; the report names the collapse and the CLI exits 3
+    entry = catalog.get_entry(ident)
+    params = cli._parse_params(entry, COLLAPSED[ident])
+    assert entry.domain is None or entry.domain(params)[0]
+    report = catalog.verify(ident, params)
+    assert report.status == "not_converged"
+    assert report.reason.startswith("NonConvergenceError: float64 rounding collapses "
+                                    "the rhs difference")
+    argv = ["verify", ident] + [arg for pair in COLLAPSED[ident] for arg in ("--param", pair)]
+    assert main(argv) == 3
+    assert capsys.readouterr().out.startswith(f"NOT_CONVERGED  {ident} ")
+
+
+def test_reduced_identity_keeps_its_exact_zero():
+    # RED2 at a = 1 - 1/p: both rhs arguments are equal exactly, so the
+    # zero difference is right and the instance passes
+    params = {"s": 2, "a": -1.0, "p": 0.5}
+    report = catalog.verify("INTRO_RED_R", params)
+    assert (report.status, report.rhs, report.err_rhs) == ("pass", 0.0, 0.0)
+    assert main(["verify", "INTRO_RED_R", "--param", "s=2", "--param", "a=-1",
+                 "--param", "p=1/2"]) == 0
+
+
 def test_exit_code_failure_subprocess():
     # outside-domain single instance that diverges: exit communicates failure
     proc = run_cli(["verify", "INTRO_SERIES", "--param", "s=2", "--param",

@@ -11,8 +11,8 @@ each side runs the committed files only.  The file records:
   ``--seed + i``; the side that runs first alternates), as per-run values,
   medians and quartiles per side, and the change's wins per metric;
 * the wall time of ``polystar verify --all --json``, serial and with
-  ``--jobs 2`` (median and every run of 3 samples, the two sides sampled
-  in turn), the peak RSS of each of those runs (``serial_peak_rss_mb``,
+  ``--jobs 2`` (median and every run of 7 samples, the two sides sampled
+  in turn, the side that runs first alternating), the peak RSS of each of those runs (``serial_peak_rss_mb``,
   ``jobs2_peak_rss_mb`` and their ``_runs``; a pool's workers count, see
   :func:`timed`), whether the reports of the two sides are identical once
   ``cost.wall_ms`` is dropped, a per-report summary of how they differ
@@ -57,7 +57,7 @@ COLD_START_COMMANDS = {
                      "--param", "y=1"],
     "eval_zetastar": ["eval", "zetastar", "--s", "2,2", "--tol", "1e-8"],
 }
-VERIFY_ALL_SAMPLES = 3
+VERIFY_ALL_SAMPLES = 7
 VERIFY_ALL_RUNS = (("serial_s", []), ("jobs2_s", ["--jobs", "2"]))
 
 
@@ -166,8 +166,10 @@ def wall_ms_by_identity(rows):
 def verify_all(trees, workdir):
     """Wall time and peak RSS of ``verify --all --json`` on each tree,
     serial and with ``--jobs 2``: the median and every run of
-    ``VERIFY_ALL_SAMPLES`` samples, the two sides sampled in turn like
-    :func:`cold_start`.  Every run's reports are kept in a file and read
+    ``VERIFY_ALL_SAMPLES`` samples.  Each sample runs the two sides in
+    turn, parent first in even samples and change first in odd ones, so
+    that neither side always runs on a machine the other has just warmed
+    (three samples could not tell a 5% shift from drift).  Every run's reports are kept in a file and read
     only after the last run, so that this process stays small while it
     starts the runs (see :func:`timed`): the serial runs give the median
     per-identity sum of ``cost.wall_ms``, and the first sample's reports
@@ -177,8 +179,9 @@ def verify_all(trees, workdir):
     out = {side: {} for side in trees}
     paths = {}
     for i in range(VERIFY_ALL_SAMPLES):
+        sides = list(trees.items())
         for label, extra in VERIFY_ALL_RUNS:
-            for side, tree in trees.items():
+            for side, tree in sides if i % 2 == 0 else sides[::-1]:
                 cmd = [sys.executable, "-m", "polystar", "verify", "--all", "--json"] + extra
                 path = os.path.join(workdir, f"verify-{side}-{label}-{i}.jsonl")
                 paths[side, label, i] = path
