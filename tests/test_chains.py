@@ -554,15 +554,11 @@ def _kernel_rows(R, seed):
     return bases, (alpha, gamma)
 
 
-# batches with more rows than the sweep threshold, and fewer rows than most
-# of their extensions add columns
-KERNEL_BATCHES = (300, 40)
-
-
-@pytest.mark.parametrize("R", KERNEL_BATCHES)
+@pytest.mark.parametrize("R", (300, 40))
 def test_gap_dp_extends_and_splits_bit_identically(R):
-    # levels that add 16, 48, 36, 900 and 2000 columns: a batch of 40 rows
-    # sweeps the first and calls the recurrence per row for the rest
+    # levels that add 16, 48, 36, 900 and 2000 columns: 300 rows always
+    # sweep, and 40 rows sweep the first and call the recurrence per row
+    # for the rest
     bases, tail = _kernel_rows(R, R)
     levels = (16, 64, 100, 1000, 3000)
     once = GapState.of_rows(bases, (1, 2, 1), tail)
