@@ -24,9 +24,8 @@ from fractions import Fraction
 from .compositions import (SERIES_KIND, SERIES_REGIONS, Composition, ShapeBlocks,
                            as_composition, as_fraction, mean_lhs_converges,
                            series_domain)
-from .kernel import (BudgetExceededError, DomainError, EvalResult,
-                     NonConvergenceError, PairingUnavailableError, SingularFitError,
-                     adaptive_quadrature, binom_ratio_sum, check_tolerance, fmt)
+from .kernel import (DomainError, EvalResult, NonConvergenceError, adaptive_quadrature,
+                     binom_ratio_sum, check_tolerance, fmt)
 
 
 def __getattr__(name):
@@ -671,12 +670,11 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
 
     Domain violations yield a skipped report (not a failure) unless
     ``outside=True``, in which case the evaluation is attempted anyway and a
-    rejection or divergence is reported as ``not_converged``.  An evaluation
-    that runs out of budget or whose window fit is singular is reported as
-    ``not_converged`` too, with the exception named in ``reason``, and so is
-    a ladder side that ended unconverged, named in ``reason`` with its
-    truncation level and error estimate.
-    Mathematical failure never raises; it returns status ``fail``.  A
+    :class:`DomainError` from it is reported as ``not_converged``.  So is a
+    :class:`NonConvergenceError`, and a side that cannot decide the
+    comparison: a ladder that ended unconverged, or an error estimate over
+    tol/2, the largest share any evaluator gives a side; ``reason`` names
+    each.  Mathematical failure never raises; it returns status ``fail``.  A
     declared parameter missing from ``params``, or a ``tol`` that is not
     finite and > 0, raises :class:`DomainError`.
     """
@@ -697,11 +695,11 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     start = time.perf_counter()
     try:
         lhs, rhs = entry.evaluate(params, tol)
-    except (PairingUnavailableError, DomainError) as exc:
+    except DomainError as exc:
         if not outside:
             raise
         report.reason = f"evaluation rejected: {exc}"
-    except (NonConvergenceError, BudgetExceededError, SingularFitError) as exc:
+    except NonConvergenceError as exc:
         report.reason = f"{type(exc).__name__}: {exc}"
     report.cost = {"wall_ms": round((time.perf_counter() - start) * 1e3, 3)}
     if report.reason is not None:
@@ -723,7 +721,10 @@ def verify(identity_id, params=None, tol=None, outside=False) -> IdentityReport:
     report.rel_diff = diff / max(abs(lhs.value), abs(rhs.value), 1.0)
     stuck = [f"{side} did not converge: ladder ended at truncation_level "
              f"{r.truncation_level} with error estimate {r.error_estimate:.3g}"
-             for side, r in (("lhs", lhs), ("rhs", rhs)) if not r.converged]
+             if not r.converged else f"{side} cannot decide at tolerance {tol:.3g}: "
+             f"its error estimate {r.error_estimate:.3g} exceeds tol/2"
+             for side, r in (("lhs", lhs), ("rhs", rhs))
+             if not r.converged or r.error_estimate > tol / 2]
     if stuck:
         report.status, report.reason = "not_converged", "; ".join(stuck)
     else:

@@ -2,11 +2,12 @@
 quantities, run the verification suite and fuzz identities.
 
 Exit codes: 0 success (passes and skips only), 1 identity failure, 2 usage
-error, 3 convergence failure.
+error (a DomainError), 3 convergence failure (a NonConvergenceError too).
 
 Only the commands that evaluate import the evaluating modules (and with
 them numpy, mpmath and SciPy's recurrence core); ``list``, ``--help`` and a
-usage error found while parsing load none of them.
+usage error found while parsing load none of them; only ``verify --jobs``
+imports the process pool.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import catalog
 from .compositions import Composition, ShapeBlocks
-from .kernel import (DomainError, EvalResult, PairingUnavailableError, check_tolerance,
-                     fmt)
+from .kernel import DomainError, EvalResult, NonConvergenceError, check_tolerance, fmt
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -150,8 +149,7 @@ def cmd_eval(args):
         res = polylog.li(_parse(int, args.s, "--s"),
                          _parse(_PARAM_PARSERS["float"], args.x, "--x"))
     elif kind == "listar":
-        xs = _parse(lambda t: tuple(float(Fraction(v)) for v in t.split(",")),
-                    args.x, "--x")
+        xs = _parse(lambda t: tuple(Fraction(v) for v in t.split(",")), args.x, "--x")
         res = polylog.li_star(Composition.parse(args.s), xs, tol)
     elif kind == "zetastar":
         res = polylog.zeta_star(Composition.parse(args.s), tol)
@@ -236,6 +234,8 @@ def cmd_verify(args):
 
     _load_evaluators(entries)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         exact_ids = {entry.id for entry in entries if entry.mode == "EXACT"}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # a non-EXACT task can take seconds, so each one goes alone to
@@ -322,9 +322,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, PairingUnavailableError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonConvergenceError as exc:
+        print(f"not converged: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -35,12 +35,17 @@ QUADRATURE_PANEL_BUDGET = 2 ** 20
 _GL_ORDERS = (12, 6)
 
 
+# Every refusal is one of two families: DomainError, input outside the
+# quantity's domain (exit 2), and NonConvergenceError, an in-domain quantity
+# that float64 cannot resolve to its tolerance (not_converged, exit 3).
+
 class DomainError(ValueError):
     """Arguments outside an operation's stated domain."""
 
 
-class PairingUnavailableError(RuntimeError):
-    """An interior base > 1 cannot be paired into bounded prefix products."""
+class PairingUnavailableError(DomainError):
+    """Prefix products that leave the unit disc: the chain sum is outside
+    the region where it converges."""
 
 
 def check_tolerance(tol):
@@ -49,15 +54,15 @@ def check_tolerance(tol):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
 
 
-class BudgetExceededError(RuntimeError):
+class NonConvergenceError(RuntimeError):
+    """An in-domain evaluation that cannot reach its tolerance in float64."""
+
+
+class BudgetExceededError(NonConvergenceError):
     """An enumeration or DP refused to run past its cost budget."""
 
 
-class NonConvergenceError(RuntimeError):
-    """An adaptive scheme exhausted its budget before reaching tolerance."""
-
-
-class SingularFitError(ZeroDivisionError):
+class SingularFitError(NonConvergenceError, ZeroDivisionError):
     """A window fit whose design matrix is singular or whose limit is not
     finite."""
 
@@ -280,7 +285,7 @@ def best_extrapolant(levels, values, noise_floor=0.0):
             e_full = _window_limit(levels, values, k, basis)
             e_less = _window_limit(levels, values, k - 1, basis)
             e_prev = _window_limit(levels[:-1], values[:-1], k_prev, basis)
-        except ZeroDivisionError:
+        except SingularFitError:
             continue
         # model sensitivity on the final window, plus sequential stability of
         # the same model across the last two windows

@@ -16,20 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 from mpmath import mp
 
 from .chains import (LADDER_START, PAIRING_SLACK, FactorSpec, GapState, QKernelSpec,
-                     Q_STATE_BUDGET, TruncationSchedule, adaptive_sum, dp_q_contributions)
+                     TruncationSchedule, adaptive_sum, dp_q_contributions)
 from .compositions import (SERIES_KIND, Composition, ShapeBlocks, as_composition,
                            mean_lhs_converges, series_domain, shape_args,
                            shape_composition, transform_bases)
-from .kernel import (BudgetExceededError, DomainError, EvalResult, NonConvergenceError,
-                     adaptive_quadrature, check_tolerance)
+from .kernel import (DomainError, EvalResult, NonConvergenceError, adaptive_quadrature,
+                     check_tolerance)
 
-_MARGINAL_EPS = 1e-12
 POLY_MAX_N = 2 ** 17
 GEO_MAX_N = 2 ** 20
 Q_MAX_N = 4096
@@ -70,12 +70,13 @@ def li(s: int, x) -> EvalResult:
 # Multi-dimensional star sums
 # ---------------------------------------------------------------------------
 
-def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
+def _star_ladder(spec: FactorSpec, tol, x1) -> EvalResult:
     """Truncation ladder for a validated chain-sum spec of depth L >= 2
-    (possibly with a last-index tail difference).  Its :class:`GapState`
-    refuses a run whose prefix products B_j = x_1...x_j leave the unit disc;
-    of the rest, a spec with s_1 = 1 and x_1 at +1 (within
-    ``_MARGINAL_EPS``) is refused as divergent.
+    (possibly with a last-index tail difference), whose first argument is
+    ``x1`` before it was rounded.  Its :class:`GapState` refuses a run whose
+    prefix products B_j = x_1...x_j leave the unit disc; of the rest, a spec
+    with s_1 = 1 and an exact x_1 = 1 is refused as divergent
+    (:class:`DomainError`).
 
     That one test decides convergence, because every power is >= 1 (the
     callers pass composition parts) and |B_j| <= 1.  The summand is
@@ -91,6 +92,12 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     condition (s_1, x_1) != (1, 1) of Borwein, Bradley, Broadhurst and
     Lisonek (Trans. AMS 353, 2001).  Both runs of a tail share x_1.
 
+    A convergent sum with s_1 = 1 and 0 < x_1 < 1 has a tail past n_1 = N
+    that decays like x_1^N, so where the rounded x_1^``POLY_MAX_N`` exceeds
+    ``tol`` no ladder level can meet the tolerance: the spec raises
+    :class:`NonConvergenceError`, naming the terms it needs, before its
+    ladder runs.
+
     The ladder resumes one state across its levels.  It cannot stop before
     its schedule's first stop level (:meth:`TruncationSchedule.first_stop`,
     clamped to the last level), so its first level extends the state to
@@ -102,8 +109,16 @@ def _star_ladder(spec: FactorSpec, tol) -> EvalResult:
     # the pairing check comes first: an unpaired divergent spec is refused
     # as unpaired
     state = GapState.of_spec(spec)
-    if spec.powers[0] == 1 and spec.bases[0] >= 1 - _MARGINAL_EPS:
+    if spec.powers[0] == 1 and x1 == 1:
         raise DomainError(f"chain sum for {spec} diverges")
+    x = spec.bases[0]
+    if spec.powers[0] == 1 and 0 < x and x ** POLY_MAX_N > tol:
+        # a rounded x_1 of 1 is within 2^-53 of it
+        terms = math.log(tol) / math.log(x) if x < 1 else 2.0 ** 53 * math.log(1 / tol)
+        raise NonConvergenceError(
+            f"chain sum for {spec} needs about {terms:.3g} terms: its tail past n_1 = N "
+            f"decays like x_1^N, above the tolerance {tol:.3g} at every level up to "
+            f"{POLY_MAX_N}")
     inner, last = state.B[0].tolist(), state.last[0].tolist()
     worst = max(abs(b) for b in inner + last)
     # only prefix products near +1 stack logarithms into the tail;
@@ -145,12 +160,15 @@ def li_star(s, xs, tol=1e-9) -> EvalResult:
     prod x_i^{n_i} / n_i^{s_i}, to absolute tolerance ``tol``.
 
     Queries whose argument-string prefix products leave the unit disc are
-    rejected with :class:`PairingUnavailableError`; those with
+    rejected with :class:`PairingUnavailableError`; those with an exact
     (s_1, x_1) = (1, 1), which diverge, and NaN or infinite arguments, with
-    :class:`DomainError`.
+    :class:`DomainError`.  The arguments may be exact; each is rounded to
+    float64 once.  A sum longer than its ladder raises
+    :class:`NonConvergenceError`.
     """
     s = as_composition(s)
-    xs = _float_args(xs)
+    exact = tuple(xs)
+    xs = _float_args(exact)
     if len(xs) != s.depth:
         raise DomainError(f"need {s.depth} arguments, got {len(xs)}")
     check_tolerance(tol)
@@ -159,7 +177,7 @@ def li_star(s, xs, tol=1e-9) -> EvalResult:
         return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
         return li(s.parts[0], xs[0])
-    return _star_ladder(FactorSpec(xs, s.parts), tol)
+    return _star_ladder(FactorSpec(xs, s.parts), tol, exact[0])
 
 
 def li_star_diff(s, xs, x_hi, x_lo, tol) -> EvalResult:
@@ -170,18 +188,27 @@ def li_star_diff(s, xs, x_hi, x_lo, tol) -> EvalResult:
 
     evaluated as one chain sum with the last-index factor x_hi^n - x_lo^n,
     at half the cost of two separate ladders.
+    ``x_hi`` and ``x_lo`` are compared before they are rounded: equal ones
+    give the exact zero, distinct ones that round to one float64 raise
+    :class:`NonConvergenceError` (the float sides would read that zero).
     """
     s = as_composition(s)
-    xs = _float_args(xs)
+    exact = tuple(xs)
+    xs = _float_args(exact)
     if len(xs) != s.depth - 1:
         raise DomainError(f"need {s.depth - 1} leading arguments, got {len(xs)}")
-    x_hi, x_lo = _float_args((x_hi, x_lo))
+    hi, lo = _float_args((x_hi, x_lo))
     if x_hi == x_lo or any(x == 0 for x in xs):
         return EvalResult(0.0, 0.0, 0, 0, True)
+    if hi == lo:
+        raise NonConvergenceError(
+            f"float64 rounding collapses the rhs difference: its last arguments differ "
+            f"by {float(Fraction(x_hi) - Fraction(x_lo)):.3g} but both round to "
+            f"{hi!r}")
     if s.depth == 1:
-        return _li_diff(s.parts[0], x_hi, x_lo)
-    spec = FactorSpec(xs + (1.0,), s.parts, tail=(x_hi, x_lo))
-    return _star_ladder(spec, tol)
+        return _li_diff(s.parts[0], hi, lo)
+    spec = FactorSpec(xs + (1.0,), s.parts, tail=(hi, lo))
+    return _star_ladder(spec, tol, exact[0])
 
 
 def _li_diff(s: int, x_hi, x_lo) -> EvalResult:
@@ -228,13 +255,9 @@ def mean_kernel_infinite(s, tol) -> EvalResult:
     running sums of one Q-coupled sweep at ``Q_MAX_N``
     (:func:`dp_q_contributions`); each level counts the cell updates of the
     sweep's steps it adds.  A weight whose sweep would exceed
-    ``Q_STATE_BUDGET`` raises :class:`BudgetExceededError` before it runs."""
+    ``Q_STATE_BUDGET`` (weights above 11) is refused by the sweep."""
     s = as_composition(s)
     kernel = QKernelSpec(s, "MEAN_INF", 1.0)
-    if Q_MAX_N ** 2 * s.weight > Q_STATE_BUDGET:
-        raise BudgetExceededError(
-            f"the ladder of weight {s.weight} needs N = {Q_MAX_N}, "
-            f"{Q_MAX_N ** 2 * s.weight} cell updates, over budget {Q_STATE_BUDGET}")
     schedule = TruncationSchedule(max_n=Q_MAX_N, tolerance=tol, extrapolate=True)
     c, _, cells = dp_q_contributions(kernel, Q_MAX_N)
     partials, work = np.cumsum(c), np.cumsum(cells)
@@ -337,10 +360,10 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
     Returns ``(lhs, rhs)`` as :class:`EvalResult` values, each evaluated to
     tolerance ``tol / 4`` so a two-sided comparison at ``tol`` is sound.
     Raises :class:`DomainError` when the parameters violate the identity's
-    validity region (unless ``check_domain=False``), and
-    :class:`NonConvergenceError` when a MAIN or A1 rhs's last main and sub
-    arguments differ exactly (a p != 0) but round to one float64, whose
-    difference the float sides would read as an exact zero.
+    validity region (unless ``check_domain=False``).  Every argument string
+    is built exactly (1 - 1/p too) and rounded once, in :func:`li_star` or
+    :func:`li_star_diff`, which raise :class:`NonConvergenceError` for a
+    side float64 cannot resolve.
     """
     if identity not in _SERIES_IDS:
         raise DomainError(f"unknown series identity {identity!r}")
@@ -393,19 +416,11 @@ def li_identity_sides(identity: str, shape_or_comp, a, p, tol, check_domain=True
     assert main_args[:-1] == sub_args[:-1]
 
     if kind in ("MAIN", "A1"):
-        hi, lo = main_args[-1], sub_args[-1]
-        if hi != lo and float(hi) == float(lo):
-            # the exact difference is a p times the last base; the float
-            # sides would take it for an exact zero
-            raise NonConvergenceError(
-                f"float64 rounding collapses the rhs difference: the last main and "
-                f"sub arguments differ by {float(hi - lo):.3g} but both round to "
-                f"{float(lo)!r}")
         lhs = li_star(comp, leading + (a,), side_tol)
         return lhs, li_star_diff(ones, main_args[:-1], main_args[-1], sub_args[-1],
                                  2 * side_tol)
 
-    a_red = 1 - 1 / float(p)
+    a_red = 1 - 1 / Fraction(p)
     if kind == "RED1":
         lhs = li_star(ones, sub_args, side_tol)
         inner = li_star(comp, leading + (a_red,), 2 * side_tol)

@@ -256,3 +256,47 @@ def test_wall_ms_by_identity_is_the_median_of_the_serial_samples(monkeypatch, tm
     assert out["change"]["wall_ms_by_identity"] == {"X": 6.0, "Y": 4.0}
     # every report file is read after the last run has ended
     assert events[:12] == ["run"] * 12 and set(events[12:]) == {"read"}
+
+
+def test_fuzz_statuses_count_each_id_in_both_modes(tmp_path):
+    # a stub package: fuzz reports its mode's statuses, and its second id
+    # raises, which counts once as an error
+    pkg = tmp_path / "src" / "polystar"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "catalog.py").write_text(
+        "from types import SimpleNamespace as NS\n"
+        "def list_identities():\n"
+        "    return [NS(id='B'), NS(id='A')]\n"
+        "def fuzz(ident, seed, trials, outside=False):\n"
+        "    if ident == 'A':\n"
+        "        raise ValueError(ident)\n"
+        "    status = 'not_converged' if outside else 'pass'\n"
+        "    return [NS(status=status)] * trials + [NS(status='skip')] * seed\n")
+    got = bench_record.fuzz_statuses(str(tmp_path), seed=1, trials=3)
+    assert got == {"inside": {"A": {"error:ValueError": 1}, "B": {"pass": 3, "skip": 1}},
+                   "outside": {"A": {"error:ValueError": 1},
+                               "B": {"not_converged": 3, "skip": 1}}}
+
+
+def test_fuzz_statuses_refuses_a_failed_sweep(tmp_path):
+    pkg = tmp_path / "src" / "polystar"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "catalog.py").write_text("raise ImportError('no catalog')\n")
+    with pytest.raises(RuntimeError, match=r"(?s)fuzz sweep .* exited 1: .*no catalog"):
+        bench_record.fuzz_statuses(str(tmp_path))
+
+
+def test_diff_fuzz_counts_the_moved_statuses():
+    parent = {"inside": {"A": {"pass": 4}, "B": {"pass": 2, "fail": 2}},
+              "outside": {"A": {"not_converged": 4}}}
+    change = {"inside": {"A": {"pass": 4}, "B": {"pass": 2, "not_converged": 2}},
+              "outside": {"A": {"not_converged": 3, "error:DomainError": 1}}}
+    assert bench_record.diff_fuzz(parent, parent) == {"moved": 0, "by_id": {}}
+    assert bench_record.diff_fuzz(parent, change) == {
+        "moved": 3,
+        "by_id": {"inside/B": {"parent": {"pass": 2, "fail": 2},
+                               "change": {"pass": 2, "not_converged": 2}},
+                  "outside/A": {"parent": {"not_converged": 4},
+                                "change": {"not_converged": 3, "error:DomainError": 1}}}}

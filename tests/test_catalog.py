@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystar import catalog, kernel, polylog
+from polystar import catalog, chains, kernel, polylog
 from polystar.chains import PairingUnavailableError
 from polystar.compositions import Composition, ShapeBlocks
 from polystar.kernel import (BudgetExceededError, DomainError, NonConvergenceError,
@@ -273,16 +273,16 @@ def test_unconverged_ladder_reason_names_its_side(monkeypatch):
 
 def test_q_state_budget_reaches_the_seventh_level_up_to_weight_11(monkeypatch):
     # weight 9 reaches N = 4,096 and passes; weight 12 would need more than
-    # Q_STATE_BUDGET at N = 4,096, so its ladder refuses before its one sweep
+    # Q_STATE_BUDGET at N = 4,096, so its one sweep refuses before it seeds
+    # a cell
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3))))
     assert r.status == "pass" and r.reason is None
-    sweeps = []
-    monkeypatch.setattr(catalog.polylog, "dp_q_contributions",
-                        lambda *args, **kw: sweeps.append(args))
+    seeds = []
+    monkeypatch.setattr(chains, "_q_seed", lambda *args: seeds.append(args))
     r = catalog.verify("MEAN_INF_1", dict(s=Composition((3, 3, 3, 3))))
-    assert r.status == "not_converged" and sweeps == []
-    assert r.reason == ("BudgetExceededError: the ladder of weight 12 needs "
-                             "N = 4096, 201326592 cell updates, over budget 200000000")
+    assert r.status == "not_converged" and seeds == []
+    assert r.reason == ("BudgetExceededError: Q-coupled DP needs ~201326592 cell "
+                        "updates, over budget 200000000")
 
 
 @pytest.mark.parametrize("s, a", (((2,), 1.0), ((2,), 0.5), ((2,), -1.0), ((2, 1), 1.0)),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -132,7 +133,7 @@ def test_verify_missing_param_of_a_later_id_fails_before_any_work(monkeypatch, c
 
     monkeypatch.setattr(catalog, "verify", refuse)
     monkeypatch.setattr(chains, "load_lfilter", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     argv = ["verify", "MEAN_SUM_HK", "DILCHER_A2", "--param", "n=3", "--jobs", "2"]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: missing parameter 'd' for DILCHER_A2\n")
@@ -312,6 +313,29 @@ def test_commands_load_numpy_mpmath_and_scipy_only_where_they_evaluate():
     assert proc.stdout.split("\n")[-2] == "[0, 0, 2, 0, 0] ['nnn', 'nnn', 'ynn', 'yyy']"
 
 
+def test_only_a_verify_pool_imports_the_process_pool():
+    # a fresh process: list, a serial verify and eval never import
+    # concurrent.futures; verify --jobs 2 imports it for its pool
+    script = """if True:
+        import contextlib, io, sys
+        from polystar import cli
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(argv)
+        mn1 = ["verify", "MN1", "--param", "n=3", "--param", "d=2",
+               "--param", "a=1/2", "--param", "p=1/3"]
+        codes = [run(["list"]), run(["verify", "LI1_EX", "--param", "d=2",
+                                     "--param", "p=1/2"]),
+                 run(["eval", "zetastar", "--s", "2,2", "--tol", "1e-8"]), run(mn1)]
+        before = "concurrent.futures" in sys.modules
+        codes.append(run(mn1 + ["--jobs", "2"]))
+        print(codes, before, "concurrent.futures.process" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] False True"
+
+
 def test_the_package_api_resolves_lazily():
     # a fresh process: importing the package loads none of its modules
     script = """if True:
@@ -375,7 +399,7 @@ def test_verify_pool_loads_scipy_before_the_fork(monkeypatch, capsys, unloaded_e
             return map(fn, tasks)
 
     monkeypatch.setattr(chains, "load_lfilter", recording_load)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert main(argv + ["--jobs", "2"]) == 0
     assert events[:2] == (["load", "pool"] if preloaded else ["pool"])
     assert at_fork == [{"exact", "polylog"} if preloaded else {"exact"}]
@@ -476,6 +500,17 @@ def test_a_collapsed_rhs_difference_is_not_converged(capsys, ident):
     argv = ["verify", ident] + [arg for pair in COLLAPSED[ident] for arg in ("--param", pair)]
     assert main(argv) == 3
     assert capsys.readouterr().out.startswith(f"NOT_CONVERGED  {ident} ")
+
+
+def test_an_eval_that_cannot_resolve_its_sum_exits_3(capsys):
+    # the sum needs about 2e10 terms, past every ladder level; an exact
+    # (s_1, x_1) = (1, 1) still diverges, a usage error
+    assert main(["eval", "listar", "--s", "1,1", "--x", "0.999999999,0.9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("not converged: ")
+    assert "needs about 2.07e+10 terms" in err
+    assert main(["eval", "listar", "--s", "1,1", "--x", "1,0.5"]) == 2
+    assert "diverges" in capsys.readouterr().err
 
 
 def test_reduced_identity_keeps_its_exact_zero():

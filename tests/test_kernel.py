@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polystar.kernel import (_GL_ORDERS, BASIS_LOG_FIRST, BASIS_POWER_FIRST, _design_matrix,
-                             DomainError, NonConvergenceError, SingularFitError,
-                             _window_limit, adaptive_quadrature,
-                             best_extrapolant, binom_ratio_sum, binomial)
+                             BudgetExceededError, DomainError, NonConvergenceError,
+                             PairingUnavailableError, SingularFitError, _window_limit,
+                             adaptive_quadrature, best_extrapolant, binom_ratio_sum,
+                             binomial)
 
 
 def test_binomial_examples():
@@ -337,6 +338,15 @@ def test_singular_window_fit():
         _window_limit(levels, values, 4, BASIS_POWER_FIRST)
     assert issubclass(SingularFitError, ZeroDivisionError)
     assert best_extrapolant(levels, values) is None
+
+
+def test_every_refusal_belongs_to_one_of_two_families():
+    # input outside the domain, or an in-domain side float64 cannot resolve
+    assert issubclass(PairingUnavailableError, DomainError)
+    assert issubclass(BudgetExceededError, NonConvergenceError)
+    assert issubclass(SingularFitError, NonConvergenceError)
+    assert not issubclass(NonConvergenceError, DomainError)
+    assert not issubclass(DomainError, NonConvergenceError)
 
 
 LADDER_LEVELS = [64 * 2 ** j for j in range(12)]  # 64 .. POLY_MAX_N

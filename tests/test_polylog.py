@@ -9,7 +9,7 @@ import pytest
 from polystar import chains, kernel, polylog
 from polystar.chains import FactorSpec, PairingUnavailableError, dp_chain_partials
 from polystar.compositions import Composition, ShapeBlocks, transform_bases
-from polystar.kernel import DomainError
+from polystar.kernel import DomainError, NonConvergenceError
 
 F = Fraction
 ZETA3 = 1.2020569031595942854
@@ -111,21 +111,23 @@ class _LadderReached(Exception):
     pass
 
 
-@pytest.mark.parametrize("call, diverges", (
-    (lambda: polylog.li_star((1, 1), (1 - 1e-13, 0.5)), True),
-    (lambda: polylog.li_star_diff((1, 2), (1.0,), 1.0, 0.5, 1e-8), True),
-    (lambda: polylog.li_star((1, 1), (-1.0, 0.5)), False),
-    (lambda: polylog.li_star((1, 1), (1 - 1e-11, 0.9)), False),
-    (lambda: polylog.li_star((2, 1), (1.0, 1.0)), False),
+@pytest.mark.parametrize("call, outcome", (
+    (lambda: polylog.li_star((1, 1), (1 - 1e-13, 0.5)), NonConvergenceError),
+    (lambda: polylog.li_star_diff((1, 2), (1.0,), 1.0, 0.5, 1e-8), DomainError),
+    (lambda: polylog.li_star((1, 1), (-1.0, 0.5)), _LadderReached),
+    (lambda: polylog.li_star((1, 1), (1 - 1e-11, 0.9)), NonConvergenceError),
+    (lambda: polylog.li_star((2, 1), (1.0, 1.0)), _LadderReached),
 ), ids=("s1=1-x1-marginal", "diff-s1=1-x1=1", "x1=-1", "x1-below-margin", "s1=2-x1=1"))
-def test_divergence_criterion_at_its_margins(monkeypatch, call, diverges):
-    # (s_1, x_1) = (1, 1), with x_1 within 1e-12 of 1, is refused before
-    # any ladder level runs; every other paired spec reaches the ladder
+def test_divergence_criterion_at_its_margins(monkeypatch, call, outcome):
+    # an exact (s_1, x_1) = (1, 1) diverges, and s_1 = 1 with x_1^POLY_MAX_N
+    # above the tolerance needs more terms than the ladder has: both are
+    # refused before any ladder level runs; every other paired spec reaches
+    # the ladder
     def ladder(*args, **kwargs):
         raise _LadderReached
 
     monkeypatch.setattr(polylog, "adaptive_sum", ladder)
-    with pytest.raises(DomainError if diverges else _LadderReached):
+    with pytest.raises(outcome):
         call()
 
 
@@ -184,6 +186,41 @@ def test_li_star_diff_matches_separate():
 def test_li_star_diff_degenerate():
     d = polylog.li_star_diff(Composition((2, 1)), (1.0,), 0.5, 0.5, 1e-9)
     assert float(d.value) == 0 and d.terms_used == 0
+
+
+@pytest.mark.parametrize("s, xs", (((2, 1), (F(1, 2),)), ((2,), ())), ids=("ladder", "depth1"))
+def test_li_star_diff_compares_its_last_arguments_before_rounding(s, xs):
+    # equal exact arguments give the exact zero; distinct ones that round
+    # to one float64 would read as that zero, so they raise
+    third = F(1, 3)
+    zero = polylog.li_star_diff(s, xs, third, third, 1e-9)
+    assert (zero.value, zero.error_estimate, zero.terms_used) == (0.0, 0.0, 0)
+    with pytest.raises(NonConvergenceError, match=r"^float64 rounding collapses the rhs "
+                       r"difference: its last arguments differ by 1\.85e-17 but both "
+                       r"round to 0\.3333333333333333$"):
+        polylog.li_star_diff(s, xs, third, float(third), 1e-9)
+
+
+def test_reduced_identity_builds_one_minus_one_over_p_exactly():
+    # at p = 3/4 the second argument 1 - 1/p is -1/3: an exact a = -1/3
+    # gives the exact zero, and its float64 rounding collapses the difference
+    _, rhs = polylog.li_identity_sides("INTRO_RED_R", 2, F(-1, 3), 0.75, 1e-8)
+    assert (rhs.value, rhs.error_estimate, rhs.terms_used) == (0.0, 0.0, 0)
+    with pytest.raises(NonConvergenceError, match="^float64 rounding collapses"):
+        polylog.li_identity_sides("INTRO_RED_R", 2, -1 / 3, 0.75, 1e-8)
+
+
+def test_a_sum_longer_than_its_ladder_names_the_terms_it_needs():
+    # x_1^N > tol up to N = ln(tol) / ln(x_1) = 2.07e10, far past POLY_MAX_N
+    with pytest.raises(NonConvergenceError, match=r"needs about 2\.07e\+10 terms"):
+        polylog.li_star((1, 1), (0.999999999, 0.9), 1e-9)
+    # an x_1 that rounds to 1 is within 2^-53 of it: 2^53 ln(1/tol) terms
+    with pytest.raises(NonConvergenceError, match=r"needs about 1\.87e\+17 terms"):
+        polylog.li_star((1, 1), (1 - F(1, 10 ** 30), 0.5), 1e-9)
+    # an exact unit x_1 diverges, as an int, a Fraction or a float
+    for one in (1, F(1), 1.0):
+        with pytest.raises(DomainError, match="diverges"):
+            polylog.li_star((1, 1), (one, 0.5))
 
 
 LADDER_CASES = [

@@ -18,6 +18,10 @@ each side runs the committed files only.  The file records:
   ``cost.wall_ms`` is dropped, a per-report summary of how they differ
   (:func:`diff_reports`), and ``wall_ms_by_identity``: each serial run's
   ``cost.wall_ms`` summed by identity, the median over the samples;
+* ``fuzz``: the status counts of a seeded ``catalog.fuzz`` of every id,
+  in-domain and with ``outside=True`` (``FUZZ_TRIALS`` samples each, one
+  process per side), by mode, id and side, and their diff
+  (:func:`diff_fuzz`);
 * the wall time and the summary line of the Tier-1 suite;
 * the cold start of four ``python -m polystar`` commands (median of 5
   each, the two sides sampled in turn): ``list`` and ``--help``, which
@@ -59,6 +63,27 @@ COLD_START_COMMANDS = {
 }
 VERIFY_ALL_SAMPLES = 7
 VERIFY_ALL_RUNS = (("serial_s", []), ("jobs2_s", ["--jobs", "2"]))
+FUZZ_SEED = 5
+FUZZ_TRIALS = 20
+# one process: the status counts of every id's fuzz reports, by mode; an
+# exception that ends a fuzz run counts once, as error:<its class>
+FUZZ_SCRIPT = """if True:
+    import json, sys
+    from polystar import catalog
+    seed, trials = int(sys.argv[1]), int(sys.argv[2])
+    out = {}
+    for mode in ("inside", "outside"):
+        for entry in catalog.list_identities():
+            counts = out.setdefault(mode, {}).setdefault(entry.id, {})
+            try:
+                statuses = [r.status for r in catalog.fuzz(entry.id, seed, trials,
+                                                          outside=mode == "outside")]
+            except Exception as exc:
+                statuses = ["error:" + type(exc).__name__]
+            for status in statuses:
+                counts[status] = counts.get(status, 0) + 1
+    print(json.dumps(out, sort_keys=True))
+"""
 
 
 def export(rev, dest):
@@ -285,6 +310,33 @@ def diff_reports(parent, change):
     return out
 
 
+def fuzz_statuses(tree, seed=FUZZ_SEED, trials=FUZZ_TRIALS):
+    """The status counts of the seeded fuzz of every id on ``tree``:
+    ``{mode: {id: {status: count}}}`` for the modes ``inside`` and
+    ``outside``."""
+    _, proc = timed([sys.executable, "-c", FUZZ_SCRIPT, str(seed), str(trials)], tree)
+    if proc.returncode != 0:
+        raise RuntimeError(f"fuzz sweep in {tree} exited {proc.returncode}: "
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def diff_fuzz(parent, change):
+    """Where the fuzz status counts of two sides differ: ``moved``, the
+    number of reports whose status moved (per id, the counts the change
+    gained), and ``by_id``, the two sides' counts of each (mode, id) that
+    differs, keyed ``mode/id``."""
+    out = {"moved": 0, "by_id": {}}
+    for mode in sorted(parent.keys() | change.keys()):
+        before, after = parent.get(mode, {}), change.get(mode, {})
+        for ident in sorted(before.keys() | after.keys()):
+            p, c = before.get(ident, {}), after.get(ident, {})
+            if p != c:
+                out["moved"] += sum(max(0, n - p.get(status, 0)) for status, n in c.items())
+                out["by_id"][f"{mode}/{ident}"] = {"parent": p, "change": c}
+    return out
+
+
 def tier1(tree):
     wall, proc = timed([sys.executable, "-m", "pytest", "-q",
                         "--continue-on-collection-errors"], tree)
@@ -361,6 +413,10 @@ def main(argv=None):
         record["verify_all"]["identical_without_wall_ms"] = (
             _canonical(reports["parent"]) == _canonical(reports["change"]))
         record["verify_all"]["diff"] = diff_reports(reports["parent"], reports["change"])
+        fuzz = {side: fuzz_statuses(trees[side]) for side in trees}
+        record["fuzz"] = {"seed": FUZZ_SEED, "trials": FUZZ_TRIALS, "counts": fuzz,
+                          "diff": diff_fuzz(fuzz["parent"], fuzz["change"])}
+        print(f"fuzz: {record['fuzz']['diff']}", flush=True)
         record["tier1"] = {side: tier1(trees[side]) for side in trees}
         print(f"tier-1: {record['tier1']}", flush=True)
         record["cold_start"] = cold_start(trees)
