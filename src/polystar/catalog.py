@@ -25,7 +25,7 @@ from .compositions import (SERIES_KIND, SERIES_REGIONS, Composition, ShapeBlocks
                            as_composition, as_fraction, mean_lhs_converges,
                            series_domain)
 from .kernel import (DomainError, EvalResult, NonConvergenceError, adaptive_quadrature,
-                     binom_ratio_sum, check_tolerance, fmt)
+                     binom_ratio_sum, check_tolerance, fmt, to_float)
 
 
 def __getattr__(name):
@@ -338,23 +338,24 @@ def _aux(ident, anchor):
     variant = ident.lower()
 
     def evaluate(params, tol):
-        import numpy as np
-
         from . import exact
 
         n, a, x = params["n"], as_fraction(params["a"]), as_fraction(params["x"])
-        xf = float(x)
+        # float64 holds the exact rhs to half an ulp; past tol/2 no panel runs
+        rhs = EvalResult.rounded(to_float(exact.aux_rhs(variant, n, a, x),
+                                          NonConvergenceError, what="the rhs"))
+        if rhs.error_estimate > tol / 2:
+            raise NonConvergenceError(f"float64 holds the rhs {rhs.value!r} only to "
+                                      f"{rhs.error_estimate:.3g}, over tol/2")
+        xf = to_float(x, NonConvergenceError)
 
         def integrand(t):
-            # the difference quotient, with its limit n x at t = 0
-            near_zero = np.abs(t) < 1e-30
-            t_ = np.where(near_zero, 1.0, t)
-            return np.where(near_zero, n * xf, ((1 + t_ * xf) ** n - 1) / t_)
+            # no Gauss-Legendre node is at 0, so the quotient is read as written
+            return ((1 + t * xf) ** n - 1) / t
 
         lo, hi = (0, a) if variant == "aux1" else (1 - a, 1)
         q = adaptive_quadrature(integrand, lo, hi, tol / 4)
-        rhs = exact.aux_rhs(variant, n, a, x)
-        return EvalResult.rounded(q, tol / 4, 0, 0), EvalResult.rounded(rhs)
+        return EvalResult.rounded(q, tol / 4, 0, 0), rhs
 
     _register(Identity(
         ident, anchor, "QUADRATURE", {"n": "int", "a": "rational", "x": "rational"},
@@ -493,7 +494,7 @@ def _series(ident, anchor, param_types, points, sample, shape_key="shape"):
 
 _series("INTRO_SERIES",
         "Li_s(a) = Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) - Li*_{1..1}(1-p,{1}_(s-1))",
-        {"s": "int", "a": "float", "p": "float"},
+        {"s": "int", "a": "rational", "p": "rational"},
         [dict(s=s, a=a, p=p) for s in (2, 3, 4)
          for a, p in ((0.5, 0.5), (-1, 0.5), (1, 0.4))],
         lambda rng: dict(s=rng.randint(2, 4), a=float(_rational(rng, -1, 1)),
@@ -501,13 +502,13 @@ _series("INTRO_SERIES",
         shape_key="s")
 
 _series("INTRO_RED_L", "Li*_{1..1}(1-p,{1}_(s-1)) = -Li_s(1-1/p)",
-        {"s": "int", "p": "float"},
+        {"s": "int", "p": "rational"},
         [dict(s=s, p=p) for s in (2, 3, 4) for p in _RED_P],
         lambda rng: dict(s=rng.randint(2, 4), p=0.5 + rng.random() * 0.45),
         shape_key="s")
 
 _series("INTRO_RED_R", "Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) = Li_s(a) - Li_s(1-1/p)",
-        {"s": "int", "a": "float", "p": "float"},
+        {"s": "int", "a": "rational", "p": "rational"},
         [dict(s=s, a=a, p=p) for s in (2, 3, 4) for a in _RED_A for p in _RED_P],
         lambda rng: dict(s=rng.randint(2, 4), a=rng.uniform(-1, 1 / 3),
                          p=0.5 + rng.random() * 0.45),
@@ -516,10 +517,10 @@ _series("INTRO_RED_R", "Li*_{1..1}(1-p,{1}_(s-2),1+ap/(1-p)) = Li_s(a) - Li_s(1-
 
 def _li_entry(ident, family, points, anchor):
     """A block-family identity at every shape of depth, block sizes and
-    trailing sizes up to 2, crossed with ``points``; a float parameter per
-    key of a point."""
+    trailing sizes up to 2, crossed with ``points``; a rational parameter
+    per key of a point."""
     shapes = _shapes(family, 2, 2, 2)
-    _series(ident, anchor, {"shape": "shape", **dict.fromkeys(points[0], "float")},
+    _series(ident, anchor, {"shape": "shape", **dict.fromkeys(points[0], "rational")},
             [dict(shape=shape, **point) for shape in shapes for point in points],
             lambda rng: dict(shape=rng.choice(shapes), **points[rng.randrange(len(points))]))
 
@@ -552,28 +553,28 @@ _A1_SHAPES = {family: _shapes(family, 2, 1, 1) for family in "AB"}
 _series("LI1_A1",
         "zeta*(s) equals the unit-argument main/sub string difference, "
         "independently of p in (0,1)",
-        {"shape": "shape", "p": "float"},
+        {"shape": "shape", "p": "rational"},
         [dict(shape=shape, p=p) for shape in _A1_SHAPES["A"] for p in _P3],
         lambda rng: dict(shape=rng.choice(_A1_SHAPES["A"]), p=0.2 + rng.random() * 0.6))
 
 _series("LI2_A1",
         "zeta*(s) equals the unit-argument main/sub string difference "
         "(trailing-ones family), independently of p in (0,1)",
-        {"shape": "shape", "p": "float"},
+        {"shape": "shape", "p": "rational"},
         [dict(shape=shape, p=p) for shape in _A1_SHAPES["B"] for p in _P3],
         lambda rng: dict(shape=rng.choice(_A1_SHAPES["B"]), p=0.2 + rng.random() * 0.6))
 
 _series("LI1_EX",
         "(2-4^(1-d)) zeta(2d) = Li*_{1..1}({1-p,1/(1-p)}_d) - "
         "Li*_{1..1}({1-p,1/(1-p)}_(d-1),1-p,1)",
-        {"d": "int", "p": "float"},
+        {"d": "int", "p": "rational"},
         [dict(d=d, p=p) for d in (1, 2) for p in _P3],
         lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 
 _series("LI2_EX",
         "2 zeta(2d+1) = Li*_{1..1}({1-p,1/(1-p)}_d,1) - "
         "Li*_{1..1}({1-p,1/(1-p)}_d,1-p)",
-        {"d": "int", "p": "float"},
+        {"d": "int", "p": "rational"},
         [dict(d=d, p=p) for d in (1, 2) for p in _P3],
         lambda rng: dict(d=rng.randint(1, 2), p=0.2 + rng.random() * 0.6))
 
@@ -592,7 +593,7 @@ def _mean_inf_sides(ident):
 _register(Identity(
     "MEAN_INF_A",
     "Li*_s({1}_(d-1),a) equals the infinite binomial-ratio mean kernel sum",
-    "NUMERIC", {"s": "composition", "a": "float"},
+    "NUMERIC", {"s": "composition", "a": "rational"},
     _mean_inf_sides("MEAN_INF_A"),
     lambda: ((dict(s=s, a=a), None)
              for s, alist in ((Composition((2,)), (1, 0.5, -1)),

@@ -31,7 +31,7 @@ def _parse(convert, text, what):
     """``convert(text)``, a malformed value being a usage error."""
     try:
         return convert(text)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad {what}: {text!r}") from exc
 
 
@@ -84,7 +84,6 @@ def _fmt_numeric(result: EvalResult):
 _PARAM_PARSERS = {
     "int": int,
     "rational": Fraction,
-    "float": lambda t: float(Fraction(t)),
     "composition": Composition.parse,
     "shape": ShapeBlocks.parse,
     "intlist": lambda t: tuple(int(v) for v in t.split(",") if v != ""),
@@ -146,8 +145,7 @@ def cmd_eval(args):
         print(exact.mneimneh_lhs(required("n"), Composition.parse(args.s),
                                  rational("a"), rational("p")))
     elif kind == "li":
-        res = polylog.li(_parse(int, args.s, "--s"),
-                         _parse(_PARAM_PARSERS["float"], args.x, "--x"))
+        res = polylog.li(_parse(int, args.s, "--s"), rational("x"))
     elif kind == "listar":
         xs = _parse(lambda t: tuple(Fraction(v) for v in t.split(",")), args.x, "--x")
         res = polylog.li_star(Composition.parse(args.s), xs, tol)

@@ -248,9 +248,8 @@ def domain_check(constraint_id: str, a, p) -> bool:
 def mean_lhs_converges(s, a) -> bool:
     """Whether the depth-d star polylogarithm with arguments (1,...,1,a)
     converges: a leading part >= 2, or the single-part depth-one case with
-    |a| <= 1, a != 1."""
+    |a| <= 1, a != 1; both tested on the exact ``a``."""
     s = as_composition(s)
-    a = float(a)
     if abs(a) > 1:
         return False
     if s.parts[0] >= 2:

@@ -67,6 +67,25 @@ class SingularFitError(NonConvergenceError, ZeroDivisionError):
     finite."""
 
 
+def to_float(x, beyond=DomainError, apart_from=None, what=None) -> float:
+    """The one rounding rule: the float64 nearest the exact ``x``.  NaN or
+    infinite raises :class:`DomainError`; past float64's range, ``beyond``
+    (DomainError outside the domain, NonConvergenceError inside it); an
+    ``x`` distinct from ``apart_from`` that rounds to the same float64,
+    NonConvergenceError naming ``what``: the float sides would read one."""
+    try:
+        v = float(x)
+    except OverflowError:
+        raise beyond(f"{what or x} is beyond float64's range") from None
+    if not math.isfinite(v):
+        raise DomainError(f"non-finite value {x}")
+    if apart_from is not None and x != apart_from and v == float(apart_from):
+        raise NonConvergenceError(f"float64 rounding collapses {what} differ by "
+                                  f"{float(abs(Fraction(x) - Fraction(apart_from))):.3g} "
+                                  f"but both round to {v!r}")
+    return v
+
+
 def fmt(v, digits=17):
     """A float printed to ``digits`` significant digits."""
     import mpmath
@@ -139,7 +158,9 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
                         breaks=None):
     """Integrate ``f`` in float64 over ``[lo, hi]`` to absolute tolerance ``tol``.
 
-    Adaptive bisection with a Gauss-Legendre pair from the mesh
+    Exact endpoints that are equal give 0.0; :func:`to_float` rounds each,
+    raising :class:`NonConvergenceError` where it cannot.  Adaptive
+    bisection with a Gauss-Legendre pair from the mesh
     ``[lo, *breaks, hi]`` (breaks strictly monotone from lo to hi, else
     :class:`DomainError`; the quarter mesh when None, so thin layers need
     breaks graded toward them): an initial panel's share of the tolerance
@@ -160,9 +181,10 @@ def adaptive_quadrature(f: Callable, lo, hi, tol, *, budget=QUADRATURE_PANEL_BUD
 
     check_tolerance(tol)
     nodes, w12, w6 = _gl_pair()
-    lo_, hi_ = float(lo), float(hi)
-    if lo_ == hi_:
+    if lo == hi:
         return 0.0
+    lo_ = to_float(lo, NonConvergenceError)
+    hi_ = to_float(hi, NonConvergenceError, lo, f"the interval [{lo}, {hi}]: its endpoints")
     if breaks is None:
         c = (lo_ + hi_) / 2
         mesh = [lo_, (lo_ + c) / 2, c, (c + hi_) / 2, hi_]

@@ -28,7 +28,7 @@ from .compositions import (SERIES_KIND, Composition, ShapeBlocks, as_composition
                            mean_lhs_converges, series_domain, shape_args,
                            shape_composition, transform_bases)
 from .kernel import (DomainError, EvalResult, NonConvergenceError, adaptive_quadrature,
-                     check_tolerance)
+                     check_tolerance, to_float)
 
 POLY_MAX_N = 2 ** 17
 GEO_MAX_N = 2 ** 20
@@ -54,14 +54,16 @@ def zeta(s: int) -> mpmath.mpf:
 
 def li(s: int, x) -> EvalResult:
     """One-dimensional polylogarithm sum_{n>=1} x^n / n^s for |x| <= 1:
-    ``mpmath.polylog`` at :data:`PRECISION` bits, rounded to float64."""
+    ``mpmath.polylog`` at :data:`PRECISION` bits, rounded to float64.  The
+    tests run on the exact ``x``; at s = 1, an x != 1 that rounds to 1
+    raises :class:`NonConvergenceError`."""
     if s < 1:
         raise DomainError("order must be >= 1")
-    x = float(x)
     if not abs(x) <= 1:  # NaN too
         raise DomainError(f"|x| <= 1 required, got x={x}")
     if s == 1 and x == 1:
         raise DomainError("order-1 polylogarithm diverges at x = 1")
+    x = to_float(x, apart_from=1 if s == 1 else None, what="Li_1(x): x and its pole 1")
     with mp.workprec(PRECISION):
         return EvalResult.rounded(mpmath.polylog(s, x))
 
@@ -145,30 +147,20 @@ def _star_ladder(spec: FactorSpec, tol, x1) -> EvalResult:
     return adaptive_sum(evaluate, schedule, min_samples=min_samples)
 
 
-def _float_args(xs) -> tuple:
-    """The arguments as floats.  A NaN or infinite one raises
-    :class:`DomainError` here, before a zero shortcut could return 0 for it
-    or a ladder's pairing check could refuse it as a divergent direction."""
-    xs = tuple(float(x) for x in xs)
-    if not all(math.isfinite(x) for x in xs):
-        raise DomainError(f"non-finite argument in {xs}")
-    return xs
-
-
 def li_star(s, xs, tol=1e-9) -> EvalResult:
     """Star polylogarithm sum over n_1 >= ... >= n_d >= 1 of
     prod x_i^{n_i} / n_i^{s_i}, to absolute tolerance ``tol``.
 
     Queries whose argument-string prefix products leave the unit disc are
     rejected with :class:`PairingUnavailableError`; those with an exact
-    (s_1, x_1) = (1, 1), which diverge, and NaN or infinite arguments, with
-    :class:`DomainError`.  The arguments may be exact; each is rounded to
-    float64 once.  A sum longer than its ladder raises
-    :class:`NonConvergenceError`.
+    (s_1, x_1) = (1, 1), which diverge, with :class:`DomainError`.  The
+    arguments may be exact; each is rounded to float64 once, by
+    :func:`to_float`, before the zero shortcut and the pairing check.  A
+    sum longer than its ladder raises :class:`NonConvergenceError`.
     """
     s = as_composition(s)
     exact = tuple(xs)
-    xs = _float_args(exact)
+    xs = tuple(map(to_float, exact))
     if len(xs) != s.depth:
         raise DomainError(f"need {s.depth} arguments, got {len(xs)}")
     check_tolerance(tol)
@@ -176,7 +168,7 @@ def li_star(s, xs, tol=1e-9) -> EvalResult:
         # a zero argument annihilates every chain
         return EvalResult(0.0, 0.0, 0, 0, True)
     if s.depth == 1:
-        return li(s.parts[0], xs[0])
+        return li(s.parts[0], exact[0])
     return _star_ladder(FactorSpec(xs, s.parts), tol, exact[0])
 
 
@@ -194,19 +186,15 @@ def li_star_diff(s, xs, x_hi, x_lo, tol) -> EvalResult:
     """
     s = as_composition(s)
     exact = tuple(xs)
-    xs = _float_args(exact)
+    xs = tuple(map(to_float, exact))
     if len(xs) != s.depth - 1:
         raise DomainError(f"need {s.depth - 1} leading arguments, got {len(xs)}")
-    hi, lo = _float_args((x_hi, x_lo))
+    hi, lo = map(to_float, (x_hi, x_lo))
     if x_hi == x_lo or any(x == 0 for x in xs):
         return EvalResult(0.0, 0.0, 0, 0, True)
-    if hi == lo:
-        raise NonConvergenceError(
-            f"float64 rounding collapses the rhs difference: its last arguments differ "
-            f"by {float(Fraction(x_hi) - Fraction(x_lo)):.3g} but both round to "
-            f"{hi!r}")
+    to_float(x_hi, apart_from=x_lo, what="the rhs difference: its last arguments")
     if s.depth == 1:
-        return _li_diff(s.parts[0], hi, lo)
+        return _li_diff(s.parts[0], x_hi, x_lo)
     spec = FactorSpec(xs + (1.0,), s.parts, tail=(hi, lo))
     return _star_ladder(spec, tol, exact[0])
 
@@ -300,7 +288,7 @@ def mean_average_infinite(s, a, tol) -> EvalResult:
     and level; ``terms_used`` counts the columns computed times |s|.
     """
     s = as_composition(s)
-    (a,) = _float_args((a,))
+    a = to_float(a)
     kept, row_of = _node_rows(s, a, np.empty(0)), {}  # no rows, at truncation 0
 
     def evaluate(N):

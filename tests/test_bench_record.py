@@ -300,3 +300,32 @@ def test_diff_fuzz_counts_the_moved_statuses():
                                "change": {"pass": 2, "not_converged": 2}},
                   "outside/A": {"parent": {"not_converged": 4},
                                 "change": {"not_converged": 3, "error:DomainError": 1}}}}
+
+
+def test_probes_record_the_exit_and_the_last_line_of_each_argv(monkeypatch):
+    calls = []
+
+    def timed(cmd, tree, stdout=None):
+        calls.append((cmd[3:], tree))
+        if cmd[3] == "eval":  # an error: nothing on stdout
+            return 0.1, SimpleNamespace(returncode=2, stdout="", stderr="Traceback\nboom\n")
+        return 0.1, SimpleNamespace(returncode=0, stdout="line\nsummary\n", stderr="")
+
+    monkeypatch.setattr(bench_record, "timed", timed)
+    got = bench_record.probes("t")
+    assert calls == [(argv, "t") for argv in bench_record.PROBES]
+    assert len(got) == len(bench_record.PROBES)
+    assert got["eval li --s 2 --x 1.00000000000000000001"] == {"exit": 2, "last": "boom"}
+    assert got["verify AUX1 --param n=1 --param a=1 --param x=1e400"] == {
+        "exit": 0, "last": "summary"}
+    assert "verify LI1_A1 --param shape=A:m=0;u= --param p=1e-9" in got
+
+
+def test_diff_probes_lists_the_moved_exits():
+    parent = {"a": {"exit": 0, "last": "x"}, "b": {"exit": 1, "last": "FAIL"},
+              "c": {"exit": 3, "last": "y"}}
+    change = {"a": {"exit": 0, "last": "z"}, "b": {"exit": 0, "last": "PASS"},
+              "c": {"exit": 3, "last": "y"}}
+    assert bench_record.diff_probes(parent, parent) == {}
+    assert bench_record.diff_probes(parent, change) == {
+        "b": {"parent": {"exit": 1, "last": "FAIL"}, "change": {"exit": 0, "last": "PASS"}}}

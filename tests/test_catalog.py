@@ -440,25 +440,25 @@ CATALOG_PIN = {
     'DILCHER_PLUS': (875, '9bfc1012be7e3440'),
     'EX_FIRST': (8, '83cabef1fd01a743'),
     'GENCEV_D1': (640, '9b68d46f78c6246a'),
-    'INTRO_RED_L': (6, '0ba85b1f3e9a56ee'),
-    'INTRO_RED_R': (18, '662a0b87291062eb'),
-    'INTRO_SERIES': (9, '49a06c3d63edf541'),
-    'LI1_A1': (30, '2c7f76f2e7ad040f'),
-    'LI1_EX': (6, '121cf40749c2cfdf'),
-    'LI1_MAIN': (150, 'e1ecd8168ead7252'),
-    'LI1_RED1': (60, 'f68acd5e38db62f7'),
-    'LI1_RED2': (180, 'a2fd1c14ed39b511'),
-    'LI2_A1': (30, 'b2d3aed6c1c026e3'),
-    'LI2_EX': (6, 'bc2affb11a61ec70'),
-    'LI2_MAIN': (300, '2b8a92f5503e3257'),
-    'LI2_RED1': (120, 'a249e01c36008fc9'),
-    'LI2_RED2': (360, '060a4d09b655d8b7'),
+    'INTRO_RED_L': (6, '7acfbe8418312769'),
+    'INTRO_RED_R': (18, 'cf1bb720ea4479d6'),
+    'INTRO_SERIES': (9, 'bed0d31a394957a4'),
+    'LI1_A1': (30, '0d13870ffe21ad2f'),
+    'LI1_EX': (6, '4fc6f29611e3cc80'),
+    'LI1_MAIN': (150, 'da2655896904cdab'),
+    'LI1_RED1': (60, '3f35f748a4b97253'),
+    'LI1_RED2': (180, '4e9047e9e3ac77e0'),
+    'LI2_A1': (30, 'a8cdf850e26d69a6'),
+    'LI2_EX': (6, '38571fa43891558a'),
+    'LI2_MAIN': (300, 'c87098ac13f70eb0'),
+    'LI2_RED1': (120, '8d39a87218475f05'),
+    'LI2_RED2': (360, '725ed028ca20a756'),
     'MAIN_TRANSFORM': (3750, '1d4e1191ed6178e8'),
     'MEAN_EX1': (48, '1ab418d9e5bccda7'),
     'MEAN_EX2': (2, '7e26ca199d24d186'),
     'MEAN_FINITE': (720, '83656e78b3e66184'),
     'MEAN_INF_1': (3, 'fa669ad4a629ac7a'),
-    'MEAN_INF_A': (7, '2df2c94628ea9344'),
+    'MEAN_INF_A': (7, 'e76361659188cff6'),
     'MEAN_SUM_HK': (50, 'cb891e7d07d61cdf'),
     'MN1': (1120, '7028a3657b431540'),
     'MNEIMNEH_ORIG': (50, '9ef31c80b2e0378e'),

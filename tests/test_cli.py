@@ -101,7 +101,7 @@ def test_verify_text_line_gives_the_reason(monkeypatch, capsys):
                          f"with error estimate {line.split()[-1][:-1]})")
     assert main(["verify", "MEAN_INF_A", "--param", "s=1,1", "--param", "a=0.5"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == \
-        "SKIP           MEAN_INF_A {'s': Composition(parts=(1, 1)), 'a': 0.5} (left side diverges)"
+        "SKIP           MEAN_INF_A {'s': Composition(parts=(1, 1)), 'a': Fraction(1, 2)} (left side diverges)"
 
 
 def test_verify_json_roundtrip(capsys):

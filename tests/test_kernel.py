@@ -9,7 +9,7 @@ from polystar.kernel import (_GL_ORDERS, BASIS_LOG_FIRST, BASIS_POWER_FIRST, _de
                              BudgetExceededError, DomainError, NonConvergenceError,
                              PairingUnavailableError, SingularFitError, _window_limit,
                              adaptive_quadrature, best_extrapolant, binom_ratio_sum,
-                             binomial)
+                             binomial, to_float)
 
 
 def test_binomial_examples():
@@ -82,10 +82,8 @@ def test_rational_canonical(a, b):
 # ---------------------------------------------------------------------------
 
 def _cubic_quotient(t):
-    # ((1+A)^3 - 1)/A, with its limit 3 at A = 0
-    near_zero = np.abs(t) < 1e-30
-    t_ = np.where(near_zero, 1.0, t)
-    return np.where(near_zero, 3.0, ((1 + t_) ** 3 - 1) / t_)
+    # ((1+A)^3 - 1)/A as written: no Gauss-Legendre node is at 0
+    return ((1 + t) ** 3 - 1) / t
 
 
 def test_quadrature_constant():
@@ -245,6 +243,34 @@ def test_quadrature_rejects_bad_breaks():
     # lo > hi (as in AUX1 at a < 0) takes breaks that fall from lo to hi
     q = adaptive_quadrature(lambda t: t, 1.0, 0.0, 1e-12, breaks=[0.75, 0.5, 0.25])
     assert abs(q + 0.5) < 1e-12
+
+
+def test_quadrature_compares_exact_endpoints():
+    # equal ones give 0.0; one past float64's range, or an interval that
+    # rounds to a point, is in the domain but cannot be integrated in float64
+    third = Fraction(1, 3)
+    assert adaptive_quadrature(lambda t: 1 / t, third, third, 1e-10) == 0.0
+    with pytest.raises(NonConvergenceError, match=r"^float64 rounding collapses the "
+                       r"interval \[1/3, 0\.333\d+\]: its endpoints differ by 1\.85e-17"):
+        adaptive_quadrature(lambda t: t, third, float(third), 1e-10)
+    with pytest.raises(NonConvergenceError, match="beyond float64's range"):
+        adaptive_quadrature(lambda t: t, 0, Fraction(10 ** 400), 1e-10)
+
+
+def test_to_float_is_the_one_rounding_rule():
+    assert to_float(Fraction(1, 2)) == 0.5 and to_float(10 ** 30) == 1e30
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            to_float(bad, NonConvergenceError)
+    with pytest.raises(DomainError, match="beyond float64's range"):
+        to_float(Fraction(-10 ** 400))
+    with pytest.raises(NonConvergenceError, match="^the rhs is beyond float64's range$"):
+        to_float(Fraction(10 ** 400), NonConvergenceError, what="the rhs")
+    # distinct values of one float64: refused; equal ones are not
+    assert to_float(1.0, apart_from=1) == 1.0
+    with pytest.raises(NonConvergenceError, match="^float64 rounding collapses x and 1 "
+                       "differ by 1e-20 but both round to 1.0$"):
+        to_float(1 + Fraction(1, 10 ** 20), apart_from=1, what="x and 1")
 
 
 def test_quadrature_rejects_bad_tol():

@@ -583,6 +583,24 @@ def test_mean_lhs_converges_predicate():
     assert not polylog.mean_lhs_converges((1,), 1)
     assert not polylog.mean_lhs_converges((1, 1), 0.5)
     assert not polylog.mean_lhs_converges((2,), 1.5)
+    # on the exact a: either side of 1, though both round to it
+    assert polylog.mean_lhs_converges((1,), 1 - Fraction(1, 10 ** 20))
+    assert not polylog.mean_lhs_converges((2,), 1 + Fraction(1, 10 ** 20))
+
+
+def test_li_tests_the_exact_argument_before_rounding_it():
+    tiny = Fraction(1, 10 ** 20)
+    with pytest.raises(DomainError, match=r"^\|x\| <= 1 required"):
+        polylog.li(2, 1 + tiny)
+    with pytest.raises(DomainError, match=r"^\|x\| <= 1 required"):
+        polylog.li_star((2,), (1 + tiny,))
+    with pytest.raises(NonConvergenceError, match="^float64 rounding collapses Li_1"):
+        polylog.li(1, 1 - tiny)
+    # below s = 1 the rounding is harmless: Li_2 is continuous at 1
+    assert polylog.li(2, 1 - tiny).value == polylog.li(2, 1).value
+    # the depth-one difference hands li its exact arguments too
+    with pytest.raises(NonConvergenceError, match="^float64 rounding collapses Li_1"):
+        polylog.li_star_diff((1,), (), 1 - tiny, Fraction(1, 2), 1e-9)
 
 
 def test_p_independence_of_unit_argument_difference():

@@ -22,6 +22,9 @@ each side runs the committed files only.  The file records:
   in-domain and with ``outside=True`` (``FUZZ_TRIALS`` samples each, one
   process per side), by mode, id and side, and their diff
   (:func:`diff_fuzz`);
+* ``probes``: the exit code and the last output line (stdout, else
+  stderr) of each ``python -m polystar`` argv of ``PROBES`` on each tree,
+  and ``moved``, the probes whose exit code differs (:func:`diff_probes`);
 * the wall time and the summary line of the Tier-1 suite;
 * the cold start of four ``python -m polystar`` commands (median of 5
   each, the two sides sampled in turn): ``list`` and ``--help``, which
@@ -63,6 +66,28 @@ COLD_START_COMMANDS = {
 }
 VERIFY_ALL_SAMPLES = 7
 VERIFY_ALL_RUNS = (("serial_s", []), ("jobs2_s", ["--jobs", "2"]))
+# points at the edges of float64 (exact values that round to 1, tiny and
+# huge ones, one past its range) and a scan of series points at small p,
+# whose first rhs argument 1 - p rounds to, or lies close to, 1
+PROBES = (
+    ["verify", "INTRO_RED_R", "--param", "s=2", "--param", "a=-1/3", "--param", "p=3/4"],
+    ["eval", "li", "--s", "2", "--x", "1.00000000000000000001"],
+    ["eval", "listar", "--s", "2", "--x", "1.00000000000000000001"],
+    ["eval", "li", "--s", "1", "--x", "0.99999999999999999999"],
+    ["verify", "MEAN_INF_A", "--param", "s=1", "--param", "a=0.99999999999999999999"],
+    ["verify", "AUX1", "--param", "n=2", "--param", "a=1e-30", "--param", "x=1e30"],
+    ["verify", "AUX2", "--param", "n=1", "--param", "a=1e-30", "--param", "x=1e30"],
+    ["verify", "AUX2", "--param", "n=2", "--param", "a=1e-30", "--param", "x=1e300"],
+    ["verify", "AUX1", "--param", "n=1", "--param", "a=1", "--param", "x=1e400"],
+    ["verify", "AUX2", "--param", "n=7", "--param", "a=1e30", "--param", "x=1/2"],
+    ["eval", "listar", "--s", "2,1", "--x", "1e400,1"],
+    # diverges, but its first prefix product is within the pairing slack
+    ["eval", "listar", "--s", "2,1", "--x", "1.0000000001,1"],
+    *(["verify", ident, *(arg for pair in fixed + [f"p={p}"] for arg in ("--param", pair))]
+      for ident, fixed in (("INTRO_SERIES", ["s=2", "a=1"]), ("INTRO_SERIES", ["s=3", "a=1/2"]),
+                           ("LI1_A1", ["shape=A:m=0;u="]))
+      for p in ("1e-30", "1e-17", "1e-13", "1.01e-12", "1.1e-12", "2e-12", "1e-9")),
+)
 FUZZ_SEED = 5
 FUZZ_TRIALS = 20
 # one process: the status counts of every id's fuzz reports, by mode; an
@@ -337,6 +362,23 @@ def diff_fuzz(parent, change):
     return out
 
 
+def probes(tree):
+    """The exit code and the last output line (of stdout, else of stderr)
+    of each of ``PROBES`` on ``tree``, keyed by its argv joined by spaces."""
+    out = {}
+    for argv in PROBES:
+        _, proc = timed([sys.executable, "-m", "polystar"] + argv, tree)
+        lines = (proc.stdout.strip() or proc.stderr.strip()).splitlines()
+        out[" ".join(argv)] = {"exit": proc.returncode, "last": lines[-1] if lines else ""}
+    return out
+
+
+def diff_probes(parent, change):
+    """The probes whose exit code differs, with the two sides' records."""
+    return {key: {"parent": parent[key], "change": change[key]} for key in parent
+            if parent[key]["exit"] != change[key]["exit"]}
+
+
 def tier1(tree):
     wall, proc = timed([sys.executable, "-m", "pytest", "-q",
                         "--continue-on-collection-errors"], tree)
@@ -417,6 +459,9 @@ def main(argv=None):
         record["fuzz"] = {"seed": FUZZ_SEED, "trials": FUZZ_TRIALS, "counts": fuzz,
                           "diff": diff_fuzz(fuzz["parent"], fuzz["change"])}
         print(f"fuzz: {record['fuzz']['diff']}", flush=True)
+        runs = {side: probes(trees[side]) for side in trees}
+        record["probes"] = {"runs": runs, "moved": diff_probes(runs["parent"], runs["change"])}
+        print(f"probes moved: {record['probes']['moved']}", flush=True)
         record["tier1"] = {side: tier1(trees[side]) for side in trees}
         print(f"tier-1: {record['tier1']}", flush=True)
         record["cold_start"] = cold_start(trees)
