@@ -76,7 +76,8 @@ def to_float(x, beyond=DomainError, apart_from=None, what=None) -> float:
     try:
         v = float(x)
     except OverflowError:
-        raise beyond(f"{what or x} is beyond float64's range") from None
+        raise beyond(f"{what or 'a value'} of about 1e{math.log10(int(abs(x))):.0f} is "
+                     "beyond float64's range") from None
     if not math.isfinite(v):
         raise DomainError(f"non-finite value {x}")
     if apart_from is not None and x != apart_from and v == float(apart_from):

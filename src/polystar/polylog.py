@@ -160,7 +160,7 @@ def li_star(s, xs, tol=1e-9) -> EvalResult:
     """
     s = as_composition(s)
     exact = tuple(xs)
-    xs = tuple(map(to_float, exact))
+    xs = tuple(to_float(x, what=f"argument x_{i}") for i, x in enumerate(exact, 1))
     if len(xs) != s.depth:
         raise DomainError(f"need {s.depth} arguments, got {len(xs)}")
     check_tolerance(tol)

@@ -159,7 +159,8 @@ PROBES = (
      3, "summary: 0 pass, 0 fail, 0 skipped, 1 not converged"),
     (["verify", "AUX1", "--param", "n=1", "--param", "a=1", "--param", "x=1e400"],
      3, "summary: 0 pass, 0 fail, 0 skipped, 1 not converged"),
-    (["eval", "listar", "--s", "2,1", "--x", "1e400,1"], 2, "error: 1000"),
+    (["eval", "listar", "--s", "2,1", "--x", "1e400,1"], 2,
+     "error: argument x_1 of about 1e400 is beyond float64's range"),
 )
 
 
