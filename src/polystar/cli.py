@@ -30,7 +30,8 @@ EXIT_NOT_CONVERGED = 3
 def _parse(convert, text, what):
     """``convert(text)``, a malformed value being a usage error."""
     try:
-        return convert(text)
+        str(value := convert(text))  # Python prints no int past 4,300 digits
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad {what}: {text!r}") from exc
 

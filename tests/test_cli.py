@@ -143,6 +143,10 @@ def test_verify_missing_param_of_a_later_id_fails_before_any_work(monkeypatch, c
     (["verify", "MEAN_SUM_HK", "--param", "n=abc"], None),
     (["eval", "li", "--s", "2", "--x", "abc"], None),
     (["verify", "AUX1", "--param", "n=2", "--param", "a=1", "--param", "x=1/0"], None),
+    # exact values Python cannot print: an int past 4,300 digits
+    (["verify", "AUX1", "--param", "n=2", "--param", "a=1", "--param", "x=1e5000"], None),
+    (["eval", "li", "--s", "2", "--x", "1e5000"], None),
+    (["eval", "listar", "--s", "2,1", "--x", "1e-5000,1"], None),
     (["eval", "mhsv", "--s", "2"], None),
     (["eval", "li", "--s", "2", "--x", "1/2"], False),
     (["verify", "MEAN_SUM_HK", "--param", "n=3", "--jobs", "0"], None),
@@ -160,7 +164,8 @@ def test_verify_missing_param_of_a_later_id_fails_before_any_work(monkeypatch, c
     (["verify"], None),
     (["verify", "NO_SUCH_ID"], None),
     (["fuzz", "NO_SUCH_ID"], None),
-], ids=["int-param", "eval-x", "zero-denominator", "eval-without-k", "missing-config",
+], ids=["int-param", "eval-x", "zero-denominator", "unprintable-param", "unprintable-li-x",
+        "unprintable-listar-x", "eval-without-k", "missing-config",
         "jobs-0", "jobs-negative", "config-jobs-0", "config-seed", "tol-nan", "tol-inf",
         "tol-0", "config-tol-nan", "eval-li-tol", "eval-mhsv-tol", "eval-mneimneh-tol",
         "eval-mean-tol", "verify-no-ids", "verify-unknown-id", "fuzz-unknown-id"])
